@@ -13,7 +13,6 @@ from .errors import (
     ConvergenceError,
     DomainError,
     InsufficientData,
-    QuadratureError,
     ToleranceNotMet,
     UnwrapError,
 )
@@ -59,7 +58,6 @@ __all__ = [
     "InsufficientData",
     "ModelKind",
     "ModelSpec",
-    "QuadratureError",
     "RateCurve",
     "ReflectionBreakdown",
     "SOLITON",

@@ -1,17 +1,14 @@
 """Command-line front-end: parameter sweeps, curve export, validation suites.
 
 Output is deterministic: identical configuration produces byte-identical
-files (floats printed with 17 significant digits, fixed merge order
-independent of the thread count).  Exit codes: 0 success, 2 validation
-failure, 1 error.
+files (floats printed with 17 significant digits, rows in grid order).
+Exit codes: 0 success, 2 validation failure, 1 error.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import json
 import math
-import os
 import sys
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -50,18 +47,6 @@ def _fmt(x: float) -> str:
     if isinstance(x, float) and math.isnan(x):
         return "nan"
     return f"{x:.17g}"
-
-
-def _threads(value: Optional[int]) -> int:
-    if value is not None:
-        return max(1, value)
-    env = os.environ.get("BSCAT_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise click.ClickException(f"BSCAT_THREADS is not an integer: {env!r}")
-    return 1
 
 
 def _read_config(path: Optional[str]) -> Dict[str, str]:
@@ -131,14 +116,6 @@ def _omega_grid(lo: float, hi: float, points: int, spacing: str) -> List[float]:
     return [lo * ratio**k for k in range(points)]
 
 
-def _sweep(func: Callable, items: Sequence, threads: int) -> List:
-    """Evaluate func over items; deterministic merge in item order."""
-    if threads <= 1 or len(items) <= 1:
-        return [func(it) for it in items]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(func, items))
-
-
 def _write_table(
     path: Optional[str],
     fmt: str,
@@ -191,9 +168,8 @@ def main() -> None:
 @click.option("--spacing", type=click.Choice(["log", "linear"]), default=None)
 @click.option("--output", default=None, help="Output path ('-' for stdout).")
 @click.option("--format", "fmt", type=_FORMAT, default=None)
-@click.option("--threads", type=int, default=None)
 @click.option("--config", default=None, help="Flat key=value config file; flags override.")
-def rates(model, z, omega, spacing, output, fmt, threads, config) -> None:
+def rates(model, z, omega, spacing, output, fmt, config) -> None:
     """Reflection rates gamma(omega) and phase shift delta(omega)."""
     cfg = _read_config(config)
     model = _merge(model, cfg, "model", str, "bsg")
@@ -202,7 +178,6 @@ def rates(model, z, omega, spacing, output, fmt, threads, config) -> None:
     spacing = _merge(spacing, cfg, "spacing", str, "log")
     output = _merge(output, cfg, "output", str, "-")
     fmt = _merge(fmt, cfg, "format", str, "csv")
-    threads = _threads(_merge(threads, cfg, "threads", int, None))
     spec = make_model(model, z)
     lo, hi, points = _parse_omega_range(omega)
     grid = _omega_grid(lo, hi, points, spacing)
@@ -213,7 +188,7 @@ def rates(model, z, omega, spacing, output, fmt, threads, config) -> None:
         except BscatError as exc:
             return None, f"{type(exc).__name__}: {exc}"
 
-    results = _sweep(point, grid, threads)
+    results = [point(w) for w in grid]
     good = [bd for bd, _ in results if bd is not None]
     if good:
         curve = rates_from_r(good)
@@ -239,9 +214,8 @@ def rates(model, z, omega, spacing, output, fmt, threads, config) -> None:
 @click.option("--points", type=int, default=None, help="omega' grid size.")
 @click.option("--output", default=None)
 @click.option("--format", "fmt", type=_FORMAT, default=None)
-@click.option("--threads", type=int, default=None)
 @click.option("--config", default=None)
-def spectrum(model, z, omega, points, output, fmt, threads, config) -> None:
+def spectrum(model, z, omega, points, output, fmt, config) -> None:
     """Energy-resolved decay spectrum gamma(omega'|omega)."""
     cfg = _read_config(config)
     model = _merge(model, cfg, "model", str, "bsg")
@@ -250,7 +224,6 @@ def spectrum(model, z, omega, points, output, fmt, threads, config) -> None:
     points = _merge(points, cfg, "points", int, 40)
     output = _merge(output, cfg, "output", str, "-")
     fmt = _merge(fmt, cfg, "format", str, "csv")
-    _threads(_merge(threads, cfg, "threads", int, None))  # validated, sweep is internal
     spec = make_model(model, z)
     curve = spectrum_curve(omega, spec, grid_size=points)
     diagrams = list(curve.per_diagram.keys())

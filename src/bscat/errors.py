@@ -9,10 +9,6 @@ class DomainError(BscatError):
     """Input outside the mathematical domain of an operation."""
 
 
-class QuadratureError(BscatError):
-    """A quadrature failed to reach its internal tolerance."""
-
-
 class ConvergenceError(BscatError):
     """An iterative evaluation (truncation parameter, regulator) did not converge."""
 

@@ -21,7 +21,7 @@ import numpy as np
 from scipy.special import loggamma
 
 from .errors import ConvergenceError, DomainError
-from .model import ModelSpec
+from .model import ModelSpec, breather, mass_ratio
 from .quadrature import adaptive_1d, integrate_semi_infinite, integrate_simplex
 from .smatrix import s0
 
@@ -635,10 +635,14 @@ def r0_weights(spec: ModelSpec) -> dict:
 
     Keys: "m<k>" for odd breathers, "pm" (soliton pair), "12" (breather 1+2,
     if present), "pm1" (pair + breather 1, integer p only).  All weights are
-    positive and sum to 1 in the untruncated theory.
+    positive and sum to 1 in the untruncated theory.  They are computed once
+    per spec; every call returns a fresh dict.
     """
-    from .model import breather, mass_ratio
+    return dict(_r0_weights_cached(spec))
 
+
+@lru_cache(maxsize=64)
+def _r0_weights_cached(spec: ModelSpec) -> Tuple[Tuple[str, float], ...]:
     out = {}
     for m in range(1, spec.n_breathers + 1, 2):
         mu = mass_ratio(breather(m), spec)
@@ -689,4 +693,4 @@ def r0_weights(spec: ModelSpec) -> dict:
         out["pm1"] = (
             6.0 * integrate_simplex(3, 1.0, pm1_integrand, tol=1e-7).value.real
         )
-    return out
+    return tuple(out.items())

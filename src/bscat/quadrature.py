@@ -2,7 +2,7 @@
 
 Deterministic adaptive Gauss-Kronrod (G7/K15) quadrature for complex-valued
 integrands, an energy-simplex integrator implementing the delta-constrained
-measure prod dE_i/E_i / (2pi)^n / n!, and a symmetric-excision principal-value
+measure prod dE_i/E_i / (2pi)^n / n!, and a truncated semi-infinite
 integrator.  All engines are pure functions of their inputs: identical calls
 produce bit-identical results (fixed subdivision order, heap keyed with
 deterministic tie-breaks).
@@ -13,7 +13,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 from .errors import DomainError, ToleranceNotMet
 
@@ -139,9 +139,29 @@ def adaptive_1d(
     return result
 
 
-def _integrate_half(g, tol):
-    """Integral of g(u) over u in (0, 1/sqrt(2)], used by the u^2 endpoint maps."""
-    return adaptive_1d(g, 0.0, 1.0 / math.sqrt(2.0), tol)
+_U_HALF = 1.0 / math.sqrt(2.0)  # u at the midpoint of a corner map E = w u^2
+
+
+def _corner_pair(point: Callable[[float, float], complex], width: float, tol: float):
+    """Integral of point(e1, e2) over the segment e1 + e2 = width.
+
+    The segment is split at its midpoint and each half is mapped from its
+    corner with e = width * u^2, u in (0, 1/sqrt(2)]; each half is integrated
+    to `tol`.  Returns the two halves' QuadResults (left corner first).
+    """
+
+    def half(left: bool) -> QuadResult:
+        def g(u):
+            near = width * u * u
+            far = width - near
+            if near <= 0.0 or far <= 0.0:
+                return 0.0j
+            e1, e2 = (near, far) if left else (far, near)
+            return point(e1, e2) * (2.0 * width * u)
+
+        return adaptive_1d(g, 0.0, _U_HALF, tol)
+
+    return half(True), half(False)
 
 
 def integrate_simplex(
@@ -157,13 +177,15 @@ def integrate_simplex(
     integrand WITHOUT the 1/E jacobian (applied internally via pt.jacobian).
     Endpoint corners are mapped with the substitution E = total * u^2, which
     renders integrands whose values vanish linearly (or as E^(1/2) per
-    soliton leg) smooth at the corners.
+    soliton leg) smooth at the corners.  `evaluations` counts the integrand
+    calls, inner integrals included.
     """
     if n_parts not in (1, 2, 3):
         raise DomainError(f"n_parts must be 1, 2 or 3, got {n_parts}")
     if total <= 0:
         raise DomainError(f"total must be positive, got {total}")
     norm = 1.0 / (TWO_PI**n_parts * math.factorial(n_parts))
+    w = total
 
     if n_parts == 1:
         pt = EnergySimplexPoint(total, (total,), 1.0 / total)
@@ -171,144 +193,45 @@ def integrate_simplex(
         return QuadResult(value=val, abs_error_estimate=0.0, evaluations=1)
 
     if n_parts == 2:
-        w = total
 
-        def g_left(u):
-            e1 = w * u * u
-            e2 = w - e1
-            if e1 <= 0.0 or e2 <= 0.0:
-                return 0.0j
+        def pair(e1, e2):
             pt = EnergySimplexPoint(w, (e1, e2), 1.0 / (e1 * e2))
-            return integrand(pt) * pt.jacobian * (2.0 * w * u)
+            return integrand(pt) * pt.jacobian
 
-        def g_right(u):
-            e2 = w * u * u
-            e1 = w - e2
-            if e1 <= 0.0 or e2 <= 0.0:
+        r1, r2 = _corner_pair(pair, w, tol / 2.0)
+        evaluations = r1.evaluations + r2.evaluations
+    else:
+        # outer integral over E3, inner over E1 with E2 = total - E3 - E1
+        inner_evaluations = [0]
+
+        def inner(e3):
+            rem = w - e3
+            if rem <= 0.0:
                 return 0.0j
-            pt = EnergySimplexPoint(w, (e1, e2), 1.0 / (e1 * e2))
-            return integrand(pt) * pt.jacobian * (2.0 * w * u)
 
-        r1 = _integrate_half(g_left, tol / 2.0)
-        r2 = _integrate_half(g_right, tol / 2.0)
-        return QuadResult(
-            value=(r1.value + r2.value) * norm,
-            abs_error_estimate=(r1.abs_error_estimate + r2.abs_error_estimate)
-            * abs(norm),
-            evaluations=r1.evaluations + r2.evaluations,
-        )
+            def pair(e1, e2):
+                pt = EnergySimplexPoint(w, (e1, e2, e3), 1.0 / (e1 * e2 * e3))
+                return integrand(pt) * pt.jacobian
 
-    # n_parts == 3: outer integral over E3, inner over E1 with E2 = total-E3-E1.
-    w = total
-    inner_tol = tol / 4.0
+            i1, i2 = _corner_pair(pair, rem, tol / 4.0)
+            inner_evaluations[0] += i1.evaluations + i2.evaluations
+            return i1.value + i2.value
 
-    def inner(e3):
-        rem = w - e3
-        if rem <= 0.0:
-            return 0.0j
+        # the right corner keeps its own form, w (1 - u^2), rather than
+        # w - w u^2: the two differ in the last bit
+        def outer(e3_of):
+            def g(u):
+                return inner(e3_of(u)) * (2.0 * w * u)
 
-        def g_left(u):
-            e1 = rem * u * u
-            e2 = rem - e1
-            if e1 <= 0.0 or e2 <= 0.0:
-                return 0.0j
-            pt = EnergySimplexPoint(w, (e1, e2, e3), 1.0 / (e1 * e2 * e3))
-            return integrand(pt) * pt.jacobian * (2.0 * rem * u)
+            return adaptive_1d(g, 0.0, _U_HALF, tol / 2.0)
 
-        def g_right(u):
-            e2 = rem * u * u
-            e1 = rem - e2
-            if e1 <= 0.0 or e2 <= 0.0:
-                return 0.0j
-            pt = EnergySimplexPoint(w, (e1, e2, e3), 1.0 / (e1 * e2 * e3))
-            return integrand(pt) * pt.jacobian * (2.0 * rem * u)
-
-        r1 = _integrate_half(g_left, inner_tol)
-        r2 = _integrate_half(g_right, inner_tol)
-        return r1.value + r2.value
-
-    nevals = [0]
-
-    def g_outer_left(u):
-        e3 = w * u * u
-        nevals[0] += 1
-        return inner(e3) * (2.0 * w * u)
-
-    def g_outer_right(u):
-        e3 = w * (1.0 - u * u)
-        nevals[0] += 1
-        return inner(e3) * (2.0 * w * u)
-
-    r1 = _integrate_half(g_outer_left, tol / 2.0)
-    r2 = _integrate_half(g_outer_right, tol / 2.0)
+        r1 = outer(lambda u: w * u * u)
+        r2 = outer(lambda u: w * (1.0 - u * u))
+        evaluations = inner_evaluations[0]
     return QuadResult(
         value=(r1.value + r2.value) * norm,
         abs_error_estimate=(r1.abs_error_estimate + r2.abs_error_estimate) * abs(norm),
-        evaluations=r1.evaluations + r2.evaluations,
-    )
-
-
-_PV_EXCISIONS = (1e-3, 5e-4, 2.5e-4)
-
-
-def integrate_near_pole(
-    integrand: Callable[[float], complex],
-    pole_locations: Sequence[float],
-    interval: tuple,
-    tol: float = 1e-8,
-) -> QuadResult:
-    """Principal value of `integrand` over `interval` with simple poles inside.
-
-    Symmetric excision (x0 - h, x0 + h) around each pole; the remainder is
-    integrated adaptively.  The excised result is linear in h for simple
-    poles, so two Richardson steps over h in {1e-3, 5e-4, 2.5e-4} eliminate
-    the O(h) and O(h^2) terms.
-    """
-    a, b = interval
-    poles = sorted(pole_locations)
-    if not poles:
-        return adaptive_1d(integrand, a, b, tol)
-    for x0 in poles:
-        if not (a < x0 < b):
-            raise DomainError(f"pole {x0} not strictly inside [{a}, {b}]")
-    for p1, p2 in zip(poles, poles[1:]):
-        if p2 - p1 < 4.0 * _PV_EXCISIONS[0]:
-            raise DomainError("poles too close for the fixed excision radii")
-
-    def excised(h):
-        cuts = [a]
-        for x0 in poles:
-            cuts.extend([x0 - h, x0 + h])
-        cuts.append(b)
-        val = 0.0 + 0.0j
-        err = 0.0
-        nev = 0
-        for lo, hi in zip(cuts[::2], cuts[1::2]):
-            if hi <= lo:
-                continue
-            r = adaptive_1d(integrand, lo, hi, tol / (len(poles) + 1))
-            val += r.value
-            err += r.abs_error_estimate
-            nev += r.evaluations
-        return val, err, nev
-
-    vals = []
-    tot_err = 0.0
-    tot_nev = 0
-    for h in _PV_EXCISIONS:
-        v, e, n = excised(h)
-        vals.append(v)
-        tot_err += e
-        tot_nev += n
-    # Richardson: h halves each step, I(h) = PV + c1 h + c2 h^2 + ...
-    r1 = 2.0 * vals[1] - vals[0]
-    r2 = 2.0 * vals[2] - vals[1]
-    value = (4.0 * r2 - r1) / 3.0
-    extrap_err = abs(r2 - r1)
-    return QuadResult(
-        value=value,
-        abs_error_estimate=tot_err + extrap_err,
-        evaluations=tot_nev,
+        evaluations=evaluations,
     )
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 from .errors import DomainError
 from .model import ModelKind
@@ -23,33 +22,6 @@ def _lambda_cut(model: ModelKind) -> float:
     if model is ModelKind.BoundarySineGordon:
         return 0.5
     return 2.0
-
-
-@dataclass(frozen=True)
-class RefermParams:
-    """Free-fermion parameters of a model at z = 1/2."""
-
-    model: ModelKind
-    lambda_cut: float
-    temperature: float = 0.0
-
-    def __post_init__(self):
-        if self.lambda_cut <= 0:
-            raise DomainError(f"lambda_cut must be positive, got {self.lambda_cut}")
-        if self.temperature < 0:
-            raise DomainError(f"temperature must be >= 0, got {self.temperature}")
-        expected = _lambda_cut(self.model)
-        if abs(self.lambda_cut - expected) > 1e-12:
-            raise DomainError(
-                f"lambda_cut for {self.model} must be {expected} T_B "
-                f"(got {self.lambda_cut})"
-            )
-
-
-def make_referm_params(model: ModelKind, temperature: float = 0.0) -> RefermParams:
-    return RefermParams(
-        model=model, lambda_cut=_lambda_cut(model), temperature=temperature
-    )
 
 
 def r_half_closed(omega: float, model: ModelKind) -> complex:

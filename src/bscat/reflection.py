@@ -102,17 +102,12 @@ def r_bsg_breather(lam: complex, m: int, spec: ModelSpec) -> complex:
     lam = complex(lam)
     xi = spec.xi
     base = lam / 2.0 - 1j * math.pi / 4.0
-
-    def tanh_safe(w: complex) -> complex:
-        v = cmath.tanh(w)
-        return v
-
     if m % 2 == 1:  # m = 2k - 1
         k = (m + 1) // 2
-        out = tanh_safe(base)
+        out = cmath.tanh(base)
         for j in range(1, k):
-            num = tanh_safe(base - 1j * xi * j / 2.0)
-            den = tanh_safe(base + 1j * xi * j / 2.0)
+            num = cmath.tanh(base - 1j * xi * j / 2.0)
+            den = cmath.tanh(base + 1j * xi * j / 2.0)
             if abs(den) < _POLE_TOL:
                 raise DomainError(f"breather reflection pole at lambda = {lam}")
             out *= num / den
@@ -120,8 +115,8 @@ def r_bsg_breather(lam: complex, m: int, spec: ModelSpec) -> complex:
     k = m // 2
     out = 1.0 + 0.0j
     for j in range(1, k + 1):
-        num = tanh_safe(base - 1j * xi / 2.0 * (j - 0.5))
-        den = tanh_safe(base + 1j * xi / 2.0 * (j - 0.5))
+        num = cmath.tanh(base - 1j * xi / 2.0 * (j - 0.5))
+        den = cmath.tanh(base + 1j * xi / 2.0 * (j - 0.5))
         if abs(den) < _POLE_TOL:
             raise DomainError(f"breather reflection pole at lambda = {lam}")
         out *= num / den
@@ -152,6 +147,13 @@ def r_kondo_breather(lam: complex, m: int, spec: ModelSpec) -> complex:
     return num / den
 
 
+def r_breather(lam: complex, m: int, spec: ModelSpec) -> complex:
+    """Diagonal breather-m reflection amplitude R_m^m(lambda) of either model."""
+    if spec.is_bsg:
+        return r_bsg_breather(lam, m, spec)
+    return r_kondo_breather(lam, m, spec)
+
+
 def r_amplitude(
     lam: complex, in_exc: Excitation, out_exc: Excitation, spec: ModelSpec
 ) -> complex:
@@ -165,24 +167,57 @@ def r_amplitude(
     if in_exc.kind is B:
         if in_exc.m != out_exc.m:
             return 0.0 + 0.0j
-        if spec.is_bsg:
-            return r_bsg_breather(lam, in_exc.m, spec)
-        return r_kondo_breather(lam, in_exc.m, spec)
+        return r_breather(lam, in_exc.m, spec)
     flip = in_exc.charge != out_exc.charge
     if spec.is_bsg:
         return r_bsg_soliton(lam, flip, spec)
     return r_kondo_soliton(lam, spec, flip=flip)
 
 
-def soliton_pair_bracket(lam1: complex, lam2: complex, spec: ModelSpec) -> complex:
+def soliton_pair_bracket(
+    lam1: complex, lam2: complex, spec: ModelSpec, sign: int = -1
+) -> complex:
     """Reflection combination of an outgoing soliton-antisoliton pair:
-    exp(-i pi/2z) R_+^-(l1) R_-^+(l2) - exp(+i pi/2z) R_+^+(l1) R_+^+(l2)."""
+    exp(-i pi/2z) R_+^-(l1) R_-^+(l2) + sign * exp(+i pi/2z) R_+^+(l1) R_+^+(l2).
+
+    sign = -1 for a pair that reflects as a whole; sign = +1 for pair lines
+    that straddle the photon vertices.  The Kondo diagonal entry vanishes, so
+    the sign only matters for the boundary sine-Gordon model.
+    """
     phase = cmath.exp(-1j * math.pi / (2.0 * spec.z))
     if spec.is_kondo:
         return phase * r_kondo_soliton(lam1, spec) * r_kondo_soliton(lam2, spec)
     flip = r_bsg_soliton(lam1, True, spec) * r_bsg_soliton(lam2, True, spec)
     diag = r_bsg_soliton(lam1, False, spec) * r_bsg_soliton(lam2, False, spec)
+    if sign > 0:
+        return phase * flip + diag / phase
     return phase * flip - diag / phase
+
+
+def soliton_split_bracket(
+    lam_in: complex, lam_out: complex, spec: ModelSpec
+) -> complex:
+    """Reflection combination of a soliton pair split across the photon
+    vertices, with the absorbed member conjugated:
+    conj(R_+^-(l_in)) R_+^-(l_out) - conj(R_+^+(l_in)) R_+^+(l_out).
+
+    No channel phases survive: the direct line's own factors cancel by
+    boundary unitarity.
+    """
+    if spec.is_kondo:
+        return (
+            r_kondo_soliton(lam_in, spec).conjugate()
+            * r_kondo_soliton(lam_out, spec)
+        )
+    flip = (
+        r_bsg_soliton(lam_in, True, spec).conjugate()
+        * r_bsg_soliton(lam_out, True, spec)
+    )
+    diag = (
+        r_bsg_soliton(lam_in, False, spec).conjugate()
+        * r_bsg_soliton(lam_out, False, spec)
+    )
+    return flip - diag
 
 
 def _out_label_choices(exc: Excitation, spec: ModelSpec) -> Tuple[Excitation, ...]:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from functools import lru_cache
 
 from .errors import DomainError
 from .model import Excitation, ExcitationKind, ModelSpec, validate_excitation
@@ -203,11 +202,3 @@ def s_entry(
     if (o1, o2) == (e1, e2):
         return s_soliton(theta, "pm_pm" if k == (S_, A_) else "mp_mp", spec)
     return s_soliton(theta, "pm_mp" if k == (S_, A_) else "mp_pm", spec)
-
-
-@lru_cache(maxsize=100_000)
-def s0_cached(theta_r: float, theta_i: float, z: float, kind) -> complex:
-    """Memoized S0 on hashed (theta, z); used by hot integrand loops."""
-    from .model import ModelSpec
-
-    return s0(complex(theta_r, theta_i), ModelSpec(kind=kind, z=z))

@@ -11,7 +11,6 @@ removed by linear extrapolation.  Frequencies in units of T_B = 1.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -23,9 +22,9 @@ from .errors import DomainError
 from .formfactors import f_111, f_breather1, f_pm, f_pm1
 from .model import ModelSpec, breather, mass_ratio
 from .quadrature import adaptive_1d
-from .reflection import r_bsg_breather, r_kondo_breather, soliton_pair_bracket
+from .reflection import r_breather, soliton_pair_bracket, soliton_split_bracket
 from .smatrix import s0
-from .twopoint import reflection_coefficient
+from .twopoint import ReflectionBreakdown, reflection_coefficient
 
 TWO_PI = 2.0 * math.pi
 _MEASURE = (2.0 * math.pi) ** 4
@@ -41,16 +40,11 @@ class SpectrumDiagram(Enum):
     """Labeled diagrams of the spectrum expansion."""
 
     G1_1 = "g1_1"  # soliton pair at every vertex; the only diagram at z >= 1/2
-    G1_2 = "g1_2"  # 2D principal-value variant (subleading, off by default)
     G1_3 = "g1_3"  # delta-reduced 6-excitation variant (integer p)
     G2_1 = "g2_1"  # breather-1 emission + soliton pair (integer p)
-    G2_2 = "g2_2"  # 2D principal-value variant (subleading, off by default)
     G3A = "g3a"  # pair + breather-1 in, breather-1 out (integer p)
-    G3B = "g3b"  # 5-excitation variant (not evaluated)
     G4A = "g4a"  # three breather-1 in, breather-1 out
-    G4B = "g4b"  # 5-excitation variant (not evaluated)
     G5A = "g5a"  # pair + breather-1 with a direct soliton line (integer p)
-    G5B = "g5b"  # 2D variant (not evaluated)
 
 
 @dataclass(frozen=True)
@@ -70,12 +64,6 @@ def _check_args(omega_p: float, omega: float) -> None:
         raise DomainError(
             f"need 0 < omega_p < omega, got omega_p={omega_p}, omega={omega}"
         )
-
-
-def _r1(lam: complex, spec: ModelSpec) -> complex:
-    if spec.is_bsg:
-        return r_bsg_breather(lam, 1, spec)
-    return r_kondo_breather(lam, 1, spec)
 
 
 def _require_breather1(spec: ModelSpec, name: str) -> None:
@@ -153,7 +141,8 @@ def diagram_g2_1(omega_p: float, omega: float, spec: ModelSpec) -> float:
         l3 = math.log(big)
         l4 = math.log(omega - big)
         rpart = (
-            _r1(l1 - lmu, spec).conjugate() * soliton_pair_bracket(l3, l4, spec)
+            r_breather(l1 - lmu, 1, spec).conjugate()
+            * soliton_pair_bracket(l3, l4, spec)
             - 1.0
         ).real
         if rpart == 0.0:
@@ -227,23 +216,9 @@ def diagram_g3a(omega_p: float, omega: float, spec: ModelSpec) -> float:
     lmu = math.log(mass_ratio(breather(1), spec))
     lg = math.log(omega_p)
     lp = math.log(omega)
-    r_out = _r1(lp - lmu, spec)
-    r_in = _r1(lg - lmu, spec).conjugate()
+    r_out = r_breather(lp - lmu, 1, spec)
+    r_in = r_breather(lg - lmu, 1, spec).conjugate()
     f_out = f_breather1(1, lp - lmu, spec)
-    phase = cmath.exp(-1j * math.pi / (2.0 * spec.z))
-
-    def plus_bracket(lam1: float, lam2: float) -> complex:
-        """Pair bracket with the relative sign of the two channels flipped,
-        as required for the pair lines that straddle the photon vertices."""
-        if spec.is_kondo:
-            from .reflection import r_kondo_soliton
-
-            return phase * r_kondo_soliton(lam1, spec) * r_kondo_soliton(lam2, spec)
-        from .reflection import r_bsg_soliton
-
-        flip = r_bsg_soliton(lam1, True, spec) * r_bsg_soliton(lam2, True, spec)
-        diag = r_bsg_soliton(lam1, False, spec) * r_bsg_soliton(lam2, False, spec)
-        return phase * flip + diag / phase
 
     def integrand(big: float) -> float:
         if big <= 0.0 or big >= omega - omega_p:
@@ -251,7 +226,8 @@ def diagram_g3a(omega_p: float, omega: float, spec: ModelSpec) -> float:
         l1 = math.log(big)
         l2 = math.log(omega - omega_p - big)
         rpart = (
-            r_in * plus_bracket(l1, l2).conjugate() * r_out - 1.0
+            r_in * soliton_pair_bracket(l1, l2, spec, sign=+1).conjugate() * r_out
+            - 1.0
         ).real
         if rpart == 0.0:
             return 0.0
@@ -281,8 +257,8 @@ def diagram_g4a(omega_p: float, omega: float, spec: ModelSpec) -> float:
     lmu = math.log(mass_ratio(breather(1), spec))
     lg = math.log(omega_p) - lmu
     lp = math.log(omega) - lmu
-    r_out = _r1(lp, spec)
-    r_g = _r1(lg, spec).conjugate()
+    r_out = r_breather(lp, 1, spec)
+    r_g = r_breather(lg, 1, spec).conjugate()
     f_out = f_breather1(1, lp, spec)
 
     def integrand(big: float) -> float:
@@ -291,7 +267,10 @@ def diagram_g4a(omega_p: float, omega: float, spec: ModelSpec) -> float:
         l1 = math.log(big) - lmu
         l2 = math.log(omega - omega_p - big) - lmu
         rpart = (
-            r_g * (_r1(l1, spec) * _r1(l2, spec)).conjugate() * r_out - 1.0
+            r_g
+            * (r_breather(l1, 1, spec) * r_breather(l2, 1, spec)).conjugate()
+            * r_out
+            - 1.0
         ).real
         if rpart == 0.0:
             return 0.0
@@ -318,39 +297,16 @@ def diagram_g5a(omega_p: float, omega: float, spec: ModelSpec) -> float:
     """Pair + breather-1 with one soliton line passing the photon vertices.
 
     The direct line reflects once; its conjugated and plain reflection factors
-    pair up across the two photon-vertex brackets, leaving a mixed bracket of
-    the remaining two soliton lines (boundary unitarity removes the direct
-    line's own factors).
+    pair up across the two photon-vertex brackets, leaving the split-pair
+    bracket (`soliton_split_bracket`) of the remaining two soliton lines
+    (boundary unitarity removes the direct line's own factors).
     """
     _check_args(omega_p, omega)
     _require_breather1(spec, "g5a")
     _require_integer_p(spec, "g5a")
     lmu = math.log(mass_ratio(breather(1), spec))
     lg = math.log(omega_p) - lmu
-    r_g = _r1(lg, spec).conjugate()
-
-    def mixed_bracket(l_in: float, l_out: float) -> complex:
-        """Difference of the two reflection channels of the split pair, with
-        the absorbed member conjugated; no channel phases survive because the
-        direct line's own factors cancel by boundary unitarity."""
-        if spec.is_kondo:
-            from .reflection import r_kondo_soliton
-
-            return (
-                r_kondo_soliton(l_in, spec).conjugate()
-                * r_kondo_soliton(l_out, spec)
-            )
-        from .reflection import r_bsg_soliton
-
-        flip = (
-            r_bsg_soliton(l_in, True, spec).conjugate()
-            * r_bsg_soliton(l_out, True, spec)
-        )
-        diag = (
-            r_bsg_soliton(l_in, False, spec).conjugate()
-            * r_bsg_soliton(l_out, False, spec)
-        )
-        return flip - diag
+    r_g = r_breather(lg, 1, spec).conjugate()
 
     def integrand(big: float) -> float:
         if big <= 0.0 or big >= omega - omega_p:
@@ -358,7 +314,7 @@ def diagram_g5a(omega_p: float, omega: float, spec: ModelSpec) -> float:
         l_blue = math.log(big)
         l_red = math.log(omega - omega_p - big)
         l_purple = math.log(omega_p + big)
-        rpart = (r_g * mixed_bracket(l_blue, l_purple) - 1.0).real
+        rpart = (r_g * soliton_split_bracket(l_blue, l_purple, spec) - 1.0).real
         if rpart == 0.0:
             return 0.0
 
@@ -419,18 +375,25 @@ def spectrum_point(
     )
 
 
+def _inelastic_loss(bd: ReflectionBreakdown) -> float:
+    """1 - |r|^2 of the normalized reflection coefficient."""
+    r = bd.total / (1.0 - bd.truncation_bound)
+    return 1.0 - abs(r) ** 2
+
+
 def sum_rule_check(
     omega: float,
     spec: ModelSpec,
     diagrams: Sequence[SpectrumDiagram] | None = None,
     tol: float = 1e-5,
+    breakdown: ReflectionBreakdown | None = None,
 ) -> float:
     """Ratio of the energy integral of the spectrum to the inelastic loss
     omega * (1 - |r|^2); unity expresses energy conservation.
 
     The omega' integral uses the substitution omega' = omega u^2, which
     regularizes the integrable 1/omega' endpoint of the boundary sine-Gordon
-    spectrum.
+    spectrum.  `breakdown` is r(omega) if the caller has it already.
     """
     if omega <= 0:
         raise DomainError(f"omega must be positive, got {omega}")
@@ -445,11 +408,9 @@ def sum_rule_check(
         return omega_p * g * 2.0 * omega * u
 
     lhs = float(adaptive_1d(f, 0.0, 1.0, tol=tol * omega).value.real)
-    bd = reflection_coefficient(omega, spec)
-    floor = 1.0 - bd.truncation_bound
-    r = bd.total / floor
-    rhs = omega * (1.0 - abs(r) ** 2)
-    return lhs / rhs
+    if breakdown is None:
+        breakdown = reflection_coefficient(omega, spec)
+    return lhs / (omega * _inelastic_loss(breakdown))
 
 
 def default_omega_prime_grid(omega: float, n: int = 40) -> List[float]:
@@ -482,16 +443,17 @@ def spectrum_curve(
         for d, v in zip(diagrams, vals):
             per[d].append(v)
         totals.append(math.fsum(vals))
-    ratio = (
-        sum_rule_check(omega, spec, diagrams) if compute_sum_rule else math.nan
-    )
     bd = reflection_coefficient(omega, spec)
-    r = bd.total / (1.0 - bd.truncation_bound)
+    ratio = (
+        sum_rule_check(omega, spec, diagrams, breakdown=bd)
+        if compute_sum_rule
+        else math.nan
+    )
     return SpectrumCurve(
         omega=omega,
         omega_primes=tuple(grid),
         values=tuple(totals),
         per_diagram={d: tuple(v) for d, v in per.items()},
         sum_rule_ratio=ratio,
-        gamma_disc=-(1.0 - abs(r) ** 2),
+        gamma_disc=-_inelastic_loss(bd),
     )

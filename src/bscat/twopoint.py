@@ -19,7 +19,7 @@ from .errors import DomainError, InsufficientData, UnwrapError
 from .formfactors import f_12, f_pm, f_pm1, f_breather1, r0_weights
 from .model import ModelSpec, breather, mass_ratio
 from .quadrature import integrate_simplex
-from .reflection import r_bsg_breather, r_kondo_breather, soliton_pair_bracket
+from .reflection import r_breather, soliton_pair_bracket
 
 TWO_PI = 2.0 * math.pi
 
@@ -48,12 +48,6 @@ class RateCurve:
     err: Tuple[float, ...]
 
 
-def _r_diag_breather(lam: float, m: int, spec: ModelSpec) -> complex:
-    if spec.is_bsg:
-        return r_bsg_breather(lam, m, spec)
-    return r_kondo_breather(lam, m, spec)
-
-
 def r_term_breather(omega: float, m: int, spec: ModelSpec) -> complex:
     """Single-breather term: |f_m(0)|^2/(2 pi mu_m^2) R_m^m(ln(omega/mu_m))."""
     if omega <= 0:
@@ -62,7 +56,7 @@ def r_term_breather(omega: float, m: int, spec: ModelSpec) -> complex:
         raise DomainError(f"breather term needs odd m <= {spec.n_breathers}, got {m}")
     mu = mass_ratio(breather(m), spec)
     weight = abs(f_breather1(m, 0.0, spec)) ** 2 / (TWO_PI * mu * mu)
-    return weight * _r_diag_breather(math.log(omega / mu), m, spec)
+    return weight * r_breather(math.log(omega / mu), m, spec)
 
 
 def r_term_soliton_pair(omega: float, spec: ModelSpec) -> complex:
@@ -94,8 +88,8 @@ def r_term_12(omega: float, spec: ModelSpec) -> complex:
         e1, e2 = pt.parts
         l1, l2 = math.log(e1) - lmu1, math.log(e2) - lmu2
         return (
-            _r_diag_breather(l1, 1, spec)
-            * _r_diag_breather(l2, 2, spec)
+            r_breather(l1, 1, spec)
+            * r_breather(l2, 2, spec)
             * abs(f_12(l1, l2, spec)) ** 2
         )
 
@@ -111,25 +105,15 @@ def r_term_pm1(omega: float, spec: ModelSpec) -> complex:
         raise DomainError("the pair+breather term requires integer p")
     if spec.n_breathers < 1:
         return 0.0 + 0.0j
-    phase = cmath.exp(-1j * math.pi / (2.0 * spec.z))
-    mu1 = mass_ratio(breather(1), spec)
-    lmu1 = math.log(mu1)
-    from .reflection import r_bsg_soliton, r_kondo_soliton
-
-    def pair_plus_bracket(l1: float, l2: float) -> complex:
-        if spec.is_kondo:
-            return phase * r_kondo_soliton(l1, spec) * r_kondo_soliton(l2, spec)
-        flip = r_bsg_soliton(l1, True, spec) * r_bsg_soliton(l2, True, spec)
-        diag = r_bsg_soliton(l1, False, spec) * r_bsg_soliton(l2, False, spec)
-        return phase * flip + diag / phase
+    lmu1 = math.log(mass_ratio(breather(1), spec))
 
     def integrand(pt):
         e1, e2, e3 = pt.parts
         l1, l2 = math.log(e1), math.log(e2)
         l3 = math.log(e3) - lmu1
         return (
-            pair_plus_bracket(l1, l2)
-            * _r_diag_breather(l3, 1, spec)
+            soliton_pair_bracket(l1, l2, spec, sign=+1)
+            * r_breather(l3, 1, spec)
             * abs(f_pm1(l1, l2, l3, spec)) ** 2
         )
 

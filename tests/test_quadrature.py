@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from bscat.errors import DomainError, ToleranceNotMet
 from bscat.quadrature import (
     adaptive_1d,
-    integrate_near_pole,
     integrate_semi_infinite,
     integrate_simplex,
 )
@@ -106,45 +105,22 @@ class TestEnergySimplex:
         integrate_simplex(2, 5.0, f, tol=1e-6)
         assert all(abs(s - 5.0) < 1e-12 for s in seen)
 
+    @pytest.mark.parametrize("n_parts", [2, 3])
+    def test_evaluations_count_integrand_calls(self, n_parts):
+        calls = []
+
+        def f(pt):
+            calls.append(pt)
+            return math.prod(pt.parts)
+
+        res = integrate_simplex(n_parts, 1.5, f, tol=1e-9)
+        assert res.evaluations == len(calls) > 0
+
     def test_invalid_arguments(self):
         with pytest.raises(DomainError):
             integrate_simplex(4, 1.0, lambda pt: 1.0)
         with pytest.raises(DomainError):
             integrate_simplex(2, 0.0, lambda pt: 1.0)
-
-
-class TestPrincipalValue:
-    def test_shifted_simple_pole(self):
-        x0 = 0.1
-        res = integrate_near_pole(
-            lambda x: 1.0 / (x - x0), [x0], (-1.0, 1.0), tol=1e-10
-        )
-        exact = math.log((1.0 - x0) / (1.0 + x0))
-        assert res.value.real == pytest.approx(exact, abs=1e-8)
-
-    def test_odd_pole_cancels(self):
-        res = integrate_near_pole(lambda x: 1.0 / x, [0.0], (-2.0, 2.0), tol=1e-10)
-        assert abs(res.value) < 1e-9
-
-    def test_regular_part_preserved(self):
-        res = integrate_near_pole(
-            lambda x: 1.0 / x + x * x, [0.0], (-1.0, 1.0), tol=1e-10
-        )
-        assert res.value.real == pytest.approx(2.0 / 3.0, abs=1e-8)
-
-    def test_pole_outside_interval_rejected(self):
-        with pytest.raises(DomainError):
-            integrate_near_pole(lambda x: 1.0 / x, [2.0], (-1.0, 1.0))
-
-    def test_poles_too_close_rejected(self):
-        with pytest.raises(DomainError):
-            integrate_near_pole(
-                lambda x: 1.0, [0.0, 1e-4], (-1.0, 1.0)
-            )
-
-    def test_no_poles_falls_back_to_adaptive(self):
-        res = integrate_near_pole(lambda x: x, [], (0.0, 2.0), tol=1e-10)
-        assert res.value.real == pytest.approx(2.0, abs=1e-10)
 
 
 class TestSemiInfinite:

@@ -7,9 +7,7 @@ from bscat.errors import DomainError
 from bscat.model import ModelKind
 from bscat.quadrature import adaptive_1d
 from bscat.referm import (
-    RefermParams,
     conductance_finite_T,
-    make_referm_params,
     r_half_closed,
     spectrum_half,
 )
@@ -105,17 +103,3 @@ class TestSpectrum:
         lhs = adaptive_1d(f, 0.0, 1.0, tol=1e-9 * omega).value.real
         rhs = omega * (1.0 - abs(r_half_closed(omega, model)) ** 2)
         assert lhs == pytest.approx(rhs, rel=1e-6)
-
-
-class TestParams:
-    def test_factory_sets_hybridization_scale(self):
-        assert make_referm_params(BSG).lambda_cut == 0.5
-        assert make_referm_params(KONDO).lambda_cut == 2.0
-
-    def test_wrong_scale_rejected(self):
-        with pytest.raises(DomainError):
-            RefermParams(model=BSG, lambda_cut=1.0)
-
-    def test_negative_temperature_rejected(self):
-        with pytest.raises(DomainError):
-            make_referm_params(BSG, temperature=-1.0)

@@ -7,6 +7,7 @@ from bscat.errors import DomainError
 from bscat.model import ANTISOLITON, SOLITON, breather, make_model
 from bscat.reflection import (
     r_amplitude,
+    r_breather,
     r_bsg_breather,
     r_bsg_soliton,
     r_conjugation_check,
@@ -14,6 +15,7 @@ from bscat.reflection import (
     r_kondo_soliton,
     r_product,
     soliton_pair_bracket,
+    soliton_split_bracket,
 )
 
 
@@ -122,14 +124,48 @@ class TestProductsAndBracket:
             spec = make_model(kind, 0.4)
             phase = cmath.exp(-1j * math.pi / (2.0 * spec.z))
             l1, l2 = 0.6, -0.2
-            expected = phase * r_amplitude(l1, SOLITON, ANTISOLITON, spec) * r_amplitude(
+            flip = r_amplitude(l1, SOLITON, ANTISOLITON, spec) * r_amplitude(
                 l2, ANTISOLITON, SOLITON, spec
-            ) - r_amplitude(l1, SOLITON, SOLITON, spec) * r_amplitude(
+            )
+            diag = r_amplitude(l1, SOLITON, SOLITON, spec) * r_amplitude(
                 l2, ANTISOLITON, ANTISOLITON, spec
-            ) / phase
-            assert soliton_pair_bracket(l1, l2, spec) == pytest.approx(
+            )
+            for sign in (-1, 1):
+                expected = phase * flip + sign * diag / phase
+                assert soliton_pair_bracket(l1, l2, spec, sign=sign) == pytest.approx(
+                    expected, abs=1e-12
+                )
+            assert soliton_pair_bracket(l1, l2, spec) == soliton_pair_bracket(
+                l1, l2, spec, sign=-1
+            )
+
+    @pytest.mark.parametrize("kind", ["bsg", "kondo"])
+    def test_split_bracket_matches_product(self, kind):
+        spec = make_model(kind, 0.4)
+        l_in, l_out = 0.6, -0.2
+
+        def channel(out):
+            absorbed = complex(r_amplitude(l_in, SOLITON, out, spec)).conjugate()
+            return absorbed * r_amplitude(l_out, SOLITON, out, spec)
+
+        expected = channel(ANTISOLITON) - channel(SOLITON)
+        assert soliton_split_bracket(l_in, l_out, spec) == pytest.approx(
+            expected, abs=1e-12
+        )
+
+    @pytest.mark.parametrize("kind", ["bsg", "kondo"])
+    def test_breather_dispatch_matches_product(self, kind):
+        spec = make_model(kind, 0.4)
+        assert spec.n_breathers >= 1
+        for m in range(1, spec.n_breathers + 1):
+            b = breather(m)
+            l1, l2 = 0.6, -0.2
+            expected = r_amplitude(l1, b, b, spec) * r_amplitude(l2, b, b, spec)
+            assert r_breather(l1, m, spec) * r_breather(l2, m, spec) == pytest.approx(
                 expected, abs=1e-12
             )
+            direct = r_bsg_breather if kind == "bsg" else r_kondo_breather
+            assert r_breather(l1, m, spec) == direct(l1, m, spec)
 
     def test_product_high_rapidity_delta(self):
         # at high rapidity the reflection is a pure charge flip

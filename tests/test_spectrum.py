@@ -172,6 +172,20 @@ class TestSpectrumCurve:
             acc = math.fsum(col[k] for col in curve.per_diagram.values())
             assert curve.values[k] == pytest.approx(acc, rel=1e-12)
 
+    def test_reflection_evaluated_once(self, monkeypatch):
+        calls = []
+        real = spectrum_mod.reflection_coefficient
+
+        def counted(omega, spec):
+            calls.append(omega)
+            return real(omega, spec)
+
+        monkeypatch.setattr(spectrum_mod, "reflection_coefficient", counted)
+        spec = make_model("kondo", 0.5)
+        curve = spectrum_curve(1.0, spec, grid_size=4)
+        assert calls == [1.0]
+        assert curve.sum_rule_ratio == sum_rule_check(1.0, spec)
+
     def test_invalid_arguments(self):
         spec = make_model("bsg", 0.5)
         with pytest.raises(DomainError):

@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
+import bscat.formfactors as formfactors_mod
 from bscat.errors import DomainError, InsufficientData
+from bscat.formfactors import r0_weights
 from bscat.model import make_model
 from bscat.referm import r_half_closed
 from bscat.twopoint import (
@@ -58,6 +60,25 @@ class TestReflectionCoefficient:
         assert abs(bd.total - (-1.0)) < 0.01
         bd = reflection_coefficient(1e-3, make_model("kondo", 0.5))
         assert abs(bd.total - 1.0) < 0.02
+
+    def test_r0_weights_computed_once_per_spec(self, monkeypatch):
+        spec = make_model("bsg", 0.5)
+        first = r0_weights(spec)
+        calls = []
+        real = formfactors_mod.integrate_simplex
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(formfactors_mod, "integrate_simplex", counted)
+        for omega in (0.5, 1.0, 2.0):
+            reflection_coefficient(omega, spec)
+        assert calls == []  # no r0 integral after the first call
+        # each caller gets its own dict: mutating one leaves the cache intact
+        mine = r0_weights(spec)
+        mine["pm"] = -1.0
+        assert r0_weights(spec) == first
 
     def test_rejects_nonpositive_frequency(self):
         with pytest.raises(DomainError):
