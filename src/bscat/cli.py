@@ -49,8 +49,9 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _read_config(path: Optional[str]) -> Dict[str, str]:
-    """Flat key=value configuration file; '#' starts a comment."""
+def _read_config(path: Optional[str], keys: Sequence[str]) -> Dict[str, str]:
+    """Flat key=value configuration file; '#' starts a comment.  A key not in
+    `keys` is an error."""
     if path is None:
         return {}
     out: Dict[str, str] = {}
@@ -65,7 +66,13 @@ def _read_config(path: Optional[str]) -> Dict[str, str]:
                         f"{path}:{lineno}: expected key=value, got {raw.strip()!r}"
                     )
                 key, value = line.split("=", 1)
-                out[key.strip()] = value.strip()
+                key = key.strip()
+                if key not in keys:
+                    raise click.ClickException(
+                        f"{path}:{lineno}: unknown key {key!r} "
+                        f"(known: {', '.join(keys)})"
+                    )
+                out[key] = value.strip()
     except OSError as exc:
         raise click.ClickException(f"cannot read config {path}: {exc}")
     return out
@@ -171,7 +178,7 @@ def main() -> None:
 @click.option("--config", default=None, help="Flat key=value config file; flags override.")
 def rates(model, z, omega, spacing, output, fmt, config) -> None:
     """Reflection rates gamma(omega) and phase shift delta(omega)."""
-    cfg = _read_config(config)
+    cfg = _read_config(config, ("model", "z", "omega", "spacing", "output", "format"))
     model = _merge(model, cfg, "model", str, "bsg")
     z = _merge(z, cfg, "z", float, 0.5)
     omega = _merge(omega, cfg, "omega", str, "1e-3..1e3:60")
@@ -217,7 +224,7 @@ def rates(model, z, omega, spacing, output, fmt, config) -> None:
 @click.option("--config", default=None)
 def spectrum(model, z, omega, points, output, fmt, config) -> None:
     """Energy-resolved decay spectrum gamma(omega'|omega)."""
-    cfg = _read_config(config)
+    cfg = _read_config(config, ("model", "z", "omega", "points", "output", "format"))
     model = _merge(model, cfg, "model", str, "bsg")
     z = _merge(z, cfg, "z", float, 0.5)
     omega = _merge(omega, cfg, "omega", float, 1.0)
@@ -253,7 +260,7 @@ def spectrum(model, z, omega, points, output, fmt, config) -> None:
 @click.option("--config", default=None)
 def r0(model, z, output, fmt, config) -> None:
     """Free-theory truncation weights r0 per excitation set."""
-    cfg = _read_config(config)
+    cfg = _read_config(config, ("model", "z", "output", "format"))
     model = _merge(model, cfg, "model", str, "bsg")
     z = _merge(z, cfg, "z", float, 0.5)
     output = _merge(output, cfg, "output", str, "-")

@@ -10,7 +10,7 @@ class DomainError(BscatError):
 
 
 class ConvergenceError(BscatError):
-    """An iterative evaluation (truncation parameter, regulator) did not converge."""
+    """A numerical limit or extrapolation (e.g. a pole residue) did not converge."""
 
 
 class ToleranceNotMet(BscatError):

@@ -178,7 +178,9 @@ def integrate_simplex(
     Endpoint corners are mapped with the substitution E = total * u^2, which
     renders integrands whose values vanish linearly (or as E^(1/2) per
     soliton leg) smooth at the corners.  `evaluations` counts the integrand
-    calls, inner integrals included.
+    calls, inner integrals included.  `abs_error_estimate` is the outer
+    integral's estimate; for n = 3 it adds the largest inner (E1) estimate
+    times the outer measure `total`, which bounds the inner errors' sum.
     """
     if n_parts not in (1, 2, 3):
         raise DomainError(f"n_parts must be 1, 2 or 3, got {n_parts}")
@@ -200,9 +202,11 @@ def integrate_simplex(
 
         r1, r2 = _corner_pair(pair, w, tol / 2.0)
         evaluations = r1.evaluations + r2.evaluations
+        inner_error = 0.0
     else:
         # outer integral over E3, inner over E1 with E2 = total - E3 - E1
         inner_evaluations = [0]
+        largest_inner_error = [0.0]
 
         def inner(e3):
             rem = w - e3
@@ -215,6 +219,9 @@ def integrate_simplex(
 
             i1, i2 = _corner_pair(pair, rem, tol / 4.0)
             inner_evaluations[0] += i1.evaluations + i2.evaluations
+            largest_inner_error[0] = max(
+                largest_inner_error[0], i1.abs_error_estimate + i2.abs_error_estimate
+            )
             return i1.value + i2.value
 
         # the right corner keeps its own form, w (1 - u^2), rather than
@@ -228,9 +235,11 @@ def integrate_simplex(
         r1 = outer(lambda u: w * u * u)
         r2 = outer(lambda u: w * (1.0 - u * u))
         evaluations = inner_evaluations[0]
+        inner_error = largest_inner_error[0] * w
+    outer_error = r1.abs_error_estimate + r2.abs_error_estimate
     return QuadResult(
         value=(r1.value + r2.value) * norm,
-        abs_error_estimate=(r1.abs_error_estimate + r2.abs_error_estimate) * abs(norm),
+        abs_error_estimate=(outer_error + inner_error) * abs(norm),
         evaluations=evaluations,
     )
 

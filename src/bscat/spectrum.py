@@ -5,8 +5,9 @@ content to the four operator vertices of the 3-point response function, with
 one form factor per vertex, reflection factors on the boundary-scattered
 lines (conjugated on the incoming side, plain on the outgoing side), and the
 energies of the internal lines fixed by sharp conservation at every vertex.
-Absorbed lines carry a crossing shift i*pi^- regulated by a small offset and
-removed by linear extrapolation.  Frequencies in units of T_B = 1.
+Absorbed lines enter their form factors at the crossed rapidity lambda + i pi,
+evaluated exactly on the line Im = pi: the form factors are regular there, so
+no regulator is needed.  Frequencies in units of T_B = 1.
 """
 
 from __future__ import annotations
@@ -26,15 +27,13 @@ from .reflection import r_breather, soliton_pair_bracket, soliton_split_bracket
 from .smatrix import s0
 from .twopoint import ReflectionBreakdown, reflection_coefficient
 
-TWO_PI = 2.0 * math.pi
 _MEASURE = (2.0 * math.pi) ** 4
 
-# crossing-shift regulator: evaluate at delta and delta/2, extrapolate to 0
-_REG_DELTA = 1e-6
+# crossing shift of an absorbed line's rapidity
+_CROSS = 1j * math.pi
 
 # absolute tolerance scale of the 1D omega-integrals inside each diagram
 _TOL_DIAGRAM = 1e-10
-
 
 class SpectrumDiagram(Enum):
     """Labeled diagrams of the spectrum expansion."""
@@ -59,238 +58,188 @@ class SpectrumCurve:
     gamma_disc: float  # coefficient of the elastic delta(omega'-omega) term
 
 
-def _check_args(omega_p: float, omega: float) -> None:
+def _diagram(
+    omega_p: float,
+    omega: float,
+    spec: ModelSpec,
+    energies: Callable[[float], Tuple[float, float, float, float]],
+    reflection: Callable[..., complex],
+    formfactors: Callable[..., complex],
+    *,
+    name: str,
+    coeff: float,
+    lines: str = "ssss",
+    integer_p: bool = False,
+) -> float:
+    """coeff / (omega' omega) times the integral over the internal energy E
+    in (0, omega - omega') of
+
+        Re(reflection - 1) Re(formfactors) / ((2 pi)^4 e1 e2 e3 e4).
+
+    `energies(E)` gives the four line energies e1..e4 and `lines` their
+    excitations, "s" for a soliton or antisoliton and "b" for breather 1.
+    Line k enters `reflection(l1..l4)` and `formfactors(l1..l4)` through its
+    rapidity log(e_k), less log(m_1/m_s) on breather lines.
+    """
     if not (0.0 < omega_p < omega):
         raise DomainError(
             f"need 0 < omega_p < omega, got omega_p={omega_p}, omega={omega}"
         )
-
-
-def _require_breather1(spec: ModelSpec, name: str) -> None:
-    if spec.n_breathers < 1:
+    if "b" in lines and spec.n_breathers < 1:
         raise DomainError(f"diagram {name} needs the m=1 breather (z < 1/2)")
-
-
-def _require_integer_p(spec: ModelSpec, name: str) -> None:
-    if spec.p_int is None:
+    if integer_p and spec.p_int is None:
         raise DomainError(f"diagram {name} requires integer p = 1/z")
-
-
-def _regulated(fpart: Callable[[float], float]) -> float:
-    """Linear extrapolation of the regulated crossing shift to zero offset."""
-    return 2.0 * fpart(_REG_DELTA / 2.0) - fpart(_REG_DELTA)
-
-
-def _integrate_omega(
-    integrand: Callable[[float], float], omega_p: float, omega: float
-) -> float:
+    lmu = math.log(mass_ratio(breather(1), spec)) if "b" in lines else 0.0
+    shifts = [lmu if kind == "b" else 0.0 for kind in lines]
     width = omega - omega_p
+
+    def integrand(big: float) -> float:
+        if big <= 0.0 or big >= width:
+            return 0.0
+        es = energies(big)
+        ls = [math.log(e) - shift for e, shift in zip(es, shifts)]
+        rpart = (reflection(*ls) - 1.0).real
+        if rpart == 0.0:
+            return 0.0
+        fval = formfactors(*ls).real
+        return rpart * fval / (_MEASURE * (es[0] * es[1] * es[2] * es[3]))
+
     tol = _TOL_DIAGRAM * max(1.0, omega)
-    return float(adaptive_1d(integrand, 0.0, width, tol=tol).value.real)
+    val = float(adaptive_1d(integrand, 0.0, width, tol=tol).value.real)
+    return coeff / (omega_p * omega) * val
 
 
 def diagram_g1_1(omega_p: float, omega: float, spec: ModelSpec) -> float:
     """Soliton-pair diagram: the only contribution at z >= 1/2."""
-    _check_args(omega_p, omega)
 
-    def integrand(big: float) -> float:
-        if big <= 0.0 or big >= omega - omega_p:
-            return 0.0
-        l1 = math.log(omega - big)
-        l2 = math.log(big)
-        l3 = math.log(omega - omega_p - big)
-        l4 = math.log(omega_p + big)
-        rpart = (
+    def energies(big):
+        return (omega - big, big, omega - omega_p - big, omega_p + big)
+
+    def reflection(l1, l2, l3, l4):
+        return (
             soliton_pair_bracket(l1, l2, spec).conjugate()
             * soliton_pair_bracket(l3, l4, spec)
-            - 1.0
-        ).real
-        if rpart == 0.0:
-            return 0.0
+        )
 
-        def fpart(delta: float) -> float:
-            shift = 1j * (math.pi - delta)
-            prod = (
-                f_pm(l3, l1 + shift, spec)
-                * f_pm(l4, l2 + shift, spec)
-                * f_pm(l1, l2, spec)
-                * f_pm(l4, l3, spec)
-            )
-            return prod.real
+    def formfactors(l1, l2, l3, l4):
+        return (
+            f_pm(l3, l1 + _CROSS, spec)
+            * f_pm(l4, l2 + _CROSS, spec)
+            * f_pm(l1, l2, spec)
+            * f_pm(l4, l3, spec)
+        )
 
-        fval = _regulated(fpart)
-        energies = (omega - big) * big * (omega - omega_p - big) * (omega_p + big)
-        return rpart * fval / (_MEASURE * energies)
-
-    val = _integrate_omega(integrand, omega_p, omega)
-    return 2.0 / (omega_p * omega) * val
+    return _diagram(
+        omega_p, omega, spec, energies, reflection, formfactors,
+        name="g1_1", coeff=2.0,
+    )
 
 
 def diagram_g2_1(omega_p: float, omega: float, spec: ModelSpec) -> float:
     """Breather-1 emission interfering with a soliton pair (integer p)."""
-    _check_args(omega_p, omega)
-    _require_breather1(spec, "g2_1")
-    _require_integer_p(spec, "g2_1")
-    lmu = math.log(mass_ratio(breather(1), spec))
-    l1 = math.log(omega)
 
-    def integrand(big: float) -> float:
-        if big <= 0.0 or big >= omega - omega_p:
-            return 0.0
-        l2 = math.log(omega - omega_p - big)
-        l3 = math.log(big)
-        l4 = math.log(omega - big)
-        rpart = (
-            r_breather(l1 - lmu, 1, spec).conjugate()
-            * soliton_pair_bracket(l3, l4, spec)
-            - 1.0
-        ).real
-        if rpart == 0.0:
-            return 0.0
+    def energies(big):
+        return (omega, omega - omega_p - big, big, omega - big)
 
-        def fpart(delta: float) -> float:
-            shift = 1j * (math.pi - delta)
-            prod = (
-                f_breather1(1, l1 - lmu, spec)
-                * f_pm1(l3, l2, l1 + shift - lmu, spec)
-                * f_pm(l4, l2 + shift, spec)
-                * f_pm(l4, l3, spec)
-            )
-            return prod.real
+    def reflection(l1, l2, l3, l4):
+        return r_breather(l1, 1, spec).conjugate() * soliton_pair_bracket(l3, l4, spec)
 
-        fval = _regulated(fpart)
-        energies = omega * (omega - omega_p - big) * big * (omega - big)
-        return rpart * fval / (_MEASURE * energies)
+    def formfactors(l1, l2, l3, l4):
+        return (
+            f_breather1(1, l1, spec)
+            * f_pm1(l3, l2, l1 + _CROSS, spec)
+            * f_pm(l4, l2 + _CROSS, spec)
+            * f_pm(l4, l3, spec)
+        )
 
-    val = _integrate_omega(integrand, omega_p, omega)
-    return -4.0 / (omega_p * omega) * val
+    return _diagram(
+        omega_p, omega, spec, energies, reflection, formfactors,
+        name="g2_1", coeff=-4.0, lines="bsss", integer_p=True,
+    )
 
 
 def diagram_g1_3(omega_p: float, omega: float, spec: ModelSpec) -> float:
     """Delta-reduced six-soliton diagram (integer p only)."""
-    _check_args(omega_p, omega)
-    _require_integer_p(spec, "g1_3")
 
-    def integrand(big: float) -> float:
-        if big <= 0.0 or big >= omega - omega_p:
-            return 0.0
-        l1 = math.log(big)
-        l2 = math.log(omega - big)
-        l3 = math.log(omega_p + big)
-        l4 = math.log(omega - omega_p - big)
-        rpart = (
+    def energies(big):
+        return (big, omega - big, omega_p + big, omega - omega_p - big)
+
+    def reflection(l1, l2, l3, l4):
+        return (
             soliton_pair_bracket(l1, l2, spec).conjugate()
             * soliton_pair_bracket(l3, l4, spec)
-            - 1.0
-        ).real
-        if rpart == 0.0:
-            return 0.0
+        )
+
+    def formfactors(l1, l2, l3, l4):
         sfac = (s0(l4 - l1, spec) - s0(l2 - l1, spec)) * (
             s0(l1 - l4, spec) - s0(l3 - l4, spec)
         )
+        return (
+            f_pm(l1, l3 + _CROSS, spec)
+            * f_pm(l4, l2 + _CROSS, spec)
+            * f_pm(l2, l1, spec)
+            * f_pm(l3, l4, spec)
+            * sfac
+        )
 
-        def fpart(delta: float) -> float:
-            shift = 1j * (math.pi - delta)
-            prod = (
-                f_pm(l1, l3 + shift, spec)
-                * f_pm(l4, l2 + shift, spec)
-                * f_pm(l2, l1, spec)
-                * f_pm(l3, l4, spec)
-                * sfac
-            )
-            return prod.real
-
-        fval = _regulated(fpart)
-        energies = big * (omega - big) * (omega_p + big) * (omega - omega_p - big)
-        return rpart * fval / (_MEASURE * energies)
-
-    val = _integrate_omega(integrand, omega_p, omega)
-    return 0.5 / (omega_p * omega) * val
+    return _diagram(
+        omega_p, omega, spec, energies, reflection, formfactors,
+        name="g1_3", coeff=0.5, integer_p=True,
+    )
 
 
 def diagram_g3a(omega_p: float, omega: float, spec: ModelSpec) -> float:
     """Soliton pair + breather-1 absorbed, breather-1 emitted (integer p)."""
-    _check_args(omega_p, omega)
-    _require_breather1(spec, "g3a")
-    _require_integer_p(spec, "g3a")
-    lmu = math.log(mass_ratio(breather(1), spec))
-    lg = math.log(omega_p)
-    lp = math.log(omega)
-    r_out = r_breather(lp - lmu, 1, spec)
-    r_in = r_breather(lg - lmu, 1, spec).conjugate()
-    f_out = f_breather1(1, lp - lmu, spec)
 
-    def integrand(big: float) -> float:
-        if big <= 0.0 or big >= omega - omega_p:
-            return 0.0
-        l1 = math.log(big)
-        l2 = math.log(omega - omega_p - big)
-        rpart = (
-            r_in * soliton_pair_bracket(l1, l2, spec, sign=+1).conjugate() * r_out
-            - 1.0
-        ).real
-        if rpart == 0.0:
-            return 0.0
+    def energies(big):
+        return (omega_p, big, omega - omega_p - big, omega)
 
-        def fpart(delta: float) -> float:
-            shift = 1j * (math.pi - delta)
-            prod = (
-                f_pm1(l1, l2, lg - lmu, spec)
-                * f_breather1(1, lg + shift - lmu, spec)
-                * f_pm1(l2 + shift, l1 + shift, lp - lmu, spec)
-                * f_out
-            )
-            return prod.real
+    def reflection(lg, l1, l2, lp):
+        return (
+            r_breather(lg, 1, spec).conjugate()
+            * soliton_pair_bracket(l1, l2, spec, sign=+1).conjugate()
+            * r_breather(lp, 1, spec)
+        )
 
-        fval = _regulated(fpart)
-        energies = omega_p * big * (omega - omega_p - big) * omega
-        return rpart * fval / (_MEASURE * energies)
+    def formfactors(lg, l1, l2, lp):
+        return (
+            f_pm1(l1, l2, lg, spec)
+            * f_breather1(1, lg + _CROSS, spec)
+            * f_pm1(l2 + _CROSS, l1 + _CROSS, lp, spec)
+            * f_breather1(1, lp, spec)
+        )
 
-    val = _integrate_omega(integrand, omega_p, omega)
-    return -8.0 / (omega_p * omega) * val
+    return _diagram(
+        omega_p, omega, spec, energies, reflection, formfactors,
+        name="g3a", coeff=-8.0, lines="bssb", integer_p=True,
+    )
 
 
 def diagram_g4a(omega_p: float, omega: float, spec: ModelSpec) -> float:
     """Three breather-1 absorbed, breather-1 emitted; symmetry factor 1/2."""
-    _check_args(omega_p, omega)
-    _require_breather1(spec, "g4a")
-    lmu = math.log(mass_ratio(breather(1), spec))
-    lg = math.log(omega_p) - lmu
-    lp = math.log(omega) - lmu
-    r_out = r_breather(lp, 1, spec)
-    r_g = r_breather(lg, 1, spec).conjugate()
-    f_out = f_breather1(1, lp, spec)
 
-    def integrand(big: float) -> float:
-        if big <= 0.0 or big >= omega - omega_p:
-            return 0.0
-        l1 = math.log(big) - lmu
-        l2 = math.log(omega - omega_p - big) - lmu
-        rpart = (
-            r_g
+    def energies(big):
+        return (omega_p, big, omega - omega_p - big, omega)
+
+    def reflection(lg, l1, l2, lp):
+        return (
+            r_breather(lg, 1, spec).conjugate()
             * (r_breather(l1, 1, spec) * r_breather(l2, 1, spec)).conjugate()
-            * r_out
-            - 1.0
-        ).real
-        if rpart == 0.0:
-            return 0.0
+            * r_breather(lp, 1, spec)
+        )
 
-        def fpart(delta: float) -> float:
-            shift = 1j * (math.pi - delta)
-            prod = (
-                f_111(l1, l2, lg, spec)
-                * f_breather1(1, lg + shift, spec)
-                * f_111(l2 + shift, l1 + shift, lp, spec)
-                * f_out
-            )
-            return prod.real
+    def formfactors(lg, l1, l2, lp):
+        return (
+            f_111(l1, l2, lg, spec)
+            * f_breather1(1, lg + _CROSS, spec)
+            * f_111(l2 + _CROSS, l1 + _CROSS, lp, spec)
+            * f_breather1(1, lp, spec)
+        )
 
-        fval = _regulated(fpart)
-        energies = omega_p * big * (omega - omega_p - big) * omega
-        return rpart * fval / (_MEASURE * energies)
-
-    val = _integrate_omega(integrand, omega_p, omega)
-    return -2.0 / (omega_p * omega) * val
+    return _diagram(
+        omega_p, omega, spec, energies, reflection, formfactors,
+        name="g4a", coeff=-2.0, lines="bbbb",
+    )
 
 
 def diagram_g5a(omega_p: float, omega: float, spec: ModelSpec) -> float:
@@ -301,39 +250,28 @@ def diagram_g5a(omega_p: float, omega: float, spec: ModelSpec) -> float:
     bracket (`soliton_split_bracket`) of the remaining two soliton lines
     (boundary unitarity removes the direct line's own factors).
     """
-    _check_args(omega_p, omega)
-    _require_breather1(spec, "g5a")
-    _require_integer_p(spec, "g5a")
-    lmu = math.log(mass_ratio(breather(1), spec))
-    lg = math.log(omega_p) - lmu
-    r_g = r_breather(lg, 1, spec).conjugate()
 
-    def integrand(big: float) -> float:
-        if big <= 0.0 or big >= omega - omega_p:
-            return 0.0
-        l_blue = math.log(big)
-        l_red = math.log(omega - omega_p - big)
-        l_purple = math.log(omega_p + big)
-        rpart = (r_g * soliton_split_bracket(l_blue, l_purple, spec) - 1.0).real
-        if rpart == 0.0:
-            return 0.0
+    def energies(big):
+        return (omega_p, big, omega - omega_p - big, omega_p + big)
 
-        def fpart(delta: float) -> float:
-            shift = 1j * (math.pi - delta)
-            prod = (
-                f_pm1(l_red, l_blue, lg, spec)
-                * f_breather1(1, lg + shift, spec)
-                * f_pm(l_purple, l_blue + shift, spec)
-                * f_pm(l_purple, l_red, spec)
-            )
-            return prod.real
+    def reflection(lg, l_blue, l_red, l_purple):
+        return (
+            r_breather(lg, 1, spec).conjugate()
+            * soliton_split_bracket(l_blue, l_purple, spec)
+        )
 
-        fval = _regulated(fpart)
-        energies = omega_p * big * (omega - omega_p - big) * (omega_p + big)
-        return rpart * fval / (_MEASURE * energies)
+    def formfactors(lg, l_blue, l_red, l_purple):
+        return (
+            f_pm1(l_red, l_blue, lg, spec)
+            * f_breather1(1, lg + _CROSS, spec)
+            * f_pm(l_purple, l_blue + _CROSS, spec)
+            * f_pm(l_purple, l_red, spec)
+        )
 
-    val = _integrate_omega(integrand, omega_p, omega)
-    return 8.0 / (omega_p * omega) * val
+    return _diagram(
+        omega_p, omega, spec, energies, reflection, formfactors,
+        name="g5a", coeff=8.0, lines="bsss", integer_p=True,
+    )
 
 
 _DIAGRAM_FUNCS: Dict[SpectrumDiagram, Callable[[float, float, ModelSpec], float]] = {

@@ -128,6 +128,13 @@ class TestRates:
         res = runner.invoke(main, ["rates", "--config", str(cfg)])
         assert res.exit_code != 0
 
+    def test_unknown_config_key_rejected(self, runner, tmp_path):
+        cfg = tmp_path / "typo.cfg"
+        cfg.write_text("z = 0.5\nmodle = kondo\n")
+        res = runner.invoke(main, ["rates", "--config", str(cfg), "--omega", "1"])
+        assert res.exit_code == 1
+        assert f"{cfg}:2: unknown key 'modle'" in res.output
+
 
 class TestSpectrum:
     def test_columns_and_sum_rule_footer(self, runner):

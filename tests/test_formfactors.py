@@ -1,11 +1,13 @@
 import cmath
 import math
 
+import mpmath
 import pytest
 
 from bscat.errors import DomainError
 from bscat.formfactors import (
     bigF,
+    bigH,
     c_const,
     exp_I,
     f_111,
@@ -51,6 +53,29 @@ class TestBuildingBlocks:
         lam = 0.9
         expected = c_const(SPEC3) * cmath.sinh(lam / 2.0) * exp_I(lam, SPEC3)
         assert zeta(lam, SPEC3) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("spec", [SPEC3, SPEC4], ids=["p3", "p4"])
+    def test_bigH_matches_high_precision_sum(self, spec):
+        # the same 128-node trapezoid sum, evaluated with 50 digits
+        ls = (0.4 + 0.1j, -0.7, 1.3 - 0.2j, 0.2 + 0.3j)
+        p = spec.p_int
+        m = 128
+        with mpmath.workdps(50):
+            cs = [
+                mpmath.mpc(l) + 1j * mpmath.pi * (j / mpmath.mpf(p - 1) - 0.25)
+                for l in ls
+                for j in range(1, p - 1)
+            ]
+            acc = mpmath.mpc(0)
+            for k in range(m):
+                alpha = -2j * mpmath.pi * k / m
+                term = mpmath.exp(-alpha)
+                for c in cs:
+                    term *= 2 * mpmath.sinh((alpha - c) / 2)
+                acc += term
+            expected = complex(acc / m)
+        value = bigH(*ls, spec)
+        assert abs(value - expected) <= 1e-10 * abs(expected)
 
 
 class TestLorentzCovariance:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bscat.quadrature as quadrature
 from bscat.errors import DomainError, ToleranceNotMet
 from bscat.quadrature import (
     adaptive_1d,
@@ -115,6 +116,31 @@ class TestEnergySimplex:
 
         res = integrate_simplex(n_parts, 1.5, f, tol=1e-9)
         assert res.evaluations == len(calls) > 0
+
+    def test_three_parts_error_covers_inner_estimates(self, monkeypatch):
+        inner_tol = 1e-7 / 4.0
+        inner_estimates = []
+        real = quadrature.adaptive_1d
+
+        def recorded(f, a, b, tol):
+            res = real(f, a, b, tol)
+            if tol == inner_tol:
+                inner_estimates.append(res.abs_error_estimate)
+            return res
+
+        monkeypatch.setattr(quadrature, "adaptive_1d", recorded)
+        total = 2.0
+        res = integrate_simplex(
+            3,
+            total,
+            lambda pt: math.prod(pt.parts) * math.sqrt(abs(pt.parts[0] - 0.5)),
+            tol=1e-7,
+        )
+        norm = 1.0 / ((2.0 * math.pi) ** 3 * 6.0)
+        assert inner_estimates
+        # each inner pair (two corner halves) is a slice of the outer measure
+        pairs = [a + b for a, b in zip(inner_estimates[::2], inner_estimates[1::2])]
+        assert res.abs_error_estimate >= max(pairs) * total * norm
 
     def test_invalid_arguments(self):
         with pytest.raises(DomainError):

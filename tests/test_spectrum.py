@@ -4,6 +4,7 @@ import pytest
 
 import bscat.spectrum as spectrum_mod
 from bscat.errors import DomainError
+from bscat.formfactors import f_111, f_breather1, f_pm, f_pm1
 from bscat.model import make_model
 from bscat.referm import spectrum_half
 from bscat.spectrum import (
@@ -124,17 +125,29 @@ class TestDiagramRegressions:
         assert total == pytest.approx(math.fsum(_REGRESSION[key].values()), rel=1e-6)
 
 
-class TestRegulator:
-    def test_crossing_shift_extrapolation_converged(self):
-        # halving the regulator offset must not move the diagram value
-        base = diagram_g2_1(0.3, 1.0, SPEC3_BSG)
-        original = spectrum_mod._REG_DELTA
-        try:
-            spectrum_mod._REG_DELTA = original / 2.0
-            halved = diagram_g2_1(0.3, 1.0, SPEC3_BSG)
-        finally:
-            spectrum_mod._REG_DELTA = original
-        assert halved == pytest.approx(base, rel=1e-5)
+# absorbed lines enter the form factors at lambda + i pi; each crossed
+# argument pattern the diagrams use, as a function of the shift
+_CROSSED = {
+    "f_pm": lambda c: f_pm(0.4, -0.3 + c, SPEC3_BSG),
+    "f_pm1": lambda c: f_pm1(0.4, -0.3, 0.2 + c, SPEC3_BSG),
+    "f_pm1_pair": lambda c: f_pm1(-0.3 + c, 0.4 + c, 0.2, SPEC3_BSG),
+    "f_111": lambda c: f_111(-0.3 + c, 0.4 + c, 0.2, SPEC3_BSG),
+    "f_breather1": lambda c: f_breather1(1, 0.2 + c, SPEC3_BSG),
+}
+
+
+class TestCrossingLine:
+    @pytest.mark.parametrize("name", sorted(_CROSSED))
+    def test_exact_shift_matches_extrapolation(self, name):
+        # the form factors are regular on Im = pi, so the exact shift equals
+        # the linear extrapolation from just below the line
+        f = _CROSSED[name]
+        delta = 1e-6
+        exact = f(1j * math.pi)
+        extrapolated = 2.0 * f(1j * (math.pi - delta / 2.0)) - f(
+            1j * (math.pi - delta)
+        )
+        assert abs(exact - extrapolated) <= 1e-9 * abs(exact)
 
 
 class TestSumRule:
