@@ -7,9 +7,12 @@ Exit codes: 0 success, 2 validation failure, 1 error.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import sys
+from contextlib import contextmanager
+from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import click
@@ -29,6 +32,7 @@ from .model import (
     SOLITON,
     breather,
     make_model,
+    mass_ratio,
     t_b_from_physical,
 )
 from .reflection import (
@@ -38,7 +42,7 @@ from .reflection import (
     r_kondo_breather,
     r_kondo_soliton,
 )
-from .smatrix import s0, s_breather_breather, s_breather_soliton, s_entry
+from .smatrix import s0, s_breather_breather, s_breather_soliton, s_entry, s_soliton
 from .spectrum import spectrum_curve
 from .twopoint import rates_from_r, reflection_coefficient
 
@@ -79,15 +83,26 @@ def _read_config(path: Optional[str], keys: Sequence[str]) -> Dict[str, str]:
 
 
 def _merge(flag, config: Dict[str, str], key: str, cast, default):
-    """Flag overrides config file overrides default."""
+    """Flag overrides config file overrides default; `cast` may be the flag's
+    click type."""
     if flag is not None:
         return flag
     if key in config:
         try:
             return cast(config[key])
-        except (ValueError, TypeError) as exc:
+        except (ValueError, TypeError, click.BadParameter) as exc:
             raise click.ClickException(f"config field {key!r}: {exc}")
     return default
+
+
+@contextmanager
+def _bscat_errors_as_click():
+    """Report a BscatError raised by the command's input as `Error: ...`
+    with exit status 1."""
+    try:
+        yield
+    except BscatError as exc:
+        raise click.ClickException(str(exc))
 
 
 def _parse_omega_range(text: str) -> Tuple[float, float, int]:
@@ -98,14 +113,14 @@ def _parse_omega_range(text: str) -> Tuple[float, float, int]:
             lo_s, _, hi_s = span.partition("..")
             lo, hi = float(lo_s), float(hi_s)
             points = int(pts) if pts else 60
-            if not (0 < lo < hi):
-                raise ValueError("need 0 < min < max")
+            if not (0 < lo < hi < math.inf):
+                raise ValueError("need 0 < min < max < inf")
             if points < 2:
                 raise ValueError("need points >= 2")
             return lo, hi, points
         w = float(text)
-        if w <= 0:
-            raise ValueError("need omega > 0")
+        if not (0 < w < math.inf):
+            raise ValueError("need 0 < omega < inf")
         return w, w, 1
     except ValueError as exc:
         raise click.ClickException(
@@ -160,6 +175,8 @@ def _meta(model: str, z: float, **extra) -> Dict:
 
 _MODEL = click.Choice(["bsg", "kondo"])
 _FORMAT = click.Choice(["csv", "json"])
+_SPACING = click.Choice(["log", "linear"])
+_POINTS = click.IntRange(min=1)
 
 
 @click.group()
@@ -172,20 +189,21 @@ def main() -> None:
 @click.option("--model", type=_MODEL, default=None)
 @click.option("--z", type=float, default=None)
 @click.option("--omega", default=None, help="Frequency grid 'lo..hi:points' or a single value.")
-@click.option("--spacing", type=click.Choice(["log", "linear"]), default=None)
+@click.option("--spacing", type=_SPACING, default=None)
 @click.option("--output", default=None, help="Output path ('-' for stdout).")
 @click.option("--format", "fmt", type=_FORMAT, default=None)
 @click.option("--config", default=None, help="Flat key=value config file; flags override.")
 def rates(model, z, omega, spacing, output, fmt, config) -> None:
     """Reflection rates gamma(omega) and phase shift delta(omega)."""
     cfg = _read_config(config, ("model", "z", "omega", "spacing", "output", "format"))
-    model = _merge(model, cfg, "model", str, "bsg")
+    model = _merge(model, cfg, "model", _MODEL, "bsg")
     z = _merge(z, cfg, "z", float, 0.5)
     omega = _merge(omega, cfg, "omega", str, "1e-3..1e3:60")
-    spacing = _merge(spacing, cfg, "spacing", str, "log")
+    spacing = _merge(spacing, cfg, "spacing", _SPACING, "log")
     output = _merge(output, cfg, "output", str, "-")
-    fmt = _merge(fmt, cfg, "format", str, "csv")
-    spec = make_model(model, z)
+    fmt = _merge(fmt, cfg, "format", _FORMAT, "csv")
+    with _bscat_errors_as_click():
+        spec = make_model(model, z)
     lo, hi, points = _parse_omega_range(omega)
     grid = _omega_grid(lo, hi, points, spacing)
 
@@ -218,21 +236,21 @@ def rates(model, z, omega, spacing, output, fmt, config) -> None:
 @click.option("--model", type=_MODEL, default=None)
 @click.option("--z", type=float, default=None)
 @click.option("--omega", type=float, default=None, help="Incoming photon frequency.")
-@click.option("--points", type=int, default=None, help="omega' grid size.")
+@click.option("--points", type=_POINTS, default=None, help="omega' grid size.")
 @click.option("--output", default=None)
 @click.option("--format", "fmt", type=_FORMAT, default=None)
 @click.option("--config", default=None)
 def spectrum(model, z, omega, points, output, fmt, config) -> None:
     """Energy-resolved decay spectrum gamma(omega'|omega)."""
     cfg = _read_config(config, ("model", "z", "omega", "points", "output", "format"))
-    model = _merge(model, cfg, "model", str, "bsg")
+    model = _merge(model, cfg, "model", _MODEL, "bsg")
     z = _merge(z, cfg, "z", float, 0.5)
     omega = _merge(omega, cfg, "omega", float, 1.0)
-    points = _merge(points, cfg, "points", int, 40)
+    points = _merge(points, cfg, "points", _POINTS, 40)
     output = _merge(output, cfg, "output", str, "-")
-    fmt = _merge(fmt, cfg, "format", str, "csv")
-    spec = make_model(model, z)
-    curve = spectrum_curve(omega, spec, grid_size=points)
+    fmt = _merge(fmt, cfg, "format", _FORMAT, "csv")
+    with _bscat_errors_as_click():
+        curve = spectrum_curve(omega, make_model(model, z), grid_size=points)
     diagrams = list(curve.per_diagram.keys())
     header = ["omega_prime", "gamma_spec"] + [d.value for d in diagrams]
     rows = []
@@ -261,22 +279,19 @@ def spectrum(model, z, omega, points, output, fmt, config) -> None:
 def r0(model, z, output, fmt, config) -> None:
     """Free-theory truncation weights r0 per excitation set."""
     cfg = _read_config(config, ("model", "z", "output", "format"))
-    model = _merge(model, cfg, "model", str, "bsg")
+    model = _merge(model, cfg, "model", _MODEL, "bsg")
     z = _merge(z, cfg, "z", float, 0.5)
     output = _merge(output, cfg, "output", str, "-")
-    fmt = _merge(fmt, cfg, "format", str, "csv")
-    spec = make_model(model, z)
-    weights = r0_weights(spec)
+    fmt = _merge(fmt, cfg, "format", _FORMAT, "csv")
+    with _bscat_errors_as_click():
+        weights = r0_weights(make_model(model, z))
     rows = [[label, w] for label, w in weights.items()]
     rows.append(["total", math.fsum(weights.values())])
     _write_table(output, fmt, ["set_label", "weight"], rows, _meta(model, z, observable="r0"))
 
 
 def _suite_smatrix() -> List[Tuple[str, float, float]]:
-    import itertools
-
-    from .smatrix import s_soliton
-
+    S = lru_cache(maxsize=None)(s_entry)
     checks = []
     thetas = [-2.3, -0.7, 0.4, 1.9]
     charges = (SOLITON, ANTISOLITON)
@@ -285,20 +300,14 @@ def _suite_smatrix() -> List[Tuple[str, float, float]]:
     worst_yb = 0.0
     for z in (1.0 / 3.0, 0.4, 0.5, 0.6):
         spec = make_model("bsg", z)
-        cache: Dict[Tuple, complex] = {}
-
-        def S(e1, e2, o1, o2, th):
-            key = (e1, e2, o1, o2, th)
-            if key not in cache:
-                cache[key] = s_entry(e1, e2, o1, o2, th, spec)
-            return cache[key]
-
         for th in thetas:
             for e1, e2 in itertools.product(charges, repeat=2):
                 for o1, o2 in itertools.product(charges, repeat=2):
                     acc = 0.0 + 0.0j
                     for m1, m2 in itertools.product(charges, repeat=2):
-                        acc += S(e1, e2, m1, m2, th) * S(m1, m2, o1, o2, -th)
+                        acc += S(e1, e2, m1, m2, th, spec) * S(
+                            m1, m2, o1, o2, -th, spec
+                        )
                     target = 1.0 if (e1, e2) == (o1, o2) else 0.0
                     worst_u = max(worst_u, abs(acc - target))
             # crossing: S0(i pi - theta) equals the soliton-antisoliton
@@ -307,14 +316,6 @@ def _suite_smatrix() -> List[Tuple[str, float, float]]:
             rhs = s_soliton(th, "pm_pm", spec)
             worst_x = max(worst_x, abs(lhs - rhs))
     spec = make_model("bsg", 0.4)
-    cache_yb: Dict[Tuple, complex] = {}
-
-    def Syb(e1, e2, o1, o2, th):
-        key = (e1, e2, o1, o2, th)
-        if key not in cache_yb:
-            cache_yb[key] = s_entry(e1, e2, o1, o2, th, spec)
-        return cache_yb[key]
-
     triples = [(0.9, 0.3, -0.5), (1.7, -0.2, 0.6)]
     labels = list(itertools.product(charges, repeat=3))
     for t1, t2, t3 in triples:
@@ -324,14 +325,14 @@ def _suite_smatrix() -> List[Tuple[str, float, float]]:
                 rhs = 0.0 + 0.0j
                 for mid in labels:
                     lhs += (
-                        Syb(ins[0], ins[1], mid[0], mid[1], t1 - t2)
-                        * Syb(mid[0], ins[2], outs[0], mid[2], t1 - t3)
-                        * Syb(mid[1], mid[2], outs[1], outs[2], t2 - t3)
+                        S(ins[0], ins[1], mid[0], mid[1], t1 - t2, spec)
+                        * S(mid[0], ins[2], outs[0], mid[2], t1 - t3, spec)
+                        * S(mid[1], mid[2], outs[1], outs[2], t2 - t3, spec)
                     )
                     rhs += (
-                        Syb(ins[1], ins[2], mid[1], mid[2], t2 - t3)
-                        * Syb(ins[0], mid[2], mid[0], outs[2], t1 - t3)
-                        * Syb(mid[0], mid[1], outs[0], outs[1], t1 - t2)
+                        S(ins[1], ins[2], mid[1], mid[2], t2 - t3, spec)
+                        * S(ins[0], mid[2], mid[0], outs[2], t1 - t3, spec)
+                        * S(mid[0], mid[1], outs[0], outs[1], t1 - t2, spec)
                     )
                 worst_yb = max(worst_yb, abs(lhs - rhs))
     checks.append(("s-unitarity", worst_u, 1e-9))
@@ -444,8 +445,6 @@ def _suite_formfactors() -> List[Tuple[str, float, float]]:
 
 
 def _suite_model() -> List[Tuple[str, float, float]]:
-    from .model import mass_ratio
-
     worst = 0.0
     spec = make_model("bsg", 1.0 / 3.0)
     worst = max(worst, abs(spec.xi - math.pi / 2.0))
@@ -504,10 +503,8 @@ def validate(suite, output, fmt) -> None:
 @click.option("--z", type=float, required=True)
 def convert_tb(epsilon_j, cutoff_lambda, z) -> None:
     """Convert physical couplings to the boundary scale T_B."""
-    try:
+    with _bscat_errors_as_click():
         tb = t_b_from_physical(epsilon_j, cutoff_lambda, z)
-    except BscatError as exc:
-        raise click.ClickException(str(exc))
     click.echo(_fmt(tb))
 
 

@@ -3,7 +3,8 @@
 Special functions (the Gamma-product/residual-integral function e^{I(lambda)},
 the constant c, the pair function zeta, the breather minimal function F, the
 contour function H), the explicit form factors f_{+-}, f_m, f_{111}, f_{12},
-f_{+-+-}, f_{+-1}, and the free-theory truncation weights r0.
+f_{+-+-}, f_{+-1}, the excitation-set integrals of the reflection coefficient
+and, from the same integrals, the free-theory truncation weights r0.
 
 Conventions: rapidity lambda parameterizes the energy e^lambda of a unit-mass
 excitation; breather arguments are pre-shifted by -log(mass ratio) by callers.
@@ -15,7 +16,7 @@ from __future__ import annotations
 import cmath
 import math
 from functools import lru_cache
-from typing import Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 from scipy.special import loggamma
@@ -618,14 +619,50 @@ def f_pm1(l1: complex, l2: complex, l3: complex, spec: ModelSpec) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# Free-theory truncation weights
+# Excitation sets of the reflection coefficient and their free-theory weights
+
+# multi-particle sets: label -> (per line, the breather whose mass ratio
+# shifts the rapidity, 0 for a soliton line; the tolerance of its r0 weight)
+_SETS = {"pm": ((0, 0), 1e-9), "12": ((1, 2), 1e-9), "pm1": ((0, 0, 1), 1e-7)}
+_SET_FORM_FACTORS = {"pm": f_pm, "12": f_12, "pm1": f_pm1}
+
+
+def breather_weight(m: int, spec: ModelSpec) -> float:
+    """Single-breather weight |f_m(0)|^2 / (2 pi mu_m^2)."""
+    mu = mass_ratio(breather(m), spec)
+    return abs(f_breather1(m, 0.0, spec)) ** 2 / (TWO_PI * mu * mu)
+
+
+def set_integral(
+    label: str,
+    omega: float,
+    spec: ModelSpec,
+    tol: float,
+    reflection: Optional[Callable[..., complex]] = None,
+) -> complex:
+    """n!/omega times the energy-simplex integral at total energy omega of
+    reflection(l) |f(l)|^2 for the multi-particle set `label`, with
+    l_k = log E_k - log(mass ratio of line k).  Without `reflection` the
+    reflection factor is 1 (the free theory)."""
+    lines, _ = _SETS[label]
+    form_factor = _SET_FORM_FACTORS[label]
+    shifts = [math.log(mass_ratio(breather(b), spec)) if b else 0.0 for b in lines]
+
+    def integrand(*energies):
+        ls = [math.log(e) - s for e, s in zip(energies, shifts)]
+        weight = abs(form_factor(*ls, spec)) ** 2
+        return weight if reflection is None else reflection(*ls) * weight
+
+    res = integrate_simplex(len(lines), omega, integrand, tol=tol)
+    return math.factorial(len(lines)) * res.value / omega
 
 
 def r0_weights(spec: ModelSpec) -> dict:
     """Truncation weights r0 of the form-factor expansion at unit energy.
 
     Keys: "m<k>" for odd breathers, "pm" (soliton pair), "12" (breather 1+2,
-    if present), "pm1" (pair + breather 1, integer p only).  All weights are
+    if present), "pm1" (pair + breather 1, integer p only).  These are the
+    excitation sets the reflection coefficient retains.  All weights are
     positive and sum to 1 in the untruncated theory.  They are computed once
     per spec; every call returns a fresh dict.
     """
@@ -634,54 +671,14 @@ def r0_weights(spec: ModelSpec) -> dict:
 
 @lru_cache(maxsize=64)
 def _r0_weights_cached(spec: ModelSpec) -> Tuple[Tuple[str, float], ...]:
-    out = {}
-    for m in range(1, spec.n_breathers + 1, 2):
-        mu = mass_ratio(breather(m), spec)
-        out[f"m{m}"] = abs(f_breather1(m, 0.0, spec)) ** 2 / (TWO_PI * mu * mu)
-
-    def pm_integrand(pt):
-        e1, e2 = pt.parts
-        return abs(f_pm(math.log(e1), math.log(e2), spec)) ** 2
-
-    out["pm"] = 2.0 * integrate_simplex(2, 1.0, pm_integrand, tol=1e-9).value.real
-
+    out = {
+        f"m{m}": breather_weight(m, spec) for m in range(1, spec.n_breathers + 1, 2)
+    }
+    labels = ["pm"]
     if spec.n_breathers >= 2:
-        mu1 = mass_ratio(breather(1), spec)
-        mu2 = mass_ratio(breather(2), spec)
-
-        def b12_integrand(pt):
-            e1, e2 = pt.parts
-            return (
-                abs(
-                    f_12(
-                        math.log(e1) - math.log(mu1),
-                        math.log(e2) - math.log(mu2),
-                        spec,
-                    )
-                )
-                ** 2
-            )
-
-        out["12"] = 2.0 * integrate_simplex(2, 1.0, b12_integrand, tol=1e-9).value.real
-
+        labels.append("12")
     if spec.p_int is not None and spec.n_breathers >= 1:
-        mu1 = mass_ratio(breather(1), spec)
-
-        def pm1_integrand(pt):
-            e1, e2, e3 = pt.parts
-            return (
-                abs(
-                    f_pm1(
-                        math.log(e1),
-                        math.log(e2),
-                        math.log(e3) - math.log(mu1),
-                        spec,
-                    )
-                )
-                ** 2
-            )
-
-        out["pm1"] = (
-            6.0 * integrate_simplex(3, 1.0, pm1_integrand, tol=1e-7).value.real
-        )
+        labels.append("pm1")
+    for label in labels:
+        out[label] = set_integral(label, 1.0, spec, _SETS[label][1]).real
     return tuple(out.items())

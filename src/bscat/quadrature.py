@@ -55,15 +55,6 @@ class QuadResult:
     evaluations: int
 
 
-@dataclass(frozen=True)
-class EnergySimplexPoint:
-    """A point on the energy simplex {E_i > 0, sum E_i = total}."""
-
-    total: float
-    parts: tuple
-    jacobian: float  # product of 1/E_i factors from dlambda = dE/E
-
-
 def _gk15(f, a: float, b: float):
     """One Gauss-Kronrod 7-15 panel on [a, b]; returns (K15, |K15-G7|, nevals)."""
     h = 0.5 * (b - a)
@@ -167,14 +158,16 @@ def _corner_pair(point: Callable[[float, float], complex], width: float, tol: fl
 def integrate_simplex(
     n_parts: int,
     total: float,
-    integrand: Callable[[EnergySimplexPoint], complex],
+    integrand: Callable[..., complex],
     tol: float = 1e-9,
 ) -> QuadResult:
     """Integrate over {E_i > 0, sum E_i = total} with measure
-    prod(dE_i / E_i) / (2 pi)^n / n!  (one dE eliminated by the delta).
+    prod(dE_i / E_i) / (2 pi)^n / n!  (one dE eliminated by the delta),
+    for n = 2 or 3 parts.
 
-    The integrand receives an EnergySimplexPoint and returns the physical
-    integrand WITHOUT the 1/E jacobian (applied internally via pt.jacobian).
+    The integrand receives the energies E_1, ..., E_n as positional arguments
+    and returns the physical integrand WITHOUT the 1/E jacobian (applied
+    internally).
     Endpoint corners are mapped with the substitution E = total * u^2, which
     renders integrands whose values vanish linearly (or as E^(1/2) per
     soliton leg) smooth at the corners.  `evaluations` counts the integrand
@@ -182,23 +175,17 @@ def integrate_simplex(
     integral's estimate; for n = 3 it adds the largest inner (E1) estimate
     times the outer measure `total`, which bounds the inner errors' sum.
     """
-    if n_parts not in (1, 2, 3):
-        raise DomainError(f"n_parts must be 1, 2 or 3, got {n_parts}")
+    if n_parts not in (2, 3):
+        raise DomainError(f"n_parts must be 2 or 3, got {n_parts}")
     if total <= 0:
         raise DomainError(f"total must be positive, got {total}")
     norm = 1.0 / (TWO_PI**n_parts * math.factorial(n_parts))
     w = total
 
-    if n_parts == 1:
-        pt = EnergySimplexPoint(total, (total,), 1.0 / total)
-        val = integrand(pt) * pt.jacobian * norm
-        return QuadResult(value=val, abs_error_estimate=0.0, evaluations=1)
-
     if n_parts == 2:
 
         def pair(e1, e2):
-            pt = EnergySimplexPoint(w, (e1, e2), 1.0 / (e1 * e2))
-            return integrand(pt) * pt.jacobian
+            return integrand(e1, e2) * (1.0 / (e1 * e2))
 
         r1, r2 = _corner_pair(pair, w, tol / 2.0)
         evaluations = r1.evaluations + r2.evaluations
@@ -214,8 +201,7 @@ def integrate_simplex(
                 return 0.0j
 
             def pair(e1, e2):
-                pt = EnergySimplexPoint(w, (e1, e2, e3), 1.0 / (e1 * e2 * e3))
-                return integrand(pt) * pt.jacobian
+                return integrand(e1, e2, e3) * (1.0 / (e1 * e2 * e3))
 
             i1, i2 = _corner_pair(pair, rem, tol / 4.0)
             inner_evaluations[0] += i1.evaluations + i2.evaluations

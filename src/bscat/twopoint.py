@@ -16,12 +16,9 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from .errors import DomainError, InsufficientData, UnwrapError
-from .formfactors import f_12, f_pm, f_pm1, f_breather1, r0_weights
+from .formfactors import breather_weight, r0_weights, set_integral
 from .model import ModelSpec, breather, mass_ratio
-from .quadrature import integrate_simplex
 from .reflection import r_breather, soliton_pair_bracket
-
-TWO_PI = 2.0 * math.pi
 
 # relative tolerances of the term integrals (absolute tol scales with omega)
 _TOL_2D = 1e-9
@@ -55,8 +52,7 @@ def r_term_breather(omega: float, m: int, spec: ModelSpec) -> complex:
     if m % 2 == 0 or not (1 <= m <= spec.n_breathers):
         raise DomainError(f"breather term needs odd m <= {spec.n_breathers}, got {m}")
     mu = mass_ratio(breather(m), spec)
-    weight = abs(f_breather1(m, 0.0, spec)) ** 2 / (TWO_PI * mu * mu)
-    return weight * r_breather(math.log(omega / mu), m, spec)
+    return breather_weight(m, spec) * r_breather(math.log(omega / mu), m, spec)
 
 
 def r_term_soliton_pair(omega: float, spec: ModelSpec) -> complex:
@@ -65,13 +61,10 @@ def r_term_soliton_pair(omega: float, spec: ModelSpec) -> complex:
     if omega <= 0:
         raise DomainError(f"omega must be positive, got {omega}")
 
-    def integrand(pt):
-        e1, e2 = pt.parts
-        l1, l2 = math.log(e1), math.log(e2)
-        return soliton_pair_bracket(l1, l2, spec) * abs(f_pm(l1, l2, spec)) ** 2
+    def reflection(l1, l2):
+        return soliton_pair_bracket(l1, l2, spec)
 
-    tol = _TOL_2D * max(1.0, omega)
-    return 2.0 * integrate_simplex(2, omega, integrand, tol=tol).value / omega
+    return set_integral("pm", omega, spec, _TOL_2D * max(1.0, omega), reflection)
 
 
 def r_term_12(omega: float, spec: ModelSpec) -> complex:
@@ -80,21 +73,11 @@ def r_term_12(omega: float, spec: ModelSpec) -> complex:
         raise DomainError(f"omega must be positive, got {omega}")
     if spec.n_breathers < 2:
         return 0.0 + 0.0j
-    mu1 = mass_ratio(breather(1), spec)
-    mu2 = mass_ratio(breather(2), spec)
-    lmu1, lmu2 = math.log(mu1), math.log(mu2)
 
-    def integrand(pt):
-        e1, e2 = pt.parts
-        l1, l2 = math.log(e1) - lmu1, math.log(e2) - lmu2
-        return (
-            r_breather(l1, 1, spec)
-            * r_breather(l2, 2, spec)
-            * abs(f_12(l1, l2, spec)) ** 2
-        )
+    def reflection(l1, l2):
+        return r_breather(l1, 1, spec) * r_breather(l2, 2, spec)
 
-    tol = _TOL_2D * max(1.0, omega)
-    return 2.0 * integrate_simplex(2, omega, integrand, tol=tol).value / omega
+    return set_integral("12", omega, spec, _TOL_2D * max(1.0, omega), reflection)
 
 
 def r_term_pm1(omega: float, spec: ModelSpec) -> complex:
@@ -105,36 +88,31 @@ def r_term_pm1(omega: float, spec: ModelSpec) -> complex:
         raise DomainError("the pair+breather term requires integer p")
     if spec.n_breathers < 1:
         return 0.0 + 0.0j
-    lmu1 = math.log(mass_ratio(breather(1), spec))
 
-    def integrand(pt):
-        e1, e2, e3 = pt.parts
-        l1, l2 = math.log(e1), math.log(e2)
-        l3 = math.log(e3) - lmu1
-        return (
-            soliton_pair_bracket(l1, l2, spec, sign=+1)
-            * r_breather(l3, 1, spec)
-            * abs(f_pm1(l1, l2, l3, spec)) ** 2
-        )
+    def reflection(l1, l2, l3):
+        return soliton_pair_bracket(l1, l2, spec, sign=+1) * r_breather(l3, 1, spec)
 
-    tol = _TOL_3D * max(1.0, omega)
-    return 6.0 * integrate_simplex(3, omega, integrand, tol=tol).value / omega
+    return set_integral("pm1", omega, spec, _TOL_3D * max(1.0, omega), reflection)
+
+
+# multi-particle terms by r0 label; the single-breather labels are "m<k>"
+_SET_TERMS = {"pm": r_term_soliton_pair, "12": r_term_12, "pm1": r_term_pm1}
 
 
 def reflection_coefficient(omega: float, spec: ModelSpec) -> ReflectionBreakdown:
-    """r(omega) as the sum of all terms applicable at this coupling."""
+    """r(omega) as the sum of the terms of the excitation sets that carry a
+    free-theory weight in r0_weights, under the same labels."""
     if omega <= 0:
         raise DomainError(f"omega must be positive, got {omega}")
+    weights = r0_weights(spec)
     terms: Dict[str, complex] = {}
-    for m in range(1, spec.n_breathers + 1, 2):
-        terms[f"m={m}"] = r_term_breather(omega, m, spec)
-    terms["+-"] = r_term_soliton_pair(omega, spec)
-    if spec.n_breathers >= 2:
-        terms["12"] = r_term_12(omega, spec)
-    if spec.p_int is not None and spec.n_breathers >= 1:
-        terms["+-1"] = r_term_pm1(omega, spec)
+    for label in weights:
+        if label in _SET_TERMS:
+            terms[label] = _SET_TERMS[label](omega, spec)
+        else:
+            terms[label] = r_term_breather(omega, int(label[1:]), spec)
     total = sum(terms.values())
-    bound = max(0.0, 1.0 - sum(r0_weights(spec).values()))
+    bound = max(0.0, 1.0 - sum(weights.values()))
     return ReflectionBreakdown(
         omega=omega, terms=terms, total=total, truncation_bound=bound
     )

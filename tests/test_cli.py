@@ -26,6 +26,39 @@ def _rows(csv_text):
     return header, [line.split(",") for line in lines[1:]]
 
 
+@pytest.mark.parametrize(
+    "argv, status",
+    [
+        (["rates", "--z", "0.5", "--omega", "nan"], 1),
+        (["rates", "--z", "0.5", "--omega", "inf"], 1),
+        (["rates", "--z", "0.5", "--omega", "1..inf:3"], 1),
+        (["rates", "--z", "1.5", "--omega", "1"], 1),
+        (["spectrum", "--z", "0.5", "--omega", "-1"], 1),
+        (["r0", "--z", "1.5"], 1),
+        # a flag outside its click type is a usage error
+        (["spectrum", "--z", "0.5", "--points", "-3"], 2),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else f"exit{v}",
+)
+def test_bad_input_is_an_error_not_a_traceback(runner, argv, status):
+    res = runner.invoke(main, argv)
+    assert res.exit_code == status
+    assert isinstance(res.exception, SystemExit)  # no uncaught exception
+    assert "Error: " in res.output
+    assert "Traceback" not in res.output
+
+
+@pytest.mark.parametrize("line", ["points = -3", "model = foo", "format = xml"])
+def test_bad_config_value_rejected(runner, tmp_path, line):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    command = "spectrum" if line.startswith("points") else "r0"
+    res = runner.invoke(main, [command, "--config", str(cfg)])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert f"config field '{line.split()[0]}'" in res.output
+
+
 class TestRates:
     def test_csv_columns_and_values(self, runner):
         res = runner.invoke(

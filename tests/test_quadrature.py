@@ -68,40 +68,31 @@ class TestAdaptive1D:
 
 
 class TestEnergySimplex:
-    def test_one_part_is_pointwise(self):
-        res = integrate_simplex(1, 2.0, lambda pt: pt.parts[0])
-        # jacobian 1/E cancels the integrand; measure 1/(2 pi)
-        assert res.value.real == pytest.approx(1.0 / (2.0 * math.pi), abs=1e-14)
-
     def test_two_parts_flat(self):
         w = 3.0
-        res = integrate_simplex(2, w, lambda pt: pt.parts[0] * pt.parts[1], tol=1e-11)
+        res = integrate_simplex(2, w, lambda e1, e2: e1 * e2, tol=1e-11)
         exact = w / (2.0 * (2.0 * math.pi) ** 2)
         assert res.value.real == pytest.approx(exact, rel=1e-9)
 
     def test_two_parts_beta_moment(self):
         # E1^(3/2) E2^(3/2) over the simplex gives w^2 B(3/2, 3/2) = w^2 pi/8
         w = 1.7
-        res = integrate_simplex(
-            2, w, lambda pt: pt.parts[0] ** 1.5 * pt.parts[1] ** 1.5, tol=1e-11
-        )
+        res = integrate_simplex(2, w, lambda e1, e2: e1**1.5 * e2**1.5, tol=1e-11)
         exact = w * w * (math.pi / 8.0) / (2.0 * (2.0 * math.pi) ** 2)
         assert res.value.real == pytest.approx(exact, rel=1e-8)
 
     def test_three_parts_flat(self):
         w = 2.0
-        res = integrate_simplex(
-            3, w, lambda pt: pt.parts[0] * pt.parts[1] * pt.parts[2], tol=1e-9
-        )
+        res = integrate_simplex(3, w, lambda e1, e2, e3: e1 * e2 * e3, tol=1e-9)
         exact = (w * w / 2.0) / (6.0 * (2.0 * math.pi) ** 3)
         assert res.value.real == pytest.approx(exact, rel=1e-7)
 
     def test_parts_sum_to_total(self):
         seen = []
 
-        def f(pt):
-            seen.append(sum(pt.parts))
-            return pt.parts[0] * pt.parts[1]
+        def f(e1, e2):
+            seen.append(e1 + e2)
+            return e1 * e2
 
         integrate_simplex(2, 5.0, f, tol=1e-6)
         assert all(abs(s - 5.0) < 1e-12 for s in seen)
@@ -110,9 +101,9 @@ class TestEnergySimplex:
     def test_evaluations_count_integrand_calls(self, n_parts):
         calls = []
 
-        def f(pt):
-            calls.append(pt)
-            return math.prod(pt.parts)
+        def f(*energies):
+            calls.append(energies)
+            return math.prod(energies)
 
         res = integrate_simplex(n_parts, 1.5, f, tol=1e-9)
         assert res.evaluations == len(calls) > 0
@@ -133,7 +124,7 @@ class TestEnergySimplex:
         res = integrate_simplex(
             3,
             total,
-            lambda pt: math.prod(pt.parts) * math.sqrt(abs(pt.parts[0] - 0.5)),
+            lambda e1, e2, e3: e1 * e2 * e3 * math.sqrt(abs(e1 - 0.5)),
             tol=1e-7,
         )
         norm = 1.0 / ((2.0 * math.pi) ** 3 * 6.0)
@@ -143,10 +134,11 @@ class TestEnergySimplex:
         assert res.abs_error_estimate >= max(pairs) * total * norm
 
     def test_invalid_arguments(self):
+        for n_parts in (1, 4):
+            with pytest.raises(DomainError):
+                integrate_simplex(n_parts, 1.0, lambda *energies: 1.0)
         with pytest.raises(DomainError):
-            integrate_simplex(4, 1.0, lambda pt: 1.0)
-        with pytest.raises(DomainError):
-            integrate_simplex(2, 0.0, lambda pt: 1.0)
+            integrate_simplex(2, 0.0, lambda e1, e2: 1.0)
 
 
 class TestSemiInfinite:

@@ -22,22 +22,27 @@ from bscat.twopoint import (
 class TestReflectionCoefficient:
     def test_term_keys_z_third(self):
         bd = reflection_coefficient(1.0, make_model("bsg", 1.0 / 3.0))
-        assert set(bd.terms) == {"m=1", "+-", "+-1"}
+        assert set(bd.terms) == {"m1", "pm", "pm1"}
+        assert set(bd.terms) == set(r0_weights(make_model("bsg", 1.0 / 3.0)))
         assert bd.total == sum(bd.terms.values())
         assert 0.0 <= bd.truncation_bound < 1e-2
 
     def test_term_keys_z_half(self):
-        bd = reflection_coefficient(1.0, make_model("kondo", 0.5))
-        assert set(bd.terms) == {"+-"}
+        spec = make_model("kondo", 0.5)
+        bd = reflection_coefficient(1.0, spec)
+        assert set(bd.terms) == {"pm"} == set(r0_weights(spec))
 
     def test_term_keys_many_breathers(self):
-        bd = reflection_coefficient(1.0, make_model("bsg", 0.2))
+        spec = make_model("bsg", 0.2)
+        bd = reflection_coefficient(1.0, spec)
         # odd single breathers, the pair, the 1-2 pair and the mixed set
-        assert set(bd.terms) == {"m=1", "m=3", "+-", "12", "+-1"}
+        assert set(bd.terms) == {"m1", "m3", "pm", "12", "pm1"}
+        assert set(bd.terms) == set(r0_weights(spec))
 
     def test_non_integer_p_drops_mixed_set(self):
-        bd = reflection_coefficient(1.0, make_model("bsg", 0.47))
-        assert set(bd.terms) == {"m=1", "+-"}
+        spec = make_model("bsg", 0.47)
+        bd = reflection_coefficient(1.0, spec)
+        assert set(bd.terms) == {"m1", "pm"} == set(r0_weights(spec))
 
     def test_matches_free_fermion_oracle(self):
         for kind in ("bsg", "kondo"):
@@ -64,17 +69,22 @@ class TestReflectionCoefficient:
     def test_r0_weights_computed_once_per_spec(self, monkeypatch):
         spec = make_model("bsg", 0.5)
         first = r0_weights(spec)
-        calls = []
-        real = formfactors_mod.integrate_simplex
+        cache = formfactors_mod._r0_weights_cached
+        misses = cache.cache_info().misses
+        free_theory = []
+        real = formfactors_mod.set_integral
 
-        def counted(*args, **kwargs):
-            calls.append(args[0])
-            return real(*args, **kwargs)
+        def recorded(label, omega, spec, tol, reflection=None):
+            if reflection is None:
+                free_theory.append(label)
+            return real(label, omega, spec, tol, reflection)
 
-        monkeypatch.setattr(formfactors_mod, "integrate_simplex", counted)
+        monkeypatch.setattr(formfactors_mod, "set_integral", recorded)
         for omega in (0.5, 1.0, 2.0):
             reflection_coefficient(omega, spec)
-        assert calls == []  # no r0 integral after the first call
+        # no r0 weight is recomputed after the first call
+        assert cache.cache_info().misses == misses
+        assert free_theory == []
         # each caller gets its own dict: mutating one leaves the cache intact
         mine = r0_weights(spec)
         mine["pm"] = -1.0
@@ -87,7 +97,7 @@ class TestReflectionCoefficient:
 
 def _synthetic_breakdowns(omegas, rs):
     return [
-        ReflectionBreakdown(omega=w, terms={"+-": r}, total=r, truncation_bound=0.0)
+        ReflectionBreakdown(omega=w, terms={"pm": r}, total=r, truncation_bound=0.0)
         for w, r in zip(omegas, rs)
     ]
 
@@ -121,7 +131,7 @@ class TestRates:
 
     def test_normalization_divides_truncation_floor(self):
         bd = ReflectionBreakdown(
-            omega=1.0, terms={"+-": 0.9}, total=0.9, truncation_bound=0.1
+            omega=1.0, terms={"pm": 0.9}, total=0.9, truncation_bound=0.1
         )
         raw = rates_from_r([bd], normalize=False)
         norm = rates_from_r([bd], normalize=True)
