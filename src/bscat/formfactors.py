@@ -9,6 +9,18 @@ and, from the same integrals, the free-theory truncation weights r0.
 Conventions: rapidity lambda parameterizes the energy e^lambda of a unit-mass
 excitation; breather arguments are pre-shifted by -log(mass ratio) by callers.
 All form factors carry Lorentz spin 1: f(lambda + a) = e^a f(lambda).
+
+The per-rapidity residual integrals of e^{I} and of F run on
+`quadrature.integrate_tabulated`: equal GK15 panels whose lambda-independent
+kernel is tabulated once per (xi, N, panel layout), so that each call
+evaluates only sin^2(w x) on the first n panels.  n reaches the point where
+the integrand's exponential bound falls below 1e-16.  The panel width is
+0.35 of the distance to the kernel's nearest pole (min(1, 2 pi/xi) for
+e^{I}, 1/2 for F), halved until a panel spans at most 2 radians of
+hypot(|2 w|, decay) x.  The rule raises ToleranceNotMet if its G7 error
+estimate exceeds 1e-12, or if more than 4096 panels would be needed.
+The N-term Gamma product of e^{I} is one loggamma call on 8N points whose
+offsets, slopes and weights are precomputed per (xi, N).
 """
 
 from __future__ import annotations
@@ -23,7 +35,12 @@ from scipy.special import loggamma
 
 from .errors import ConvergenceError, DomainError
 from .model import ModelSpec, breather, mass_ratio
-from .quadrature import adaptive_1d, integrate_semi_infinite, integrate_simplex
+from .quadrature import (
+    adaptive_1d,
+    integrate_semi_infinite,
+    integrate_simplex,
+    integrate_tabulated,
+)
 from .smatrix import s0
 
 TWO_PI = 2.0 * math.pi
@@ -51,7 +68,6 @@ def _check_strip(*diffs: complex) -> None:
 @lru_cache(maxsize=400_000)
 def _exp_i_cached(lam_r: float, lam_i: float, xi: float, N: int) -> complex:
     lam = complex(lam_r, lam_i)
-    a = math.pi / xi
 
     # residual semi-infinite integral
     if abs(math.pi - xi) < 1e-14:
@@ -63,57 +79,78 @@ def _exp_i_cached(lam_r: float, lam_i: float, xi: float, N: int) -> complex:
                 f"exp_I residual integral diverges at Im lambda = {lam.imag} (N = {N})"
             )
         w = (lam + 1j * math.pi) / 2.0
-
-        def f(x: float) -> complex:
-            if x == 0.0:
-                return w * w * (math.pi - xi) / (xi * math.pi)
-            damp = math.exp(-2.0 * N * math.pi * x) * (
-                1.0 + N - N * math.exp(-2.0 * math.pi * x)
-            )
-            return (
-                damp
-                * cmath.sin(w * x) ** 2
-                * math.sinh((math.pi - xi) * x / 2.0)
-                / (
-                    x
-                    * math.sinh(xi * x / 2.0)
-                    * math.sinh(math.pi * x)
-                    * math.cosh(math.pi * x / 2.0)
-                )
-            )
-
-        integral = integrate_semi_infinite(f, decay_rate=decay, tol=1e-12).value
+        integral = integrate_tabulated(
+            _exp_i_kernel,
+            (xi, N),
+            w,
+            2,
+            decay,
+            # nearest kernel poles: sinh(pi x), cosh(pi x/2) at i, sinh(xi x/2) at 2 pi i/xi
+            min(1.0, TWO_PI / xi),
+            tol=1e-12,
+        ).value
 
     # Gamma-function product over k = 1..N, factor k carrying exponent k
-    k = np.arange(1, N + 1, dtype=np.float64)
+    offsets, slopes, weights, const = _exp_i_product_terms(xi, N)
     u = 1j * lam / math.pi
-    num = np.stack(
-        [
-            1.0 + a * (2 * k + 1 - u),
-            a * (2 * k + 1 - u),
-            a * (2 * k - 1 + u),
-            1.0 + a * (2 * k - 1 + u),
-        ]
-    )
-    den = np.stack(
-        [
-            1.0 + a * (2 * k - u),
-            a * (2 * k + 2 - u),
-            a * (2 * k + u),
-            1.0 + a * (2 * k - 2 + u),
-        ]
-    )
-    const = 2.0 * (
-        loggamma(a * (2 * k + 1))
-        + loggamma(1.0 + a * (2 * k - 1))
-        - loggamma(2 * k * a)
-        - loggamma(1.0 + 2 * k * a)
-    )
-    log_terms = (
-        loggamma(num).sum(axis=0) - loggamma(den).sum(axis=0) + const
-    )
-    log_product = complex(np.sum(k * log_terms))
+    log_product = complex(weights @ loggamma(offsets + slopes * u)) + const
     return cmath.exp(integral + log_product)
+
+
+def _exp_i_kernel(x: np.ndarray, xi: float, N: int) -> np.ndarray:
+    """The residual kernel of I(lambda) without its sin^2(w x) factor,
+
+        e^{-2 N pi x} (1 + N - N e^{-2 pi x}) sinh((pi - xi) x/2)
+        / (x sinh(xi x/2) sinh(pi x) cosh(pi x/2)),
+
+    written with decaying exponentials only, so that it neither overflows
+    nor cancels at any x > 0."""
+    a = 0.5 * abs(math.pi - xi)
+    b = 0.5 * xi
+    rate = 2.0 * N * math.pi + b + 1.5 * math.pi - a
+    return (
+        math.copysign(4.0, math.pi - xi)
+        * np.exp(-rate * x)
+        * (1.0 + N - N * np.exp(-TWO_PI * x))
+        * -np.expm1(-2.0 * a * x)
+        / (x * np.expm1(-2.0 * b * x) * np.expm1(-TWO_PI * x) * (1.0 + np.exp(-math.pi * x)))
+    )
+
+
+@lru_cache(maxsize=64)
+def _exp_i_product_terms(xi: float, N: int):
+    """The N-term Gamma product of e^{I} as sum_j weight_j loggamma(offset_j
+    + slope_j u) + const, u = i lambda/pi: factor k of the product carries
+    exponent k, four Gamma functions in its numerator and four in its
+    denominator."""
+    a = math.pi / xi
+    k = np.arange(1, N + 1, dtype=np.float64)
+    offsets = np.concatenate(
+        [
+            1.0 + a * (2 * k + 1),
+            a * (2 * k + 1),
+            a * (2 * k - 1),
+            1.0 + a * (2 * k - 1),
+            1.0 + a * 2 * k,
+            a * (2 * k + 2),
+            a * 2 * k,
+            1.0 + a * (2 * k - 2),
+        ]
+    )
+    slopes = a * np.repeat([-1.0, -1.0, 1.0, 1.0, -1.0, -1.0, 1.0, 1.0], N)
+    weights = np.concatenate([k, k, k, k, -k, -k, -k, -k])
+    const = 2.0 * float(
+        np.sum(
+            k
+            * (
+                loggamma(a * (2 * k + 1))
+                + loggamma(1.0 + a * (2 * k - 1))
+                - loggamma(2 * k * a)
+                - loggamma(1.0 + 2 * k * a)
+            )
+        )
+    )
+    return offsets, slopes, weights, const
 
 
 def exp_I(lam: complex, spec: ModelSpec, N: int = DEFAULT_N) -> complex:
@@ -321,6 +358,26 @@ def _bigf_prefactor(xi: float) -> float:
     return math.exp(integrate_semi_infinite(f, decay_rate=decay, tol=1e-12).value.real)
 
 
+def _bigf_tail_kernel(x: np.ndarray, xi: float, N: int) -> np.ndarray:
+    """The tail kernel of log F without its sin^2(w x) factor,
+
+        -8 e^{-4 pi N x} (1 + N - N e^{-4 pi x}) sinh(pi x) sinh(xi x)
+        sinh((pi + xi) x) / (x sinh(2 pi x)^2),
+
+    written with decaying exponentials only."""
+    rate = TWO_PI - 2.0 * xi + 4.0 * math.pi * N
+    e4 = np.expm1(-2.0 * TWO_PI * x)
+    return (
+        4.0
+        * np.exp(-rate * x)
+        * (1.0 + N - N * np.exp(-2.0 * TWO_PI * x))
+        * np.expm1(-TWO_PI * x)
+        * np.expm1(-2.0 * xi * x)
+        * np.expm1(-2.0 * (math.pi + xi) * x)
+        / (x * e4 * e4)
+    )
+
+
 @lru_cache(maxsize=400_000)
 def _bigf_cached(lam_r: float, lam_i: float, xi: float, N: int) -> complex:
     lam = complex(lam_r, lam_i)
@@ -349,16 +406,15 @@ def _bigf_cached(lam_r: float, lam_i: float, xi: float, N: int) -> complex:
     decay = TWO_PI - 2.0 * xi + 4.0 * math.pi * N - 2.0 * abs(w.imag)
     if decay <= 0.0:
         raise DomainError(f"F tail integral diverges at Im lambda = {lam.imag}")
-
-    def tail(x: float) -> complex:
-        if x == 0.0:
-            return 0.0 + 0.0j
-        damp = math.exp(-4.0 * math.pi * N * x) * (
-            1.0 + N - N * math.exp(-4.0 * math.pi * x)
-        )
-        return -8.0 * _bigf_kernel(x, xi) * damp * cmath.sin(w * x) ** 2 / x
-
-    tail_val = integrate_semi_infinite(tail, decay_rate=decay, tol=1e-12).value
+    tail_val = integrate_tabulated(
+        _bigf_tail_kernel,
+        (xi, N),
+        w,
+        2,
+        decay,
+        0.5,  # nearest kernel pole: sinh(2 pi x)^2 at i/2
+        tol=1e-12,
+    ).value
     return _bigf_prefactor(xi) * cmath.exp(prod + tail_val)
 
 

@@ -25,7 +25,7 @@ from .model import ModelSpec, breather, mass_ratio
 from .quadrature import adaptive_1d
 from .reflection import r_breather, soliton_pair_bracket, soliton_split_bracket
 from .smatrix import s0
-from .twopoint import ReflectionBreakdown, reflection_coefficient
+from .twopoint import ReflectionBreakdown, check_omega, reflection_coefficient
 
 _MEASURE = (2.0 * math.pi) ** 4
 
@@ -333,8 +333,7 @@ def sum_rule_check(
     regularizes the integrable 1/omega' endpoint of the boundary sine-Gordon
     spectrum.  `breakdown` is r(omega) if the caller has it already.
     """
-    if omega <= 0:
-        raise DomainError(f"omega must be positive, got {omega}")
+    check_omega(omega)
     if diagrams is None:
         diagrams = active_diagrams(spec)
 
@@ -369,8 +368,7 @@ def spectrum_curve(
     """Spectrum on a grid of omega', with per-diagram breakdown and the
     sum-rule ratio; the elastic delta-function coefficient is reported as
     gamma_disc = -(1 - |r|^2)."""
-    if omega <= 0:
-        raise DomainError(f"omega must be positive, got {omega}")
+    check_omega(omega)
     if diagrams is None:
         diagrams = active_diagrams(spec)
     grid = default_omega_prime_grid(omega, grid_size)

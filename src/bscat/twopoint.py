@@ -45,10 +45,15 @@ class RateCurve:
     err: Tuple[float, ...]
 
 
+def check_omega(omega: float) -> None:
+    """Raise DomainError unless the frequency omega is finite and positive."""
+    if not (math.isfinite(omega) and omega > 0):
+        raise DomainError(f"omega must be finite and positive, got {omega}")
+
+
 def r_term_breather(omega: float, m: int, spec: ModelSpec) -> complex:
     """Single-breather term: |f_m(0)|^2/(2 pi mu_m^2) R_m^m(ln(omega/mu_m))."""
-    if omega <= 0:
-        raise DomainError(f"omega must be positive, got {omega}")
+    check_omega(omega)
     if m % 2 == 0 or not (1 <= m <= spec.n_breathers):
         raise DomainError(f"breather term needs odd m <= {spec.n_breathers}, got {m}")
     mu = mass_ratio(breather(m), spec)
@@ -58,8 +63,7 @@ def r_term_breather(omega: float, m: int, spec: ModelSpec) -> complex:
 def r_term_soliton_pair(omega: float, spec: ModelSpec) -> complex:
     """Soliton-antisoliton pair term: energy-simplex integral of the pair
     reflection bracket times |f_{+-}|^2."""
-    if omega <= 0:
-        raise DomainError(f"omega must be positive, got {omega}")
+    check_omega(omega)
 
     def reflection(l1, l2):
         return soliton_pair_bracket(l1, l2, spec)
@@ -69,8 +73,7 @@ def r_term_soliton_pair(omega: float, spec: ModelSpec) -> complex:
 
 def r_term_12(omega: float, spec: ModelSpec) -> complex:
     """Breather-1 + breather-2 term with mass-ratio-shifted arguments."""
-    if omega <= 0:
-        raise DomainError(f"omega must be positive, got {omega}")
+    check_omega(omega)
     if spec.n_breathers < 2:
         return 0.0 + 0.0j
 
@@ -82,8 +85,7 @@ def r_term_12(omega: float, spec: ModelSpec) -> complex:
 
 def r_term_pm1(omega: float, spec: ModelSpec) -> complex:
     """Soliton pair + breather-1 term (integer p only)."""
-    if omega <= 0:
-        raise DomainError(f"omega must be positive, got {omega}")
+    check_omega(omega)
     if spec.p_int is None:
         raise DomainError("the pair+breather term requires integer p")
     if spec.n_breathers < 1:
@@ -102,8 +104,7 @@ _SET_TERMS = {"pm": r_term_soliton_pair, "12": r_term_12, "pm1": r_term_pm1}
 def reflection_coefficient(omega: float, spec: ModelSpec) -> ReflectionBreakdown:
     """r(omega) as the sum of the terms of the excitation sets that carry a
     free-theory weight in r0_weights, under the same labels."""
-    if omega <= 0:
-        raise DomainError(f"omega must be positive, got {omega}")
+    check_omega(omega)
     weights = r0_weights(spec)
     terms: Dict[str, complex] = {}
     for label in weights:

@@ -1,0 +1,162 @@
+"""30-digit mpmath references for the special-function kernels at generic z.
+
+Prints the reference table of tests/test_kernel_oracles.py:
+
+    python tests/make_kernel_oracles.py
+
+The references are independent of bscat's evaluation: e^{I(lambda)} uses
+its integral representation with N = 2 Gamma factors (bscat uses N = 10 and a
+different quadrature), and the R_s phase and S0 integrals are integrated as
+printed.  Each integral runs over many short mpmath.quad subintervals up to
+the point where its exponential bound falls below 1e-32.
+"""
+
+from __future__ import annotations
+
+import math
+
+import mpmath as mp
+
+mp.mp.dps = 30
+
+N_REF = 2
+
+
+def _xi(z):
+    z = mp.mpf(z)
+    return mp.pi * z / (1 - z)
+
+
+def _quad_semi_infinite(f, decay, step):
+    x_max = 75 / decay  # e^{-75} ~ 3e-33
+    n = int(mp.ceil(x_max / step))
+    return mp.quad(f, mp.linspace(0, n * step, n + 1))
+
+
+def exp_i(lam, z):
+    """e^{I(lambda)}: N_REF-term Gamma product times the exponential of the
+    damped residual integral."""
+    xi = _xi(z)
+    pi = mp.pi
+    lam = mp.mpc(lam)
+    w = (lam + 1j * pi) / 2
+    N = N_REF
+
+    def f(x):
+        damp = mp.exp(-2 * N * pi * x) * (1 + N - N * mp.exp(-2 * pi * x))
+        return (
+            damp
+            * mp.sin(w * x) ** 2
+            * mp.sinh((pi - xi) * x / 2)
+            / (x * mp.sinh(xi * x / 2) * mp.sinh(pi * x) * mp.cosh(pi * x / 2))
+        )
+
+    decay = 2 * N * pi + min(xi + pi, 2 * pi) - abs(lam.imag + pi)
+    integral = _quad_semi_infinite(f, decay, min(mp.mpf(0.1), 1 / (abs(w) + 1)))
+    a = pi / xi
+    u = 1j * lam / pi
+    log_product = 0
+    for k in range(1, N + 1):
+        lg = mp.loggamma
+        log_product += k * (
+            lg(1 + a * (2 * k + 1 - u))
+            + lg(a * (2 * k + 1 - u))
+            + lg(a * (2 * k - 1 + u))
+            + lg(1 + a * (2 * k - 1 + u))
+            - lg(1 + a * (2 * k - u))
+            - lg(a * (2 * k + 2 - u))
+            - lg(a * (2 * k + u))
+            - lg(1 + a * (2 * k - 2 + u))
+            + 2
+            * (
+                lg(a * (2 * k + 1))
+                + lg(1 + a * (2 * k - 1))
+                - lg(2 * k * a)
+                - lg(1 + 2 * k * a)
+            )
+        )
+    return mp.exp(integral + log_product)
+
+
+def rs_phase(lam, z):
+    """int_0^inf sin(2 lambda x)/x sinh((pi - xi) x) / (sinh(2 xi x) cosh(pi x)) dx."""
+    xi = _xi(z)
+    pi = mp.pi
+    lam = mp.mpc(lam)
+
+    def f(x):
+        return (
+            mp.sin(2 * lam * x)
+            / x
+            * mp.sinh((pi - xi) * x)
+            / (mp.sinh(2 * xi * x) * mp.cosh(pi * x))
+        )
+
+    decay = min(3 * xi, xi + 2 * pi) - 2 * abs(lam.imag)
+    return _quad_semi_infinite(f, decay, min(mp.mpf(0.1), 1 / (2 * abs(lam) + 1)))
+
+
+def s0(theta, z):
+    """S0(theta) = -exp(-i int_0^inf sin(x theta)/x sinh((pi - xi) x/2)
+    / (sinh(xi x/2) cosh(pi x/2)) dx)."""
+    xi = _xi(z)
+    pi = mp.pi
+    theta = mp.mpc(theta)
+
+    def f(x):
+        return (
+            mp.sin(x * theta)
+            / x
+            * mp.sinh((pi - xi) * x / 2)
+            / (mp.sinh(xi * x / 2) * mp.cosh(pi * x / 2))
+        )
+
+    decay = min(xi, pi) - abs(theta.imag)
+    integral = _quad_semi_infinite(f, decay, min(mp.mpf(0.1), 1 / (abs(theta) + 1)))
+    return -mp.exp(-1j * integral)
+
+
+def theta1(z):
+    """Fusion angle of breather 1, pi - xi."""
+    return math.pi - float(_xi(z))
+
+
+# the sampled arguments: (z, lambda)
+EXP_I_Z = (1.0 / 3.0, 0.4, 0.25)
+EXP_I_RE = (-15.0, -4.3, -0.6, 0.0, 1.7, 7.9, 15.0)
+
+
+def exp_i_points():
+    for z in EXP_I_Z:
+        half = theta1(z) / 2.0
+        for im in (0.0, half, -half, math.pi, math.pi + half, math.pi - half):
+            for re in EXP_I_RE:
+                yield z, complex(re, im)
+
+
+RS_POINTS = tuple(
+    (z, complex(re, im))
+    for z in (1.0 / 3.0, 0.4, 0.25)
+    for re, im in ((0.3, 0.0), (-2.5, 0.0), (11.0, 0.0), (-19.0, 0.0), (1.2, 0.4), (-6.0, 0.25))
+)
+
+S0_POINTS = tuple((0.4, complex(re, im)) for re, im in ((0.5, 0.0), (-3.0, 0.0), (8.0, 0.0), (1.0, 0.6), (-2.0, -1.0)))
+
+
+def _fmt(c):
+    return f"complex({float(c.real)!r}, {float(c.imag)!r})"
+
+
+if __name__ == "__main__":
+    print("EXP_I = (")
+    for z, lam in exp_i_points():
+        print(f"    ({z!r}, {_fmt(lam)}, {_fmt(exp_i(lam, z))}),")
+    print(")")
+    print("RS_PHASE = (")
+    for z, lam in RS_POINTS:
+        print(f"    ({z!r}, {_fmt(lam)}, {_fmt(rs_phase(lam, z))}),")
+    print(")")
+    print("S0 = (")
+    for z, theta in S0_POINTS:
+        print(f"    ({z!r}, {_fmt(theta)}, {_fmt(s0(theta, z))}),")
+    print(")")

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +11,8 @@ from bscat.quadrature import (
     adaptive_1d,
     integrate_semi_infinite,
     integrate_simplex,
+    panel_layout,
+    panel_rule,
 )
 
 
@@ -155,3 +158,64 @@ class TestSemiInfinite:
     def test_invalid_decay_rate(self):
         with pytest.raises(DomainError):
             integrate_semi_infinite(lambda x: 1.0, decay_rate=0.0)
+
+
+class TestPanelRule:
+    @pytest.mark.parametrize("w", [0.3, 2.0, 17.0])
+    def test_damped_oscillation_closed_form(self, w):
+        # int_0^inf e^{-x} sin^2(w x) dx = 2 w^2 / (1 + 4 w^2)
+        width, n, size = panel_layout(1.0, 1.0, 2.0 * w)
+        rule = panel_rule(width, size)
+        x = rule.nodes[:n]
+        res = rule.integrate(np.exp(-x) * np.sin(w * x) ** 2, tol=1e-12)
+        exact = 2.0 * w * w / (1.0 + 4.0 * w * w)
+        assert res.value == pytest.approx(exact, abs=1e-13)
+        assert res.evaluations == 15 * n
+
+    def test_error_estimate_is_reported(self):
+        # panels of width 1 resolve sin^2(3x) only roughly: the G7 estimate
+        # is far above roundoff and bounds the K15 error
+        rule = panel_rule(1.0, 64)
+        x = rule.nodes[:40]
+        res = rule.integrate(np.exp(-x) * np.sin(3.0 * x) ** 2, tol=1e-3)
+        assert 1e-9 < res.abs_error_estimate <= 1e-3
+        assert abs(res.value - 18.0 / 37.0) <= res.abs_error_estimate
+
+    def test_coarse_panels_raise_with_best_value(self):
+        rule = panel_rule(4.0, 8)
+        x = rule.nodes
+        with pytest.raises(ToleranceNotMet) as exc:
+            rule.integrate(np.exp(-x) * np.sin(10.0 * x) ** 2, tol=1e-12)
+        assert exc.value.value is not None
+        assert exc.value.abs_error_estimate > 1e-12
+
+    def test_rule_covers_its_interval(self):
+        rule = panel_rule(0.25, 4)
+        assert rule.nodes.shape == (4, 15)
+        assert 0.0 < rule.nodes.min() and rule.nodes.max() < 1.0
+        assert np.all(np.diff(rule.nodes.ravel()) > 0.0)
+        # both rules integrate a constant exactly over one panel
+        kronrod, kronrod_minus_gauss = rule.weights.T
+        assert kronrod.sum() == pytest.approx(0.25, rel=1e-14)
+        assert (kronrod - kronrod_minus_gauss).sum() == pytest.approx(0.25, rel=1e-14)
+        assert panel_rule(0.25, 4) is rule  # cached
+
+    def test_layout(self):
+        for decay, pole, rate in ((1.0, 1.0, 0.0), (60.0, 1.0, 3.0), (4.7, 0.5, 64.0)):
+            width, n, size = panel_layout(decay, pole, rate)
+            assert n * width >= -math.log(1e-16) / decay > (n - 1) * width
+            assert size >= n and size & (size - 1) == 0 and size < 2 * n + 1
+            assert width <= 0.5 * pole
+            assert width * math.hypot(rate, decay) <= 2.0
+        with pytest.raises(DomainError):
+            panel_layout(0.0, 1.0, 1.0)
+
+    def test_layout_refuses_more_than_the_panel_cap(self):
+        # a decay rate near 0 would need millions of panels: refused before
+        # any table is built
+        width, n, size = panel_layout(0.03, 1.0, 0.0)
+        assert n <= quadrature._MAX_PANELS
+        with pytest.raises(ToleranceNotMet, match="decay rate"):
+            panel_layout(1e-4, 1.0, 0.0)
+        with pytest.raises(ToleranceNotMet):
+            panel_layout(1e-300, 1.0, 0.0)

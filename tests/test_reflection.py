@@ -3,7 +3,8 @@ import math
 
 import pytest
 
-from bscat.errors import DomainError
+import bscat.reflection as reflection_mod
+from bscat.errors import DomainError, ToleranceNotMet
 from bscat.model import ANTISOLITON, SOLITON, breather, make_model
 from bscat.reflection import (
     r_amplitude,
@@ -95,6 +96,55 @@ class TestAsymptotes:
         phase = cmath.exp(1j * math.pi / (4.0 * spec.z))
         assert r_kondo_soliton(30.0, spec) == pytest.approx(phase, abs=1e-10)
         assert r_kondo_soliton(-30.0, spec) == pytest.approx(-phase, abs=1e-10)
+
+
+class TestPhaseAsymptoteSwitch:
+    @pytest.mark.parametrize("z", [0.25, 1.0 / 3.0, 0.4, 0.6])
+    def test_rule_meets_asymptote_at_the_switch(self, z):
+        # the phase switches from the panel-rule integral to its limit
+        # sign(Re lambda) pi (pi - xi) / (4 xi); on each side of the switch
+        # the two must agree to 1e-12
+        xi = make_model("bsg", z).xi
+        limit = math.pi * (math.pi - xi) / (4.0 * xi)
+        switch = reflection_mod._ASYMPTOTE_EXPONENT / (2.0 * reflection_mod._rs_phase_pole(xi))
+        decay = min(3.0 * xi, xi + 2.0 * math.pi)
+        for side in (0.99, 1.01):
+            for sign in (1.0, -1.0):
+                lam = complex(sign * side * switch, 0.0)
+                phase = reflection_mod._rs_phase_direct(lam, xi)
+                rule = reflection_mod._rs_phase_integral(lam, xi, decay)
+                assert abs(phase - sign * limit) <= 1e-12
+                assert abs(rule - sign * limit) <= 1e-12
+                if side < 1.0:
+                    assert phase == rule
+                else:
+                    assert phase == sign * limit
+
+
+class TestStripEdge:
+    @pytest.mark.parametrize("eps", [1e-9, 1e-4, 0.1])
+    def test_phase_next_to_the_strip_edge_is_refused(self, eps):
+        # at z = 1/3 the R_s phase integrand decays as e^{-(3 xi - 2|Im lambda|) x},
+        # which vanishes at |Im lambda| = 3 pi/4, inside the |Im lambda| <= pi
+        # that r_bsg_soliton accepts; next to that edge the panel rule would
+        # need millions of panels, or sin(2 lambda x) would overflow on them,
+        # and it refuses instead of returning NaN
+        spec = make_model("bsg", 1.0 / 3.0)
+        edge = 1.5 * spec.xi
+        assert edge == pytest.approx(0.75 * math.pi)
+        with pytest.raises(ToleranceNotMet, match="decay rate"):
+            r_bsg_soliton(complex(0.3, edge - eps), True, spec)
+
+    def test_phase_inside_the_strip(self):
+        # further inside, the phase is evaluated; its kernel is real, so
+        # phase(conj lambda) = conj phase(lambda)
+        xi = make_model("bsg", 1.0 / 3.0).xi
+        for im in (0.3, 0.5, 1.0, 2.0):
+            lam = complex(0.3, 0.75 * math.pi - im)
+            phase = reflection_mod._rs_phase_direct(lam, xi)
+            assert cmath.isfinite(phase)
+            mirror = reflection_mod._rs_phase_direct(lam.conjugate(), xi)
+            assert abs(mirror - phase.conjugate()) <= 1e-12
 
 
 class TestAmplitudeDispatch:

@@ -160,6 +160,13 @@ class TestSumRule:
         with pytest.raises(DomainError):
             sum_rule_check(-1.0, make_model("bsg", 0.5))
 
+    @pytest.mark.parametrize("omega", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_rejects_non_finite_frequency(self, omega):
+        spec = make_model("bsg", 0.5)
+        for call in (sum_rule_check, spectrum_curve):
+            with pytest.raises(DomainError, match="omega must be finite"):
+                call(omega, spec)
+
 
 class TestSpectrumCurve:
     def test_structure(self):

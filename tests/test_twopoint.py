@@ -14,6 +14,10 @@ from bscat.twopoint import (
     ReflectionBreakdown,
     default_omega_grid,
     fit_power_law,
+    r_term_12,
+    r_term_breather,
+    r_term_pm1,
+    r_term_soliton_pair,
     rates_from_r,
     reflection_coefficient,
 )
@@ -93,6 +97,20 @@ class TestReflectionCoefficient:
     def test_rejects_nonpositive_frequency(self):
         with pytest.raises(DomainError):
             reflection_coefficient(0.0, make_model("bsg", 0.5))
+
+    @pytest.mark.parametrize("omega", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_rejects_non_finite_frequency(self, omega):
+        spec = make_model("bsg", 1.0 / 3.0)
+        calls = [
+            lambda: reflection_coefficient(omega, spec),
+            lambda: r_term_breather(omega, 1, spec),
+            lambda: r_term_soliton_pair(omega, spec),
+            lambda: r_term_12(omega, make_model("bsg", 0.25)),
+            lambda: r_term_pm1(omega, spec),
+        ]
+        for call in calls:
+            with pytest.raises(DomainError, match="omega must be finite"):
+                call()
 
 
 def _synthetic_breakdowns(omegas, rs):
