@@ -20,7 +20,8 @@ e^{I}, 1/2 for F), halved until a panel spans at most 2 radians of
 hypot(|2 w|, decay) x.  The rule raises ToleranceNotMet if its G7 error
 estimate exceeds 1e-12, or if more than 4096 panels would be needed.
 The N-term Gamma product of e^{I} is one loggamma call on 8N points whose
-offsets, slopes and weights are precomputed per (xi, N).
+offsets, slopes and weights are precomputed per (xi, N).  The contour
+function H is exactly -[t^{2p-5}] prod (e^{-c/2} + t e^{c/2}) (see `bigH`).
 """
 
 from __future__ import annotations
@@ -223,7 +224,7 @@ def f_pm(l1: complex, l2: complex, spec: ModelSpec) -> complex:
 
 
 @lru_cache(maxsize=4096)
-def _s0_imag_axis(t: float, xi: float, a_terms: int = 400, b_terms: int = 400) -> float:
+def _s0_imag_axis(t: float, xi: float) -> float:
     """S0(i t) for t in (0, pi) off the pole set, via the exact double product
 
         S0(i t) = - prod_{a,b >= 0} [ ((a+1) xi + b pi + t)(a xi + (b+1) pi - t)
@@ -237,6 +238,7 @@ def _s0_imag_axis(t: float, xi: float, a_terms: int = 400, b_terms: int = 400) -
     """
     if not (0.0 < t < math.pi):
         raise DomainError(f"imaginary-axis S0 expects 0 < t < pi, got {t}")
+    a_terms = b_terms = 400
     aa = np.arange(a_terms, dtype=np.float64)[:, None]
     bb = np.arange(b_terms, dtype=np.float64)[None, :]
     c1 = (aa + 1.0) * xi + bb * math.pi
@@ -491,10 +493,10 @@ def _f12_structure(l1: complex, l2: complex, spec: ModelSpec) -> complex:
     )
 
 
-def _residue(func, h0: float = 1e-3) -> complex:
+def _residue(func) -> complex:
     """Residue of func's simple pole at offset 0: three-point Richardson of
-    eps * func(eps) over eps in {h, h/2, h/4}."""
-    r = [h * func(h) for h in (h0, h0 / 2.0, h0 / 4.0)]
+    eps * func(eps) over eps in {h, h/2, h/4}, h = 1e-3."""
+    r = [h * func(h) for h in (1e-3, 1e-3 / 2.0, 1e-3 / 4.0)]
     return (8.0 * r[2] - 6.0 * r[1] + r[0]) / 3.0
 
 
@@ -556,30 +558,28 @@ def bigH(
 ) -> complex:
     """Contour function H(l1..l4) over alpha in [-2 pi i, 0] (integer p only).
 
-    With alpha = -i phi the integrand is a trigonometric polynomial in phi of
-    degree 2(p-2)+1, so the m-node trapezoid rule is exact once
-    m >= 2(p-2)+2.  One pass at m = 128 (doubled while m/2 would not be
-    exact) covers every p.
+    With the M = 4(p-2) constants c_{kj} = l_k + i pi j/(p-1) - i pi/4 and
+    w = e^{-alpha}, each factor 2 sinh((alpha - c)/2) is
+    w^{-1/2} (e^{-c/2} - w e^{c/2}), so the contour mean of w prod(...) is
+    exactly its coefficient of w^s, s = M/2 - 1 = 2(p-2) - 1 (odd):
+    H = -[t^s] prod (e^{-c/2} + t e^{c/2}).  Keeping e^{-c/2} and e^{c/2}
+    together bounds every partial sum by the exact sum's largest term.
     """
     if spec.p_int is None:
         raise DomainError("H is defined for integer p only")
     p = spec.p_int
     if p == 2:
         return 0.0 + 0.0j
-    lams = np.array([l1, l2, l3, l4], dtype=np.complex128)
-    js = np.arange(1, p - 1, dtype=np.float64)
-    # constants c_{kj} = l_k + i pi j/(p-1) - i pi/4
-    cs = (lams[:, None] + 1j * math.pi * js[None, :] / (p - 1.0) - 0.25j * math.pi).ravel()
-    m = 128
-    while m // 2 < 2 * (p - 2) + 2:
-        m *= 2
-    phi = np.linspace(0.0, TWO_PI, m, endpoint=False)
-    alpha = -1j * phi
-    vals = np.exp(-alpha)
-    args = (alpha[:, None] - cs[None, :]) / 2.0
-    vals = vals * np.prod(2.0 * np.sinh(args), axis=1)
-    # substituting alpha = -i phi turns the measure into (1/2 pi) d phi
-    return complex(np.sum(vals)) / m
+    s = 2 * (p - 2) - 1
+    e = [1.0 + 0.0j] + [0.0j] * s  # coefficients of t^0..t^s
+    for l in (l1, l2, l3, l4):
+        for j in range(1, p - 1):
+            half = 0.5 * (complex(l) + 1j * math.pi * j / (p - 1.0) - 0.25j * math.pi)
+            a, b = cmath.exp(-half), cmath.exp(half)
+            for i in range(s, 0, -1):
+                e[i] = a * e[i] + b * e[i - 1]
+            e[0] *= a
+    return -e[s]
 
 
 def f_pmpm(

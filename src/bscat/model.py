@@ -131,14 +131,20 @@ def mass_ratio(exc: Excitation, spec: ModelSpec) -> float:
     return 1.0
 
 
+def check_omega(omega: float) -> None:
+    """Raise DomainError unless the frequency omega is finite and positive."""
+    if not (math.isfinite(omega) and omega > 0):
+        raise DomainError(f"omega must be finite and positive, got {omega}")
+
+
 def t_b_from_physical(epsilon_J: float, cutoff_Lambda: float, z: float) -> float:
     """Boundary scale T_B from junction energy, UV cutoff and coupling z.
 
     T_B = Gamma(z/(2(1-z))) / (sqrt(pi) Gamma(1/(2(1-z))))
           * (pi * epsilon_J / (Gamma(z) Lambda^z))^(1/(1-z))
     """
-    if epsilon_J <= 0 or cutoff_Lambda <= 0:
-        raise DomainError("epsilon_J and cutoff_Lambda must be positive")
+    if not all(math.isfinite(x) and x > 0 for x in (epsilon_J, cutoff_Lambda)):
+        raise DomainError("epsilon_J and cutoff_Lambda must be finite and positive")
     if not (0.0 < z < 1.0):
         raise DomainError(f"z must lie in (0, 1), got {z}")
     if z > 0.999:

@@ -125,8 +125,8 @@ def adaptive_1d(
         value += ival
         total_err += ierr
     result = QuadResult(value=value, abs_error_estimate=total_err, evaluations=nevals)
-    # small slack: re-summation can move the estimate a few ulp past tol
-    if total_err > tol * (1.0 + 1e-6):
+    # slack for a few ulp of re-summation; a NaN estimate fails too
+    if not total_err <= tol * (1.0 + 1e-6):
         raise ToleranceNotMet(
             f"adaptive_1d: error estimate {total_err:.3e} exceeds tol {tol:.3e}",
             value=value,

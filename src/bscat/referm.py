@@ -13,7 +13,7 @@ import cmath
 import math
 
 from .errors import DomainError
-from .model import ModelKind
+from .model import ModelKind, check_omega
 from .quadrature import adaptive_1d
 
 
@@ -26,8 +26,7 @@ def _lambda_cut(model: ModelKind) -> float:
 
 def r_half_closed(omega: float, model: ModelKind) -> complex:
     """Closed-form reflection coefficient at z = 1/2 (principal-branch log)."""
-    if omega <= 0:
-        raise DomainError(f"omega must be positive, got {omega}")
+    check_omega(omega)
     lam = _lambda_cut(model)
     if model is ModelKind.BoundarySineGordon:
         return 1.0 - (4j * lam / omega) * cmath.log(1.0 - 1j * omega / (2.0 * lam))
@@ -58,10 +57,9 @@ def conductance_finite_T(
 ) -> complex:
     """Reflection coefficient r(omega; T) from the finite-temperature
     conductance integral; reduces to r_half_closed at T = 0."""
-    if omega <= 0:
-        raise DomainError(f"omega must be positive, got {omega}")
-    if temperature < 0:
-        raise DomainError(f"temperature must be >= 0, got {temperature}")
+    check_omega(omega)
+    if not (math.isfinite(temperature) and temperature >= 0):
+        raise DomainError(f"temperature must be finite and >= 0, got {temperature}")
 
     if temperature == 0.0:
         # tanh weights become step functions selecting 0 < Omega < omega
@@ -85,9 +83,9 @@ def conductance_finite_T(
 
 def spectrum_half(omega_p: float, omega: float, model: ModelKind) -> float:
     """Energy-resolved inelastic spectrum gamma(omega_p | omega) at z = 1/2."""
-    if not (0.0 < omega_p < omega):
+    if not (0.0 < omega_p < omega < math.inf):
         raise DomainError(
-            f"need 0 < omega_p < omega, got omega_p={omega_p}, omega={omega}"
+            f"need 0 < omega_p < omega < inf, got omega_p={omega_p}, omega={omega}"
         )
 
     def f(x: float) -> complex:

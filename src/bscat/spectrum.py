@@ -21,11 +21,11 @@ import numpy as np
 
 from .errors import DomainError
 from .formfactors import f_111, f_breather1, f_pm, f_pm1
-from .model import ModelSpec, breather, mass_ratio
+from .model import ModelSpec, breather, check_omega, mass_ratio
 from .quadrature import adaptive_1d
 from .reflection import r_breather, soliton_pair_bracket, soliton_split_bracket
 from .smatrix import s0
-from .twopoint import ReflectionBreakdown, check_omega, reflection_coefficient
+from .twopoint import ReflectionBreakdown, reflection_coefficient
 
 _MEASURE = (2.0 * math.pi) ** 4
 

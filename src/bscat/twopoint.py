@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DomainError, InsufficientData, UnwrapError
 from .formfactors import breather_weight, r0_weights, set_integral
-from .model import ModelSpec, breather, mass_ratio
+from .model import ModelSpec, breather, check_omega, mass_ratio
 from .reflection import r_breather, soliton_pair_bracket
 
 # relative tolerances of the term integrals (absolute tol scales with omega)
@@ -43,12 +43,6 @@ class RateCurve:
     gamma: Tuple[float, ...]
     delta: Tuple[float, ...]
     err: Tuple[float, ...]
-
-
-def check_omega(omega: float) -> None:
-    """Raise DomainError unless the frequency omega is finite and positive."""
-    if not (math.isfinite(omega) and omega > 0):
-        raise DomainError(f"omega must be finite and positive, got {omega}")
 
 
 def r_term_breather(omega: float, m: int, spec: ModelSpec) -> complex:

@@ -56,7 +56,8 @@ class TestBuildingBlocks:
 
     @pytest.mark.parametrize("spec", [SPEC3, SPEC4], ids=["p3", "p4"])
     def test_bigH_matches_high_precision_sum(self, spec):
-        # the same 128-node trapezoid sum, evaluated with 50 digits
+        # the contour mean as a 128-node trapezoid sum, exact for this
+        # trigonometric polynomial, evaluated with 50 digits
         ls = (0.4 + 0.1j, -0.7, 1.3 - 0.2j, 0.2 + 0.3j)
         p = spec.p_int
         m = 128
@@ -76,6 +77,49 @@ class TestBuildingBlocks:
             expected = complex(acc / m)
         value = bigH(*ls, spec)
         assert abs(value - expected) <= 1e-10 * abs(expected)
+
+    @pytest.mark.parametrize("spread", [5.0, 15.0])
+    @pytest.mark.parametrize("p", [3, 4, 5, 8])
+    def test_bigH_exact_at_wide_rapidity_spread(self, p, spread):
+        # The integrand has degree 2(p-2)+1 in e^{i phi}, so the trapezoid
+        # rule with m = 2(p-2)+2 nodes is exact.  With rapidities of one sign
+        # its terms exceed their cancelling sum by many orders, so the
+        # precision is doubled until doubling it no longer moves the value.
+        ls = (
+            spread + 0.1j,
+            0.8 * spread - 0.3j,
+            0.35 * spread + 0.2j,
+            -0.55 * spread + 0.4j,
+        )
+        m = 2 * (p - 2) + 2
+
+        def contour_mean(dps):
+            with mpmath.workdps(dps):
+                cs = [
+                    mpmath.mpc(l) + 1j * mpmath.pi * (mpmath.mpf(j) / (p - 1) - 0.25)
+                    for l in ls
+                    for j in range(1, p - 1)
+                ]
+                acc = mpmath.mpc(0)
+                for k in range(m):
+                    alpha = -2j * mpmath.pi * k / m
+                    term = mpmath.exp(-alpha)
+                    for c in cs:
+                        term *= 2 * mpmath.sinh((alpha - c) / 2)
+                    acc += term
+                return acc / m
+
+        dps = 30
+        value = contour_mean(dps)
+        while True:
+            finer = contour_mean(2 * dps)
+            if abs(finer - value) <= mpmath.mpf(10) ** (-25) * abs(finer):
+                break
+            dps, value = 2 * dps, finer
+        expected = complex(finer)
+        assert abs(bigH(*ls, make_model("bsg", 1.0 / p)) - expected) <= 1e-13 * abs(
+            expected
+        )
 
 
 class TestLorentzCovariance:

@@ -47,6 +47,11 @@ class TestAdaptive1D:
         assert exc.value.value is not None
         assert exc.value.abs_error_estimate > 1e-15
 
+    def test_nan_integrand_is_an_error(self):
+        with pytest.raises(ToleranceNotMet) as exc:
+            adaptive_1d(lambda x: math.nan, 0.0, 1.0, tol=1e-10)
+        assert math.isnan(exc.value.abs_error_estimate)
+
     def test_deterministic(self):
         def f(x):
             return math.sin(7.0 * x) / (1.0 + x * x)

@@ -41,6 +41,11 @@ class TestClosedForm:
         with pytest.raises(DomainError):
             r_half_closed(0.0, BSG)
 
+    @pytest.mark.parametrize("omega", [math.nan, math.inf])
+    def test_rejects_nonfinite_frequency(self, omega):
+        with pytest.raises(DomainError):
+            r_half_closed(omega, BSG)
+
 
 class TestFiniteTemperature:
     def test_zero_temperature_reduction(self):
@@ -67,6 +72,14 @@ class TestFiniteTemperature:
         with pytest.raises(DomainError):
             conductance_finite_T(1.0, -0.1, BSG)
 
+    @pytest.mark.parametrize(
+        "omega, temperature",
+        [(math.nan, 0.5), (math.inf, 0.5), (1.0, math.nan), (1.0, math.inf)],
+    )
+    def test_rejects_nonfinite_input(self, omega, temperature):
+        with pytest.raises(DomainError):
+            conductance_finite_T(omega, temperature, BSG)
+
 
 class TestSpectrum:
     def test_frozen_values(self):
@@ -87,6 +100,10 @@ class TestSpectrum:
             spectrum_half(1.0, 1.0, BSG)
         with pytest.raises(DomainError):
             spectrum_half(-0.1, 1.0, BSG)
+        with pytest.raises(DomainError):
+            spectrum_half(math.nan, 1.0, BSG)
+        with pytest.raises(DomainError):
+            spectrum_half(0.5, math.inf, BSG)
 
     @pytest.mark.parametrize("model", [BSG, KONDO], ids=["bsg", "kondo"])
     @pytest.mark.parametrize("omega", [0.1, 1.0, 10.0])
