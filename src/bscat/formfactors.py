@@ -19,8 +19,13 @@ the integrand's exponential bound falls below 1e-16.  The panel width is
 e^{I}, 1/2 for F), halved until a panel spans at most 2 radians of
 hypot(|2 w|, decay) x.  The rule raises ToleranceNotMet if its G7 error
 estimate exceeds 1e-12, or if more than 4096 panels would be needed.
-The N-term Gamma product of e^{I} is one loggamma call on 8N points whose
-offsets, slopes and weights are precomputed per (xi, N).  The contour
+e^{I} calls that rule only to build tables: per (xi, Im lambda), the
+residual is tabulated in Re lambda on panels of width 1 with 21 Chebyshev
+points (degree 20), each built on first use and checked against the rule
+to 1e-12 absolute at its 20 interior midpoints (`quadrature.ChebyshevTable`).
+The Gamma product that leaves this residual is truncated at N = 2 (N = 10
+for xi < 1/2) and evaluated exactly, as one loggamma call on 8N points
+whose offsets, slopes and weights are precomputed per (xi, N).  The contour
 function H is exactly -[t^{2p-5}] prod (e^{-c/2} + t e^{c/2}) (see `bigH`).
 """
 
@@ -37,6 +42,7 @@ from scipy.special import loggamma
 from .errors import ConvergenceError, DomainError
 from .model import ModelSpec, breather, mass_ratio
 from .quadrature import (
+    ChebyshevTable,
     adaptive_1d,
     integrate_semi_infinite,
     integrate_simplex,
@@ -46,6 +52,10 @@ from .smatrix import s0
 
 TWO_PI = 2.0 * math.pi
 DEFAULT_N = 10
+# the e^{I} residual tables: panel width in Re lambda and Chebyshev points
+# per panel
+_TABLE_WIDTH = 1.0
+_TABLE_POINTS = 21
 _STRIP_TOL = 1e-9
 
 
@@ -66,36 +76,87 @@ def _check_strip(*diffs: complex) -> None:
 # e^{I(lambda)} and derived pair functions
 
 
-@lru_cache(maxsize=400_000)
-def _exp_i_cached(lam_r: float, lam_i: float, xi: float, N: int) -> complex:
-    lam = complex(lam_r, lam_i)
-
-    # residual semi-infinite integral
+def _exp_i_residual(lam: complex, xi: float, N: int) -> complex:
+    """The residual integral of I(lambda) left by the N-term Gamma product,
+    on the panel rule; zero at xi = pi, where its kernel vanishes."""
     if abs(math.pi - xi) < 1e-14:
-        integral = 0.0 + 0.0j  # kernel vanishes identically
-    else:
-        decay = 2.0 * N * math.pi + min(xi + math.pi, TWO_PI) - abs(lam.imag + math.pi)
-        if decay <= 0.0:
-            raise DomainError(
-                f"exp_I residual integral diverges at Im lambda = {lam.imag} (N = {N})"
-            )
-        w = (lam + 1j * math.pi) / 2.0
-        integral = integrate_tabulated(
-            _exp_i_kernel,
-            (xi, N),
-            w,
-            2,
-            decay,
-            # nearest kernel poles: sinh(pi x), cosh(pi x/2) at i, sinh(xi x/2) at 2 pi i/xi
-            min(1.0, TWO_PI / xi),
-            tol=1e-12,
-        ).value
+        return 0.0 + 0.0j
+    w = (lam + 1j * math.pi) / 2.0
+    return integrate_tabulated(
+        _exp_i_kernel,
+        (xi, N),
+        w,
+        2,
+        _exp_i_decay(lam.imag, xi, N),
+        # nearest kernel poles: sinh(pi x), cosh(pi x/2) at i, sinh(xi x/2) at 2 pi i/xi
+        min(1.0, TWO_PI / xi),
+        tol=1e-12,
+    ).value
 
-    # Gamma-function product over k = 1..N, factor k carrying exponent k
+
+def _exp_i_decay(lam_i: float, xi: float, N: int) -> float:
+    """Decay rate of the residual integrand at Im lambda = lam_i; raises
+    DomainError where the integral diverges."""
+    decay = 2.0 * N * math.pi + min(xi + math.pi, TWO_PI) - abs(lam_i + math.pi)
+    if decay <= 0.0:
+        raise DomainError(
+            f"exp_I residual integral diverges at Im lambda = {lam_i} (N = {N})"
+        )
+    return decay
+
+
+def _exp_i_log_product(lam: complex, xi: float, N: int) -> complex:
+    """Log of the N-term Gamma product of e^{I(lambda)}."""
     offsets, slopes, weights, const = _exp_i_product_terms(xi, N)
     u = 1j * lam / math.pi
-    log_product = complex(weights @ loggamma(offsets + slopes * u)) + const
-    return cmath.exp(integral + log_product)
+    return complex(weights @ loggamma(offsets + slopes * u)) + const
+
+
+def _exp_i_direct(lam: complex, xi: float, N: int) -> complex:
+    """e^{I(lambda)} from the N-term Gamma product and the residual
+    integral, without the table: the reference the table is checked
+    against, N-independent for N >= 1."""
+    return cmath.exp(_exp_i_residual(lam, xi, N) + _exp_i_log_product(lam, xi, N))
+
+
+def _table_n(xi: float) -> int:
+    """The Gamma-product truncation N of the e^{I} tables.
+
+    N = 2 for xi >= 1/2 (z >= 0.137), where the residual's panel-rule error
+    estimate stays below 4.5e-14 over |Im lambda| <= 2 pi, |Re lambda| <= 40.
+    For smaller xi the N = 2 residual misses its 1e-12 tolerance on lines
+    Im lambda > pi/2 (6.7e-12 at z = 0.125, Im lambda = 1.625 pi): the panel
+    layout sizes panels by hypot(2|w|, decay), but sin^2(w x) also carries a
+    component that decays 2|Im w| faster than the kernel, which the first
+    panel does not resolve.  There the tables keep DEFAULT_N, whose larger
+    decay narrows the panels.
+    """
+    return 2 if xi >= 0.5 else DEFAULT_N
+
+
+@lru_cache(maxsize=256)
+def _exp_i_line(xi: float, lam_i: float) -> ChebyshevTable:
+    """The residual integral at N = _table_n(xi) along Im lambda = lam_i,
+    tabulated in Re lambda."""
+    N = _table_n(xi)
+    return ChebyshevTable(
+        lambda lam_r: _exp_i_residual(complex(lam_r, lam_i), xi, N),
+        _TABLE_WIDTH,
+        _TABLE_POINTS,
+        tol=1e-12,
+    )
+
+
+@lru_cache(maxsize=400_000)
+def _exp_i_cached(lam_r: float, lam_i: float, xi: float) -> complex:
+    lam = complex(lam_r, lam_i)
+    N = _table_n(xi)
+    if abs(math.pi - xi) < 1e-14:
+        residual = 0.0 + 0.0j
+    else:
+        _exp_i_decay(lam_i, xi, N)
+        residual = _exp_i_line(xi, lam_i)(lam_r)
+    return cmath.exp(residual + _exp_i_log_product(lam, xi, N))
 
 
 def _exp_i_kernel(x: np.ndarray, xi: float, N: int) -> np.ndarray:
@@ -154,12 +215,21 @@ def _exp_i_product_terms(xi: float, N: int):
     return offsets, slopes, weights, const
 
 
-def exp_I(lam: complex, spec: ModelSpec, N: int = DEFAULT_N) -> complex:
-    """The pair special function e^{I(lambda)}; N-independent for N >= 1."""
-    if N < 1:
-        raise DomainError(f"N must be >= 1, got {N}")
+def exp_I(lam: complex, spec: ModelSpec) -> complex:
+    """The pair special function e^{I(lambda)}.
+
+    The Gamma product is truncated at N = 2 (16 loggamma terms, evaluated
+    exactly; N = 10 for xi < 1/2, see `_table_n`).  The residual integral it
+    leaves is analytic along each line Im lambda = const inside its strip
+    and is read from a per-(xi, Im lambda) table of degree-20 Chebyshev
+    panels of width 1 in Re lambda, each built from the panel-rule integral
+    on first use and checked against it to 1e-12 absolute at its 20
+    interior midpoints (`quadrature.ChebyshevTable`).  The whole exponent is
+    not tabulated: e^{I} has zeros and poles at Re lambda = 0 on some lines,
+    where the loggamma sum jumps by 2 pi i k.
+    """
     lam = complex(lam)
-    return _exp_i_cached(lam.real, lam.imag, spec.xi, N)
+    return _exp_i_cached(lam.real, lam.imag, spec.xi)
 
 
 @lru_cache(maxsize=64)
@@ -183,10 +253,10 @@ def c_const(spec: ModelSpec) -> float:
     return _c_const_cached(spec.xi, spec.p)
 
 
-def zeta(lam: complex, spec: ModelSpec, N: int = DEFAULT_N) -> complex:
+def zeta(lam: complex, spec: ModelSpec) -> complex:
     """zeta(lambda) = c sinh(lambda/2) e^{I(lambda)}."""
     lam = complex(lam)
-    return c_const(spec) * cmath.sinh(lam / 2.0) * exp_I(lam, spec, N)
+    return c_const(spec) * cmath.sinh(lam / 2.0) * exp_I(lam, spec)
 
 
 def f_pm(l1: complex, l2: complex, spec: ModelSpec) -> complex:

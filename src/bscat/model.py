@@ -11,6 +11,7 @@ import enum
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
 from scipy.special import gamma as _gamma
 
 from .errors import DomainError
@@ -149,8 +150,16 @@ def t_b_from_physical(epsilon_J: float, cutoff_Lambda: float, z: float) -> float
         raise DomainError(f"z must lie in (0, 1), got {z}")
     if z > 0.999:
         raise DomainError("z too close to 1: the exponent 1/(1-z) diverges")
-    pref = _gamma(z / (2.0 * (1.0 - z))) / (
-        math.sqrt(math.pi) * _gamma(1.0 / (2.0 * (1.0 - z)))
-    )
-    bracket = math.pi * epsilon_J / (_gamma(z) * cutoff_Lambda**z)
-    return float(pref * bracket ** (1.0 / (1.0 - z)))
+    # an out-of-range T_B is refused below, not warned about here
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        pref = _gamma(z / (2.0 * (1.0 - z))) / (
+            math.sqrt(math.pi) * _gamma(1.0 / (2.0 * (1.0 - z)))
+        )
+        bracket = math.pi * epsilon_J / (_gamma(z) * cutoff_Lambda**z)
+        t_b = float(pref * bracket ** (1.0 / (1.0 - z)))
+    if not (math.isfinite(t_b) and t_b > 0.0):
+        raise DomainError(
+            f"T_B = {t_b} is not a finite positive number: epsilon_J = {epsilon_J}, "
+            f"cutoff_Lambda = {cutoff_Lambda} and z = {z} are out of range"
+        )
+    return t_b

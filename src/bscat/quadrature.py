@@ -3,11 +3,12 @@
 Deterministic adaptive Gauss-Kronrod (G7/K15) quadrature for complex-valued
 integrands, an energy-simplex integrator implementing the delta-constrained
 measure prod dE_i/E_i / (2pi)^n / n!, a truncated semi-infinite
-integrator, and a cached rule of equal GK15 panels on [0, x_max] for the
+integrator, a cached rule of equal GK15 panels on [0, x_max] for the
 per-rapidity kernel integrals, whose tabulated kernels are multiplied by a
-rapidity-dependent factor on every call.  All engines are pure functions of
-their inputs: identical calls produce bit-identical results (fixed
-subdivision order, heap keyed with deterministic tie-breaks).
+rapidity-dependent factor on every call, and a lazily built piecewise-
+Chebyshev table of a smooth function of one real variable.  All engines are
+pure functions of their inputs: identical calls produce bit-identical
+results (fixed subdivision order, heap keyed with deterministic tie-breaks).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Tuple
+from typing import Callable, Dict, Tuple
 
 import numpy as np
 
@@ -392,3 +393,91 @@ def integrate_tabulated(
     # numpy's real sine is several times faster than its complex one
     kappa = kappa.real if kappa.imag == 0.0 else kappa
     return rule.integrate(table[:n] * np.sin(kappa * rule.nodes[:n]) ** power, tol)
+
+
+# ---------------------------------------------------------------------------
+# Piecewise-Chebyshev tables of smooth functions on the real line
+
+
+@lru_cache(maxsize=8)
+def _chebyshev_rule(n: int) -> Tuple[np.ndarray, np.ndarray, Tuple[float, ...]]:
+    """The n first-kind Chebyshev points t_j = cos(pi (j + 1/2)/n) on
+    [-1, 1], the matrix that maps values there to the coefficients of the
+    degree n - 1 interpolant in T_0..T_{n-1}, and the n - 1 interior
+    extrema cos(pi j/n) of T_n, midway in angle between adjacent points.
+    The interpolation error is proportional to T_n, so it peaks there."""
+    angles = math.pi * (np.arange(n) + 0.5) / n
+    to_coeffs = (2.0 / n) * np.cos(np.outer(np.arange(n), angles))
+    to_coeffs[0] *= 0.5
+    midpoints = tuple(math.cos(math.pi * j / n) for j in range(1, n))
+    return np.cos(angles), to_coeffs, midpoints
+
+
+def _clenshaw(coeffs: Tuple[complex, ...], t: float) -> complex:
+    """sum_k coeffs[k] T_k(t) by Clenshaw's recurrence."""
+    b1 = b2 = 0.0
+    t2 = 2.0 * t
+    for c in coeffs[:0:-1]:
+        b1, b2 = t2 * b1 - b2 + c, b1
+    return t * b1 - b2 + coeffs[0]
+
+
+class ChebyshevTable:
+    """A lazily built piecewise-Chebyshev interpolant of builder(x), x real.
+
+    The real line is cut into equal panels [k width, (k + 1) width], k an
+    integer.  A panel is built on the first lookup that lands in it: the
+    builder is called on its n first-kind Chebyshev points and the values
+    become the coefficients of a degree n - 1 interpolant (Trefethen,
+    Approximation Theory and Approximation Practice, chs. 8 and 19).  Every
+    new panel is then checked against the builder at the n - 1 interior
+    extrema of T_n; if the interpolant is off by more than `tol` there
+    (absolute), the panel is not kept and ToleranceNotMet is raised.  The
+    builder must be analytic in a neighbourhood of each panel it is asked
+    for.  `panels` counts the panels built so far, and `worst_error` is the
+    largest check error seen on them.
+    """
+
+    def __init__(
+        self, builder: Callable[[float], complex], width: float, n: int, tol: float
+    ):
+        self._builder = builder
+        self._width = width
+        self._n = n
+        self._tol = tol
+        self._panels: Dict[int, Tuple[complex, ...]] = {}
+        self.worst_error = 0.0
+
+    @property
+    def panels(self) -> int:
+        return len(self._panels)
+
+    def __call__(self, x: float) -> complex:
+        k = math.floor(x / self._width)
+        coeffs = self._panels.get(k)
+        if coeffs is None:
+            coeffs = self._build(k)
+        # local coordinate in [-1, 1] of x on panel k
+        return _clenshaw(coeffs, 2.0 * (x / self._width - k) - 1.0)
+
+    def _build(self, k: int) -> Tuple[complex, ...]:
+        half = 0.5 * self._width
+        centre = (k + 0.5) * self._width
+        points, to_coeffs, midpoints = _chebyshev_rule(self._n)
+        values = np.array([self._builder(centre + half * t) for t in points])
+        coeffs = tuple(complex(c) for c in to_coeffs @ values)
+        errors = [
+            abs(_clenshaw(coeffs, t) - self._builder(centre + half * t))
+            for t in midpoints
+        ]
+        # np.max, unlike max, returns a NaN it meets, which then fails
+        err = float(np.max(errors))
+        if not err <= self._tol:
+            raise ToleranceNotMet(
+                f"Chebyshev table: panel [{centre - half:.6g}, {centre + half:.6g}] "
+                f"interpolates with error {err:.3e}, more than tol {self._tol:.3e}",
+                abs_error_estimate=err,
+            )
+        self.worst_error = max(self.worst_error, err)
+        self._panels[k] = coeffs
+        return coeffs

@@ -37,6 +37,8 @@ def _rows(csv_text):
         (["r0", "--z", "1.5"], 1),
         (["convert-tb", "--epsilon-j", "nan", "--cutoff-lambda", "1", "--z", "0.5"], 1),
         (["convert-tb", "--epsilon-j", "1", "--cutoff-lambda", "inf", "--z", "0.5"], 1),
+        (["convert-tb", "--epsilon-j", "1e300", "--cutoff-lambda", "1", "--z", "0.9"], 1),
+        (["convert-tb", "--epsilon-j", "1e-300", "--cutoff-lambda", "1", "--z", "0.9"], 1),
         # a flag outside its click type is a usage error
         (["spectrum", "--z", "0.5", "--points", "-3"], 2),
     ],

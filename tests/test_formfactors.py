@@ -6,6 +6,9 @@ import pytest
 
 from bscat.errors import DomainError
 from bscat.formfactors import (
+    _exp_i_direct,
+    _exp_i_line,
+    _table_n,
     bigF,
     bigH,
     c_const,
@@ -35,10 +38,41 @@ class TestBuildingBlocks:
         )
 
     def test_exp_I_truncation_independence(self):
+        # the tabulated value against the direct N-term representation
         for lam in (0.3, -0.6, 0.3 + 0.2j):
-            ref = exp_I(lam, SPEC3, N=20)
-            for n in (5, 10):
-                assert abs(exp_I(lam, SPEC3, N=n) - ref) < 1e-10
+            ref = exp_I(lam, SPEC3)
+            for n in (5, 10, 20):
+                assert abs(_exp_i_direct(complex(lam), SPEC3.xi, n) - ref) < 1e-10
+
+    @pytest.mark.parametrize("z", [0.1, 0.25, 0.4, 0.6])
+    def test_exp_I_table_matches_direct(self, z):
+        # lines 0, +-pi and +-theta1/2 carry the zeros and poles of e^{I} at
+        # Re lambda = 0 (z = 1/4 at theta1/2, z >= 0.4 at pi); z = 0.1
+        # takes the N = 10 tables
+        spec = make_model("bsg", z)
+        half_theta1 = (math.pi - spec.xi) / 2.0
+        n = _table_n(spec.xi)
+        for im in (0.0, math.pi, -math.pi, half_theta1, -half_theta1):
+            for re in (1e-9, -1e-9, 0.3, -0.3, 20.0, -20.0):
+                lam = complex(re, im)
+                ref = _exp_i_direct(lam, spec.xi, n)
+                assert abs(exp_I(lam, spec) / ref - 1.0) <= 1e-12
+
+    def test_exp_I_table_reports_its_panels_and_error(self):
+        # a line no other test uses: one lookup builds one checked panel
+        im = 0.123456789
+        exp_I(complex(3.7, im), SPEC3)
+        table = _exp_i_line(SPEC3.xi, im)
+        assert table.panels == 1
+        assert 0.0 < table.worst_error <= 1e-12
+
+    def test_exp_I_divergent_residual_is_refused_before_any_table(self):
+        before = _exp_i_line.cache_info().currsize
+        with pytest.raises(
+            DomainError, match=r"exp_I residual integral diverges at Im lambda = "
+        ):
+            exp_I(complex(0.4, 25.0 * math.pi), SPEC3)
+        assert _exp_i_line.cache_info().currsize == before
 
     def test_bigF_truncation_independence(self):
         for lam in (0.7, -0.4):

@@ -117,7 +117,18 @@ class TestBoundaryScaleConversion:
             math.pi, rel=1e-14
         )
 
-    @pytest.mark.parametrize("args", [(-1.0, 1.0, 0.5), (1.0, 0.0, 0.5), (1.0, 1.0, 1.2)])
+    @pytest.mark.parametrize(
+        "args",
+        [
+            (-1.0, 1.0, 0.5),
+            (1.0, 0.0, 0.5),
+            (1.0, 1.0, 1.2),
+            # finite couplings whose T_B overflows, underflows or is nan
+            (1e300, 1.0, 0.9),
+            (1e-300, 1.0, 0.9),
+            (1.0, 1.0, 0.998),
+        ],
+    )
     def test_domain_errors(self, args):
         with pytest.raises(DomainError):
             t_b_from_physical(*args)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import bscat.quadrature as quadrature
 from bscat.errors import DomainError, ToleranceNotMet
 from bscat.quadrature import (
+    ChebyshevTable,
     adaptive_1d,
     integrate_semi_infinite,
     integrate_simplex,
@@ -163,6 +164,53 @@ class TestSemiInfinite:
     def test_invalid_decay_rate(self):
         with pytest.raises(DomainError):
             integrate_semi_infinite(lambda x: 1.0, decay_rate=0.0)
+
+
+class TestChebyshevTable:
+    def test_interpolates_an_analytic_function(self):
+        def f(x):
+            return complex(math.cos(x), math.sin(3.0 * x))
+
+        table = ChebyshevTable(f, 1.0, 21, 1e-12)
+        for x in (-7.3, -1e-9, 0.0, 0.3, 0.999999, 20.0):
+            assert abs(table(x) - f(x)) <= 1e-13
+        assert table.panels == 4  # [-8, -7], [-1, 0], [0, 1] and [20, 21]
+        assert 0.0 <= table.worst_error <= 1e-13
+
+    def test_one_lookup_builds_one_panel(self):
+        calls = []
+
+        def builder(x):
+            calls.append(x)
+            return math.exp(x)
+
+        table = ChebyshevTable(builder, 0.5, 21, 1e-12)
+        table(1.3)
+        # 21 Chebyshev points plus the 20 interior midpoints of the check,
+        # all inside the panel [1, 1.5]
+        assert table.panels == 1
+        assert len(calls) == 41 and 1.0 < min(calls) and max(calls) < 1.5
+        table(1.1)
+        assert table.panels == 1 and len(calls) == 41
+        table(1.6)
+        assert table.panels == 2 and len(calls) == 82
+
+    @pytest.mark.parametrize(
+        "builder",
+        [
+            lambda x: 0.0 if x < 0.5 else 1.0,
+            # NaN only at the last check point, 0.5 + 0.5 cos(20 pi/21)
+            lambda x: math.nan if 0.004 < x < 0.008 else x,
+        ],
+        ids=["step", "nan-at-the-last-check"],
+    )
+    def test_discontinuous_builder_is_refused(self, builder):
+        table = ChebyshevTable(builder, 1.0, 21, 1e-12)
+        with pytest.raises(ToleranceNotMet, match="Chebyshev table") as exc:
+            table(0.2)
+        assert not exc.value.abs_error_estimate <= 1e-12
+        # the failed panel is not kept, and the worst error counts kept ones
+        assert table.panels == 0 and table.worst_error == 0.0
 
 
 class TestPanelRule:
