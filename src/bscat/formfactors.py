@@ -149,14 +149,16 @@ def _exp_i_line(xi: float, lam_i: float) -> ChebyshevTable:
 
 @lru_cache(maxsize=400_000)
 def _exp_i_cached(lam_r: float, lam_i: float, xi: float) -> complex:
-    lam = complex(lam_r, lam_i)
     N = _table_n(xi)
-    if abs(math.pi - xi) < 1e-14:
-        residual = 0.0 + 0.0j
-    else:
-        _exp_i_decay(lam_i, xi, N)
-        residual = _exp_i_line(xi, lam_i)(lam_r)
-    return cmath.exp(residual + _exp_i_log_product(lam, xi, N))
+    _exp_i_decay(lam_i, xi, N)
+    lam = complex(lam_r, lam_i)
+    exponent = _exp_i_line(xi, lam_i)(lam_r) + _exp_i_log_product(lam, xi, N)
+    try:
+        return cmath.exp(exponent)
+    except OverflowError:
+        raise DomainError(
+            f"e^I overflows at lambda = {lam} (xi = {xi}): exponent {exponent:.4g}"
+        ) from None
 
 
 def _exp_i_kernel(x: np.ndarray, xi: float, N: int) -> np.ndarray:
@@ -227,8 +229,14 @@ def exp_I(lam: complex, spec: ModelSpec) -> complex:
     interior midpoints (`quadrature.ChebyshevTable`).  The whole exponent is
     not tabulated: e^{I} has zeros and poles at Re lambda = 0 on some lines,
     where the loggamma sum jumps by 2 pi i k.
+
+    At xi = pi (z = 1/2) e^{I} is identically 1: the Gamma product cancels
+    term by term and the residual's kernel vanishes.  That point is answered
+    here, before the cache and the tables.
     """
     lam = complex(lam)
+    if abs(math.pi - spec.xi) < 1e-14:
+        return 1.0 + 0.0j
     return _exp_i_cached(lam.real, lam.imag, spec.xi)
 
 
@@ -265,8 +273,15 @@ def f_pm(l1: complex, l2: complex, spec: ModelSpec) -> complex:
     d = l1 - l2
     _check_strip(d)
     half = (spec.p - 1.0) / 2.0
-    sh = cmath.sinh(d / 2.0)
-    ch = cmath.cosh(half * (d + 1j * math.pi))
+    try:
+        sh = cmath.sinh(d / 2.0)
+        ch = cmath.cosh(half * (d + 1j * math.pi))
+    except OverflowError:
+        # |Re d| (p - 1)/2 past ~710: reached at small z, e.g. z = 0.005
+        # with |Re d| > 7.1
+        raise DomainError(
+            f"f_pm overflows at lambda1 - lambda2 = {d} (z = {spec.z})"
+        ) from None
     if abs(ch) < 1e-9:
         if abs(sh) < 1e-9:
             # removable 0/0 at coinciding rapidities (even p): L'Hopital
@@ -748,7 +763,10 @@ def f_pm1(l1: complex, l2: complex, l3: complex, spec: ModelSpec) -> complex:
 # Excitation sets of the reflection coefficient and their free-theory weights
 
 # multi-particle sets: label -> (per line, the breather whose mass ratio
-# shifts the rapidity, 0 for a soliton line; the tolerance of its r0 weight)
+# shifts the rapidity, 0 for a soliton line; the tolerance of its r0 weight).
+# The tolerance is set_integral's `tol`, in the units of integrate_simplex:
+# before the 1/((2 pi)^n n!) normalisation.  The r0 weight itself is held to
+# tol/(2 pi)^n: 1e-7 on "pm1" gives about 4e-10 (estimate 3.5e-10 at z = 1/3).
 _SETS = {"pm": ((0, 0), 1e-9), "12": ((1, 2), 1e-9), "pm1": ((0, 0, 1), 1e-7)}
 _SET_FORM_FACTORS = {"pm": f_pm, "12": f_12, "pm1": f_pm1}
 
@@ -769,7 +787,11 @@ def set_integral(
     """n!/omega times the energy-simplex integral at total energy omega of
     reflection(l) |f(l)|^2 for the multi-particle set `label`, with
     l_k = log E_k - log(mass ratio of line k).  Without `reflection` the
-    reflection factor is 1 (the free theory)."""
+    reflection factor is 1 (the free theory).
+
+    `tol` is integrate_simplex's absolute tolerance, on the integral before
+    its 1/((2 pi)^n n!) normalisation; the returned value is held to about
+    tol/((2 pi)^n omega), n the number of lines."""
     lines, _ = _SETS[label]
     form_factor = _SET_FORM_FACTORS[label]
     shifts = [math.log(mass_ratio(breather(b), spec)) if b else 0.0 for b in lines]

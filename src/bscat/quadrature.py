@@ -174,6 +174,10 @@ def integrate_simplex(
     The integrand receives the energies E_1, ..., E_n as positional arguments
     and returns the physical integrand WITHOUT the 1/E jacobian (applied
     internally).
+    `tol` is absolute and bounds the integral BEFORE the normalisation
+    1/((2 pi)^n n!): the returned value and `abs_error_estimate` are after
+    it, so the estimate is held to about tol/((2 pi)^n n!) (6.7e-4 tol at
+    n = 3).
     Endpoint corners are mapped with the substitution E = total * u^2, which
     renders integrands whose values vanish linearly (or as E^(1/2) per
     soliton leg) smooth at the corners.  `evaluations` counts the integrand

@@ -53,8 +53,6 @@ def _rs_phase_pole(xi: float) -> float:
 
 
 def _rs_phase_direct(lam: complex, xi: float) -> complex:
-    if abs(math.pi - xi) < 1e-14:
-        return 0.0 + 0.0j  # the integrand vanishes identically at z = 1/2
     decay = min(3.0 * xi, xi + 2.0 * math.pi) - 2.0 * abs(lam.imag)
     if decay <= 0.0:
         raise DomainError(
@@ -97,8 +95,10 @@ def r_s(lam: complex, spec: ModelSpec) -> complex:
     den = 2.0 * cmath.cosh(pm1 * lam / 2.0 - 1j * math.pi / 4.0)
     if abs(den) < _POLE_TOL:
         raise DomainError(f"R_s pole at lambda = {lam}")
-    phase = _rs_phase_cached(lam.real, lam.imag, spec.xi)
-    return cmath.exp(-1j * math.pi / 4.0) / den * cmath.exp(1j * phase)
+    amplitude = cmath.exp(-1j * math.pi / 4.0) / den
+    if abs(math.pi - spec.xi) < 1e-14:
+        return amplitude  # the phase integrand vanishes identically at z = 1/2
+    return amplitude * cmath.exp(1j * _rs_phase_cached(lam.real, lam.imag, spec.xi))
 
 
 def r_bsg_soliton(lam: complex, flip: bool, spec: ModelSpec) -> complex:

@@ -8,6 +8,14 @@ energies of the internal lines fixed by sharp conservation at every vertex.
 Absorbed lines enter their form factors at the crossed rapidity lambda + i pi,
 evaluated exactly on the line Im = pi: the form factors are regular there, so
 no regulator is needed.  Frequencies in units of T_B = 1.
+
+Each diagram is one integral over the internal energy E in (0, omega -
+omega'), whose integrand behaves like sqrt(E) and sqrt(omega - omega' - E) at
+the ends.  It is integrated in t in (0, 1) with the smoothstep map
+E = (omega - omega') t^2 (3 - 2t) (a sigmoidal substitution: Sidi, "A new
+variable transformation for numerical integration", 1993), whose jacobian
+vanishes at both ends and leaves the integrand smooth there, so adaptive
+Gauss-Kronrod needs no bisection toward the endpoints.
 """
 
 from __future__ import annotations
@@ -80,6 +88,12 @@ def _diagram(
     excitations, "s" for a soliton or antisoliton and "b" for breather 1.
     Line k enters `reflection(l1..l4)` and `formfactors(l1..l4)` through its
     rapidity log(e_k), less log(m_1/m_s) on breather lines.
+
+    The integral is one adaptive GK15 call over t in (0, 1), with
+    E = w t^2 (3 - 2t) and dE = 6 w t (1 - t) dt, w = omega - omega': a
+    sqrt(E) or sqrt(w - E) endpoint becomes a smooth t^2 or (1 - t)^2.  Its
+    absolute tolerance _TOL_DIAGRAM max(1, omega) applies to the E-integral
+    itself, which the map leaves unchanged.
     """
     if not (0.0 < omega_p < omega):
         raise DomainError(
@@ -104,8 +118,11 @@ def _diagram(
         fval = formfactors(*ls).real
         return rpart * fval / (_MEASURE * (es[0] * es[1] * es[2] * es[3]))
 
+    def mapped(t: float) -> float:
+        return integrand(width * t * t * (3.0 - 2.0 * t)) * (6.0 * width * t * (1.0 - t))
+
     tol = _TOL_DIAGRAM * max(1.0, omega)
-    val = float(adaptive_1d(integrand, 0.0, width, tol=tol).value.real)
+    val = float(adaptive_1d(mapped, 0.0, 1.0, tol=tol).value.real)
     return coeff / (omega_p * omega) * val
 
 

@@ -20,7 +20,9 @@ from .formfactors import breather_weight, r0_weights, set_integral
 from .model import ModelSpec, breather, check_omega, mass_ratio
 from .reflection import r_breather, soliton_pair_bracket
 
-# relative tolerances of the term integrals (absolute tol scales with omega)
+# tolerances of the term integrals, times max(1, omega); set_integral passes
+# them to integrate_simplex, which applies them before the 1/((2 pi)^n n!)
+# normalisation, so a term is held to about tol max(1, omega)/((2 pi)^n omega)
 _TOL_2D = 1e-9
 _TOL_3D = 1e-6
 

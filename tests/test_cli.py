@@ -142,6 +142,17 @@ class TestRates:
         assert good[5] == ""
         assert good[1] != "nan"
 
+    def test_small_z_overflow_is_reported_in_the_row(self, runner):
+        # at z = 0.005 the pair form factor overflows inside r0; the row
+        # carries the DomainError instead of the run ending in a traceback
+        res = runner.invoke(main, ["rates", "--z", "0.005", "--omega", "100"])
+        assert res.exit_code == 0
+        assert res.exception is None
+        header, rows = _rows(res.output)
+        assert header[5] == "error"
+        assert rows[0][1] == "nan"
+        assert rows[0][5].startswith("DomainError: f_pm overflows")
+
     def test_bad_range_rejected(self, runner):
         res = runner.invoke(main, ["rates", "--omega", "5..1:10"])
         assert res.exit_code != 0

@@ -74,6 +74,12 @@ class TestBuildingBlocks:
             exp_I(complex(0.4, 25.0 * math.pi), SPEC3)
         assert _exp_i_line.cache_info().currsize == before
 
+    def test_exp_I_overflow_is_a_domain_error(self):
+        # at z = 0.005 the exponent of e^{I(20)} is about 906: a DomainError
+        # naming lambda, not a bare OverflowError
+        with pytest.raises(DomainError, match=r"e\^I overflows at lambda = \(20\+0j\)"):
+            exp_I(20.0, make_model("bsg", 0.005))
+
     def test_bigF_truncation_independence(self):
         for lam in (0.7, -0.4):
             ref = bigF(lam, SPEC3, N=20)

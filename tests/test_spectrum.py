@@ -1,11 +1,14 @@
 import math
 
+import mpmath
+import numpy as np
 import pytest
 
 import bscat.spectrum as spectrum_mod
 from bscat.errors import DomainError
-from bscat.formfactors import f_111, f_breather1, f_pm, f_pm1
+from bscat.formfactors import _exp_i_cached, exp_I, f_111, f_breather1, f_pm, f_pm1
 from bscat.model import make_model
+from bscat.reflection import _rs_phase_cached
 from bscat.referm import spectrum_half
 from bscat.spectrum import (
     SpectrumDiagram,
@@ -17,6 +20,7 @@ from bscat.spectrum import (
     spectrum_point,
     sum_rule_check,
 )
+from bscat.twopoint import reflection_coefficient
 
 SPEC3_BSG = make_model("bsg", 1.0 / 3.0)
 SPEC3_KONDO = make_model("kondo", 1.0 / 3.0)
@@ -123,6 +127,122 @@ class TestDiagramRegressions:
         key = ("bsg", 0.3, 1.0)
         total = spectrum_point(0.3, 1.0, SPEC3_BSG)
         assert total == pytest.approx(math.fsum(_REGRESSION[key].values()), rel=1e-6)
+
+
+# the four nodes omega' = u^2 of the Gauss-Legendre rule in u on (0, 1)
+# that the spectrum-third benchmark evaluates at omega = 1, bsG z = 1/3;
+# the lowest is omega' = 0.0048
+_GL_NODES = tuple(
+    ((x + 1.0) / 2.0) ** 2 for x in np.polynomial.legendre.leggauss(4)[0]
+)
+
+# every diagram at those nodes, recorded at 1e-6 of the diagram tolerance
+# (the unmapped integral at 1e-4 of it agrees to 1e-12)
+_GL_REFERENCE = {
+    SpectrumDiagram.G1_1: (
+        15.045653717153153, 0.3976814740251054,
+        -0.014933616314467258, -0.00037398890581750164,
+    ),
+    SpectrumDiagram.G2_1: (
+        0.002654033058652118, 0.0678709310914284,
+        0.09955704264197625, 0.006068340339609601,
+    ),
+    SpectrumDiagram.G1_3: (
+        -9.322813467507512e-05, -0.0013128743896943325,
+        0.0030108506826689372, 0.0007270104557103755,
+    ),
+    SpectrumDiagram.G3A: (
+        0.004223780224844801, 0.014327192433872267,
+        0.00027899439975476387, -1.2613641923280767e-05,
+    ),
+    SpectrumDiagram.G4A: (
+        4.650798984090737e-06, 5.080461783552921e-06,
+        3.9312240854675703e-07, -5.934451678288477e-07,
+    ),
+    SpectrumDiagram.G5A: (
+        0.3368858939206447, -0.048358770992364915,
+        -0.0033770300960116076, 0.004262196575865131,
+    ),
+}
+
+
+class TestMappedDiagramIntegrals:
+    def test_values_at_the_benchmark_nodes(self):
+        errors = {
+            (diagram.value, omega_p): abs(
+                spectrum_mod._DIAGRAM_FUNCS[diagram](omega_p, 1.0, SPEC3_BSG) - expected
+            )
+            for diagram, row in _GL_REFERENCE.items()
+            for omega_p, expected in zip(_GL_NODES, row)
+        }
+        worst = max(errors, key=errors.get)
+        assert errors[worst] <= 1e-9, worst
+
+    def test_evaluation_count_at_the_lowest_node(self, monkeypatch):
+        # sqrt endpoints cost adaptive bisection toward both ends without
+        # the smoothstep map: 2220 integrand evaluations, against 780 with it
+        evaluations = []
+        real = spectrum_mod.adaptive_1d
+
+        def counted(*args, **kwargs):
+            res = real(*args, **kwargs)
+            evaluations.append(res.evaluations)
+            return res
+
+        monkeypatch.setattr(spectrum_mod, "adaptive_1d", counted)
+        spectrum_point(_GL_NODES[0], 1.0, SPEC3_BSG)
+        assert len(evaluations) == 6
+        assert sum(evaluations) <= 1000
+
+
+class TestFreeFermionShortCircuit:
+    @pytest.mark.parametrize("kind", ["bsg", "kondo"])
+    def test_kernel_caches_are_not_touched(self, kind):
+        # at z = 1/2 e^{I} is exactly 1 and the R_s phase 0; both are
+        # answered before their caches are consulted
+        spec = make_model(kind, 0.5)
+        before = (_exp_i_cached.cache_info(), _rs_phase_cached.cache_info())
+        for lam in (0.0, 0.7, -12.5, complex(0.3, math.pi), complex(-2.0, -1.3)):
+            assert exp_I(lam, spec) == 1.0 + 0.0j
+        reflection_coefficient(1.3, spec)
+        diagram_g1_1(0.4, 1.3, spec)
+        assert (_exp_i_cached.cache_info(), _rs_phase_cached.cache_info()) == before
+
+
+def _kondo_half_closed_form(omega_p: float, omega: float) -> float:
+    """gamma(omega'|omega) at z = 1/2 for the Kondo model, Lambda = 2, by
+    30-digit mpmath quadrature of the cancellation-free integrand."""
+    with mpmath.workdps(30):
+        a = mpmath.mpf(1)  # Lambda/2
+        wp, w = mpmath.mpf(omega_p), mpmath.mpf(omega)
+
+        def f(x):
+            p = x * (x + wp) + a * a
+            q = (w - x) * (w - x - wp) + a * a
+            s = a * wp * w * (w - wp - 2 * x) / (p * q + (a * wp) ** 2)
+            return -2 * s * s / (1 + s * s)
+
+        return float(-2 / (w * wp) * mpmath.quad(f, [0, (w - wp) / 2, w - wp]))
+
+
+class TestKondoLowFrequencySpectrum:
+    def test_interior_points_match_the_closed_form(self):
+        # the 28 points of the default grid at omega = 0.1 inside the edges
+        # 1e-3 <= omega'/omega <= 0.9993, which the free-fermion benchmark
+        # holds to 1e-4 relative; the edge points miss it through rounding
+        # in Re(R - 1)
+        omega = 0.1
+        curve = spectrum_curve(
+            omega, make_model("kondo", 0.5), compute_sum_rule=False
+        )
+        checked = 0
+        for omega_p, value in zip(curve.omega_primes, curve.values):
+            if not 1e-3 <= omega_p / omega <= 0.9993:
+                continue
+            exact = _kondo_half_closed_form(omega_p, omega)
+            assert abs(value / exact - 1.0) <= 1e-4, omega_p / omega
+            checked += 1
+        assert checked == 28
 
 
 # absorbed lines enter the form factors at lambda + i pi; each crossed
