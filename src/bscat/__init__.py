@@ -14,7 +14,6 @@ from .errors import (
     DomainError,
     InsufficientData,
     ToleranceNotMet,
-    UnwrapError,
 )
 from .model import (
     ANTISOLITON,
@@ -64,7 +63,6 @@ __all__ = [
     "SpectrumCurve",
     "SpectrumDiagram",
     "ToleranceNotMet",
-    "UnwrapError",
     "__version__",
     "active_diagrams",
     "breather",

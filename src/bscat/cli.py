@@ -139,6 +139,11 @@ def _omega_grid(lo: float, hi: float, points: int, spacing: str) -> List[float]:
     return [lo * ratio**k for k in range(points)]
 
 
+def _json_value(v):
+    """v, or null for a non-finite float, which JSON cannot represent."""
+    return None if isinstance(v, float) and not math.isfinite(v) else v
+
+
 def _write_table(
     path: Optional[str],
     fmt: str,
@@ -149,10 +154,12 @@ def _write_table(
 ) -> None:
     if fmt == "json":
         columns = {
-            name: [row[k] for row in rows] for k, name in enumerate(header)
+            name: [_json_value(row[k]) for row in rows]
+            for k, name in enumerate(header)
         }
+        meta = {key: _json_value(v) for key, v in meta.items()}
         payload = {"meta": meta, "columns": columns}
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
     else:
         lines = [",".join(header)]
         for row in rows:

@@ -25,9 +25,5 @@ class ToleranceNotMet(BscatError):
         self.abs_error_estimate = abs_error_estimate
 
 
-class UnwrapError(BscatError):
-    """Phase unwrapping encountered a step too large for the grid density."""
-
-
 class InsufficientData(BscatError):
     """Not enough grid points inside the requested fit window."""

@@ -27,6 +27,7 @@ The Gamma product that leaves this residual is truncated at N = 2 (N = 10
 for xi < 1/2) and evaluated exactly, as one loggamma call on 8N points
 whose offsets, slopes and weights are precomputed per (xi, N).  The contour
 function H is exactly -[t^{2p-5}] prod (e^{-c/2} + t e^{c/2}) (see `bigH`).
+The breather couplings read S0 from `smatrix.s0`, the one S0 evaluator.
 """
 
 from __future__ import annotations
@@ -305,92 +306,21 @@ def f_pm(l1: complex, l2: complex, spec: ModelSpec) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# S0 deep in the strip (imaginary axis), needed by breather couplings
-
-
-@lru_cache(maxsize=4096)
-def _s0_imag_axis(t: float, xi: float) -> float:
-    """S0(i t) for t in (0, pi) off the pole set, via the exact double product
-
-        S0(i t) = - prod_{a,b >= 0} [ ((a+1) xi + b pi + t)(a xi + (b+1) pi - t)
-                   / (((a+1) xi + b pi - t)(a xi + (b+1) pi + t)) ]^{(-1)^b},
-
-    valid at any depth of the strip (unlike the integral representation).
-    The a-sum of log terms is completed by an Euler-Maclaurin tail (the
-    antiderivative is elementary and vanishes at infinity); the alternating
-    b-sum is accelerated by repeated averaging of partial sums.  Negative
-    factors (possible only in (a+1) xi - t at b = 0) carry an overall sign.
-    """
-    if not (0.0 < t < math.pi):
-        raise DomainError(f"imaginary-axis S0 expects 0 < t < pi, got {t}")
-    a_terms = b_terms = 400
-    aa = np.arange(a_terms, dtype=np.float64)[:, None]
-    bb = np.arange(b_terms, dtype=np.float64)[None, :]
-    c1 = (aa + 1.0) * xi + bb * math.pi
-    c2 = aa * xi + (bb + 1.0) * math.pi
-    if np.any(np.abs(c1 - t) < 1e-12) or np.any(np.abs(c2 - t) < 1e-12):
-        raise DomainError(f"S0(i t) pole/zero at t = {t}")
-    sign = 1.0 if (np.sum(c1 - t < 0.0) % 2 == 0) else -1.0
-    logs = (
-        np.log(c1 + t)
-        + np.log(c2 - t)
-        - np.log(np.abs(c1 - t))
-        - np.log(c2 + t)
-    )
-    per_b = logs.sum(axis=0)
-
-    # Euler-Maclaurin completion of the a-sum: sum_{a>=A} f(a) with
-    # f(a) = log((a xi + b1 + t)(a xi + b2 - t) / ((a xi + b1 - t)(a xi + b2 + t))),
-    # b1 = xi + b pi, b2 = (b + 1) pi.  The signed combination of
-    # (x log x - x)/xi antiderivatives tends to 0 at infinity.
-    A = float(a_terms)
-    b1 = xi + bb[0] * math.pi
-    b2 = (bb[0] + 1.0) * math.pi
-
-    def _anti(a):
-        def g(c):
-            x = a * xi + c
-            return x * np.log(x) / xi
-        return g(b1 + t) - g(b1 - t) + g(b2 - t) - g(b2 + t)
-
-    integral_tail = -_anti(A)  # = integral_A^inf f(a) da
-    fA = (
-        np.log(A * xi + b1 + t)
-        - np.log(A * xi + b1 - t)
-        + np.log(A * xi + b2 - t)
-        - np.log(A * xi + b2 + t)
-    )
-    dfA = xi * (
-        1.0 / (A * xi + b1 + t)
-        - 1.0 / (A * xi + b1 - t)
-        + 1.0 / (A * xi + b2 - t)
-        - 1.0 / (A * xi + b2 + t)
-    )
-    per_b = per_b + integral_tail + 0.5 * fA - dfA / 12.0
-
-    b_signs = np.where(np.arange(b_terms) % 2 == 0, 1.0, -1.0)
-    partial = np.cumsum(per_b * b_signs)
-    # repeated averaging (Euler transform) of the alternating tail
-    window = partial[-24:]
-    while len(window) > 1:
-        window = 0.5 * (window[1:] + window[:-1])
-    return -sign * math.exp(float(window[0]))
+# Single-breather form factors
 
 
 def _breather_coupling_arg(m: int, spec: ModelSpec) -> float:
-    """The quantity (xi/pi) sin(pi^2/xi) S0(i theta^(m)), evaluated via the
-    residue formula at integer p where S0 is singular."""
+    """The quantity (xi/pi) sin(pi^2/xi) S0(i theta^(m)).  At integer p, where
+    sin(pi^2/xi) vanishes and S0 has a pole, it is the residue formula
+    2 cot(m xi/2) prod_{j<m} cot^2(j xi/2); otherwise S0 comes from
+    `smatrix.s0` at any depth of the imaginary axis."""
     xi = spec.xi
     if spec.p_int is not None:
         res = 2.0 * (1.0 / math.tan(xi * m / 2.0))
         for j in range(1, m):
             res *= (1.0 / math.tan(xi * j / 2.0)) ** 2
         return res
-    th = theta_m(m, spec)
-    if th < min(xi, math.pi) - 0.35:
-        s0_val = s0(1j * th, spec).real
-    else:
-        s0_val = _s0_imag_axis(th, xi)
+    s0_val = s0(1j * theta_m(m, spec), spec).real
     return (xi / math.pi) * math.sin(math.pi**2 / xi) * s0_val
 
 

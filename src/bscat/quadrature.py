@@ -220,16 +220,7 @@ def integrate_simplex(
             )
             return i1.value + i2.value
 
-        # the right corner keeps its own form, w (1 - u^2), rather than
-        # w - w u^2: the two differ in the last bit
-        def outer(e3_of):
-            def g(u):
-                return inner(e3_of(u)) * (2.0 * w * u)
-
-            return adaptive_1d(g, 0.0, _U_HALF, tol / 2.0)
-
-        r1 = outer(lambda u: w * u * u)
-        r2 = outer(lambda u: w * (1.0 - u * u))
+        r1, r2 = _corner_pair(lambda e3, rem: inner(e3), w, tol / 2.0)
         evaluations = inner_evaluations[0]
         inner_error = largest_inner_error[0] * w
     outer_error = r1.abs_error_estimate + r2.abs_error_estimate

@@ -15,7 +15,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DomainError, InsufficientData, UnwrapError
+from .errors import DomainError, InsufficientData
 from .formfactors import breather_weight, r0_weights, set_integral
 from .model import ModelSpec, breather, check_omega, mass_ratio
 from .reflection import r_breather, soliton_pair_bracket
@@ -148,13 +148,7 @@ def rates_from_r(
         d = phases[k]
         # choose the pi-periodic branch closest to the neighbor above
         n = round((delta[k + 1] - d) / math.pi)
-        d = d + n * math.pi
-        if abs(d - delta[k + 1]) > math.pi / 2.0:
-            raise UnwrapError(
-                f"phase step {abs(d - delta[k+1]):.3f} > pi/2 between omega = "
-                f"{omegas[k]} and {omegas[k+1]}: grid too coarse"
-            )
-        delta[k] = d
+        delta[k] = d + n * math.pi
     err = [2.0 * b.truncation_bound for b in bds]
     return RateCurve(
         omegas=tuple(omegas), gamma=tuple(gamma), delta=tuple(delta), err=tuple(err)

@@ -5,10 +5,15 @@ Prints the reference table of tests/test_kernel_oracles.py:
     python tests/make_kernel_oracles.py
 
 The references are independent of bscat's evaluation: e^{I(lambda)} uses
-its integral representation with N = 2 Gamma factors (bscat uses N = 10 and a
-different quadrature), and the R_s phase and S0 integrals are integrated as
-printed.  Each integral runs over many short mpmath.quad subintervals up to
-the point where its exponential bound falls below 1e-32.
+its integral representation with N = 5 Gamma factors (bscat's tables use
+N = 2 at every z sampled here, and a different quadrature), and the R_s
+phase and S0 integrals are integrated as printed.  Each integral runs over
+many short mpmath.quad subintervals up to the point where its exponential
+bound falls below 1e-32.  S0 on the imaginary axis past the integral's
+strip comes from the rising-factorial series of its product form, summed
+by mpmath.nsum; before printing, that series is checked against the S0
+integral inside the strip and against the closed value -sqrt(3) at z = 0.4,
+t = pi/3.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ import mpmath as mp
 
 mp.mp.dps = 30
 
-N_REF = 2
+N_REF = 5
 
 
 def _xi(z):
@@ -116,6 +121,35 @@ def s0(theta, z):
     return -mp.exp(-1j * integral)
 
 
+def s0_imag_axis(t, z):
+    """S0(i t), 0 < t < pi, from the product form of S0: with d = 2t/xi,
+    l_b = (xi + b pi - t)/xi and c_b = ((b + 1) pi - t)/xi,
+    S0(i t) = -sgn exp sum_b (-1)^b [ln rf(c_b, d) - ln |rf(l_b, d)|],
+    sgn the sign of rf(l_0, d)."""
+    xi = _xi(z)
+    pi = mp.pi
+    t = mp.mpf(t)
+    d = 2 * t / xi
+
+    def term(b):
+        l_b = (xi + b * pi - t) / xi
+        c_b = ((b + 1) * pi - t) / xi
+        return (-1) ** int(b) * (mp.log(mp.rf(c_b, d)) - mp.log(abs(mp.rf(l_b, d))))
+
+    sgn = mp.sign(mp.rf((xi - t) / xi, d))
+    return -sgn * mp.exp(mp.nsum(term, [0, mp.inf], method="alternating"))
+
+
+def _check_s0_imag_axis():
+    """The series against the S0 integral inside its strip and against
+    S0(i pi/3) = -sqrt(3) at z = 0.4 (xi = 2 pi/3)."""
+    for z, t in ((0.4, 0.3), (0.4, 1.2), (0.3, 0.6), (0.15, 0.1)):
+        series, integral = s0_imag_axis(t, z), s0(1j * t, z)
+        assert abs(series - integral) < mp.mpf(10) ** -25 * abs(integral), (z, t)
+    z = mp.mpf(2) / 5  # exactly 0.4, unlike the float
+    assert abs(s0_imag_axis(mp.pi / 3, z) + mp.sqrt(3)) < mp.mpf(10) ** -25
+
+
 def theta1(z):
     """Fusion angle of breather 1, pi - xi."""
     return math.pi - float(_xi(z))
@@ -143,6 +177,18 @@ RS_POINTS = tuple(
 S0_POINTS = tuple((0.4, complex(re, im)) for re, im in ((0.5, 0.0), (-3.0, 0.0), (8.0, 0.0), (1.0, 0.6), (-2.0, -1.0)))
 
 
+# S0(i t) past the integral's strip: the odd-breather fusion angles
+# pi - m xi that reach the series, two generic depths, and one point at a z
+# small enough that bscat splits its rising factorials
+S0_IMAG_AXIS_POINTS = tuple(
+    (z, t)
+    for z in (0.3, 0.27, 0.22, 0.15)
+    for t in (math.pi - float(_xi(z)) * m for m in range(1, int(1 / z), 2))
+    # bscat leaves the S0 integral for the series past min(xi, pi) - 0.35
+    if t >= min(float(_xi(z)), math.pi) - 0.35
+) + ((0.3, 1.2), (0.27, 0.9), (0.0201, 3.0))
+
+
 def _fmt(c):
     return f"complex({float(c.real)!r}, {float(c.imag)!r})"
 
@@ -159,4 +205,9 @@ if __name__ == "__main__":
     print("S0 = (")
     for z, theta in S0_POINTS:
         print(f"    ({z!r}, {_fmt(theta)}, {_fmt(s0(theta, z))}),")
+    print(")")
+    _check_s0_imag_axis()
+    print("S0_IMAG_AXIS = (")
+    for z, t in S0_IMAG_AXIS_POINTS:
+        print(f"    ({z!r}, {t!r}, {float(s0_imag_axis(t, z))!r}),")
     print(")")

@@ -153,6 +153,21 @@ class TestRates:
         assert rows[0][1] == "nan"
         assert rows[0][5].startswith("DomainError: f_pm overflows")
 
+    def test_json_is_strict_json(self, runner):
+        # the failed row's NaN columns are null: NaN and Infinity are not JSON
+        res = runner.invoke(
+            main, ["rates", "--z", "0.005", "--omega", "100", "--format", "json"]
+        )
+        assert res.exit_code == 0
+
+        def reject(token):
+            raise ValueError(f"non-JSON constant {token}")
+
+        columns = json.loads(res.stdout, parse_constant=reject)["columns"]
+        assert columns["gamma"] == [None]
+        assert columns["omega"] == [100.0]
+        assert columns["error"][0].startswith("DomainError: f_pm overflows")
+
     def test_bad_range_rejected(self, runner):
         res = runner.invoke(main, ["rates", "--omega", "5..1:10"])
         assert res.exit_code != 0

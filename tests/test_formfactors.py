@@ -6,6 +6,7 @@ import pytest
 
 from bscat.errors import DomainError
 from bscat.formfactors import (
+    _breather_coupling_arg,
     _exp_i_direct,
     _exp_i_line,
     _table_n,
@@ -294,6 +295,20 @@ class TestFrozenValues:
     def test_f_12_finite_at_origin(self):
         val = f_12(0.0, 0.0, SPEC4)
         assert val == pytest.approx(-0.1837500932168543j, abs=1e-7)
+
+
+class TestBreatherCoupling:
+    @pytest.mark.parametrize("z0", [1.0 / 3.0, 0.25, 0.2])
+    def test_continuous_through_integer_p(self, z0):
+        # breather 1 sits on an S0 pole at integer p, where the coupling is
+        # the residue formula; at z0 -/+ 1e-5 it is read from S0(i theta_1)
+        # deep on the imaginary axis, and the two average to the residue
+        residue = _breather_coupling_arg(1, make_model("bsg", z0))
+        mean = 0.5 * sum(
+            _breather_coupling_arg(1, make_model("bsg", z0 + dz))
+            for dz in (-1e-5, 1e-5)
+        )
+        assert mean == pytest.approx(residue, rel=1e-8)
 
 
 class TestTruncationWeights:

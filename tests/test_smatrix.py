@@ -47,6 +47,13 @@ class TestScalarFactor:
             rhs = s_soliton(theta, "pm_pm", spec)
             assert abs(lhs - rhs) < 1e-10
 
+    def test_imaginary_axis_pole(self):
+        # S0(i t) has poles at t = (k + 1) xi; at z = 0.3 the second lies
+        # past the integral's strip, on the imaginary-axis series
+        spec = make_model("bsg", 0.3)
+        with pytest.raises(DomainError):
+            s0(2j * spec.xi, spec)
+
     def test_rejects_outside_strip(self):
         with pytest.raises(DomainError):
             s0(complex(0.0, 3.5), make_model("bsg", 0.4))
