@@ -721,7 +721,14 @@ def set_integral(
 
     `tol` is integrate_simplex's absolute tolerance, on the integral before
     its 1/((2 pi)^n n!) normalisation; the returned value is held to about
-    tol/((2 pi)^n omega), n the number of lines."""
+    tol/((2 pi)^n omega), n the number of lines.
+
+    When the first two lines carry the same excitation (the soliton pair of
+    "pm" and "pm1"), |f|^2 is symmetric under l1 <-> l2 and only one mirror
+    half of the pair is integrated (integrate_simplex's `symmetric`); a
+    `reflection` must then be symmetric in its first two arguments too, as
+    soliton_pair_bracket is.  "12" has two different breathers and is
+    integrated whole."""
     lines, _ = _SETS[label]
     form_factor = _SET_FORM_FACTORS[label]
     shifts = [math.log(mass_ratio(breather(b), spec)) if b else 0.0 for b in lines]
@@ -731,7 +738,9 @@ def set_integral(
         weight = abs(form_factor(*ls, spec)) ** 2
         return weight if reflection is None else reflection(*ls) * weight
 
-    res = integrate_simplex(len(lines), omega, integrand, tol=tol)
+    res = integrate_simplex(
+        len(lines), omega, integrand, tol=tol, symmetric=lines[0] == lines[1]
+    )
     return math.factorial(len(lines)) * res.value / omega
 
 

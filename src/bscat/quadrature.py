@@ -139,12 +139,21 @@ def adaptive_1d(
 _U_HALF = 1.0 / math.sqrt(2.0)  # u at the midpoint of a corner map E = w u^2
 
 
-def _corner_pair(point: Callable[[float, float], complex], width: float, tol: float):
+def _corner_pair(
+    point: Callable[[float, float], complex],
+    width: float,
+    tol: float,
+    symmetric: bool = False,
+) -> QuadResult:
     """Integral of point(e1, e2) over the segment e1 + e2 = width.
 
     The segment is split at its midpoint and each half is mapped from its
     corner with e = width * u^2, u in (0, 1/sqrt(2)]; each half is integrated
-    to `tol`.  Returns the two halves' QuadResults (left corner first).
+    to `tol`, and the result is the two halves' sum (value, error estimate
+    and evaluations).  With `symmetric`, point(e1, e2) must equal
+    point(e2, e1): only the left corner half is integrated, and it stands
+    for the right one as its mirror image, so the value and the error
+    estimate are twice the half's and `evaluations` counts its calls once.
     """
 
     def half(left: bool) -> QuadResult:
@@ -158,7 +167,15 @@ def _corner_pair(point: Callable[[float, float], complex], width: float, tol: fl
 
         return adaptive_1d(g, 0.0, _U_HALF, tol)
 
-    return half(True), half(False)
+    r1 = half(True)
+    if symmetric:
+        return QuadResult(2.0 * r1.value, 2.0 * r1.abs_error_estimate, r1.evaluations)
+    r2 = half(False)
+    return QuadResult(
+        r1.value + r2.value,
+        r1.abs_error_estimate + r2.abs_error_estimate,
+        r1.evaluations + r2.evaluations,
+    )
 
 
 def integrate_simplex(
@@ -166,6 +183,7 @@ def integrate_simplex(
     total: float,
     integrand: Callable[..., complex],
     tol: float = 1e-9,
+    symmetric: bool = False,
 ) -> QuadResult:
     """Integrate over {E_i > 0, sum E_i = total} with measure
     prod(dE_i / E_i) / (2 pi)^n / n!  (one dE eliminated by the delta),
@@ -184,6 +202,11 @@ def integrate_simplex(
     calls, inner integrals included.  `abs_error_estimate` is the outer
     integral's estimate; for n = 3 it adds the largest inner (E1) estimate
     times the outer measure `total`, which bounds the inner errors' sum.
+    `symmetric` declares the integrand symmetric under E_1 <-> E_2 (the
+    caller's contract; it is not checked): the (E1, E2) segment, the whole
+    integral at n = 2 and the inner one at n = 3, is then integrated on its
+    left corner half only, at the same per-half tolerance, and doubled
+    (`_corner_pair`), which halves the integrand calls and keeps the bound.
     """
     if n_parts not in (2, 3):
         raise DomainError(f"n_parts must be 2 or 3, got {n_parts}")
@@ -197,8 +220,8 @@ def integrate_simplex(
         def pair(e1, e2):
             return integrand(e1, e2) * (1.0 / (e1 * e2))
 
-        r1, r2 = _corner_pair(pair, w, tol / 2.0)
-        evaluations = r1.evaluations + r2.evaluations
+        res = _corner_pair(pair, w, tol / 2.0, symmetric)
+        evaluations = res.evaluations
         inner_error = 0.0
     else:
         # outer integral over E3, inner over E1 with E2 = total - E3 - E1
@@ -213,20 +236,17 @@ def integrate_simplex(
             def pair(e1, e2):
                 return integrand(e1, e2, e3) * (1.0 / (e1 * e2 * e3))
 
-            i1, i2 = _corner_pair(pair, rem, tol / 4.0)
-            inner_evaluations[0] += i1.evaluations + i2.evaluations
-            largest_inner_error[0] = max(
-                largest_inner_error[0], i1.abs_error_estimate + i2.abs_error_estimate
-            )
-            return i1.value + i2.value
+            i = _corner_pair(pair, rem, tol / 4.0, symmetric)
+            inner_evaluations[0] += i.evaluations
+            largest_inner_error[0] = max(largest_inner_error[0], i.abs_error_estimate)
+            return i.value
 
-        r1, r2 = _corner_pair(lambda e3, rem: inner(e3), w, tol / 2.0)
+        res = _corner_pair(lambda e3, rem: inner(e3), w, tol / 2.0)
         evaluations = inner_evaluations[0]
         inner_error = largest_inner_error[0] * w
-    outer_error = r1.abs_error_estimate + r2.abs_error_estimate
     return QuadResult(
-        value=(r1.value + r2.value) * norm,
-        abs_error_estimate=(outer_error + inner_error) * abs(norm),
+        value=res.value * norm,
+        abs_error_estimate=(res.abs_error_estimate + inner_error) * abs(norm),
         evaluations=evaluations,
     )
 

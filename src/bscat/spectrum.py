@@ -15,7 +15,10 @@ the ends.  It is integrated in t in (0, 1) with the smoothstep map
 E = (omega - omega') t^2 (3 - 2t) (a sigmoidal substitution: Sidi, "A new
 variable transformation for numerical integration", 1993), whose jacobian
 vanishes at both ends and leaves the integrand smooth there, so adaptive
-Gauss-Kronrod needs no bisection toward the endpoints.
+Gauss-Kronrod needs no bisection toward the endpoints.  The map is symmetric
+about t = 1/2, so a diagram whose integrand is invariant under E -> omega -
+omega' - E (G1_1, G1_3, G3A, G4A: their lines exchange in identical pairs)
+is integrated on t in (0, 1/2) only and doubled.
 """
 
 from __future__ import annotations
@@ -78,6 +81,7 @@ def _diagram(
     coeff: float,
     lines: str = "ssss",
     integer_p: bool = False,
+    mirror: bool = False,
 ) -> float:
     """coeff / (omega' omega) times the integral over the internal energy E
     in (0, omega - omega') of
@@ -94,6 +98,18 @@ def _diagram(
     sqrt(E) or sqrt(w - E) endpoint becomes a smooth t^2 or (1 - t)^2.  Its
     absolute tolerance _TOL_DIAGRAM max(1, omega) applies to the E-integral
     itself, which the map leaves unchanged.
+
+    A diagram declares `mirror` when its integrand is symmetric under
+    E -> w - E, which exchanges its lines in identical pairs; the map is
+    symmetric too, E(1 - t) = w - E(t), so only t in (0, 1/2) is
+    integrated, to half the tolerance, and doubled.  Tests check each
+    declared symmetry.
+
+    Re(reflection - 1) is formed as -|reflection - 1|^2 / 2 for the Kondo
+    model, whose reflection factors all have unit modulus at real rapidity:
+    the two are equal there, and the second does not lose to cancellation
+    where the product is close to 1.  The boundary sine-Gordon brackets are
+    not unimodular and keep the direct form.
     """
     if not (0.0 < omega_p < omega):
         raise DomainError(
@@ -106,13 +122,15 @@ def _diagram(
     lmu = math.log(mass_ratio(breather(1), spec)) if "b" in lines else 0.0
     shifts = [lmu if kind == "b" else 0.0 for kind in lines]
     width = omega - omega_p
+    unimodular = spec.is_kondo
 
     def integrand(big: float) -> float:
         if big <= 0.0 or big >= width:
             return 0.0
         es = energies(big)
         ls = [math.log(e) - shift for e, shift in zip(es, shifts)]
-        rpart = (reflection(*ls) - 1.0).real
+        delta = reflection(*ls) - 1.0
+        rpart = -0.5 * abs(delta) ** 2 if unimodular else delta.real
         if rpart == 0.0:
             return 0.0
         fval = formfactors(*ls).real
@@ -122,7 +140,10 @@ def _diagram(
         return integrand(width * t * t * (3.0 - 2.0 * t)) * (6.0 * width * t * (1.0 - t))
 
     tol = _TOL_DIAGRAM * max(1.0, omega)
-    val = float(adaptive_1d(mapped, 0.0, 1.0, tol=tol).value.real)
+    if mirror:
+        val = 2.0 * float(adaptive_1d(mapped, 0.0, 0.5, tol=tol / 2.0).value.real)
+    else:
+        val = float(adaptive_1d(mapped, 0.0, 1.0, tol=tol).value.real)
     return coeff / (omega_p * omega) * val
 
 
@@ -148,7 +169,7 @@ def diagram_g1_1(omega_p: float, omega: float, spec: ModelSpec) -> float:
 
     return _diagram(
         omega_p, omega, spec, energies, reflection, formfactors,
-        name="g1_1", coeff=2.0,
+        name="g1_1", coeff=2.0, mirror=True,
     )
 
 
@@ -201,7 +222,7 @@ def diagram_g1_3(omega_p: float, omega: float, spec: ModelSpec) -> float:
 
     return _diagram(
         omega_p, omega, spec, energies, reflection, formfactors,
-        name="g1_3", coeff=0.5, integer_p=True,
+        name="g1_3", coeff=0.5, integer_p=True, mirror=True,
     )
 
 
@@ -228,7 +249,7 @@ def diagram_g3a(omega_p: float, omega: float, spec: ModelSpec) -> float:
 
     return _diagram(
         omega_p, omega, spec, energies, reflection, formfactors,
-        name="g3a", coeff=-8.0, lines="bssb", integer_p=True,
+        name="g3a", coeff=-8.0, lines="bssb", integer_p=True, mirror=True,
     )
 
 
@@ -255,7 +276,7 @@ def diagram_g4a(omega_p: float, omega: float, spec: ModelSpec) -> float:
 
     return _diagram(
         omega_p, omega, spec, energies, reflection, formfactors,
-        name="g4a", coeff=-2.0, lines="bbbb",
+        name="g4a", coeff=-2.0, lines="bbbb", mirror=True,
     )
 
 

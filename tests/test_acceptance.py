@@ -18,12 +18,13 @@ from bscat.cli import main as cli_main
 from bscat.formfactors import r0_weights
 from bscat.model import make_model
 from bscat.referm import r_half_closed, spectrum_half
-from bscat.spectrum import diagram_g1_1, sum_rule_check
+from bscat.spectrum import default_omega_prime_grid, diagram_g1_1, sum_rule_check
 from bscat.twopoint import (
     fit_power_law,
     rates_from_r,
     reflection_coefficient,
 )
+from closed_forms import kondo_half_spectrum
 
 
 def _rate_curve(kind, z, omegas):
@@ -62,6 +63,22 @@ class TestFreeFermionSpectrum:
                 b = spectrum_half(omega_p, omega, spec.kind)
                 assert abs(a - b) <= 1e-4 * abs(b)
         assert time.perf_counter() - start < 120.0
+
+    def test_kondo_low_frequency_edges(self):
+        # the 11 points of the default grid at omega = 0.1 within 1e-3 of
+        # either end, where Re(R - 1) is far below the rounding of R
+        omega = 0.1
+        spec = make_model("kondo", 0.5)
+        edges = [
+            omega_p
+            for omega_p in default_omega_prime_grid(omega)
+            if not 1e-3 <= omega_p / omega <= 0.9993
+        ]
+        assert len(edges) == 11
+        for omega_p in edges:
+            exact = kondo_half_spectrum(omega_p, omega)
+            value = diagram_g1_1(omega_p, omega, spec)
+            assert abs(value / exact - 1.0) <= 1e-6, omega_p / omega
 
 
 class TestSumRule:

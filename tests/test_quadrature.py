@@ -142,6 +142,35 @@ class TestEnergySimplex:
         pairs = [a + b for a, b in zip(inner_estimates[::2], inner_estimates[1::2])]
         assert res.abs_error_estimate >= max(pairs) * total * norm
 
+    @pytest.mark.parametrize("n_parts", [2, 3])
+    def test_symmetric_pair_integrates_one_half(self, monkeypatch, n_parts):
+        # exactly symmetric under e1 <-> e2, so both corner halves of the
+        # pair segment subdivide alike
+        def f(e1, e2, e3=1.0):
+            return (e1 * e2) ** 1.5 * e3 * math.cos(3.0 * (e1 + e2) + e1 * e2 + e3)
+
+        estimates = []
+        real = quadrature.adaptive_1d
+
+        def recorded(g, a, b, tol):
+            res = real(g, a, b, tol)
+            estimates.append(res.abs_error_estimate)
+            return res
+
+        both = integrate_simplex(n_parts, 1.7, f, tol=1e-9)
+        monkeypatch.setattr(quadrature, "adaptive_1d", recorded)
+        half = integrate_simplex(n_parts, 1.7, f, tol=1e-9, symmetric=True)
+        assert half.value == pytest.approx(both.value, rel=1e-14)
+        assert 2 * half.evaluations == both.evaluations
+        assert half.abs_error_estimate == pytest.approx(
+            both.abs_error_estimate, rel=1e-12
+        )
+        if n_parts == 2:
+            # one corner half, its estimate doubled
+            norm = 1.0 / (2.0 * (2.0 * math.pi) ** 2)
+            (estimate,) = estimates
+            assert half.abs_error_estimate == 2.0 * estimate * norm
+
     def test_invalid_arguments(self):
         for n_parts in (1, 4):
             with pytest.raises(DomainError):

@@ -1,6 +1,5 @@
 import math
 
-import mpmath
 import numpy as np
 import pytest
 
@@ -8,6 +7,7 @@ import bscat.spectrum as spectrum_mod
 from bscat.errors import DomainError
 from bscat.formfactors import _exp_i_cached, exp_I, f_111, f_breather1, f_pm, f_pm1
 from bscat.model import make_model
+from bscat.quadrature import QuadResult
 from bscat.reflection import _rs_phase_cached
 from bscat.referm import spectrum_half
 from bscat.spectrum import (
@@ -21,6 +21,7 @@ from bscat.spectrum import (
     sum_rule_check,
 )
 from bscat.twopoint import reflection_coefficient
+from closed_forms import kondo_half_spectrum
 
 SPEC3_BSG = make_model("bsg", 1.0 / 3.0)
 SPEC3_KONDO = make_model("kondo", 1.0 / 3.0)
@@ -181,18 +182,103 @@ class TestMappedDiagramIntegrals:
     def test_evaluation_count_at_the_lowest_node(self, monkeypatch):
         # sqrt endpoints cost adaptive bisection toward both ends without
         # the smoothstep map: 2220 integrand evaluations, against 780 with it
-        evaluations = []
-        real = spectrum_mod.adaptive_1d
-
-        def counted(*args, **kwargs):
-            res = real(*args, **kwargs)
-            evaluations.append(res.evaluations)
-            return res
-
-        monkeypatch.setattr(spectrum_mod, "adaptive_1d", counted)
+        # on the whole interval (510 with the mirror halves, below)
+        evaluations = _count_evaluations(monkeypatch)
         spectrum_point(_GL_NODES[0], 1.0, SPEC3_BSG)
         assert len(evaluations) == 6
         assert sum(evaluations) <= 1000
+
+    def test_mirrored_evaluation_count_at_the_lowest_node(self, monkeypatch):
+        # G1_1, G1_3, G3A and G4A integrate one mirror half: 510
+        # evaluations, against 780 over the whole interval
+        evaluations = _count_evaluations(monkeypatch)
+        spectrum_point(_GL_NODES[0], 1.0, SPEC3_BSG)
+        assert len(evaluations) == 6
+        assert sum(evaluations) <= 560
+
+    def test_mirrored_pair_diagram_curve_count(self, monkeypatch):
+        # G1_1 on the 39-point default grid at bsG z = 1/2, omega = 1:
+        # 1125 evaluations, against 2355 over the whole interval
+        evaluations = _count_evaluations(monkeypatch)
+        spec = make_model("bsg", 0.5)
+        grid = spectrum_mod.default_omega_prime_grid(1.0)
+        for omega_p in grid:
+            diagram_g1_1(omega_p, 1.0, spec)
+        assert len(evaluations) == len(grid) == 39
+        assert sum(evaluations) <= 1200
+
+
+def _count_evaluations(monkeypatch):
+    """The evaluations of every diagram integral from now on, in order."""
+    evaluations = []
+    real = spectrum_mod.adaptive_1d
+
+    def counted(*args, **kwargs):
+        res = real(*args, **kwargs)
+        evaluations.append(res.evaluations)
+        return res
+
+    monkeypatch.setattr(spectrum_mod, "adaptive_1d", counted)
+    return evaluations
+
+
+_MIRRORED = (
+    SpectrumDiagram.G1_1,
+    SpectrumDiagram.G1_3,
+    SpectrumDiagram.G3A,
+    SpectrumDiagram.G4A,
+)
+
+
+def _mapped_integrand(monkeypatch, diagram, omega_p, omega, spec):
+    """The integrand in t that `diagram` hands to adaptive_1d, and the
+    interval it integrates, without integrating it."""
+    seen = []
+
+    def record(f, a, b, tol):
+        seen.append((f, a, b))
+        return QuadResult(0.0, 0.0, 0)
+
+    monkeypatch.setattr(spectrum_mod, "adaptive_1d", record)
+    spectrum_mod._DIAGRAM_FUNCS[diagram](omega_p, omega, spec)
+    monkeypatch.undo()
+    (f, a, b), = seen
+    return f, (a, b)
+
+
+def _asymmetry(f):
+    """max |f(t) - f(1 - t)| on five nodes, relative to the largest |f|."""
+    pairs = [(f(t), f(1.0 - t)) for t in (0.01, 0.1, 0.2, 0.33, 0.45)]
+    scale = max(max(abs(x), abs(y)) for x, y in pairs)
+    assert scale > 0.0
+    return max(abs(x - y) for x, y in pairs) / scale
+
+
+class TestMirroredDiagrams:
+    @pytest.mark.parametrize("kind", ["bsg", "kondo"])
+    @pytest.mark.parametrize("diagram", _MIRRORED, ids=lambda d: d.value)
+    def test_mirrored_integrands_are_symmetric(self, monkeypatch, diagram, kind):
+        zs = [0.25, 1.0 / 3.0] + ([0.5] if diagram is SpectrumDiagram.G1_1 else [])
+        for z in zs:
+            for omega in (1.0, 10.0):
+                f, interval = _mapped_integrand(
+                    monkeypatch, diagram, 0.3 * omega, omega, make_model(kind, z)
+                )
+                assert interval == (0.0, 0.5)
+                assert _asymmetry(f) <= 1e-12, (z, omega)
+
+    @pytest.mark.parametrize("kind", ["bsg", "kondo"])
+    @pytest.mark.parametrize(
+        "diagram", [SpectrumDiagram.G2_1, SpectrumDiagram.G5A], ids=lambda d: d.value
+    )
+    def test_unmirrored_integrands_are_asymmetric(self, monkeypatch, diagram, kind):
+        for z in (0.25, 1.0 / 3.0):
+            for omega in (1.0, 10.0):
+                f, interval = _mapped_integrand(
+                    monkeypatch, diagram, 0.3 * omega, omega, make_model(kind, z)
+                )
+                assert interval == (0.0, 1.0)
+                assert _asymmetry(f) > 1e-3, (z, omega)
 
 
 class TestFreeFermionShortCircuit:
@@ -209,28 +295,12 @@ class TestFreeFermionShortCircuit:
         assert (_exp_i_cached.cache_info(), _rs_phase_cached.cache_info()) == before
 
 
-def _kondo_half_closed_form(omega_p: float, omega: float) -> float:
-    """gamma(omega'|omega) at z = 1/2 for the Kondo model, Lambda = 2, by
-    30-digit mpmath quadrature of the cancellation-free integrand."""
-    with mpmath.workdps(30):
-        a = mpmath.mpf(1)  # Lambda/2
-        wp, w = mpmath.mpf(omega_p), mpmath.mpf(omega)
-
-        def f(x):
-            p = x * (x + wp) + a * a
-            q = (w - x) * (w - x - wp) + a * a
-            s = a * wp * w * (w - wp - 2 * x) / (p * q + (a * wp) ** 2)
-            return -2 * s * s / (1 + s * s)
-
-        return float(-2 / (w * wp) * mpmath.quad(f, [0, (w - wp) / 2, w - wp]))
-
-
 class TestKondoLowFrequencySpectrum:
     def test_interior_points_match_the_closed_form(self):
         # the 28 points of the default grid at omega = 0.1 inside the edges
         # 1e-3 <= omega'/omega <= 0.9993, which the free-fermion benchmark
-        # holds to 1e-4 relative; the edge points miss it through rounding
-        # in Re(R - 1)
+        # holds to 1e-4 relative; the 11 edge points are held to 1e-6 in
+        # the acceptance tests
         omega = 0.1
         curve = spectrum_curve(
             omega, make_model("kondo", 0.5), compute_sum_rule=False
@@ -239,7 +309,7 @@ class TestKondoLowFrequencySpectrum:
         for omega_p, value in zip(curve.omega_primes, curve.values):
             if not 1e-3 <= omega_p / omega <= 0.9993:
                 continue
-            exact = _kondo_half_closed_form(omega_p, omega)
+            exact = kondo_half_spectrum(omega_p, omega)
             assert abs(value / exact - 1.0) <= 1e-4, omega_p / omega
             checked += 1
         assert checked == 28

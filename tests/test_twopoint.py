@@ -8,6 +8,7 @@ import bscat.formfactors as formfactors_mod
 from bscat.errors import DomainError, InsufficientData
 from bscat.formfactors import r0_weights
 from bscat.model import make_model
+from bscat.quadrature import QuadResult
 from bscat.referm import r_half_closed
 from bscat.twopoint import (
     RateCurve,
@@ -111,6 +112,74 @@ class TestReflectionCoefficient:
         for call in calls:
             with pytest.raises(DomainError, match="omega must be finite"):
                 call()
+
+
+def _simplex_integrand(monkeypatch, call):
+    """The integrand and `symmetric` flag that `call()` hands to
+    integrate_simplex, without integrating it."""
+    seen = []
+
+    def record(n_parts, total, integrand, tol, symmetric=False):
+        seen.append((integrand, symmetric))
+        return QuadResult(0j, 0.0, 0)
+
+    monkeypatch.setattr(formfactors_mod, "integrate_simplex", record)
+    call()
+    monkeypatch.undo()
+    (out,) = seen
+    return out
+
+
+class TestExchangeSymmetricSets:
+    # the soliton pair's two lines carry the same excitation: |f|^2 times
+    # the reflection is symmetric under l1 <-> l2, so one mirror half of
+    # the pair is integrated
+    @pytest.mark.parametrize("kind", ["bsg", "kondo"])
+    @pytest.mark.parametrize("label", ["pm", "pm1"])
+    def test_pair_integrands_are_symmetric(self, monkeypatch, kind, label):
+        term, n_lines = {"pm": (r_term_soliton_pair, 2), "pm1": (r_term_pm1, 3)}[label]
+        rng = np.random.default_rng(7)
+        for z in (0.25, 1.0 / 3.0):
+            spec = make_model(kind, z)
+            calls = {
+                "reflected": lambda: term(1.3, spec),
+                "free": lambda: formfactors_mod.set_integral(label, 1.0, spec, 1e-9),
+            }
+            for name, call in calls.items():
+                integrand, symmetric = _simplex_integrand(monkeypatch, call)
+                assert symmetric, name
+                for _ in range(20):
+                    e1, e2, *rest = np.exp(rng.uniform(-4.0, 2.5, n_lines))
+                    a = integrand(e1, e2, *rest)
+                    b = integrand(e2, e1, *rest)
+                    assert abs(a - b) <= 1e-12 * abs(a), (name, z, e1, e2)
+
+    def test_r0_pair_breather_count(self, monkeypatch):
+        # the pm1 weight at bsG z = 1/3 (tolerance 1e-7): 4530 integrand
+        # calls, against 9060 with both mirror halves of every inner pair
+        calls = []
+        results = []
+        real = formfactors_mod.integrate_simplex
+
+        def counted(n_parts, total, integrand, **kwargs):
+            def f(*energies):
+                calls.append(energies)
+                return integrand(*energies)
+
+            results.append(real(n_parts, total, f, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(formfactors_mod, "integrate_simplex", counted)
+        formfactors_mod.set_integral(
+            "pm1", 1.0, make_model("bsg", 1.0 / 3.0), formfactors_mod._SETS["pm1"][1]
+        )
+        (res,) = results
+        assert res.evaluations == len(calls) <= 4600
+
+    def test_breather_pair_is_integrated_whole(self, monkeypatch):
+        spec = make_model("bsg", 0.25)
+        _, symmetric = _simplex_integrand(monkeypatch, lambda: r_term_12(1.3, spec))
+        assert not symmetric
 
 
 def _synthetic_breakdowns(omegas, rs):
