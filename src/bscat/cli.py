@@ -37,10 +37,12 @@ from .model import (
     t_b_from_physical,
 )
 from .reflection import (
+    _rs_phase_cached,
+    _rs_phase_direct,
     r_amplitude,
+    r_breather,
     r_bsg_soliton,
     r_conjugation_check,
-    r_kondo_breather,
     r_kondo_soliton,
 )
 from .smatrix import s0, s_breather_breather, s_breather_soliton, s_entry, s_soliton
@@ -392,19 +394,30 @@ def _suite_reflection() -> List[Tuple[str, float, float]]:
                     worst_mod = max(
                         worst_mod, abs(abs(r_kondo_soliton(lam, spec)) - 1.0)
                     )
-                    if spec.n_breathers >= 1:
-                        worst_mod = max(
-                            worst_mod, abs(abs(r_kondo_breather(lam, 1, spec)) - 1.0)
-                        )
                 else:
                     flip = r_bsg_soliton(lam, True, spec)
                     diag = r_bsg_soliton(lam, False, spec)
                     worst_mod = max(
                         worst_mod, abs(abs(flip) ** 2 + abs(diag) ** 2 - 1.0)
                     )
+    # every breather: |R_m| = 1 on real rapidities, and the boundary fusion
+    # bootstrap R_m(lambda) = prod_{k=1..m} R_1(lambda + i xi (m + 1 - 2k)/2)
+    worst_fusion = 0.0
+    for model in ("bsg", "kondo"):
+        for z in (0.15, 0.2, 0.25, 1.0 / 3.0, 0.6):
+            spec = make_model(model, z)
+            for m in range(1, spec.n_breathers + 1):
+                for lam in lams:
+                    value = r_breather(lam, m, spec)
+                    worst_mod = max(worst_mod, abs(abs(value) - 1.0))
+                    fused = 1.0 + 0.0j
+                    for k in range(1, m + 1):
+                        fused *= r_breather(lam + 0.5j * spec.xi * (m + 1 - 2 * k), 1, spec)
+                    worst_fusion = max(worst_fusion, abs(value - fused))
     checks.append(("boundary-unitarity", worst_bu, 1e-9))
     checks.append(("r-conjugation", worst_conj, 1e-9))
     checks.append(("r-modulus", worst_mod, 1e-9))
+    checks.append(("breather-fusion", worst_fusion, 1e-9))
     return checks
 
 
@@ -448,9 +461,29 @@ def _suite_formfactors() -> List[Tuple[str, float, float]]:
         max(abs(c - consts[0]) for c in consts),
         abs(abs(consts[0]) - 1.0),
     )
+    # the per-line tables of e^{I} (relative) and of the R_s phase
+    # (absolute) against their direct evaluations, on lines the form factors
+    # use and off the table panels' edges
+    worst_table = 0.0
+    for z in (0.2, 1.0 / 3.0, 0.6):
+        spec = make_model("bsg", z)
+        xi = spec.xi
+        half = 0.5 * (math.pi - xi)
+        for re in (-7.3, -0.6, 0.25, 2.9, 13.1):
+            for im in (0.0, half, -half, math.pi):
+                lam = complex(re, im)
+                worst_table = max(
+                    worst_table, abs(exp_I(lam, spec) / _exp_i_direct(lam, xi, 2) - 1.0)
+                )
+            for im in (0.0, 0.4, -0.4):
+                worst_table = max(
+                    worst_table,
+                    abs(_rs_phase_cached(re, im, xi) - _rs_phase_direct(complex(re, im), xi)),
+                )
     checks.append(("watson-exchange", worst_watson, 1e-8))
     checks.append(("expI-N-independence", worst_n, 1e-10))
     checks.append(("kinematic-pole", worst_kin, 1e-6))
+    checks.append(("kernel-tables", worst_table, 1e-11))
     return checks
 
 

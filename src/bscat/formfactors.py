@@ -17,15 +17,18 @@ evaluates only sin^2(w x) on the first n panels.  n reaches the point where
 the integrand's exponential bound falls below 1e-16.  The panel width is
 0.35 of the distance to the kernel's nearest pole (min(1, 2 pi/xi) for
 e^{I}, 1/2 for F), halved until a panel spans at most 2 radians of
-hypot(|2 w|, decay) x.  The rule raises ToleranceNotMet if its G7 error
-estimate exceeds 1e-12, or if more than 4096 panels would be needed.
-e^{I} calls that rule only to build tables: per (xi, Im lambda), the
-residual is tabulated in Re lambda on panels of width 1 with 21 Chebyshev
-points (degree 20), each built on first use and checked against the rule
-to 1e-12 absolute at its 20 interior midpoints (`quadrature.ChebyshevTable`).
-The Gamma product that leaves this residual is truncated at N = 2 (N = 10
-for xi < 1/2) and evaluated exactly, as one loggamma call on 8N points
-whose offsets, slopes and weights are precomputed per (xi, N).  The contour
+hypot(|2 Re w|, decay + 4 |Im w|) x.  The rule raises ToleranceNotMet if
+its G7 error estimate exceeds 1e-12, or if more than 4096 panels would be
+needed.  e^{I} calls that rule only to build tables.  Per (xi, Im lambda)
+line, the whole exponent of e^{I} -- the residual at N = 2 plus its Gamma
+product with every term near the poles of Gamma shifted up by the
+recurrence (`_exp_i_fold`) -- is tabulated in Re lambda >= 0 with 21
+Chebyshev points (degree 20) per panel, each built on first use and checked
+against the direct sum to 1e-12 absolute at its 20 interior midpoints
+(`quadrature.ChebyshevTable`).  The panel width follows from the strip of
+analyticity about the line (`quadrature.strip_panel_width`).  A lookup adds
+the logs of the few linear factors the shifts shed, precomputed per line.
+The contour
 function H is exactly -[t^{2p-5}] prod (e^{-c/2} + t e^{c/2}) (see `bigH`).
 The breather couplings read S0 from `smatrix.s0`, the one S0 evaluator.
 """
@@ -48,15 +51,16 @@ from .quadrature import (
     integrate_semi_infinite,
     integrate_simplex,
     integrate_tabulated,
+    strip_panel_width,
 )
 from .smatrix import s0
 
 TWO_PI = 2.0 * math.pi
 DEFAULT_N = 10
-# the e^{I} residual tables: panel width in Re lambda and Chebyshev points
-# per panel
-_TABLE_WIDTH = 1.0
+# the e^{I} tables: Gamma-product truncation and Chebyshev points per panel
+_TABLE_N = 2
 _TABLE_POINTS = 21
+_EPS = float(np.finfo(float).eps)
 _STRIP_TOL = 1e-9
 
 
@@ -106,11 +110,13 @@ def _exp_i_decay(lam_i: float, xi: float, N: int) -> float:
     return decay
 
 
-def _exp_i_log_product(lam: complex, xi: float, N: int) -> complex:
-    """Log of the N-term Gamma product of e^{I(lambda)}."""
+def _exp_i_log_product(lam: complex, xi: float, N: int, shifts=0.0) -> complex:
+    """Log of the N-term Gamma product of e^{I(lambda)}; with `shifts`, each
+    loggamma argument raised by shifts_j (the sum a line's table holds,
+    see `_exp_i_fold`)."""
     offsets, slopes, weights, const = _exp_i_product_terms(xi, N)
     u = 1j * lam / math.pi
-    return complex(weights @ loggamma(offsets + slopes * u)) + const
+    return complex(weights @ loggamma(offsets + shifts + slopes * u)) + const
 
 
 def _exp_i_direct(lam: complex, xi: float, N: int) -> complex:
@@ -120,46 +126,116 @@ def _exp_i_direct(lam: complex, xi: float, N: int) -> complex:
     return cmath.exp(_exp_i_residual(lam, xi, N) + _exp_i_log_product(lam, xi, N))
 
 
-def _table_n(xi: float) -> int:
-    """The Gamma-product truncation N of the e^{I} tables.
+# factors of the fold whose constant part is this close to 0 vanish at
+# Re lambda = 0 (their line passes through a zero or pole of e^{I}); the
+# product terms' offsets are multiples of pi/xi plus integers, so on the
+# lines that carry those points the constant is 0 up to rounding
+_ZERO_FACTOR = 1e-12
 
-    N = 2 for xi >= 1/2 (z >= 0.137), where the residual's panel-rule error
-    estimate stays below 4.5e-14 over |Im lambda| <= 2 pi, |Re lambda| <= 40.
-    For smaller xi the N = 2 residual misses its 1e-12 tolerance on lines
-    Im lambda > pi/2 (6.7e-12 at z = 0.125, Im lambda = 1.625 pi): the panel
-    layout sizes panels by hypot(2|w|, decay), but sin^2(w x) also carries a
-    component that decays 2|Im w| faster than the kernel, which the first
-    panel does not resolve.  There the tables keep DEFAULT_N, whose larger
-    decay narrows the panels.
+
+@lru_cache(maxsize=256)
+def _exp_i_fold(
+    xi: float, lam_i: float
+) -> Tuple[np.ndarray, Tuple[Tuple[float, float], ...], float, float]:
+    """The Gamma product on the line Im lambda = lam_i, folded by the
+    recurrence loggamma(z) = loggamma(z + m) - sum_{i<m} log(z + i).
+
+    On the line a term's argument z_j = offset_j + slope_j u (u = i lambda/
+    pi) has the constant real part r_j.  A term with r_j < delta, delta =
+    2 max(1, 1/xi), passes close to the poles of Gamma, and its loggamma
+    jumps by 2 pi i at Re lambda = 0 where r_j < 0; it is shifted by the
+    least m_j with r_j + m_j >= delta.  Every linear factor z_j + i it
+    sheds is b + i (slope_j/pi) Re lambda; written with slope +pi/xi (a
+    factor of slope -pi/xi is -1 times one), factors with the same b are
+    merged, and those whose weights cancel are dropped: the removable
+    singularities of e^{I} cancel exactly.  Returns (shifts, factors,
+    sign, half-width): the m_j; the pairs (b, weight) left, each
+    contributing -weight log(b + i Re lambda/xi) to the exponent; the sign
+    (-1)^k the flipped factors leave; and the half-width of the strip about
+    the line in which the shifted loggamma sum is analytic, xi min_j
+    (r_j + m_j).
     """
-    return 2 if xi >= 0.5 else DEFAULT_N
+    offsets, slopes, weights, _ = _exp_i_product_terms(xi, _TABLE_N)
+    delta = 2.0 * max(1.0, 1.0 / xi)
+    # as _exp_i_log_product rounds it, so that a factor vanishing on the
+    # line is the same number as the loggamma argument there
+    real = (offsets + slopes * (1j * complex(0.0, lam_i) / math.pi)).real
+    shifts = np.maximum(0.0, np.ceil(delta - real))
+    merged: list = []  # [b, weight]
+    flips = 0
+    for r, slope, weight, m in zip(real, slopes, weights, shifts):
+        sign = 1.0 if slope > 0.0 else -1.0
+        for i in range(int(m)):
+            b = sign * (r + i)
+            for entry in merged:
+                if abs(entry[0] - b) <= _ZERO_FACTOR:
+                    entry[1] += weight
+                    break
+            else:
+                merged.append([b, weight])
+            if sign < 0.0:
+                flips += int(weight)
+    factors = tuple((b, w) for b, w in sorted(merged) if w != 0.0)
+    return shifts, factors, -1.0 if flips % 2 else 1.0, xi * float(np.min(real + shifts))
 
 
 @lru_cache(maxsize=256)
 def _exp_i_line(xi: float, lam_i: float) -> ChebyshevTable:
-    """The residual integral at N = _table_n(xi) along Im lambda = lam_i,
-    tabulated in Re lambda."""
-    N = _table_n(xi)
+    """The folded exponent of e^{I} along Im lambda = lam_i, tabulated in
+    Re lambda >= 0 on panels sized by its strip of analyticity: the shifted
+    Gamma terms' strip, bounded by the residual's.
+
+    The panels are checked to 1e-12 absolute, or to the rounding of the
+    loggamma sum, 2 eps sum_j |w_j loggamma(z_j + m_j)|, where that is
+    larger: at small z the terms reach loggamma(1 + 3 pi/xi) and cancel to
+    a moderate exponent (at z = 0.125 the rounding passes 1e-12 past
+    |Re lambda| ~ 25, at z = 0.05 everywhere)."""
+    shifts, _, _, half_width = _exp_i_fold(xi, lam_i)
+    half_width = min(half_width, _exp_i_decay(lam_i, xi, _TABLE_N))
+    offsets, slopes, weights, _ = _exp_i_product_terms(xi, _TABLE_N)
+
+    def exponent(lam_r: float) -> complex:
+        lam = complex(lam_r, lam_i)
+        return _exp_i_residual(lam, xi, _TABLE_N) + _exp_i_log_product(
+            lam, xi, _TABLE_N, shifts
+        )
+
+    def rounding(lam_r: float) -> float:
+        u = 1j * complex(lam_r, lam_i) / math.pi
+        terms = weights * loggamma(offsets + shifts + slopes * u)
+        return 2.0 * _EPS * float(np.sum(np.abs(terms)))
+
     return ChebyshevTable(
-        lambda lam_r: _exp_i_residual(complex(lam_r, lam_i), xi, N),
-        _TABLE_WIDTH,
+        exponent,
+        strip_panel_width(half_width),
         _TABLE_POINTS,
         tol=1e-12,
+        rounding=rounding,
     )
 
 
 @lru_cache(maxsize=400_000)
 def _exp_i_cached(lam_r: float, lam_i: float, xi: float) -> complex:
-    N = _table_n(xi)
-    _exp_i_decay(lam_i, xi, N)
+    _exp_i_decay(lam_i, xi, _TABLE_N)
     lam = complex(lam_r, lam_i)
-    exponent = _exp_i_line(xi, lam_i)(lam_r) + _exp_i_log_product(lam, xi, N)
+    _, factors, sign, _ = _exp_i_fold(xi, lam_i)
+    # e^{I(-conj lambda)} = conj e^{I(lambda)}: the table holds Re lambda >= 0
+    x = abs(lam_r)
+    slope = x / xi
+    exponent = _exp_i_line(xi, lam_i)(x)
+    for b, weight in factors:
+        if x == 0.0 and abs(b) <= _ZERO_FACTOR:
+            if weight > 0.0:
+                raise DomainError(f"e^I has a pole at lambda = {lam} (xi = {xi})")
+            return 0.0 + 0.0j
+        exponent -= weight * cmath.log(complex(b, slope))
     try:
-        return cmath.exp(exponent)
+        value = sign * cmath.exp(exponent)
     except OverflowError:
         raise DomainError(
             f"e^I overflows at lambda = {lam} (xi = {xi}): exponent {exponent:.4g}"
         ) from None
+    return value.conjugate() if lam_r < 0.0 else value
 
 
 def _exp_i_kernel(x: np.ndarray, xi: float, N: int) -> np.ndarray:
@@ -221,15 +297,19 @@ def _exp_i_product_terms(xi: float, N: int):
 def exp_I(lam: complex, spec: ModelSpec) -> complex:
     """The pair special function e^{I(lambda)}.
 
-    The Gamma product is truncated at N = 2 (16 loggamma terms, evaluated
-    exactly; N = 10 for xi < 1/2, see `_table_n`).  The residual integral it
-    leaves is analytic along each line Im lambda = const inside its strip
-    and is read from a per-(xi, Im lambda) table of degree-20 Chebyshev
-    panels of width 1 in Re lambda, each built from the panel-rule integral
-    on first use and checked against it to 1e-12 absolute at its 20
-    interior midpoints (`quadrature.ChebyshevTable`).  The whole exponent is
-    not tabulated: e^{I} has zeros and poles at Re lambda = 0 on some lines,
-    where the loggamma sum jumps by 2 pi i k.
+    One table lookup of the whole exponent per line Im lambda = const: the
+    residual integral left by the N = 2 Gamma product plus that product,
+    each of its terms whose argument comes within delta = 2 max(1, 1/xi) of
+    the poles of Gamma shifted up by the recurrence (`_exp_i_fold`).  The
+    sum is analytic in a strip about the line and is read from a table of
+    degree-20 Chebyshev panels in Re lambda >= 0, sized by that strip, each
+    built on first use and checked against the direct sum to 1e-12 absolute
+    at its 20 interior midpoints (`quadrature.ChebyshevTable`).  A lookup
+    then subtracts the logs of the linear factors the shifts shed; factors
+    shared by numerator and denominator cancel when the line is set up.
+    e^{I} has its zeros and poles at Re lambda = 0 on some lines, where a
+    factor vanishes: a zero returns exactly 0, a pole raises DomainError.
+    e^{I(-conj lambda)} = conj e^{I(lambda)} gives Re lambda < 0.
 
     At xi = pi (z = 1/2) e^{I} is identically 1: the Gamma product cancels
     term by term and the residual's kernel vanishes.  That point is answered

@@ -17,7 +17,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Dict, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -344,14 +344,18 @@ def panel_rule(width: float, n_panels: int) -> PanelRule:
 
 
 def panel_layout(
-    decay_rate: float, pole_distance: float, rate: float
+    decay_rate: float, pole_distance: float, rate: float, growth: float = 0.0
 ) -> Tuple[float, int, int]:
     """Panels for a semi-infinite integral kernel(x) * g(x).
 
     The integrand is bounded by C e^{-decay_rate x}, the kernel has its
     nearest pole `pole_distance` off the real axis and the factor g
-    oscillates or grows at most at `rate` (per unit x); a panel spans at
-    most _PHASE_PER_PANEL of hypot(rate, decay_rate).  Returns (width, n,
+    oscillates at most at `rate` (per unit x).  `growth` is the rate by
+    which g's fastest-decaying component decays faster than g's bound (for
+    g = sin(kappa x)^p, 2 p |Im kappa|): that component, times the kernel,
+    decays at decay_rate + growth.  A panel spans at most _PHASE_PER_PANEL
+    of hypot(rate, decay_rate + growth), while the truncation point stays on
+    decay_rate.  Returns (width, n,
     size): n panels of `width` reach the truncation point where the bound
     reaches _TRUNCATION_TARGET, and `size`, the next power of two >= n, is
     the panel count of the cached table those n panels are read from.
@@ -361,7 +365,7 @@ def panel_layout(
     """
     x_max = _truncation(decay_rate)
     width = _POLE_FRACTION * pole_distance
-    while width * math.hypot(rate, decay_rate) > _PHASE_PER_PANEL:
+    while width * math.hypot(rate, decay_rate + growth) > _PHASE_PER_PANEL:
         width *= 0.5
     if x_max > _MAX_PANELS * width:
         raise ToleranceNotMet(
@@ -390,14 +394,16 @@ def integrate_tabulated(
     """Integral over (0, inf) of kernel(x, *args) * sin(kappa x)**power.
 
     The panels are those of panel_layout(decay_rate, pole_distance,
-    power * |kappa|); kernel(x, *args) is tabulated on them once per
-    (kernel, args, layout) and cached, so a call evaluates only the sine, on
-    the first n panels.  Raises ToleranceNotMet past `tol`, and when the
+    power |Re kappa|, 2 power |Im kappa|); kernel(x, *args) is tabulated on
+    them once per (kernel, args, layout) and cached, so a call evaluates
+    only the sine, on the first n panels.  Raises ToleranceNotMet past `tol`, and when the
     sine could overflow on the panels (a complex kappa next to the edge of
     the kernel's strip, where the product is finite but its factors are
     not).
     """
-    width, n, size = panel_layout(decay_rate, pole_distance, power * abs(kappa))
+    width, n, size = panel_layout(
+        decay_rate, pole_distance, power * abs(kappa.real), 2.0 * power * abs(kappa.imag)
+    )
     growth = power * abs(kappa.imag) * n * width
     if growth > _MAX_EXPONENT:
         raise ToleranceNotMet(
@@ -437,6 +443,20 @@ def _clenshaw(coeffs: Tuple[complex, ...], t: float) -> complex:
     return t * b1 - b2 + coeffs[0]
 
 
+def strip_panel_width(half_width: float) -> float:
+    """The panel width of a ChebyshevTable whose function is analytic in the
+    strip |Im x| < half_width: the largest power of two at most 1.5
+    half_width, a power of two so that x = 0 stays a panel edge.
+
+    The degree-20 interpolant on a panel converges at the rate of the
+    largest Bernstein ellipse inside the strip.  Measured on the e^{I} and
+    R_s phase tables at z = 0.15 ... 0.75 over |Re x| <= 30: these widths
+    interpolate to 1e-13 or better, and twice them miss 1e-12 at every z."""
+    if not half_width > 0.0:
+        raise DomainError(f"strip half-width must be positive, got {half_width}")
+    return 2.0 ** math.floor(math.log2(1.5 * half_width))
+
+
 class ChebyshevTable:
     """A lazily built piecewise-Chebyshev interpolant of builder(x), x real.
 
@@ -449,17 +469,26 @@ class ChebyshevTable:
     extrema of T_n; if the interpolant is off by more than `tol` there
     (absolute), the panel is not kept and ToleranceNotMet is raised.  The
     builder must be analytic in a neighbourhood of each panel it is asked
-    for.  `panels` counts the panels built so far, and `worst_error` is the
-    largest check error seen on them.
+    for.  `rounding`, if given, is the builder's own rounding error at x
+    (nondecreasing in |x|); a panel is then checked to the larger of `tol`
+    and its value at the panel's edge farther from 0.  `panels` counts the
+    panels built so far, and `worst_error` is the largest check error seen
+    on them.
     """
 
     def __init__(
-        self, builder: Callable[[float], complex], width: float, n: int, tol: float
+        self,
+        builder: Callable[[float], complex],
+        width: float,
+        n: int,
+        tol: float,
+        rounding: Optional[Callable[[float], float]] = None,
     ):
         self._builder = builder
         self._width = width
         self._n = n
         self._tol = tol
+        self._rounding = rounding
         self._panels: Dict[int, Tuple[complex, ...]] = {}
         self.worst_error = 0.0
 
@@ -487,10 +516,13 @@ class ChebyshevTable:
         ]
         # np.max, unlike max, returns a NaN it meets, which then fails
         err = float(np.max(errors))
-        if not err <= self._tol:
+        tol = self._tol
+        if self._rounding is not None:
+            tol = max(tol, self._rounding(centre + math.copysign(half, centre)))
+        if not err <= tol:
             raise ToleranceNotMet(
                 f"Chebyshev table: panel [{centre - half:.6g}, {centre + half:.6g}] "
-                f"interpolates with error {err:.3e}, more than tol {self._tol:.3e}",
+                f"interpolates with error {err:.3e}, more than tol {tol:.3e}",
                 abs_error_estimate=err,
             )
         self.worst_error = max(self.worst_error, err)

@@ -16,6 +16,13 @@ the edge of the strip where the integrand's decay vanishes the rule would
 need more than 4096 panels, or its sine would overflow, and it raises
 ToleranceNotMet.  Past |Re lambda| = 16/d the phase is its large-|Re lambda|
 limit, which the integral matches there to 3e-13 or better for z >= 0.05.
+Short of that, a phase lookup reads a per-(xi, Im lambda) table
+(`quadrature.ChebyshevTable`, 21 Chebyshev points per panel, each panel
+built from the integral on first use and checked against it to 1e-12): the
+phase is analytic in |Im lambda| < min(3 xi, xi + 2 pi)/2, and the panel
+width follows from the half-width s of that strip about the line
+(`quadrature.strip_panel_width`: at most 1.5 s, a power of two).  As
+phase(-conj lambda) = -conj phase(lambda), the tables hold Re lambda >= 0.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ import numpy as np
 
 from .errors import DomainError
 from .model import Excitation, ExcitationKind, ModelSpec, validate_excitation
-from .quadrature import integrate_tabulated
+from .quadrature import ChebyshevTable, integrate_tabulated, strip_panel_width
 from .smatrix import s_rl_limit
 
 _POLE_TOL = 1e-12
@@ -43,7 +50,25 @@ _ASYMPTOTE_EXPONENT = 32.0
 
 @lru_cache(maxsize=200_000)
 def _rs_phase_cached(lam_r: float, lam_i: float, xi: float) -> complex:
-    return _rs_phase_direct(complex(lam_r, lam_i), xi)
+    if _rs_phase_asymptotic(lam_r, xi):
+        return _rs_phase_direct(complex(lam_r, lam_i), xi)
+    _rs_phase_decay(lam_i, xi)
+    # phase(-conj lambda) = -conj phase(lambda): the table holds Re lambda >= 0
+    value = _rs_phase_line(xi, lam_i)(abs(lam_r))
+    return -value.conjugate() if lam_r < 0.0 else value
+
+
+@lru_cache(maxsize=256)
+def _rs_phase_line(xi: float, lam_i: float) -> ChebyshevTable:
+    """The phase along Im lambda = lam_i, tabulated in Re lambda >= 0 on
+    panels sized by its strip of analyticity, |Im lambda| < min(3 xi,
+    xi + 2 pi)/2."""
+    return ChebyshevTable(
+        lambda lam_r: _rs_phase_direct(complex(lam_r, lam_i), xi),
+        strip_panel_width(0.5 * _rs_phase_decay(lam_i, xi)),
+        21,
+        tol=1e-12,
+    )
 
 
 def _rs_phase_pole(xi: float) -> float:
@@ -52,13 +77,25 @@ def _rs_phase_pole(xi: float) -> float:
     return min(0.5, math.pi / (2.0 * xi))
 
 
-def _rs_phase_direct(lam: complex, xi: float) -> complex:
-    decay = min(3.0 * xi, xi + 2.0 * math.pi) - 2.0 * abs(lam.imag)
+def _rs_phase_decay(lam_i: float, xi: float) -> float:
+    """Decay rate of the phase integrand at Im lambda = lam_i; raises
+    DomainError where the integral diverges."""
+    decay = min(3.0 * xi, xi + 2.0 * math.pi) - 2.0 * abs(lam_i)
     if decay <= 0.0:
         raise DomainError(
-            f"R_s phase integral diverges at Im lambda = {lam.imag} (xi = {xi})"
+            f"R_s phase integral diverges at Im lambda = {lam_i} (xi = {xi})"
         )
-    if 2.0 * _rs_phase_pole(xi) * abs(lam.real) > _ASYMPTOTE_EXPONENT:
+    return decay
+
+
+def _rs_phase_asymptotic(lam_r: float, xi: float) -> bool:
+    """Whether the phase at Re lambda = lam_r is its large-|Re lambda| limit."""
+    return 2.0 * _rs_phase_pole(xi) * abs(lam_r) > _ASYMPTOTE_EXPONENT
+
+
+def _rs_phase_direct(lam: complex, xi: float) -> complex:
+    decay = _rs_phase_decay(lam.imag, xi)
+    if _rs_phase_asymptotic(lam.real, xi):
         # the kernel is even in x, so the large-|Re lambda| limit has no
         # power-law corrections; the error is exponentially small.
         return complex(math.copysign(1.0, lam.real) * math.pi * (math.pi - xi) / (4.0 * xi))
@@ -115,30 +152,20 @@ def r_bsg_soliton(lam: complex, flip: bool, spec: ModelSpec) -> complex:
 
 
 def r_bsg_breather(lam: complex, m: int, spec: ModelSpec) -> complex:
-    """Diagonal breather-m reflection amplitude of the boundary sine-Gordon model."""
+    """Diagonal breather-m reflection amplitude of the boundary sine-Gordon
+    model: the m-fold fusion of R_1(lambda) = tanh(lambda/2 - i pi/4),
+
+        R_m(lambda) = prod_{k=1..m} R_1(lambda + i xi (m + 1 - 2k)/2),
+
+    the boundary bootstrap for a bound state of m breathers 1 (Ghoshal &
+    Zamolodchikov, Int. J. Mod. Phys. A 9 (1994) 3841); unimodular on real
+    rapidities."""
     if not (1 <= m <= spec.n_breathers):
         raise DomainError(f"breather m={m} invalid (n_breathers={spec.n_breathers})")
-    lam = complex(lam)
-    xi = spec.xi
-    base = lam / 2.0 - 1j * math.pi / 4.0
-    if m % 2 == 1:  # m = 2k - 1
-        k = (m + 1) // 2
-        out = cmath.tanh(base)
-        for j in range(1, k):
-            num = cmath.tanh(base - 1j * xi * j / 2.0)
-            den = cmath.tanh(base + 1j * xi * j / 2.0)
-            if abs(den) < _POLE_TOL:
-                raise DomainError(f"breather reflection pole at lambda = {lam}")
-            out *= num / den
-        return out
-    k = m // 2
+    base = complex(lam) / 2.0 - 1j * math.pi / 4.0
     out = 1.0 + 0.0j
-    for j in range(1, k + 1):
-        num = cmath.tanh(base - 1j * xi / 2.0 * (j - 0.5))
-        den = cmath.tanh(base + 1j * xi / 2.0 * (j - 0.5))
-        if abs(den) < _POLE_TOL:
-            raise DomainError(f"breather reflection pole at lambda = {lam}")
-        out *= num / den
+    for k in range(1, m + 1):
+        out *= cmath.tanh(base + 0.25j * spec.xi * (m + 1 - 2 * k))
     return out
 
 

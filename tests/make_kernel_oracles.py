@@ -168,6 +168,13 @@ def exp_i_points():
                 yield z, complex(re, im)
 
 
+# removable points of e^{I} at Re lambda = 0, where a Gamma pole of the
+# numerator meets one of the denominator: (numerator, denominator of z,
+# lambda).  At the binary z nearest to a rational the two sit about 1e-16
+# apart and the value at the float lambda between them is set by that
+# rounding; the reference is the value at the exact rational z.
+EXP_I_REMOVABLE_POINTS = ((1, 3, complex(0.0, math.pi)), (1, 4, complex(0.0, math.pi)))
+
 RS_POINTS = tuple(
     (z, complex(re, im))
     for z in (1.0 / 3.0, 0.4, 0.25)
@@ -197,6 +204,11 @@ if __name__ == "__main__":
     print("EXP_I = (")
     for z, lam in exp_i_points():
         print(f"    ({z!r}, {_fmt(lam)}, {_fmt(exp_i(lam, z))}),")
+    print(")")
+    print("EXP_I_REMOVABLE = (")
+    for num, den, lam in EXP_I_REMOVABLE_POINTS:
+        value = exp_i(lam, mp.mpf(num) / den)
+        print(f"    ({num / den!r}, {_fmt(lam)}, {_fmt(value)}),")
     print(")")
     print("RS_PHASE = (")
     for z, lam in RS_POINTS:

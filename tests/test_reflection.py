@@ -58,16 +58,36 @@ class TestUnitarity:
             assert abs(abs(r_kondo_soliton(lam, spec)) - 1.0) < 1e-12
 
     def test_breather_amplitudes_unimodular(self):
-        # Kondo breather reflection is unimodular for every m; the boundary
-        # sine-Gordon one only for m = 1 (higher-m entries include the
-        # non-unimodular boundary factors of the massless limit)
+        # breather reflection is unimodular on real rapidities for every m,
+        # in both models
         spec = make_model("kondo", 0.2)
         for m in range(1, spec.n_breathers + 1):
             for lam in (-0.9, 0.6):
                 assert abs(abs(r_kondo_breather(lam, m, spec)) - 1.0) < 1e-12
         spec = make_model("bsg", 0.2)
-        for lam in (-0.9, 0.6):
-            assert abs(abs(r_bsg_breather(lam, 1, spec)) - 1.0) < 1e-12
+        for m in range(1, spec.n_breathers + 1):
+            for lam in (-0.9, 0.6):
+                assert abs(abs(r_bsg_breather(lam, m, spec)) - 1.0) < 1e-12
+
+
+class TestBreatherFusion:
+    @pytest.mark.parametrize("model", ["bsg", "kondo"])
+    @pytest.mark.parametrize("z", [0.15, 0.2, 0.25])
+    def test_higher_breathers_fuse_from_breather_1(self, model, z):
+        # the boundary bootstrap: breather m is a bound state of m
+        # breathers 1 at rapidities spaced by i xi, so
+        # R_m(lambda) = prod_{k=1..m} R_1(lambda + i xi (m + 1 - 2k)/2)
+        # (Ghoshal & Zamolodchikov, Int. J. Mod. Phys. A 9 (1994) 3841)
+        spec = make_model(model, z)
+        assert spec.n_breathers >= 2
+        for m in range(2, spec.n_breathers + 1):
+            for lam in (-2.3, -0.4, 0.7, 3.1):
+                fused = 1.0 + 0.0j
+                for k in range(1, m + 1):
+                    fused *= r_breather(lam + 0.5j * spec.xi * (m + 1 - 2 * k), 1, spec)
+                value = r_breather(lam, m, spec)
+                assert abs(value - fused) <= 1e-14
+                assert abs(abs(value) - 1.0) <= 1e-14
 
 
 class TestAsymptotes:

@@ -37,6 +37,18 @@ class TestReflectionCoefficient:
         bd = reflection_coefficient(1.0, spec)
         assert set(bd.terms) == {"pm"} == set(r0_weights(spec))
 
+    @pytest.mark.parametrize("z", [0.2, 0.25])
+    def test_bsg_r_is_bounded_by_unitarity(self, z):
+        # |r(omega)| <= 1 in the full theory; the truncated, normalised r
+        # may exceed it by at most the truncation bound.  With breathers
+        # m >= 2 that were not unimodular it reached 1.0111 at z = 0.2,
+        # omega = 3, against a bound of 2.2e-4
+        spec = make_model("bsg", z)
+        for omega in (1.0, 3.0):
+            bd = reflection_coefficient(omega, spec)
+            r = abs(bd.total) / (1.0 - bd.truncation_bound)
+            assert r <= 1.0 + bd.truncation_bound
+
     def test_term_keys_many_breathers(self):
         spec = make_model("bsg", 0.2)
         bd = reflection_coefficient(1.0, spec)
