@@ -39,7 +39,6 @@ from .spectrum import (
 from .twopoint import (
     RateCurve,
     ReflectionBreakdown,
-    default_omega_grid,
     fit_power_law,
     rates_from_r,
     reflection_coefficient,
@@ -67,7 +66,6 @@ __all__ = [
     "active_diagrams",
     "breather",
     "conductance_finite_T",
-    "default_omega_grid",
     "fit_power_law",
     "make_model",
     "mass_ratio",

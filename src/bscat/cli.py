@@ -7,47 +7,21 @@ Exit codes: 0 success, 2 validation failure, 1 error.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import sys
 from contextlib import contextmanager
-from functools import lru_cache
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import click
 
 from . import __version__
 from .errors import BscatError
-from .formfactors import (
-    _exp_i_direct,
-    exp_I,
-    f_111,
-    f_breather1,
-    f_pm,
-    f_pm1,
-    r0_weights,
-)
-from .model import (
-    ANTISOLITON,
-    SOLITON,
-    breather,
-    make_model,
-    mass_ratio,
-    t_b_from_physical,
-)
-from .reflection import (
-    _rs_phase_cached,
-    _rs_phase_direct,
-    r_amplitude,
-    r_breather,
-    r_bsg_soliton,
-    r_conjugation_check,
-    r_kondo_soliton,
-)
-from .smatrix import s0, s_breather_breather, s_breather_soliton, s_entry, s_soliton
+from .formfactors import r0_weights
+from .model import make_model, t_b_from_physical
 from .spectrum import spectrum_curve
 from .twopoint import rates_from_r, reflection_coefficient
+from .validate import SUITES
 
 
 def _fmt(x: float) -> str:
@@ -300,220 +274,10 @@ def r0(model, z, output, fmt, config) -> None:
     _write_table(output, fmt, ["set_label", "weight"], rows, _meta(model, z, observable="r0"))
 
 
-def _suite_smatrix() -> List[Tuple[str, float, float]]:
-    S = lru_cache(maxsize=None)(s_entry)
-    checks = []
-    thetas = [-2.3, -0.7, 0.4, 1.9]
-    charges = (SOLITON, ANTISOLITON)
-    worst_u = 0.0
-    worst_x = 0.0
-    worst_yb = 0.0
-    for z in (1.0 / 3.0, 0.4, 0.5, 0.6):
-        spec = make_model("bsg", z)
-        for th in thetas:
-            for e1, e2 in itertools.product(charges, repeat=2):
-                for o1, o2 in itertools.product(charges, repeat=2):
-                    acc = 0.0 + 0.0j
-                    for m1, m2 in itertools.product(charges, repeat=2):
-                        acc += S(e1, e2, m1, m2, th, spec) * S(
-                            m1, m2, o1, o2, -th, spec
-                        )
-                    target = 1.0 if (e1, e2) == (o1, o2) else 0.0
-                    worst_u = max(worst_u, abs(acc - target))
-            # crossing: S0(i pi - theta) equals the soliton-antisoliton
-            # transmission amplitude at theta
-            lhs = s0(1j * math.pi - th, spec)
-            rhs = s_soliton(th, "pm_pm", spec)
-            worst_x = max(worst_x, abs(lhs - rhs))
-    spec = make_model("bsg", 0.4)
-    triples = [(0.9, 0.3, -0.5), (1.7, -0.2, 0.6)]
-    labels = list(itertools.product(charges, repeat=3))
-    for t1, t2, t3 in triples:
-        for ins in labels:
-            for outs in labels:
-                lhs = 0.0 + 0.0j
-                rhs = 0.0 + 0.0j
-                for mid in labels:
-                    lhs += (
-                        S(ins[0], ins[1], mid[0], mid[1], t1 - t2, spec)
-                        * S(mid[0], ins[2], outs[0], mid[2], t1 - t3, spec)
-                        * S(mid[1], mid[2], outs[1], outs[2], t2 - t3, spec)
-                    )
-                    rhs += (
-                        S(ins[1], ins[2], mid[1], mid[2], t2 - t3, spec)
-                        * S(ins[0], mid[2], mid[0], outs[2], t1 - t3, spec)
-                        * S(mid[0], mid[1], outs[0], outs[1], t1 - t2, spec)
-                    )
-                worst_yb = max(worst_yb, abs(lhs - rhs))
-    checks.append(("s-unitarity", worst_u, 1e-9))
-    checks.append(("s-crossing", worst_x, 1e-8))
-    checks.append(("yang-baxter", worst_yb, 1e-8))
-    return checks
-
-
-def _suite_reflection() -> List[Tuple[str, float, float]]:
-    checks = []
-    worst_bu = 0.0
-    worst_conj = 0.0
-    worst_mod = 0.0
-    lams = [-1.7, -0.3, 0.5, 2.1]
-    for model in ("bsg", "kondo"):
-        for z in (1.0 / 3.0, 0.5, 0.6):
-            spec = make_model(model, z)
-            excs = [SOLITON, ANTISOLITON] + [
-                breather(m) for m in range(1, spec.n_breathers + 1)
-            ]
-            outs = excs
-            for lam in lams:
-                # unitarity of the reflection matrix on real rapidities:
-                # sum_b R_a^b(lam) conj(R_a'^b(lam)) = delta_{a a'}
-                for e in excs:
-                    for e2 in excs:
-                        acc = 0.0 + 0.0j
-                        for mid in outs:
-                            acc += r_amplitude(lam, e, mid, spec) * complex(
-                                r_amplitude(lam, e2, mid, spec)
-                            ).conjugate()
-                        target = 1.0 if e == e2 else 0.0
-                        worst_bu = max(worst_bu, abs(acc - target))
-                # the soliton-sector continuation to Im lambda = pi exists only
-                # for xi > 2 pi / 3 (bsG); Kondo solitons are meromorphic
-                if spec.is_kondo or 3.0 * spec.xi > 2.0 * math.pi + 1e-9:
-                    worst_conj = max(
-                        worst_conj,
-                        r_conjugation_check(
-                            [(SOLITON, lam), (ANTISOLITON, lam + 0.3)], spec
-                        ),
-                    )
-                if spec.n_breathers >= 1:
-                    worst_conj = max(
-                        worst_conj,
-                        r_conjugation_check([(breather(1), lam)], spec),
-                    )
-                if spec.is_kondo:
-                    worst_mod = max(
-                        worst_mod, abs(abs(r_kondo_soliton(lam, spec)) - 1.0)
-                    )
-                else:
-                    flip = r_bsg_soliton(lam, True, spec)
-                    diag = r_bsg_soliton(lam, False, spec)
-                    worst_mod = max(
-                        worst_mod, abs(abs(flip) ** 2 + abs(diag) ** 2 - 1.0)
-                    )
-    # every breather: |R_m| = 1 on real rapidities, and the boundary fusion
-    # bootstrap R_m(lambda) = prod_{k=1..m} R_1(lambda + i xi (m + 1 - 2k)/2)
-    worst_fusion = 0.0
-    for model in ("bsg", "kondo"):
-        for z in (0.15, 0.2, 0.25, 1.0 / 3.0, 0.6):
-            spec = make_model(model, z)
-            for m in range(1, spec.n_breathers + 1):
-                for lam in lams:
-                    value = r_breather(lam, m, spec)
-                    worst_mod = max(worst_mod, abs(abs(value) - 1.0))
-                    fused = 1.0 + 0.0j
-                    for k in range(1, m + 1):
-                        fused *= r_breather(lam + 0.5j * spec.xi * (m + 1 - 2 * k), 1, spec)
-                    worst_fusion = max(worst_fusion, abs(value - fused))
-    checks.append(("boundary-unitarity", worst_bu, 1e-9))
-    checks.append(("r-conjugation", worst_conj, 1e-9))
-    checks.append(("r-modulus", worst_mod, 1e-9))
-    checks.append(("breather-fusion", worst_fusion, 1e-9))
-    return checks
-
-
-def _suite_formfactors() -> List[Tuple[str, float, float]]:
-    checks = []
-    worst_watson = 0.0
-    worst_n = 0.0
-    for z in (1.0 / 3.0, 0.25):
-        spec = make_model("bsg", z)
-        p = spec.p_int
-        for l1, l2 in ((0.4, -0.3), (1.2, 0.1), (-0.8, 0.9)):
-            lhs = f_pm(l1, l2, spec)
-            rhs = (-1.0) ** (p + 1) * s0(l2 - l1, spec) * f_pm(l2, l1, spec)
-            worst_watson = max(worst_watson, abs(lhs - rhs) / max(1.0, abs(lhs)))
-            if spec.n_breathers >= 1:
-                lhs3 = f_111(l1, l2, 0.2, spec)
-                rhs3 = s_breather_breather(l2 - l1, 1, 1, spec) * f_111(
-                    l2, l1, 0.2, spec
-                )
-                worst_watson = max(
-                    worst_watson, abs(lhs3 - rhs3) / max(1.0, abs(lhs3))
-                )
-        for lam in (0.3 + 0.2j, -0.6 + 0.0j):
-            # the tabulated value against the direct N-term representation
-            ref = exp_I(lam, spec)
-            for n in (5, 10, 20):
-                worst_n = max(worst_n, abs(_exp_i_direct(lam, spec.xi, n) - ref))
-    # kinematic pole: residue proportional to (1 - S_{1s}) f_1, with a
-    # kinematics-independent unimodular constant
-    spec = make_model("bsg", 1.0 / 3.0)
-    eps = 1e-7
-    consts = []
-    for l1, l3 in ((0.3, -0.4), (-0.6, 0.8), (1.1, 0.2)):
-        f = f_pm1(l1, l1 + 1j * (math.pi - eps), l3, spec)
-        res = 1j * eps * f
-        target = (1.0 - s_breather_soliton(l1 - l3, 1, spec)) * f_breather1(
-            1, l3, spec
-        )
-        consts.append(res / target)
-    worst_kin = max(
-        max(abs(c - consts[0]) for c in consts),
-        abs(abs(consts[0]) - 1.0),
-    )
-    # the per-line tables of e^{I} (relative) and of the R_s phase
-    # (absolute) against their direct evaluations, on lines the form factors
-    # use and off the table panels' edges
-    worst_table = 0.0
-    for z in (0.2, 1.0 / 3.0, 0.6):
-        spec = make_model("bsg", z)
-        xi = spec.xi
-        half = 0.5 * (math.pi - xi)
-        for re in (-7.3, -0.6, 0.25, 2.9, 13.1):
-            for im in (0.0, half, -half, math.pi):
-                lam = complex(re, im)
-                worst_table = max(
-                    worst_table, abs(exp_I(lam, spec) / _exp_i_direct(lam, xi, 2) - 1.0)
-                )
-            for im in (0.0, 0.4, -0.4):
-                worst_table = max(
-                    worst_table,
-                    abs(_rs_phase_cached(re, im, xi) - _rs_phase_direct(complex(re, im), xi)),
-                )
-    checks.append(("watson-exchange", worst_watson, 1e-8))
-    checks.append(("expI-N-independence", worst_n, 1e-10))
-    checks.append(("kinematic-pole", worst_kin, 1e-6))
-    checks.append(("kernel-tables", worst_table, 1e-11))
-    return checks
-
-
-def _suite_model() -> List[Tuple[str, float, float]]:
-    worst = 0.0
-    spec = make_model("bsg", 1.0 / 3.0)
-    worst = max(worst, abs(spec.xi - math.pi / 2.0))
-    worst = max(worst, abs(spec.n_breathers - 1))
-    worst = max(worst, abs(mass_ratio(breather(1), spec) - math.sqrt(2.0)))
-    spec_h = make_model("kondo", 0.5)
-    worst = max(worst, abs(spec_h.xi - math.pi), abs(spec_h.n_breathers))
-    tb_ok = t_b_from_physical(2.0, 1.0, 0.5) > t_b_from_physical(1.0, 1.0, 0.5) > 0
-    return [
-        ("model-constants", worst, 1e-12),
-        ("tb-conversion-monotone", 0.0 if tb_ok else 1.0, 0.5),
-    ]
-
-
-_SUITES: Dict[str, Callable[[], List[Tuple[str, float, float]]]] = {
-    "model": _suite_model,
-    "smatrix": _suite_smatrix,
-    "reflection": _suite_reflection,
-    "formfactors": _suite_formfactors,
-}
-
-
 @main.command()
 @click.option(
     "--suite",
-    type=click.Choice(sorted(_SUITES) + ["all"]),
+    type=click.Choice(sorted(SUITES) + ["all"]),
     default="all",
     show_default=True,
 )
@@ -521,11 +285,11 @@ _SUITES: Dict[str, Callable[[], List[Tuple[str, float, float]]]] = {
 @click.option("--format", "fmt", type=_FORMAT, default="csv")
 def validate(suite, output, fmt) -> None:
     """Run the algebraic invariant suites; exit 2 on any failure."""
-    names = sorted(_SUITES) if suite == "all" else [suite]
+    names = sorted(SUITES) if suite == "all" else [suite]
     rows = []
     failed = False
     for name in names:
-        for check, residual, bound in _SUITES[name]():
+        for check, residual, bound in SUITES[name]():
             ok = residual < bound
             failed = failed or not ok
             rows.append([f"{name}/{check}", residual, bound, "pass" if ok else "FAIL"])

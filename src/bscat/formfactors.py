@@ -56,7 +56,6 @@ from .quadrature import (
 from .smatrix import s0
 
 TWO_PI = 2.0 * math.pi
-DEFAULT_N = 10
 # the e^{I} tables: Gamma-product truncation and Chebyshev points per panel
 _TABLE_N = 2
 _TABLE_POINTS = 21
@@ -477,6 +476,8 @@ def _bigf_tail_kernel(x: np.ndarray, xi: float, N: int) -> np.ndarray:
 
 @lru_cache(maxsize=400_000)
 def _bigf_cached(lam_r: float, lam_i: float, xi: float, N: int) -> complex:
+    """F(lambda): N factors of its Gamma product times the integral of the
+    rest; N-independent for N >= 1."""
     lam = complex(lam_r, lam_i)
     u = 0.5j + lam / TWO_PI
     u2 = u * u
@@ -515,12 +516,10 @@ def _bigf_cached(lam_r: float, lam_i: float, xi: float, N: int) -> complex:
     return _bigf_prefactor(xi) * cmath.exp(prod + tail_val)
 
 
-def bigF(lam: complex, spec: ModelSpec, N: int = DEFAULT_N) -> complex:
-    """Minimal breather-pair function F(lambda); N-independent for N >= 1."""
-    if N < 1:
-        raise DomainError(f"N must be >= 1, got {N}")
+def bigF(lam: complex, spec: ModelSpec) -> complex:
+    """Minimal breather-pair function F(lambda)."""
     lam = complex(lam)
-    return _bigf_cached(lam.real, lam.imag, spec.xi, N)
+    return _bigf_cached(lam.real, lam.imag, spec.xi, 10)
 
 
 @lru_cache(maxsize=64)

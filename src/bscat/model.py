@@ -92,13 +92,6 @@ class Excitation:
             return Excitation(ExcitationKind.Soliton)
         return self
 
-    @property
-    def conj_sign(self) -> int:
-        """Charge-conjugation matrix element: +1 for (anti)solitons, (-1)^m for breathers."""
-        if self.kind is ExcitationKind.Breather:
-            return -1 if self.m % 2 else 1
-        return 1
-
 
 SOLITON = Excitation(ExcitationKind.Soliton)
 ANTISOLITON = Excitation(ExcitationKind.Antisoliton)

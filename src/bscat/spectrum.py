@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 
@@ -49,7 +49,7 @@ _TOL_DIAGRAM = 1e-10
 class SpectrumDiagram(Enum):
     """Labeled diagrams of the spectrum expansion."""
 
-    G1_1 = "g1_1"  # soliton pair at every vertex; the only diagram at z >= 1/2
+    G1_1 = "g1_1"  # soliton pair at every vertex; the only diagram computed at z >= 1/2
     G1_3 = "g1_3"  # delta-reduced 6-excitation variant (integer p)
     G2_1 = "g2_1"  # breather-1 emission + soliton pair (integer p)
     G3A = "g3a"  # pair + breather-1 in, breather-1 out (integer p)
@@ -148,7 +148,7 @@ def _diagram(
 
 
 def diagram_g1_1(omega_p: float, omega: float, spec: ModelSpec) -> float:
-    """Soliton-pair diagram: the only contribution at z >= 1/2."""
+    """Soliton-pair diagram: the only diagram computed at z >= 1/2."""
 
     def energies(big):
         return (omega - big, big, omega - omega_p - big, omega_p + big)
@@ -337,17 +337,10 @@ def active_diagrams(spec: ModelSpec) -> List[SpectrumDiagram]:
     return out
 
 
-def spectrum_point(
-    omega_p: float,
-    omega: float,
-    spec: ModelSpec,
-    diagrams: Sequence[SpectrumDiagram] | None = None,
-) -> float:
+def spectrum_point(omega_p: float, omega: float, spec: ModelSpec) -> float:
     """gamma(omega'|omega) summed over the active diagrams."""
-    if diagrams is None:
-        diagrams = active_diagrams(spec)
     return math.fsum(
-        _DIAGRAM_FUNCS[d](omega_p, omega, spec) for d in diagrams
+        _DIAGRAM_FUNCS[d](omega_p, omega, spec) for d in active_diagrams(spec)
     )
 
 
@@ -360,7 +353,6 @@ def _inelastic_loss(bd: ReflectionBreakdown) -> float:
 def sum_rule_check(
     omega: float,
     spec: ModelSpec,
-    diagrams: Sequence[SpectrumDiagram] | None = None,
     tol: float = 1e-5,
     breakdown: ReflectionBreakdown | None = None,
 ) -> float:
@@ -372,14 +364,12 @@ def sum_rule_check(
     spectrum.  `breakdown` is r(omega) if the caller has it already.
     """
     check_omega(omega)
-    if diagrams is None:
-        diagrams = active_diagrams(spec)
 
     def f(u: float) -> float:
         omega_p = omega * u * u
         if omega_p <= 0.0 or omega_p >= omega:
             return 0.0
-        g = spectrum_point(omega_p, omega, spec, diagrams)
+        g = spectrum_point(omega_p, omega, spec)
         return omega_p * g * 2.0 * omega * u
 
     lhs = float(adaptive_1d(f, 0.0, 1.0, tol=tol * omega).value.real)
@@ -400,15 +390,13 @@ def spectrum_curve(
     omega: float,
     spec: ModelSpec,
     grid_size: int = 40,
-    diagrams: Sequence[SpectrumDiagram] | None = None,
     compute_sum_rule: bool = True,
 ) -> SpectrumCurve:
     """Spectrum on a grid of omega', with per-diagram breakdown and the
     sum-rule ratio; the elastic delta-function coefficient is reported as
     gamma_disc = -(1 - |r|^2)."""
     check_omega(omega)
-    if diagrams is None:
-        diagrams = active_diagrams(spec)
+    diagrams = active_diagrams(spec)
     grid = default_omega_prime_grid(omega, grid_size)
     per: Dict[SpectrumDiagram, List[float]] = {d: [] for d in diagrams}
     totals: List[float] = []
@@ -419,7 +407,7 @@ def spectrum_curve(
         totals.append(math.fsum(vals))
     bd = reflection_coefficient(omega, spec)
     ratio = (
-        sum_rule_check(omega, spec, diagrams, breakdown=bd)
+        sum_rule_check(omega, spec, breakdown=bd)
         if compute_sum_rule
         else math.nan
     )

@@ -11,7 +11,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -115,15 +115,13 @@ def reflection_coefficient(omega: float, spec: ModelSpec) -> ReflectionBreakdown
     )
 
 
-def rates_from_r(
-    breakdowns: Sequence[ReflectionBreakdown], normalize: bool = True
-) -> RateCurve:
+def rates_from_r(breakdowns: Sequence[ReflectionBreakdown]) -> RateCurve:
     """gamma = -ln|r|^2 and delta = -arg(r)/2, unwrapped downward from the
     highest frequency (where delta = 0 is unambiguous in both models).
 
-    With normalize=True, r is divided by the included free-theory weight sum
-    (1 - truncation_bound) so that gamma -> 0 at high frequency instead of
-    saturating at the truncation floor.
+    r is divided by the included free-theory weight sum (1 - truncation_bound)
+    so that gamma -> 0 at high frequency instead of saturating at the
+    truncation floor.
     """
     if not breakdowns:
         raise InsufficientData("no reflection data")
@@ -131,13 +129,10 @@ def rates_from_r(
     omegas = [b.omega for b in bds]
     rs = []
     for b in bds:
-        r = b.total
-        if normalize:
-            floor = 1.0 - b.truncation_bound
-            if floor <= 0:
-                raise DomainError("truncation bound >= 1: nothing to normalize by")
-            r = r / floor
-        rs.append(r)
+        floor = 1.0 - b.truncation_bound
+        if floor <= 0:
+            raise DomainError("truncation bound >= 1: nothing to normalize by")
+        rs.append(b.total / floor)
     gamma = [-math.log(abs(r) ** 2) if abs(r) > 0 else math.inf for r in rs]
 
     # unwrap from high omega downward
@@ -177,8 +172,3 @@ def fit_power_law(
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 - float(np.sum(resid**2)) / ss_tot if ss_tot > 0 else 1.0
     return float(slope), r2
-
-
-def default_omega_grid(n: int = 60, lo: float = 1e-3, hi: float = 1e3) -> List[float]:
-    """Log-spaced frequency grid in units of T_B."""
-    return list(np.geomspace(lo, hi, n))

@@ -1,10 +1,13 @@
+import ast
 import json
 import math
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
 import bscat.cli as cli_mod
+import bscat.validate as validate_mod
 from bscat.cli import main
 from bscat.errors import ToleranceNotMet
 
@@ -270,6 +273,23 @@ class TestConvertTb:
         assert res.exit_code != 0
 
 
+_VALIDATE_ROWS = [
+    ("formfactors/watson-exchange", 1e-8),
+    ("formfactors/expI-N-independence", 1e-10),
+    ("formfactors/kinematic-pole", 1e-6),
+    ("formfactors/kernel-tables", 1e-11),
+    ("model/model-constants", 1e-12),
+    ("model/tb-conversion-monotone", 0.5),
+    ("reflection/boundary-unitarity", 1e-9),
+    ("reflection/r-conjugation", 1e-9),
+    ("reflection/r-modulus", 1e-9),
+    ("reflection/breather-fusion", 1e-9),
+    ("smatrix/s-unitarity", 1e-9),
+    ("smatrix/s-crossing", 1e-8),
+    ("smatrix/yang-baxter", 1e-8),
+]
+
+
 class TestValidate:
     def test_model_suite_passes(self, runner):
         res = runner.invoke(main, ["validate", "--suite", "model"])
@@ -280,7 +300,54 @@ class TestValidate:
 
     def test_failure_exits_2(self, runner, monkeypatch):
         monkeypatch.setitem(
-            cli_mod._SUITES, "model", lambda: [("synthetic", 1.0, 1e-9)]
+            cli_mod.SUITES, "model", lambda: [("synthetic", 1.0, 1e-9)]
         )
         res = runner.invoke(main, ["validate", "--suite", "model"])
         assert res.exit_code == 2
+
+    def test_all_suites_rows(self, runner):
+        res = runner.invoke(main, ["validate", "--suite", "all"])
+        assert res.exit_code == 0
+        _, rows = _rows(res.output)
+        assert [(r[0], float(r[2])) for r in rows] == _VALIDATE_ROWS
+        assert all(r[3] == "pass" for r in rows)
+
+    # the kernel returns NaN on call `nan_call`, after finite values; the
+    # third f_breather1 call sets the last kinematic-pole constant
+    @pytest.mark.parametrize(
+        "kernel, nan_call, suite, check",
+        [
+            ("s0", 2, "smatrix", "s-crossing"),
+            ("f_breather1", 3, "formfactors", "kinematic-pole"),
+        ],
+    )
+    def test_nan_sample_after_a_finite_one_fails(
+        self, runner, monkeypatch, kernel, nan_call, suite, check
+    ):
+        real = getattr(validate_mod, kernel)
+        calls = []
+
+        def nan_once(*args):
+            calls.append(args)
+            return math.nan if len(calls) == nan_call else real(*args)
+
+        monkeypatch.setattr(validate_mod, kernel, nan_once)
+        res = runner.invoke(main, ["validate", "--suite", suite])
+        assert res.exit_code == 2
+        _, rows = _rows(res.output)
+        status = {r[0]: (r[1], r[3]) for r in rows}
+        assert status.pop(f"{suite}/{check}") == ("nan", "FAIL")
+        assert all(s == "pass" for _, s in status.values())
+
+
+def test_cli_imports_no_private_name():
+    tree = ast.parse(Path(cli_mod.__file__).read_text(encoding="utf-8"))
+    private = [
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").split(".")[0] == "bscat")
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.endswith("__")
+    ]
+    assert private == []

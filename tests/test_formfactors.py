@@ -6,6 +6,7 @@ import pytest
 
 from bscat.errors import DomainError
 from bscat.formfactors import (
+    _bigf_cached,
     _breather_coupling_arg,
     _exp_i_direct,
     _exp_i_line,
@@ -83,9 +84,10 @@ class TestBuildingBlocks:
 
     def test_bigF_truncation_independence(self):
         for lam in (0.7, -0.4):
-            ref = bigF(lam, SPEC3, N=20)
-            for n in (5, 10):
-                assert abs(bigF(lam, SPEC3, N=n) - ref) < 1e-10
+            ref = _bigf_cached(lam, 0.0, SPEC3.xi, 20)
+            assert abs(bigF(lam, SPEC3) - ref) < 1e-10
+            for n in (1, 5, 10):
+                assert abs(_bigf_cached(lam, 0.0, SPEC3.xi, n) - ref) < 1e-10
 
     def test_c_const_frozen(self):
         assert c_const(SPEC3) == pytest.approx(2.2511051861189615, rel=1e-10)

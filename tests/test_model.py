@@ -68,11 +68,6 @@ class TestExcitation:
             assert exc.conjugate.conjugate == exc
         assert SOLITON.conjugate == ANTISOLITON
 
-    def test_conj_sign(self):
-        assert SOLITON.conj_sign == 1
-        assert breather(1).conj_sign == -1
-        assert breather(2).conj_sign == 1
-
     def test_invalid_breather_index(self):
         with pytest.raises(DomainError):
             breather(0)

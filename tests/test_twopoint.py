@@ -13,7 +13,6 @@ from bscat.referm import r_half_closed
 from bscat.twopoint import (
     RateCurve,
     ReflectionBreakdown,
-    default_omega_grid,
     fit_power_law,
     r_term_12,
     r_term_breather,
@@ -232,9 +231,7 @@ class TestRates:
         bd = ReflectionBreakdown(
             omega=1.0, terms={"pm": 0.9}, total=0.9, truncation_bound=0.1
         )
-        raw = rates_from_r([bd], normalize=False)
-        norm = rates_from_r([bd], normalize=True)
-        assert raw.gamma[0] == pytest.approx(-math.log(0.81))
+        norm = rates_from_r([bd])
         assert norm.gamma[0] == pytest.approx(0.0, abs=1e-12)
         assert norm.err[0] == pytest.approx(0.2)
 
@@ -267,12 +264,3 @@ class TestPowerLawFit:
         with pytest.raises(InsufficientData):
             fit_power_law(curve, (5.0, 6.0))
 
-
-class TestDefaultGrid:
-    def test_geometry(self):
-        grid = default_omega_grid()
-        assert len(grid) == 60
-        assert grid[0] == pytest.approx(1e-3)
-        assert grid[-1] == pytest.approx(1e3)
-        ratios = [b / a for a, b in zip(grid, grid[1:])]
-        assert max(ratios) == pytest.approx(min(ratios), rel=1e-9)
