@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 import math
 import sys
-from contextlib import contextmanager
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import click
@@ -30,56 +29,56 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _read_config(path: Optional[str], keys: Sequence[str]) -> Dict[str, str]:
-    """Flat key=value configuration file; '#' starts a comment.  A key not in
-    `keys` is an error."""
+def _load_config(
+    ctx: click.Context, param: click.Parameter, path: Optional[str]
+) -> None:
+    """Read the flat key = value file at `path` ('#' starts a comment) into
+    the command's default_map, so that a flag overrides the file and the
+    file overrides the option's default.  A key is the long name of one of
+    the command's own options, given at most once; its value is cast with
+    that option's click type."""
     if path is None:
-        return {}
-    out: Dict[str, str] = {}
+        return
+    # each option of these commands is declared by its long flag alone
+    options = {opt.opts[0][2:]: opt for opt in ctx.command.params if opt is not param}
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise click.ClickException(
-                        f"{path}:{lineno}: expected key=value, got {raw.strip()!r}"
-                    )
-                key, value = line.split("=", 1)
-                key = key.strip()
-                if key not in keys:
-                    raise click.ClickException(
-                        f"{path}:{lineno}: unknown key {key!r} "
-                        f"(known: {', '.join(keys)})"
-                    )
-                out[key] = value.strip()
-    except OSError as exc:
+            lines = list(fh)
+    except (OSError, UnicodeDecodeError) as exc:
         raise click.ClickException(f"cannot read config {path}: {exc}")
-    return out
-
-
-def _merge(flag, config: Dict[str, str], key: str, cast, default):
-    """Flag overrides config file overrides default; `cast` may be the flag's
-    click type."""
-    if flag is not None:
-        return flag
-    if key in config:
+    defaults: Dict[str, object] = {}
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise click.ClickException(
+                f"{path}:{lineno}: expected key=value, got {raw.strip()!r}"
+            )
+        key, value = (part.strip() for part in line.split("=", 1))
+        opt = options.get(key)
+        if opt is None:
+            raise click.ClickException(
+                f"{path}:{lineno}: unknown key {key!r} (known: {', '.join(options)})"
+            )
+        if opt.name in defaults:
+            raise click.ClickException(f"{path}:{lineno}: key {key!r} given twice")
         try:
-            return cast(config[key])
-        except (ValueError, TypeError, click.BadParameter) as exc:
+            defaults[opt.name] = opt.type_cast_value(ctx, value)
+        except click.BadParameter as exc:
             raise click.ClickException(f"config field {key!r}: {exc}")
-    return default
+    ctx.default_map = defaults
 
 
-@contextmanager
-def _bscat_errors_as_click():
-    """Report a BscatError raised by the command's input as `Error: ...`
-    with exit status 1."""
-    try:
-        yield
-    except BscatError as exc:
-        raise click.ClickException(str(exc))
+class _Main(click.Group):
+    """The command group.  A BscatError raised by a command's input is
+    reported as `Error: ...` with exit status 1."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except BscatError as exc:
+            raise click.ClickException(str(exc))
 
 
 def _parse_omega_range(text: str) -> Tuple[float, float, int]:
@@ -121,7 +120,7 @@ def _json_value(v):
 
 
 def _write_table(
-    path: Optional[str],
+    path: str,
     fmt: str,
     header: Sequence[str],
     rows: Sequence[Sequence],
@@ -144,11 +143,14 @@ def _write_table(
             )
         lines.extend(footer_lines)
         text = "\n".join(lines) + "\n"
-    if path is None or path == "-":
+    if path == "-":
         click.echo(text, nl=False)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise click.ClickException(f"cannot write {path}: {exc}")
 
 
 def _meta(model: str, z: float, **extra) -> Dict:
@@ -157,37 +159,40 @@ def _meta(model: str, z: float, **extra) -> Dict:
     return out
 
 
-_MODEL = click.Choice(["bsg", "kondo"])
-_FORMAT = click.Choice(["csv", "json"])
-_SPACING = click.Choice(["log", "linear"])
-_POINTS = click.IntRange(min=1)
+_model_option = click.option("--model", type=click.Choice(["bsg", "kondo"]), default="bsg")
+_z_option = click.option("--z", type=float, default=0.5)
+_output_option = click.option("--output", default="-", help="Output path ('-' for stdout).")
+_format_option = click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")
+_config_option = click.option(
+    "--config",
+    is_eager=True,
+    expose_value=False,
+    callback=_load_config,
+    help="Flat key = value config file; flags override.",
+)
 
 
-@click.group()
+@click.group(cls=_Main, context_settings={"show_default": True})
 def main() -> None:
     """Photon-scattering observables of boundary sine-Gordon and Kondo
     impurity models (frequencies in units of the boundary scale T_B)."""
 
 
 @main.command()
-@click.option("--model", type=_MODEL, default=None)
-@click.option("--z", type=float, default=None)
-@click.option("--omega", default=None, help="Frequency grid 'lo..hi:points' or a single value.")
-@click.option("--spacing", type=_SPACING, default=None)
-@click.option("--output", default=None, help="Output path ('-' for stdout).")
-@click.option("--format", "fmt", type=_FORMAT, default=None)
-@click.option("--config", default=None, help="Flat key=value config file; flags override.")
-def rates(model, z, omega, spacing, output, fmt, config) -> None:
+@_model_option
+@_z_option
+@click.option(
+    "--omega",
+    default="1e-3..1e3:60",
+    help="Frequency grid 'lo..hi:points' or a single value.",
+)
+@click.option("--spacing", type=click.Choice(["log", "linear"]), default="log")
+@_output_option
+@_format_option
+@_config_option
+def rates(model, z, omega, spacing, output, fmt) -> None:
     """Reflection rates gamma(omega) and phase shift delta(omega)."""
-    cfg = _read_config(config, ("model", "z", "omega", "spacing", "output", "format"))
-    model = _merge(model, cfg, "model", _MODEL, "bsg")
-    z = _merge(z, cfg, "z", float, 0.5)
-    omega = _merge(omega, cfg, "omega", str, "1e-3..1e3:60")
-    spacing = _merge(spacing, cfg, "spacing", _SPACING, "log")
-    output = _merge(output, cfg, "output", str, "-")
-    fmt = _merge(fmt, cfg, "format", _FORMAT, "csv")
-    with _bscat_errors_as_click():
-        spec = make_model(model, z)
+    spec = make_model(model, z)
     lo, hi, points = _parse_omega_range(omega)
     grid = _omega_grid(lo, hi, points, spacing)
 
@@ -217,24 +222,16 @@ def rates(model, z, omega, spacing, output, fmt, config) -> None:
 
 
 @main.command()
-@click.option("--model", type=_MODEL, default=None)
-@click.option("--z", type=float, default=None)
-@click.option("--omega", type=float, default=None, help="Incoming photon frequency.")
-@click.option("--points", type=_POINTS, default=None, help="omega' grid size.")
-@click.option("--output", default=None)
-@click.option("--format", "fmt", type=_FORMAT, default=None)
-@click.option("--config", default=None)
-def spectrum(model, z, omega, points, output, fmt, config) -> None:
+@_model_option
+@_z_option
+@click.option("--omega", type=float, default=1.0, help="Incoming photon frequency.")
+@click.option("--points", type=click.IntRange(min=1), default=40, help="omega' grid size.")
+@_output_option
+@_format_option
+@_config_option
+def spectrum(model, z, omega, points, output, fmt) -> None:
     """Energy-resolved decay spectrum gamma(omega'|omega)."""
-    cfg = _read_config(config, ("model", "z", "omega", "points", "output", "format"))
-    model = _merge(model, cfg, "model", _MODEL, "bsg")
-    z = _merge(z, cfg, "z", float, 0.5)
-    omega = _merge(omega, cfg, "omega", float, 1.0)
-    points = _merge(points, cfg, "points", _POINTS, 40)
-    output = _merge(output, cfg, "output", str, "-")
-    fmt = _merge(fmt, cfg, "format", _FORMAT, "csv")
-    with _bscat_errors_as_click():
-        curve = spectrum_curve(omega, make_model(model, z), grid_size=points)
+    curve = spectrum_curve(omega, make_model(model, z), grid_size=points)
     diagrams = list(curve.per_diagram.keys())
     header = ["omega_prime", "gamma_spec"] + [d.value for d in diagrams]
     rows = []
@@ -255,20 +252,14 @@ def spectrum(model, z, omega, points, output, fmt, config) -> None:
 
 
 @main.command()
-@click.option("--model", type=_MODEL, default=None)
-@click.option("--z", type=float, default=None)
-@click.option("--output", default=None)
-@click.option("--format", "fmt", type=_FORMAT, default=None)
-@click.option("--config", default=None)
-def r0(model, z, output, fmt, config) -> None:
+@_model_option
+@_z_option
+@_output_option
+@_format_option
+@_config_option
+def r0(model, z, output, fmt) -> None:
     """Free-theory truncation weights r0 per excitation set."""
-    cfg = _read_config(config, ("model", "z", "output", "format"))
-    model = _merge(model, cfg, "model", _MODEL, "bsg")
-    z = _merge(z, cfg, "z", float, 0.5)
-    output = _merge(output, cfg, "output", str, "-")
-    fmt = _merge(fmt, cfg, "format", _FORMAT, "csv")
-    with _bscat_errors_as_click():
-        weights = r0_weights(make_model(model, z))
+    weights = r0_weights(make_model(model, z))
     rows = [[label, w] for label, w in weights.items()]
     rows.append(["total", math.fsum(weights.values())])
     _write_table(output, fmt, ["set_label", "weight"], rows, _meta(model, z, observable="r0"))
@@ -279,10 +270,9 @@ def r0(model, z, output, fmt, config) -> None:
     "--suite",
     type=click.Choice(sorted(SUITES) + ["all"]),
     default="all",
-    show_default=True,
 )
-@click.option("--output", default="-")
-@click.option("--format", "fmt", type=_FORMAT, default="csv")
+@_output_option
+@_format_option
 def validate(suite, output, fmt) -> None:
     """Run the algebraic invariant suites; exit 2 on any failure."""
     names = sorted(SUITES) if suite == "all" else [suite]
@@ -310,9 +300,7 @@ def validate(suite, output, fmt) -> None:
 @click.option("--z", type=float, required=True)
 def convert_tb(epsilon_j, cutoff_lambda, z) -> None:
     """Convert physical couplings to the boundary scale T_B."""
-    with _bscat_errors_as_click():
-        tb = t_b_from_physical(epsilon_j, cutoff_lambda, z)
-    click.echo(_fmt(tb))
+    click.echo(_fmt(t_b_from_physical(epsilon_j, cutoff_lambda, z)))
 
 
 if __name__ == "__main__":

@@ -56,9 +56,8 @@ from .quadrature import (
 from .smatrix import s0
 
 TWO_PI = 2.0 * math.pi
-# the e^{I} tables: Gamma-product truncation and Chebyshev points per panel
+# the e^{I} tables: Gamma-product truncation
 _TABLE_N = 2
-_TABLE_POINTS = 21
 _EPS = float(np.finfo(float).eps)
 _STRIP_TOL = 1e-9
 
@@ -204,13 +203,7 @@ def _exp_i_line(xi: float, lam_i: float) -> ChebyshevTable:
         terms = weights * loggamma(offsets + shifts + slopes * u)
         return 2.0 * _EPS * float(np.sum(np.abs(terms)))
 
-    return ChebyshevTable(
-        exponent,
-        strip_panel_width(half_width),
-        _TABLE_POINTS,
-        tol=1e-12,
-        rounding=rounding,
-    )
+    return ChebyshevTable(exponent, strip_panel_width(half_width), rounding=rounding)
 
 
 @lru_cache(maxsize=400_000)

@@ -443,6 +443,11 @@ def _clenshaw(coeffs: Tuple[complex, ...], t: float) -> complex:
     return t * b1 - b2 + coeffs[0]
 
 
+# Chebyshev points per ChebyshevTable panel, and the panel check's tolerance
+_TABLE_POINTS = 21
+_TABLE_TOL = 1e-12
+
+
 def strip_panel_width(half_width: float) -> float:
     """The panel width of a ChebyshevTable whose function is analytic in the
     strip |Im x| < half_width: the largest power of two at most 1.5
@@ -462,32 +467,28 @@ class ChebyshevTable:
 
     The real line is cut into equal panels [k width, (k + 1) width], k an
     integer.  A panel is built on the first lookup that lands in it: the
-    builder is called on its n first-kind Chebyshev points and the values
-    become the coefficients of a degree n - 1 interpolant (Trefethen,
-    Approximation Theory and Approximation Practice, chs. 8 and 19).  Every
-    new panel is then checked against the builder at the n - 1 interior
-    extrema of T_n; if the interpolant is off by more than `tol` there
-    (absolute), the panel is not kept and ToleranceNotMet is raised.  The
-    builder must be analytic in a neighbourhood of each panel it is asked
-    for.  `rounding`, if given, is the builder's own rounding error at x
-    (nondecreasing in |x|); a panel is then checked to the larger of `tol`
-    and its value at the panel's edge farther from 0.  `panels` counts the
-    panels built so far, and `worst_error` is the largest check error seen
-    on them.
+    builder is called on its _TABLE_POINTS = 21 first-kind Chebyshev points
+    and the values become the coefficients of a degree-20 interpolant
+    (Trefethen, Approximation Theory and Approximation Practice, chs. 8 and
+    19).  Every new panel is then checked against the builder at the 20
+    interior extrema of T_21; if the interpolant is off by more than
+    _TABLE_TOL = 1e-12 there (absolute), the panel is not kept and
+    ToleranceNotMet is raised.  The builder must be analytic in a
+    neighbourhood of each panel it is asked for.  `rounding`, if given, is
+    the builder's own rounding error at x (nondecreasing in |x|); a panel is
+    then checked to the larger of _TABLE_TOL and its value at the panel's
+    edge farther from 0.  `panels` counts the panels built so far, and
+    `worst_error` is the largest check error seen on them.
     """
 
     def __init__(
         self,
         builder: Callable[[float], complex],
         width: float,
-        n: int,
-        tol: float,
         rounding: Optional[Callable[[float], float]] = None,
     ):
         self._builder = builder
         self._width = width
-        self._n = n
-        self._tol = tol
         self._rounding = rounding
         self._panels: Dict[int, Tuple[complex, ...]] = {}
         self.worst_error = 0.0
@@ -507,7 +508,7 @@ class ChebyshevTable:
     def _build(self, k: int) -> Tuple[complex, ...]:
         half = 0.5 * self._width
         centre = (k + 0.5) * self._width
-        points, to_coeffs, midpoints = _chebyshev_rule(self._n)
+        points, to_coeffs, midpoints = _chebyshev_rule(_TABLE_POINTS)
         values = np.array([self._builder(centre + half * t) for t in points])
         coeffs = tuple(complex(c) for c in to_coeffs @ values)
         errors = [
@@ -516,7 +517,7 @@ class ChebyshevTable:
         ]
         # np.max, unlike max, returns a NaN it meets, which then fails
         err = float(np.max(errors))
-        tol = self._tol
+        tol = _TABLE_TOL
         if self._rounding is not None:
             tol = max(tol, self._rounding(centre + math.copysign(half, centre)))
         if not err <= tol:

@@ -66,8 +66,6 @@ def _rs_phase_line(xi: float, lam_i: float) -> ChebyshevTable:
     return ChebyshevTable(
         lambda lam_r: _rs_phase_direct(complex(lam_r, lam_i), xi),
         strip_panel_width(0.5 * _rs_phase_decay(lam_i, xi)),
-        21,
-        tol=1e-12,
     )
 
 

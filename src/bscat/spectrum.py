@@ -147,17 +147,24 @@ def _diagram(
     return coeff / (omega_p * omega) * val
 
 
-def diagram_g1_1(omega_p: float, omega: float, spec: ModelSpec) -> float:
-    """Soliton-pair diagram: the only diagram computed at z >= 1/2."""
-
-    def energies(big):
-        return (omega - big, big, omega - omega_p - big, omega_p + big)
+def _two_pair_reflection(spec: ModelSpec) -> Callable[..., complex]:
+    """conj(R(l1, l2)) R(l3, l4) for two soliton-pair brackets: the
+    reflection factor of G1_1 and G1_3."""
 
     def reflection(l1, l2, l3, l4):
         return (
             soliton_pair_bracket(l1, l2, spec).conjugate()
             * soliton_pair_bracket(l3, l4, spec)
         )
+
+    return reflection
+
+
+def diagram_g1_1(omega_p: float, omega: float, spec: ModelSpec) -> float:
+    """Soliton-pair diagram: the only diagram computed at z >= 1/2."""
+
+    def energies(big):
+        return (omega - big, big, omega - omega_p - big, omega_p + big)
 
     def formfactors(l1, l2, l3, l4):
         return (
@@ -168,7 +175,7 @@ def diagram_g1_1(omega_p: float, omega: float, spec: ModelSpec) -> float:
         )
 
     return _diagram(
-        omega_p, omega, spec, energies, reflection, formfactors,
+        omega_p, omega, spec, energies, _two_pair_reflection(spec), formfactors,
         name="g1_1", coeff=2.0, mirror=True,
     )
 
@@ -202,12 +209,6 @@ def diagram_g1_3(omega_p: float, omega: float, spec: ModelSpec) -> float:
     def energies(big):
         return (big, omega - big, omega_p + big, omega - omega_p - big)
 
-    def reflection(l1, l2, l3, l4):
-        return (
-            soliton_pair_bracket(l1, l2, spec).conjugate()
-            * soliton_pair_bracket(l3, l4, spec)
-        )
-
     def formfactors(l1, l2, l3, l4):
         sfac = (s0(l4 - l1, spec) - s0(l2 - l1, spec)) * (
             s0(l1 - l4, spec) - s0(l3 - l4, spec)
@@ -221,7 +222,7 @@ def diagram_g1_3(omega_p: float, omega: float, spec: ModelSpec) -> float:
         )
 
     return _diagram(
-        omega_p, omega, spec, energies, reflection, formfactors,
+        omega_p, omega, spec, energies, _two_pair_reflection(spec), formfactors,
         name="g1_3", coeff=0.5, integer_p=True, mirror=True,
     )
 

@@ -42,6 +42,7 @@ def _rows(csv_text):
         (["convert-tb", "--epsilon-j", "1", "--cutoff-lambda", "inf", "--z", "0.5"], 1),
         (["convert-tb", "--epsilon-j", "1e300", "--cutoff-lambda", "1", "--z", "0.9"], 1),
         (["convert-tb", "--epsilon-j", "1e-300", "--cutoff-lambda", "1", "--z", "0.9"], 1),
+        (["r0", "--z", "0.5", "--output", "/nonexistent-dir/x.csv"], 1),
         # a flag outside its click type is a usage error
         (["spectrum", "--z", "0.5", "--points", "-3"], 2),
     ],
@@ -55,15 +56,140 @@ def test_bad_input_is_an_error_not_a_traceback(runner, argv, status):
     assert "Traceback" not in res.output
 
 
-@pytest.mark.parametrize("line", ["points = -3", "model = foo", "format = xml"])
-def test_bad_config_value_rejected(runner, tmp_path, line):
+def test_unwritable_output_is_named(runner):
+    res = runner.invoke(main, ["r0", "--output", "/nonexistent-dir/x.csv"])
+    assert res.exit_code == 1
+    assert "Error: cannot write /nonexistent-dir/x.csv: " in res.output
+
+
+@pytest.mark.parametrize(
+    "content", [None, b"z = 0.5\n\xff\n"], ids=["missing", "not-utf8"]
+)
+def test_unreadable_config_is_named(runner, tmp_path, content):
+    cfg = tmp_path / "run.cfg"
+    if content is not None:
+        cfg.write_bytes(content)
+    res = runner.invoke(main, ["r0", "--config", str(cfg)])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert f"Error: cannot read config {cfg}: " in res.output
+
+
+@pytest.mark.parametrize(
+    "command, line",
+    [
+        pytest.param(command, line, id=line)
+        for command, line in [
+            ("spectrum", "points = -3"),
+            ("r0", "model = foo"),
+            ("r0", "format = xml"),
+            ("r0", "z = abc"),
+            ("rates", "spacing = cubic"),
+            ("spectrum", "omega = x"),
+        ]
+    ],
+)
+def test_bad_config_value_rejected(runner, tmp_path, command, line):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(line + "\n")
-    command = "spectrum" if line.startswith("points") else "r0"
     res = runner.invoke(main, [command, "--config", str(cfg)])
     assert res.exit_code == 1
     assert isinstance(res.exception, SystemExit)
     assert f"config field '{line.split()[0]}'" in res.output
+
+
+@pytest.mark.parametrize("command", ["rates", "spectrum", "r0"])
+def test_config_key_given_twice_rejected(runner, tmp_path, command):
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text("z = 0.5\nmodel = bsg\nz = 0.4\n")
+    res = runner.invoke(main, [command, "--config", str(cfg)])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert f"{cfg}:3: key 'z' given twice" in res.output
+
+
+_DEFAULTS = {
+    "rates": {
+        "model": "bsg",
+        "z": "0.5",
+        "omega": "1e-3..1e3:60",
+        "spacing": "log",
+        "output": "-",
+        "format": "csv",
+    },
+    "spectrum": {
+        "model": "bsg",
+        "z": "0.5",
+        "omega": "1.0",
+        "points": "40",
+        "output": "-",
+        "format": "csv",
+    },
+    "r0": {"model": "bsg", "z": "0.5", "output": "-", "format": "csv"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(_DEFAULTS))
+def test_help_prints_every_default(runner, command):
+    res = runner.invoke(main, [command, "--help"])
+    assert res.exit_code == 0
+    # click wraps the help text; compare with the line breaks undone
+    text = " ".join(res.output.split())
+    for option, default in _DEFAULTS[command].items():
+        assert f"--{option} " in text
+        assert f"[default: {default}" in text, option
+
+
+# cheap arguments per command; the model comes from a flag, the file or the
+# default
+_PRECEDENCE_ARGV = {
+    "rates": ["--omega", "1"],
+    "spectrum": ["--omega", "1", "--points", "2"],
+    "r0": [],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_PRECEDENCE_ARGV))
+@pytest.mark.parametrize(
+    "config, flags, expected",
+    [
+        ("model = kondo\n", [], "kondo"),
+        ("model = kondo\n", ["--model", "bsg"], "bsg"),
+        (None, [], "bsg"),
+    ],
+    ids=["config", "flag-over-config", "default"],
+)
+def test_flag_over_config_over_default(
+    runner, tmp_path, command, config, flags, expected
+):
+    argv = [command, *_PRECEDENCE_ARGV[command], "--format", "json", *flags]
+    if config is not None:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        argv += ["--config", str(cfg)]
+    res = runner.invoke(main, argv)
+    assert res.exit_code == 0
+    assert json.loads(res.stdout)["meta"]["model"] == expected
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rates", "--model", "kondo", "--z", "0.5", "--omega", "1e-1..1e1:3",
+         "--spacing", "linear", "--format", "json"],
+        ["r0", "--model", "bsg", "--z", "0.3333333333333333"],
+    ],
+    ids=lambda v: v[0],
+)
+def test_config_file_prints_the_bytes_of_its_flags(runner, tmp_path, argv):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        "".join(f"{k[2:]} = {v}\n" for k, v in zip(argv[1::2], argv[2::2]))
+    )
+    from_flags = runner.invoke(main, argv)
+    from_file = runner.invoke(main, [argv[0], "--config", str(cfg)])
+    assert from_flags.exit_code == from_file.exit_code == 0
+    assert from_file.stdout == from_flags.stdout
 
 
 class TestRates:

@@ -200,7 +200,7 @@ class TestChebyshevTable:
         def f(x):
             return complex(math.cos(x), math.sin(3.0 * x))
 
-        table = ChebyshevTable(f, 1.0, 21, 1e-12)
+        table = ChebyshevTable(f, 1.0)
         for x in (-7.3, -1e-9, 0.0, 0.3, 0.999999, 20.0):
             assert abs(table(x) - f(x)) <= 1e-13
         assert table.panels == 4  # [-8, -7], [-1, 0], [0, 1] and [20, 21]
@@ -213,7 +213,7 @@ class TestChebyshevTable:
             calls.append(x)
             return math.exp(x)
 
-        table = ChebyshevTable(builder, 0.5, 21, 1e-12)
+        table = ChebyshevTable(builder, 0.5)
         table(1.3)
         # 21 Chebyshev points plus the 20 interior midpoints of the check,
         # all inside the panel [1, 1.5]
@@ -234,7 +234,7 @@ class TestChebyshevTable:
         ids=["step", "nan-at-the-last-check"],
     )
     def test_discontinuous_builder_is_refused(self, builder):
-        table = ChebyshevTable(builder, 1.0, 21, 1e-12)
+        table = ChebyshevTable(builder, 1.0)
         with pytest.raises(ToleranceNotMet, match="Chebyshev table") as exc:
             table(0.2)
         assert not exc.value.abs_error_estimate <= 1e-12
