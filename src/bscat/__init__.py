@@ -10,7 +10,6 @@ units of the boundary scale T_B.
 
 from .errors import (
     BscatError,
-    ConvergenceError,
     DomainError,
     InsufficientData,
     ToleranceNotMet,
@@ -49,7 +48,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ANTISOLITON",
     "BscatError",
-    "ConvergenceError",
     "DomainError",
     "Excitation",
     "ExcitationKind",

@@ -9,10 +9,6 @@ class DomainError(BscatError):
     """Input outside the mathematical domain of an operation."""
 
 
-class ConvergenceError(BscatError):
-    """A numerical limit or extrapolation (e.g. a pole residue) did not converge."""
-
-
 class ToleranceNotMet(BscatError):
     """An integral finished but its error estimate exceeds the requested tolerance.
 

@@ -4,7 +4,9 @@ Special functions (the Gamma-product/residual-integral function e^{I(lambda)},
 the constant c, the pair function zeta, the breather minimal function F, the
 contour function H), the explicit form factors f_{+-}, f_m, f_{111}, f_{12},
 f_{+-+-}, f_{+-1}, the excitation-set integrals of the reflection coefficient
-and, from the same integrals, the free-theory truncation weights r0.
+and, from the same integrals, the free-theory truncation weights r0.  The
+overall constant of f_{12} is 2 F(i xi), the value that the fusion of
+f_{111} at its breather-2 pole fixes.
 
 Conventions: rapidity lambda parameterizes the energy e^lambda of a unit-mass
 excitation; breather arguments are pre-shifted by -log(mass ratio) by callers.
@@ -43,7 +45,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 from scipy.special import loggamma
 
-from .errors import ConvergenceError, DomainError
+from .errors import DomainError
 from .model import ModelSpec, breather, mass_ratio
 from .quadrature import (
     ChebyshevTable,
@@ -324,8 +326,9 @@ def _c_const_cached(xi: float, p: float) -> float:
             / (x * math.sinh(xi * x / 2.0) * math.cosh(math.pi * x / 2.0) ** 2)
         )
 
-    # kernel decay: xi/2 + pi - pi/2 - |p-2| xi/2 = xi (using (p-1) xi = pi)
-    integral = integrate_semi_infinite(f, decay_rate=xi, tol=1e-12).value
+    # kernel decay: (pi + xi - |p-2| xi)/2 = min(xi, pi) (using (p-1) xi = pi)
+    decay = min(xi, math.pi)
+    integral = integrate_semi_infinite(f, decay_rate=decay, tol=1e-12).value
     return abs(4.0 - 4.0 * p) ** 0.25 * math.exp(0.25 * integral.real)
 
 
@@ -556,8 +559,17 @@ def f_111(l1: complex, l2: complex, l3: complex, spec: ModelSpec) -> complex:
     return out
 
 
-def _f12_structure(l1: complex, l2: complex, spec: ModelSpec) -> complex:
-    """Printed kinematic structure of f_12 without its overall constant."""
+def f_12(l1: complex, l2: complex, spec: ModelSpec) -> complex:
+    """Breather-1/breather-2 form factor f_{12}(l1, l2).
+
+    The printed normalization divides by F(i(pi + xi)), a pole of F; the
+    constant is 2 F(i xi) instead, the value the bound-state fusion axiom
+    Res_{l3 = l2 + i xi} f_111(l1, l2, l3) = i kappa_2 f_12(l1, l2 + i xi/2)
+    fixes (Smirnov 1992)."""
+    if spec.n_breathers < 2:
+        raise DomainError(f"f_12 requires two breathers (z = {spec.z})")
+    l1, l2 = complex(l1), complex(l2)
+    _check_strip(l1 - l2)
     xi = spec.xi
     e1, e2 = cmath.exp(l1), cmath.exp(l2)
     cs = math.cos(xi / 2.0)
@@ -565,11 +577,12 @@ def _f12_structure(l1: complex, l2: complex, spec: ModelSpec) -> complex:
     if abs(den) < 1e-14 * max(abs(e1 * e1), abs(e2 * e2), 1.0):
         raise DomainError("f_12 kinematic pole")
     return (
-        2j
+        4j
         * xi
         * cs
         * cmath.sqrt(cmath.tan(xi))
         / math.sqrt(spec.z)
+        * bigF(1j * xi, spec)
         * _cube_bracket(xi)
         * (e1 + 2.0 * cs * e2)
         * e1
@@ -578,62 +591,6 @@ def _f12_structure(l1: complex, l2: complex, spec: ModelSpec) -> complex:
         * bigF(l1 - l2 + 0.5j * xi, spec)
         * bigF(l1 - l2 - 0.5j * xi, spec)
     )
-
-
-def _residue(func) -> complex:
-    """Residue of func's simple pole at offset 0: three-point Richardson of
-    eps * func(eps) over eps in {h, h/2, h/4}, h = 1e-3."""
-    r = [h * func(h) for h in (1e-3, 1e-3 / 2.0, 1e-3 / 4.0)]
-    return (8.0 * r[2] - 6.0 * r[1] + r[0]) / 3.0
-
-
-@lru_cache(maxsize=64)
-def _f12_const(spec: ModelSpec) -> complex:
-    """Overall constant of f_12, fixed by the breather bootstrap.
-
-    The printed normalization divides by F(i(pi+xi)), which is a pole of F.
-    Instead, the fusion-coupling convention is calibrated on the soliton pair
-    (residue of f_{+-} at the breather-1 pole against f_1), then applied to the
-    residue of f_{111} at its breather-2 fusion pole.
-    """
-    xi = spec.xi
-    if spec.n_breathers < 2:
-        raise DomainError(f"f_12 requires two breathers (z = {spec.z})")
-    th1 = theta_m(1, spec)
-
-    # calibration: Res_{l2 = l1 + i theta1} f_pm = i kappa1 f_1(l1 + i theta1/2)
-    res_pm = _residue(lambda eps: f_pm(0.0, 1j * th1 + eps, spec))
-    kappa1 = res_pm / (1j * f_breather1(1, 0.5j * th1, spec))
-    rho1 = -2.0 * _breather_coupling_arg(1, spec)
-    eta = kappa1 / cmath.sqrt(complex(rho1))
-    # |eta| = 1/sqrt(2) exactly: the soliton-antisoliton channel couples to the
-    # breather through the two-ordering superposition, halving the squared
-    # coupling; the identical-particle 11 channel has no such factor, so only
-    # the phase of eta transfers.
-    eta_phase = eta / abs(eta)
-
-    # breather-2 coupling from the S_11 bound-state residue
-    kappa2 = eta_phase * cmath.sqrt(complex(2.0 * math.tan(xi)))
-
-    consts = []
-    for la, lb in ((0.0, 0.2), (-0.3, 0.45)):
-        res_111 = _residue(lambda eps: f_111(la, lb, lb + 1j * xi + eps, spec))
-        f12_val = res_111 / (1j * kappa2)
-        consts.append(f12_val / _f12_structure(la, lb + 0.5j * xi, spec))
-    if abs(consts[0] - consts[1]) > 1e-5 * max(abs(consts[0]), 1e-30):
-        raise ConvergenceError(
-            f"f_12 bootstrap constant not kinematics-independent: {consts}"
-        )
-    return consts[0]
-
-
-def f_12(l1: complex, l2: complex, spec: ModelSpec) -> complex:
-    """Breather-1/breather-2 form factor f_{12}(l1, l2)."""
-    if spec.n_breathers < 2:
-        raise DomainError(f"f_12 requires two breathers (z = {spec.z})")
-    l1, l2 = complex(l1), complex(l2)
-    _check_strip(l1 - l2)
-    return _f12_const(spec) * _f12_structure(l1, l2, spec)
 
 
 # ---------------------------------------------------------------------------

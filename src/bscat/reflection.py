@@ -309,7 +309,8 @@ def r_conjugation_check(
 
     The identity holds on charge-neutral excitation sets, entry by entry over
     the charge-conserving outgoing label assignments (the only entries entering
-    observables); the input set must therefore be charge-neutral.
+    observables); the input set must therefore be charge-neutral.  The
+    residual is the largest over those entries, NaN if any entry is NaN.
     """
     total_charge = sum(exc.charge for exc, _ in excs)
     if total_charge != 0:
@@ -321,9 +322,12 @@ def r_conjugation_check(
     shifted = r_product(
         [(exc, complex(lam, math.pi)) for exc, lam in excs], spec
     )
-    residual = 0.0
-    for combo, value in base.items():
-        if sum(e.charge for e in combo) != 0:
-            continue
-        residual = max(residual, abs(shifted[combo] - value.conjugate()))
-    return residual
+    return float(
+        np.max(
+            [
+                abs(shifted[combo] - value.conjugate())
+                for combo, value in base.items()
+                if sum(e.charge for e in combo) == 0
+            ]
+        )
+    )

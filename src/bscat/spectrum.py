@@ -388,10 +388,7 @@ def default_omega_prime_grid(omega: float, n: int = 40) -> List[float]:
 
 
 def spectrum_curve(
-    omega: float,
-    spec: ModelSpec,
-    grid_size: int = 40,
-    compute_sum_rule: bool = True,
+    omega: float, spec: ModelSpec, grid_size: int = 40
 ) -> SpectrumCurve:
     """Spectrum on a grid of omega', with per-diagram breakdown and the
     sum-rule ratio; the elastic delta-function coefficient is reported as
@@ -407,16 +404,11 @@ def spectrum_curve(
             per[d].append(v)
         totals.append(math.fsum(vals))
     bd = reflection_coefficient(omega, spec)
-    ratio = (
-        sum_rule_check(omega, spec, breakdown=bd)
-        if compute_sum_rule
-        else math.nan
-    )
     return SpectrumCurve(
         omega=omega,
         omega_primes=tuple(grid),
         values=tuple(totals),
         per_diagram={d: tuple(v) for d, v in per.items()},
-        sum_rule_ratio=ratio,
+        sum_rule_ratio=sum_rule_check(omega, spec, breakdown=bd),
         gamma_disc=-_inelastic_loss(bd),
     )

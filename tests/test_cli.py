@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -464,6 +465,27 @@ class TestValidate:
         status = {r[0]: (r[1], r[3]) for r in rows}
         assert status.pop(f"{suite}/{check}") == ("nan", "FAIL")
         assert all(s == "pass" for _, s in status.values())
+
+
+# sha256 of stdout; a change that moves these bytes updates the hash here
+# and records the moved output
+_PINNED_STDOUT = {
+    "validate --suite all": "553055b88d188a69708dfd3b582dd6aaf1f46b1ef41a9bfa88b8c2e7558845f1",
+    "rates --model bsg --z 0.3333333333333333 --omega 0.7": "57f4a3d33705533b8dd4971e8c91e88ac1a6c5d9137bbf6130ffdcde4a52ff55",
+    "rates --model kondo --z 0.3333333333333333 --omega 0.7": "cd3754d5c5b27daf4e64a99b16722230b4eec4e9aa4a13db18f26263a168c6b8",
+    "rates --model kondo --z 0.5 --omega 1e-2..1e2:12 --format json": "64647b72a05d5382bb80808edf076fe6f271d79be38df4e5f8b90902d4546bd5",
+    "r0 --model bsg --z 0.3333333333333333": "b1002f5c11cbcafbc5abb8f38a0ddf4ebabfa44514fd0a197b79546ee2121d1b",
+    "r0 --model bsg --z 0.2": "08ec2b75d9d5dc9c1befe53f544fd5c30f1cc13d497ab784e013996d731bbcbd",
+    "spectrum --model kondo --z 0.5 --omega 1 --points 10": "75109442bba416e7c7dd446782fb5983a47abe8032207fb416011a2779f5ecf8",
+    "spectrum --model bsg --z 0.3333333333333333 --omega 1 --points 8": "0152caacfe22b9669ae2e185d8e78a588063c61e5a24a9ca705d76bee4144d4d",
+}
+
+
+@pytest.mark.parametrize("command", sorted(_PINNED_STDOUT))
+def test_stdout_bytes_pinned(runner, command):
+    res = runner.invoke(main, command.split())
+    assert res.exit_code == 0
+    assert hashlib.sha256(res.stdout_bytes).hexdigest() == _PINNED_STDOUT[command]
 
 
 def test_cli_imports_no_private_name():

@@ -92,6 +92,15 @@ class TestBuildingBlocks:
     def test_c_const_frozen(self):
         assert c_const(SPEC3) == pytest.approx(2.2511051861189615, rel=1e-10)
 
+    @pytest.mark.parametrize("z", [0.2, 1.0 / 3.0, 0.4, 0.6, 0.75, 0.9])
+    def test_c_const_normalizes_zeta_at_the_origin(self, z):
+        # c^2 e^{I(0)} = sqrt|4 - 4p|; at z > 1/2 (p < 2) the integral of c
+        # decays as e^{-pi x}, not e^{-xi x}
+        spec = make_model("bsg", z)
+        lhs = c_const(spec) ** 2 * exp_I(0.0, spec)
+        rhs = math.sqrt(abs(4.0 - 4.0 * spec.p))
+        assert abs(lhs / rhs - 1.0) <= 1e-12
+
     def test_zeta_composition(self):
         lam = 0.9
         expected = c_const(SPEC3) * cmath.sinh(lam / 2.0) * exp_I(lam, SPEC3)
@@ -261,6 +270,38 @@ class TestKinematicPole:
             assert c == pytest.approx(
                 expected * cmath.exp(1j * math.pi / 4.0), abs=1e-5
             )
+
+
+def _residue(func, h=1e-4):
+    """Residue of func's simple pole at offset 0: three-point Richardson of
+    eps func(eps) over eps in {h, h/2, h/4}."""
+    r = [e * func(e) for e in (h, h / 2.0, h / 4.0)]
+    return (8.0 * r[2] - 6.0 * r[1] + r[0]) / 3.0
+
+
+class TestBreatherFusion:
+    @pytest.mark.parametrize("la, lb", [(0.0, 0.2), (-0.3, 0.45), (0.7, -0.5)])
+    @pytest.mark.parametrize("z", [0.32, 0.3, 0.25, 0.23, 0.2, 0.15, 0.1])
+    def test_f_111_fuses_to_f_12(self, z, la, lb):
+        """Res_{l3 = l2 + i xi} f_111(l1, l2, l3) = i kappa_2 f_12(l1, l2 + i
+        xi/2), the bound-state fusion axiom at the breather-2 pole.  The
+        phase of kappa_2 = e^{i phi} sqrt(2 tan xi) is that of eta, the
+        coupling kappa_1 that fuses f_pm into f_1 at the breather-1 pole over
+        sqrt(-2 _breather_coupling_arg(1)).  Only the phase transfers: |eta|
+        = 1/sqrt(2), because the soliton pair couples to the breather
+        through two orderings, and the identical-particle 11 channel has no
+        such factor."""
+        spec = make_model("bsg", z)
+        xi = spec.xi
+        th1 = math.pi - xi
+        res_pm = _residue(lambda eps: f_pm(0.0, 1j * th1 + eps, spec))
+        kappa1 = res_pm / (1j * f_breather1(1, 0.5j * th1, spec))
+        eta = kappa1 / cmath.sqrt(-2.0 * _breather_coupling_arg(1, spec))
+        kappa2 = eta / abs(eta) * cmath.sqrt(2.0 * math.tan(xi))
+        res_111 = _residue(lambda eps: f_111(la, lb, lb + 1j * xi + eps, spec))
+        expected = res_111 / (1j * kappa2)
+        value = f_12(la, lb + 0.5j * xi, spec)
+        assert abs(value / expected - 1.0) <= 1e-9
 
 
 class TestFreeFermionPoint:

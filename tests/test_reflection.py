@@ -279,3 +279,19 @@ class TestConjugationIdentity:
         spec = make_model("bsg", 0.5)
         with pytest.raises(DomainError):
             r_conjugation_check([(SOLITON, 0.4)], spec)
+
+    def test_nan_entry_gives_nan_residual(self, monkeypatch):
+        # the shifted set's amplitudes come back NaN: the residual is NaN,
+        # not the 0.0 a max(residual, ...) accumulator would keep
+        real = reflection_mod.r_product
+
+        def nan_when_shifted(excs, spec):
+            table = real(excs, spec)
+            if any(complex(lam).imag for _, lam in excs):
+                return {combo: complex(math.nan, math.nan) for combo in table}
+            return table
+
+        monkeypatch.setattr(reflection_mod, "r_product", nan_when_shifted)
+        spec = make_model("bsg", 0.5)
+        res = r_conjugation_check([(SOLITON, 0.4), (ANTISOLITON, 0.7)], spec)
+        assert math.isnan(res)

@@ -302,9 +302,7 @@ class TestKondoLowFrequencySpectrum:
         # holds to 1e-4 relative; the 11 edge points are held to 1e-6 in
         # the acceptance tests
         omega = 0.1
-        curve = spectrum_curve(
-            omega, make_model("kondo", 0.5), compute_sum_rule=False
-        )
+        curve = spectrum_curve(omega, make_model("kondo", 0.5))
         checked = 0
         for omega_p, value in zip(curve.omega_primes, curve.values):
             if not 1e-3 <= omega_p / omega <= 0.9993:
@@ -361,23 +359,19 @@ class TestSumRule:
 class TestSpectrumCurve:
     def test_structure(self):
         omega = 1.0
-        curve = spectrum_curve(
-            omega, make_model("bsg", 0.5), grid_size=12, compute_sum_rule=False
-        )
+        curve = spectrum_curve(omega, make_model("bsg", 0.5), grid_size=12)
         assert curve.omega == omega
         assert all(0.0 < wp < omega for wp in curve.omega_primes)
         assert list(curve.omega_primes) == sorted(curve.omega_primes)
         assert set(curve.per_diagram) == {SpectrumDiagram.G1_1}
         assert len(curve.values) == len(curve.omega_primes)
         assert all(v > 0.0 for v in curve.values)
-        assert math.isnan(curve.sum_rule_ratio)
+        assert abs(curve.sum_rule_ratio - 1.0) <= 1e-9
         # elastic delta-function weight is a negative depletion
         assert -1.0 < curve.gamma_disc < 0.0
 
     def test_values_sum_per_diagram(self):
-        curve = spectrum_curve(
-            1.0, make_model("kondo", 0.5), grid_size=8, compute_sum_rule=False
-        )
+        curve = spectrum_curve(1.0, make_model("kondo", 0.5), grid_size=8)
         for k in range(len(curve.omega_primes)):
             acc = math.fsum(col[k] for col in curve.per_diagram.values())
             assert curve.values[k] == pytest.approx(acc, rel=1e-12)
