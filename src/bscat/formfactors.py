@@ -13,10 +13,11 @@ excitation; breather arguments are pre-shifted by -log(mass ratio) by callers.
 All form factors carry Lorentz spin 1: f(lambda + a) = e^a f(lambda).
 
 The per-rapidity residual integrals of e^{I} and of F run on
-`quadrature.integrate_tabulated`: equal GK15 panels whose lambda-independent
-kernel is tabulated once per (xi, N, panel layout), so that each call
-evaluates only sin^2(w x) on the first n panels.  n reaches the point where
-the integrand's exponential bound falls below 1e-16.  The panel width is
+`quadrature.integrate_semi_infinite`: equal GK15 panels whose
+lambda-independent kernel is tabulated once per (xi, N, panel layout), so
+that each call evaluates only sin^2(w x) on the first n panels, and so do
+the constants c and F(-i pi), from the N = 0 kernels.  n reaches the point
+where the integrand's exponential bound falls below 1e-16.  The panel width is
 0.35 of the distance to the kernel's nearest pole (min(1, 2 pi/xi) for
 e^{I}, 1/2 for F), halved until a panel spans at most 2 radians of
 hypot(|2 Re w|, decay + 4 |Im w|) x.  The rule raises ToleranceNotMet if
@@ -52,7 +53,6 @@ from .quadrature import (
     adaptive_1d,
     integrate_semi_infinite,
     integrate_simplex,
-    integrate_tabulated,
     strip_panel_width,
 )
 from .smatrix import s0
@@ -87,7 +87,7 @@ def _exp_i_residual(lam: complex, xi: float, N: int) -> complex:
     if abs(math.pi - xi) < 1e-14:
         return 0.0 + 0.0j
     w = (lam + 1j * math.pi) / 2.0
-    return integrate_tabulated(
+    return integrate_semi_infinite(
         _exp_i_kernel,
         (xi, N),
         w,
@@ -317,19 +317,11 @@ def exp_I(lam: complex, spec: ModelSpec) -> complex:
 
 @lru_cache(maxsize=64)
 def _c_const_cached(xi: float, p: float) -> float:
-    def f(x: float) -> complex:
-        if x == 0.0:
-            return (math.pi / 2.0) * (p - 2.0)
-        return (
-            math.sinh(math.pi * x / 2.0)
-            * math.sinh((p - 2.0) * xi * x / 2.0)
-            / (x * math.sinh(xi * x / 2.0) * math.cosh(math.pi * x / 2.0) ** 2)
-        )
-
-    # kernel decay: (pi + xi - |p-2| xi)/2 = min(xi, pi) (using (p-1) xi = pi)
-    decay = min(xi, math.pi)
-    integral = integrate_semi_infinite(f, decay_rate=decay, tol=1e-12).value
-    return abs(4.0 - 4.0 * p) ** 0.25 * math.exp(0.25 * integral.real)
+    # log c = log|4 - 4p|/4 + 1/4 int sinh(pi x/2) sinh((pi - xi) x/2) / (x
+    # sinh(xi x/2) cosh(pi x/2)^2) dx, a kernel -2 sin(i pi x/2)^2 times I's at
+    # N = 0: the integral is -2 I(0) (w = i pi/2), and c^4 e^{2 I(0)} = |4 - 4p|
+    residual = _exp_i_residual(0j, xi, 0).real
+    return abs(4.0 - 4.0 * p) ** 0.25 * math.exp(-0.5 * residual)
 
 
 def c_const(spec: ModelSpec) -> float:
@@ -427,27 +419,17 @@ def f_breather1(m: int, lam: complex, spec: ModelSpec) -> complex:
 # Breather minimal function F and multi-breather form factors
 
 
-def _bigf_kernel(x: float, xi: float) -> float:
-    return (
-        math.sinh(math.pi * x)
-        * math.sinh(xi * x)
-        * math.sinh((math.pi + xi) * x)
-        / math.sinh(TWO_PI * x) ** 2
-    )
-
-
 @lru_cache(maxsize=64)
 def _bigf_prefactor(xi: float) -> float:
+    """F(-i pi) = exp int_0^inf 4 sinh(pi x) sinh(xi x) sinh((pi + xi) x)
+    / (x sinh(2 pi x)^2) dx, whose kernel is -1/2 the N = 0 tail kernel."""
     decay = TWO_PI - 2.0 * xi
     if decay <= 0.0:
         raise DomainError("F(lambda) requires xi < pi (z < 1/2)")
-
-    def f(x: float) -> float:
-        if x == 0.0:
-            return xi * (math.pi + xi) / math.pi
-        return 4.0 * _bigf_kernel(x, xi) / x
-
-    return math.exp(integrate_semi_infinite(f, decay_rate=decay, tol=1e-12).value.real)
+    tail = integrate_semi_infinite(
+        _bigf_tail_kernel, (xi, 0), 0.0, 0, decay, 0.5, tol=1e-12
+    )
+    return math.exp(-0.5 * tail.value.real)
 
 
 def _bigf_tail_kernel(x: np.ndarray, xi: float, N: int) -> np.ndarray:
@@ -500,7 +482,7 @@ def _bigf_cached(lam_r: float, lam_i: float, xi: float, N: int) -> complex:
     decay = TWO_PI - 2.0 * xi + 4.0 * math.pi * N - 2.0 * abs(w.imag)
     if decay <= 0.0:
         raise DomainError(f"F tail integral diverges at Im lambda = {lam.imag}")
-    tail_val = integrate_tabulated(
+    tail_val = integrate_semi_infinite(
         _bigf_tail_kernel,
         (xi, N),
         w,

@@ -2,13 +2,13 @@
 
 Deterministic adaptive Gauss-Kronrod (G7/K15) quadrature for complex-valued
 integrands, an energy-simplex integrator implementing the delta-constrained
-measure prod dE_i/E_i / (2pi)^n / n!, a truncated semi-infinite
-integrator, a cached rule of equal GK15 panels on [0, x_max] for the
-per-rapidity kernel integrals, whose tabulated kernels are multiplied by a
-rapidity-dependent factor on every call, and a lazily built piecewise-
-Chebyshev table of a smooth function of one real variable.  All engines are
-pure functions of their inputs: identical calls produce bit-identical
-results (fixed subdivision order, heap keyed with deterministic tie-breaks).
+measure prod dE_i/E_i / (2pi)^n / n!, the one semi-infinite integrator (a
+cached rule of equal GK15 panels on [0, x_max], whose tabulated kernel is
+multiplied by sin(kappa x)**power on every call), and a lazily built
+piecewise-Chebyshev table of a smooth function of one real variable.  All
+engines are pure functions of their inputs: identical calls produce
+bit-identical results (fixed subdivision order, heap keyed with
+deterministic tie-breaks).
 """
 
 from __future__ import annotations
@@ -52,6 +52,8 @@ _WG = (
     0.381830050505118944950369775488975,
     0.417959183673469387755102040816327,
 )
+# adaptive_1d stops splitting at this many intervals
+_MAX_INTERVALS = 4000
 
 
 @dataclass(frozen=True)
@@ -89,7 +91,6 @@ def adaptive_1d(
     a: float,
     b: float,
     tol: float,
-    max_intervals: int = 4000,
 ) -> QuadResult:
     """Adaptive G7/K15 bisection with absolute tolerance `tol`.
 
@@ -104,7 +105,7 @@ def adaptive_1d(
     heap = [(-err, a, b, val, err)]
     total_err = err
     nevals = n
-    while total_err > tol and len(heap) < max_intervals:
+    while total_err > tol and len(heap) < _MAX_INTERVALS:
         neg_e, ia, ib, ival, ierr = heapq.heappop(heap)
         total_err -= ierr
         mid = 0.5 * (ia + ib)
@@ -251,33 +252,11 @@ def integrate_simplex(
     )
 
 
+# ---------------------------------------------------------------------------
+# Semi-infinite integrals on fixed GK15 panels
+
 # the exponential bound of a semi-infinite integrand at its truncation point
 _TRUNCATION_TARGET = 1e-16
-
-
-def _truncation(decay_rate: float) -> float:
-    """x_max where the bound e^{-decay_rate x} reaches _TRUNCATION_TARGET."""
-    if decay_rate <= 0:
-        raise DomainError(f"decay_rate must be positive, got {decay_rate}")
-    return -math.log(_TRUNCATION_TARGET) / decay_rate
-
-
-def integrate_semi_infinite(
-    integrand: Callable[[float], complex],
-    decay_rate: float,
-    tol: float = 1e-11,
-) -> QuadResult:
-    """Integral over (0, inf) of an integrand bounded by C e^{-decay_rate x}.
-
-    Truncates at x_max where the analytic exponential bound reaches
-    _TRUNCATION_TARGET and integrates [0, x_max] adaptively.  The integrand
-    must be finite at 0 (callers supply the x -> 0 limit of dx/x kernels).
-    """
-    return adaptive_1d(integrand, 0.0, _truncation(decay_rate), tol)
-
-
-# ---------------------------------------------------------------------------
-# Fixed GK15 panels for the per-rapidity semi-infinite integrals
 
 # one panel on [-1, 1]: nodes in ascending order, K15 weights and the G7
 # weights (zero on the Kronrod-only nodes)
@@ -298,7 +277,7 @@ _WG15[[9, 11, 13]] = _WG[2::-1]
 _POLE_FRACTION = 0.35
 _PHASE_PER_PANEL = 2.0
 # at most this many panels (and a table of this many rows) per integral,
-# as adaptive_1d stops at 4000 intervals
+# as adaptive_1d stops at _MAX_INTERVALS intervals
 _MAX_PANELS = 4096
 # largest exponent whose exponential is a finite double (log of 1.8e308)
 _MAX_EXPONENT = 709.0
@@ -363,7 +342,9 @@ def panel_layout(
     _MAX_PANELS panels would be needed (a decay rate near 0, at the edge of
     a kernel's strip).
     """
-    x_max = _truncation(decay_rate)
+    if decay_rate <= 0:
+        raise DomainError(f"decay_rate must be positive, got {decay_rate}")
+    x_max = -math.log(_TRUNCATION_TARGET) / decay_rate
     width = _POLE_FRACTION * pole_distance
     while width * math.hypot(rate, decay_rate + growth) > _PHASE_PER_PANEL:
         width *= 0.5
@@ -382,7 +363,7 @@ def _tabulated(kernel: Callable[..., np.ndarray], args: tuple, width: float, siz
     return rule, kernel(rule.nodes, *args)
 
 
-def integrate_tabulated(
+def integrate_semi_infinite(
     kernel: Callable[..., np.ndarray],
     args: tuple,
     kappa: complex,
@@ -391,14 +372,16 @@ def integrate_tabulated(
     pole_distance: float,
     tol: float,
 ) -> QuadResult:
-    """Integral over (0, inf) of kernel(x, *args) * sin(kappa x)**power.
+    """Integral over (0, inf) of kernel(x, *args) * sin(kappa x)**power,
+    the integrand bounded by C e^{-decay_rate x}.
 
     The panels are those of panel_layout(decay_rate, pole_distance,
     power |Re kappa|, 2 power |Im kappa|); kernel(x, *args) is tabulated on
     them once per (kernel, args, layout) and cached, so a call evaluates
-    only the sine, on the first n panels.  Raises ToleranceNotMet past `tol`, and when the
-    sine could overflow on the panels (a complex kappa next to the edge of
-    the kernel's strip, where the product is finite but its factors are
+    only the sine, on the first n panels; no node is at x = 0.  Raises
+    DomainError when decay_rate <= 0, and ToleranceNotMet past `tol` and when
+    the sine could overflow on the panels (a complex kappa next to the edge
+    of the kernel's strip, where the product is finite but its factors are
     not).
     """
     width, n, size = panel_layout(

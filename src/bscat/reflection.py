@@ -9,9 +9,10 @@ All rapidities are measured from the boundary rapidity (boundary scale
 T_B = 1 throughout).
 
 The phase of R_s is the integral of sin(2 lambda x) times a kernel that
-`quadrature.integrate_tabulated` tabulates once per (xi, panel layout); the
-panels are sized from the kernel's nearest pole, d = min(1/2, pi/(2 xi)),
-and the rate 2|lambda|, and the rule holds its estimate to 1e-11.  Next to
+`quadrature.integrate_semi_infinite` tabulates once per (xi, panel layout)
+on its GK15 panel rule; the panels are sized from the kernel's nearest
+pole, d = min(1/2, pi/(2 xi)), and the rate 2|lambda|, and the rule holds
+its estimate to 1e-11.  Next to
 the edge of the strip where the integrand's decay vanishes the rule would
 need more than 4096 panels, or its sine would overflow, and it raises
 ToleranceNotMet.  Past |Re lambda| = 16/d the phase is its large-|Re lambda|
@@ -37,7 +38,7 @@ import numpy as np
 
 from .errors import DomainError
 from .model import Excitation, ExcitationKind, ModelSpec, validate_excitation
-from .quadrature import ChebyshevTable, integrate_tabulated, strip_panel_width
+from .quadrature import ChebyshevTable, integrate_semi_infinite, strip_panel_width
 from .smatrix import s_rl_limit
 
 _POLE_TOL = 1e-12
@@ -118,7 +119,7 @@ def _rs_phase_integral(lam: complex, xi: float, decay: float) -> complex:
     """The phase integral int_0^inf sin(2 lambda x) kernel(x) dx on the
     fixed panel rule, to 1e-11 absolute; `decay` bounds the integrand's
     exponential decay."""
-    return integrate_tabulated(
+    return integrate_semi_infinite(
         _rs_phase_kernel, (xi,), 2.0 * lam, 1, decay, _rs_phase_pole(xi), tol=1e-11
     ).value
 

@@ -2,9 +2,10 @@
 
 Soliton-sector amplitudes are built from the scalar factor S0(theta) given by
 a semi-infinite integral of sin(x theta) times a kernel that
-`quadrature.integrate_tabulated` tabulates once per (xi, panel layout); the
-panels are sized from the kernel's nearest pole, min(1, 2 pi/xi), and the
-rate |theta|, and the rule holds its estimate to 1e-12.  Past that
+`quadrature.integrate_semi_infinite` tabulates once per (xi, panel layout)
+on its GK15 panel rule; the panels are sized from the kernel's nearest
+pole, min(1, 2 pi/xi), and the rate |theta|, and the rule holds its
+estimate to 1e-12.  Past that
 integral's strip, S0 on the imaginary axis 0 < Im theta < pi is an
 alternating series of rising-factorial ratios (`_s0_imag_axis`); elsewhere
 it is continued by crossing.  Breather-soliton
@@ -23,7 +24,7 @@ from scipy.special import poch
 
 from .errors import DomainError
 from .model import Excitation, ExcitationKind, ModelSpec, validate_excitation
-from .quadrature import integrate_tabulated
+from .quadrature import integrate_semi_infinite
 
 _POLE_TOL = 1e-12
 _STRIP_MARGIN = 0.35  # switch to the crossing continuation near the strip edge
@@ -53,7 +54,7 @@ def _s0_integral(theta: complex, spec: ModelSpec) -> complex:
             f"S0 integral diverges at Im theta = {theta.imag} (strip half-width "
             f"{min(xi, math.pi)})"
         )
-    res = integrate_tabulated(
+    res = integrate_semi_infinite(
         _s0_kernel,
         (xi,),
         theta,

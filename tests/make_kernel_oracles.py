@@ -7,7 +7,8 @@ Prints the reference table of tests/test_kernel_oracles.py:
 The references are independent of bscat's evaluation: e^{I(lambda)} uses
 its integral representation with N = 5 Gamma factors (bscat's tables use
 N = 2 at every z sampled here, and a different quadrature), and the R_s
-phase and S0 integrals are integrated as printed.  Each integral runs over
+phase and S0 integrals are integrated as printed, and so are the integrals
+of the constants c and F(-i pi).  Each integral runs over
 many short mpmath.quad subintervals up to the point where its exponential
 bound falls below 1e-32.  S0 on the imaginary axis past the integral's
 strip comes from the rising-factorial series of its product form, summed
@@ -150,6 +151,42 @@ def _check_s0_imag_axis():
     assert abs(s0_imag_axis(mp.pi / 3, z) + mp.sqrt(3)) < mp.mpf(10) ** -25
 
 
+def c_const(z):
+    """c = |4 - 4p|^{1/4} exp((1/4) int_0^inf sinh(pi x/2) sinh((pi - xi) x/2)
+    / (x sinh(xi x/2) cosh(pi x/2)^2) dx), p = 1/z."""
+    xi = _xi(z)
+    pi = mp.pi
+    p = 1 / mp.mpf(z)
+
+    def f(x):
+        return (
+            mp.sinh(pi * x / 2)
+            * mp.sinh((pi - xi) * x / 2)
+            / (x * mp.sinh(xi * x / 2) * mp.cosh(pi * x / 2) ** 2)
+        )
+
+    integral = _quad_semi_infinite(f, min(xi, pi), mp.mpf(0.5))
+    return abs(4 - 4 * p) ** mp.mpf(0.25) * mp.exp(integral / 4)
+
+
+def bigf_prefactor(z):
+    """F(-i pi) = exp int_0^inf 4 sinh(pi x) sinh(xi x) sinh((pi + xi) x)
+    / (x sinh(2 pi x)^2) dx."""
+    xi = _xi(z)
+    pi = mp.pi
+
+    def f(x):
+        return (
+            4
+            * mp.sinh(pi * x)
+            * mp.sinh(xi * x)
+            * mp.sinh((pi + xi) * x)
+            / (x * mp.sinh(2 * pi * x) ** 2)
+        )
+
+    return mp.exp(_quad_semi_infinite(f, 2 * pi - 2 * xi, mp.mpf(0.25)))
+
+
 def theta1(z):
     """Fusion angle of breather 1, pi - xi."""
     return math.pi - float(_xi(z))
@@ -196,6 +233,11 @@ S0_IMAG_AXIS_POINTS = tuple(
 ) + ((0.3, 1.2), (0.27, 0.9), (0.0201, 3.0))
 
 
+C_CONST_Z = (0.05, 0.1, 0.2, 0.25, 1.0 / 3.0, 0.4, 0.6, 0.75, 0.9)
+# F exists for z < 1/2 only
+BIGF_PREFACTOR_Z = (0.05, 0.1, 0.2, 0.25, 1.0 / 3.0, 0.4)
+
+
 def _fmt(c):
     return f"complex({float(c.real)!r}, {float(c.imag)!r})"
 
@@ -222,4 +264,12 @@ if __name__ == "__main__":
     print("S0_IMAG_AXIS = (")
     for z, t in S0_IMAG_AXIS_POINTS:
         print(f"    ({z!r}, {t!r}, {float(s0_imag_axis(t, z))!r}),")
+    print(")")
+    print("C_CONST = (")
+    for z in C_CONST_Z:
+        print(f"    ({z!r}, {float(c_const(z))!r}),")
+    print(")")
+    print("BIGF_PREFACTOR = (")
+    for z in BIGF_PREFACTOR_Z:
+        print(f"    ({z!r}, {float(bigf_prefactor(z))!r}),")
     print(")")

@@ -44,6 +44,8 @@ def _rows(csv_text):
         (["convert-tb", "--epsilon-j", "1e300", "--cutoff-lambda", "1", "--z", "0.9"], 1),
         (["convert-tb", "--epsilon-j", "1e-300", "--cutoff-lambda", "1", "--z", "0.9"], 1),
         (["r0", "--z", "0.5", "--output", "/nonexistent-dir/x.csv"], 1),
+        # at p = 21 the panel rule refuses c: sin(i pi x/2)^2 would overflow
+        (["r0", "--z", "0.047619047619047616"], 1),
         # a flag outside its click type is a usage error
         (["spectrum", "--z", "0.5", "--points", "-3"], 2),
     ],
@@ -382,6 +384,17 @@ class TestR0:
         assert table["pm"] == pytest.approx(0.06824025892080751, rel=1e-6)
         assert table["total"] == pytest.approx(1.0, abs=1e-2)
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="exits 1: the e^I table's panel [0, 16] on Im lambda = 0 misses "
+        "its 1e-12 check with 1.464e-12 (width 16 is 1.496 strip half-widths)",
+    )
+    def test_z_063(self, runner):
+        res = runner.invoke(main, ["r0", "--z", "0.63"])
+        assert res.exit_code == 0
+        _, rows = _rows(res.output)
+        assert {r[0] for r in rows} >= {"pm", "total"}
+
 
 class TestConvertTb:
     def test_value(self, runner):
@@ -470,14 +483,14 @@ class TestValidate:
 # sha256 of stdout; a change that moves these bytes updates the hash here
 # and records the moved output
 _PINNED_STDOUT = {
-    "validate --suite all": "553055b88d188a69708dfd3b582dd6aaf1f46b1ef41a9bfa88b8c2e7558845f1",
+    "validate --suite all": "98ab3ed145e3c2c05caaea3b9f698a5eec98af6e443a13fbce07a19e907049f0",
     "rates --model bsg --z 0.3333333333333333 --omega 0.7": "57f4a3d33705533b8dd4971e8c91e88ac1a6c5d9137bbf6130ffdcde4a52ff55",
     "rates --model kondo --z 0.3333333333333333 --omega 0.7": "cd3754d5c5b27daf4e64a99b16722230b4eec4e9aa4a13db18f26263a168c6b8",
     "rates --model kondo --z 0.5 --omega 1e-2..1e2:12 --format json": "64647b72a05d5382bb80808edf076fe6f271d79be38df4e5f8b90902d4546bd5",
-    "r0 --model bsg --z 0.3333333333333333": "b1002f5c11cbcafbc5abb8f38a0ddf4ebabfa44514fd0a197b79546ee2121d1b",
-    "r0 --model bsg --z 0.2": "08ec2b75d9d5dc9c1befe53f544fd5c30f1cc13d497ab784e013996d731bbcbd",
+    "r0 --model bsg --z 0.3333333333333333": "f934a79a384388fcb48c107883ed341d5e89ee384bf4424142a728eb8703d603",
+    "r0 --model bsg --z 0.2": "b127d605cba22a6c7fb6eed20bb8d9804aab74d7f7bc7999331621061ea5bf52",
     "spectrum --model kondo --z 0.5 --omega 1 --points 10": "75109442bba416e7c7dd446782fb5983a47abe8032207fb416011a2779f5ecf8",
-    "spectrum --model bsg --z 0.3333333333333333 --omega 1 --points 8": "0152caacfe22b9669ae2e185d8e78a588063c61e5a24a9ca705d76bee4144d4d",
+    "spectrum --model bsg --z 0.3333333333333333 --omega 1 --points 8": "1b24d55b7c4dac5b90a70096c4c540988258ac5743346a7bf0a97f59fe84e8f9",
 }
 
 

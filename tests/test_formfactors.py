@@ -4,7 +4,7 @@ import math
 import mpmath
 import pytest
 
-from bscat.errors import DomainError
+from bscat.errors import DomainError, ToleranceNotMet
 from bscat.formfactors import (
     _bigf_cached,
     _breather_coupling_arg,
@@ -100,6 +100,13 @@ class TestBuildingBlocks:
         lhs = c_const(spec) ** 2 * exp_I(0.0, spec)
         rhs = math.sqrt(abs(4.0 - 4.0 * spec.p))
         assert abs(lhs / rhs - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("z", [1.0 / 21.0, 1.0 / 30.0])
+    def test_c_const_refused_at_large_integer_p(self, z):
+        # the N = 0 residual's sin(i pi x/2)^2 grows past a double on the
+        # panels its decay min(xi, pi) needs: the panel rule refuses
+        with pytest.raises(ToleranceNotMet, match="panel rule"):
+            c_const(make_model("bsg", z))
 
     def test_zeta_composition(self):
         lam = 0.9

@@ -10,7 +10,7 @@ import pytest
 import bscat.formfactors as formfactors_mod
 import bscat.quadrature as quadrature_mod
 import bscat.reflection as reflection_mod
-from bscat.errors import DomainError
+from bscat.errors import DomainError, ToleranceNotMet
 from bscat.formfactors import _TABLE_N, _exp_i_direct, exp_I, r0_weights
 from bscat.model import make_model
 from bscat.spectrum import spectrum_point
@@ -42,6 +42,47 @@ def test_exp_I_tables_match_direct(z):
             # the table raises neither ToleranceNotMet nor DomainError here
             errors.append(abs(exp_I(lam, spec) / ref - 1.0))
     assert _nan_aware_max(errors) <= 1e-12
+
+
+def _table_fault(z, line, err, width, half_width):
+    reason = (
+        f"the e^I table's first panel [0, {width}] on this line misses its 1e-12 "
+        f"check with {err}: panel width {width} is {width / half_width:.3f} of "
+        f"the strip half-width {half_width} (strip_panel_width allows 1.5)"
+    )
+    return pytest.param(
+        z,
+        line,
+        marks=pytest.mark.xfail(strict=True, raises=ToleranceNotMet, reason=reason),
+        id=f"z={z}-{line}",
+    )
+
+
+# lines Im lambda = f(xi) of e^{I}, theta1 = pi - xi
+_LINES = {
+    "0": lambda xi: 0.0,
+    "-pi": lambda xi: -math.pi,
+    "theta1": lambda xi: math.pi - xi,
+    "-theta1": lambda xi: xi - math.pi,
+}
+
+
+@pytest.mark.parametrize(
+    "z, line",
+    [
+        _table_fault(0.63, "0", 1.464e-12, 16, 10.698),
+        _table_fault(0.61, "-pi", 1.466e-12, 16, 11.197),
+        _table_fault(0.30, "theta1", 1.171e-12, 4, 2.693),
+        _table_fault(0.72, "-theta1", 1.731e-12, 16, 10.771),
+    ],
+)
+def test_exp_I_table_next_to_the_panel_width_cap(z, line):
+    # where the panel width nears 1.5 strip half-widths, the degree-20
+    # panel can miss 1e-12; these lines must read as the direct sum does
+    spec = make_model("bsg", z)
+    lam = complex(0.5, _LINES[line](spec.xi))
+    ref = _exp_i_direct(lam, spec.xi, _TABLE_N)
+    assert abs(exp_I(lam, spec) / ref - 1.0) <= 1e-12
 
 
 @pytest.mark.parametrize("z", _SCAN_Z, ids=lambda z: f"{z:.4g}")
