@@ -29,7 +29,8 @@ recurrence (`_exp_i_fold`) -- is tabulated in Re lambda >= 0 with 21
 Chebyshev points (degree 20) per panel, each built on first use and checked
 against the direct sum to 1e-12 absolute at its 20 interior midpoints
 (`quadrature.ChebyshevTable`).  The panel width follows from the strip of
-analyticity about the line (`quadrature.strip_panel_width`).  A lookup adds
+analyticity about the line (`quadrature.strip_panel_width`), halved on a
+line whose panel 0 misses its check.  A lookup adds
 the logs of the few linear factors the shifts shed, precomputed per line.
 The contour
 function H is exactly -[t^{2p-5}] prod (e^{-c/2} + t e^{c/2}) (see `bigH`).
@@ -46,7 +47,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 from scipy.special import loggamma
 
-from .errors import DomainError
+from .errors import DomainError, ToleranceNotMet
 from .model import ModelSpec, breather, mass_ratio
 from .quadrature import (
     ChebyshevTable,
@@ -189,7 +190,14 @@ def _exp_i_line(xi: float, lam_i: float) -> ChebyshevTable:
     loggamma sum, 2 eps sum_j |w_j loggamma(z_j + m_j)|, where that is
     larger: at small z the terms reach loggamma(1 + 3 pi/xi) and cancel to
     a moderate exponent (at z = 0.125 the rounding passes 1e-12 past
-    |Re lambda| ~ 25, at z = 0.05 everywhere)."""
+    |Re lambda| ~ 25, at z = 0.05 everywhere).
+
+    The width is fixed here, so that no value depends on the order of the
+    lookups: panel 0, [0, width], is built at once, and if it misses its
+    check the line is tabulated at half the width.  That happens where the
+    width is 1.40-1.50 strip half-widths, next to `strip_panel_width`'s cap
+    of 1.5 (on some lines at z = 0.30, 0.46, 0.61-0.64, 0.66-0.68, 0.71 and
+    0.72), and leaves 0.70-0.75 half-widths there."""
     shifts, _, _, half_width = _exp_i_fold(xi, lam_i)
     half_width = min(half_width, _exp_i_decay(lam_i, xi, _TABLE_N))
     offsets, slopes, weights, _ = _exp_i_product_terms(xi, _TABLE_N)
@@ -205,7 +213,13 @@ def _exp_i_line(xi: float, lam_i: float) -> ChebyshevTable:
         terms = weights * loggamma(offsets + shifts + slopes * u)
         return 2.0 * _EPS * float(np.sum(np.abs(terms)))
 
-    return ChebyshevTable(exponent, strip_panel_width(half_width), rounding=rounding)
+    width = strip_panel_width(half_width)
+    table = ChebyshevTable(exponent, width, rounding=rounding)
+    try:
+        table(0.0)
+    except ToleranceNotMet:
+        table = ChebyshevTable(exponent, 0.5 * width, rounding=rounding)
+    return table
 
 
 @lru_cache(maxsize=400_000)
@@ -703,12 +717,18 @@ def f_pm1(l1: complex, l2: complex, l3: complex, spec: ModelSpec) -> complex:
 # ---------------------------------------------------------------------------
 # Excitation sets of the reflection coefficient and their free-theory weights
 
-# multi-particle sets: label -> (per line, the breather whose mass ratio
-# shifts the rapidity, 0 for a soliton line; the tolerance of its r0 weight).
-# The tolerance is set_integral's `tol`, in the units of integrate_simplex:
-# before the 1/((2 pi)^n n!) normalisation.  The r0 weight itself is held to
-# tol/(2 pi)^n: 1e-7 on "pm1" gives about 4e-10 (estimate 3.5e-10 at z = 1/3).
-_SETS = {"pm": ((0, 0), 1e-9), "12": ((1, 2), 1e-9), "pm1": ((0, 0, 1), 1e-7)}
+# multi-particle sets: label -> per line, the breather whose mass ratio
+# shifts the rapidity, 0 for a soliton line
+_SETS = {"pm": (0, 0), "12": (1, 2), "pm1": (0, 0, 1)}
+# the one tolerance table of the set integrals: set_integral's default `tol`
+# at omega is this, by the set's number of lines, times max(1, omega), in the
+# units of integrate_simplex (before the 1/((2 pi)^n n!) normalisation).  An
+# r0 weight is its set's integral at omega = 1 with the reflection factor 1
+# and normalises that set's r(omega) term, so it is held to the term's own
+# tolerance, about tol/(2 pi)^n: 1e-6 on "pm1" gives about 4e-9 (estimate
+# 3.7e-9 at z = 1/3, where the weight is off a tol-1e-9 run by 8.2e-13)
+_TOL_2D = 1e-9
+_TOL_3D = 1e-6
 _SET_FORM_FACTORS = {"pm": f_pm, "12": f_12, "pm1": f_pm1}
 
 
@@ -722,7 +742,7 @@ def set_integral(
     label: str,
     omega: float,
     spec: ModelSpec,
-    tol: float,
+    tol: Optional[float] = None,
     reflection: Optional[Callable[..., complex]] = None,
 ) -> complex:
     """n!/omega times the energy-simplex integral at total energy omega of
@@ -732,7 +752,11 @@ def set_integral(
 
     `tol` is integrate_simplex's absolute tolerance, on the integral before
     its 1/((2 pi)^n n!) normalisation; the returned value is held to about
-    tol/((2 pi)^n omega), n the number of lines.
+    tol/((2 pi)^n omega), n the number of lines.  integrate_simplex spends
+    half of it on the outer rule and a quarter on each inner pair.  By
+    default it is the set's own, _TOL_2D or _TOL_3D times max(1, omega):
+    the r(omega) term and, at omega = 1 without `reflection`, the r0 weight
+    that normalises it are held to the same tolerance.
 
     When the first two lines carry the same excitation (the soliton pair of
     "pm" and "pm1"), |f|^2 is symmetric under l1 <-> l2 and only one mirror
@@ -740,7 +764,9 @@ def set_integral(
     `reflection` must then be symmetric in its first two arguments too, as
     soliton_pair_bracket is.  "12" has two different breathers and is
     integrated whole."""
-    lines, _ = _SETS[label]
+    lines = _SETS[label]
+    if tol is None:
+        tol = (_TOL_3D if len(lines) == 3 else _TOL_2D) * max(1.0, omega)
     form_factor = _SET_FORM_FACTORS[label]
     shifts = [math.log(mass_ratio(breather(b), spec)) if b else 0.0 for b in lines]
 
@@ -778,5 +804,5 @@ def _r0_weights_cached(spec: ModelSpec) -> Tuple[Tuple[str, float], ...]:
     if spec.p_int is not None and spec.n_breathers >= 1:
         labels.append("pm1")
     for label in labels:
-        out[label] = set_integral(label, 1.0, spec, _SETS[label][1]).real
+        out[label] = set_integral(label, 1.0, spec).real
     return tuple(out.items())

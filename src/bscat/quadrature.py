@@ -439,7 +439,9 @@ def strip_panel_width(half_width: float) -> float:
     The degree-20 interpolant on a panel converges at the rate of the
     largest Bernstein ellipse inside the strip.  Measured on the e^{I} and
     R_s phase tables at z = 0.15 ... 0.75 over |Re x| <= 30: these widths
-    interpolate to 1e-13 or better, and twice them miss 1e-12 at every z."""
+    interpolate to 1e-13 or better, and twice them miss 1e-12 at every z.
+    Next to the cap, at 1.40-1.50 half-widths, a panel can miss 1e-12; the
+    e^{I} tables halve such a line's width (`formfactors._exp_i_line`)."""
     if not half_width > 0.0:
         raise DomainError(f"strip half-width must be positive, got {half_width}")
     return 2.0 ** math.floor(math.log2(1.5 * half_width))

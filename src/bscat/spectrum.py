@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -46,6 +46,7 @@ _CROSS = 1j * math.pi
 # absolute tolerance scale of the 1D omega-integrals inside each diagram
 _TOL_DIAGRAM = 1e-10
 
+
 class SpectrumDiagram(Enum):
     """Labeled diagrams of the spectrum expansion."""
 
@@ -55,6 +56,17 @@ class SpectrumDiagram(Enum):
     G3A = "g3a"  # pair + breather-1 in, breather-1 out (integer p)
     G4A = "g4a"  # three breather-1 in, breather-1 out
     G5A = "g5a"  # pair + breather-1 with a direct soliton line (integer p)
+
+
+# a diagram is coeff / (omega' omega) times its integral over E
+_COEFFS = {
+    SpectrumDiagram.G1_1: 2.0,
+    SpectrumDiagram.G2_1: -4.0,
+    SpectrumDiagram.G1_3: 0.5,
+    SpectrumDiagram.G3A: -8.0,
+    SpectrumDiagram.G4A: -2.0,
+    SpectrumDiagram.G5A: 8.0,
+}
 
 
 @dataclass(frozen=True)
@@ -77,14 +89,14 @@ def _diagram(
     reflection: Callable[..., complex],
     formfactors: Callable[..., complex],
     *,
-    name: str,
-    coeff: float,
+    diagram: SpectrumDiagram,
     lines: str = "ssss",
     integer_p: bool = False,
     mirror: bool = False,
+    tol: Optional[float] = None,
 ) -> float:
-    """coeff / (omega' omega) times the integral over the internal energy E
-    in (0, omega - omega') of
+    """_COEFFS[diagram] / (omega' omega) times the integral over the internal
+    energy E in (0, omega - omega') of
 
         Re(reflection - 1) Re(formfactors) / ((2 pi)^4 e1 e2 e3 e4).
 
@@ -96,8 +108,10 @@ def _diagram(
     The integral is one adaptive GK15 call over t in (0, 1), with
     E = w t^2 (3 - 2t) and dE = 6 w t (1 - t) dt, w = omega - omega': a
     sqrt(E) or sqrt(w - E) endpoint becomes a smooth t^2 or (1 - t)^2.  Its
-    absolute tolerance _TOL_DIAGRAM max(1, omega) applies to the E-integral
-    itself, which the map leaves unchanged.
+    absolute tolerance `tol` applies to the E-integral itself, which the map
+    leaves unchanged, so the diagram is held to |coeff| tol/(omega' omega).
+    By default it is _TOL_DIAGRAM max(1, omega), the tolerance of a printed
+    spectrum row; sum_rule_check gives each diagram a share of its own.
 
     A diagram declares `mirror` when its integrand is symmetric under
     E -> w - E, which exchanges its lines in identical pairs; the map is
@@ -116,9 +130,9 @@ def _diagram(
             f"need 0 < omega_p < omega, got omega_p={omega_p}, omega={omega}"
         )
     if "b" in lines and spec.n_breathers < 1:
-        raise DomainError(f"diagram {name} needs the m=1 breather (z < 1/2)")
+        raise DomainError(f"diagram {diagram.value} needs the m=1 breather (z < 1/2)")
     if integer_p and spec.p_int is None:
-        raise DomainError(f"diagram {name} requires integer p = 1/z")
+        raise DomainError(f"diagram {diagram.value} requires integer p = 1/z")
     lmu = math.log(mass_ratio(breather(1), spec)) if "b" in lines else 0.0
     shifts = [lmu if kind == "b" else 0.0 for kind in lines]
     width = omega - omega_p
@@ -139,12 +153,13 @@ def _diagram(
     def mapped(t: float) -> float:
         return integrand(width * t * t * (3.0 - 2.0 * t)) * (6.0 * width * t * (1.0 - t))
 
-    tol = _TOL_DIAGRAM * max(1.0, omega)
+    if tol is None:
+        tol = _TOL_DIAGRAM * max(1.0, omega)
     if mirror:
         val = 2.0 * float(adaptive_1d(mapped, 0.0, 0.5, tol=tol / 2.0).value.real)
     else:
         val = float(adaptive_1d(mapped, 0.0, 1.0, tol=tol).value.real)
-    return coeff / (omega_p * omega) * val
+    return _COEFFS[diagram] / (omega_p * omega) * val
 
 
 def _two_pair_reflection(spec: ModelSpec) -> Callable[..., complex]:
@@ -160,7 +175,9 @@ def _two_pair_reflection(spec: ModelSpec) -> Callable[..., complex]:
     return reflection
 
 
-def diagram_g1_1(omega_p: float, omega: float, spec: ModelSpec) -> float:
+def diagram_g1_1(
+    omega_p: float, omega: float, spec: ModelSpec, tol: Optional[float] = None
+) -> float:
     """Soliton-pair diagram: the only diagram computed at z >= 1/2."""
 
     def energies(big):
@@ -176,11 +193,13 @@ def diagram_g1_1(omega_p: float, omega: float, spec: ModelSpec) -> float:
 
     return _diagram(
         omega_p, omega, spec, energies, _two_pair_reflection(spec), formfactors,
-        name="g1_1", coeff=2.0, mirror=True,
+        diagram=SpectrumDiagram.G1_1, mirror=True, tol=tol,
     )
 
 
-def diagram_g2_1(omega_p: float, omega: float, spec: ModelSpec) -> float:
+def diagram_g2_1(
+    omega_p: float, omega: float, spec: ModelSpec, tol: Optional[float] = None
+) -> float:
     """Breather-1 emission interfering with a soliton pair (integer p)."""
 
     def energies(big):
@@ -199,11 +218,13 @@ def diagram_g2_1(omega_p: float, omega: float, spec: ModelSpec) -> float:
 
     return _diagram(
         omega_p, omega, spec, energies, reflection, formfactors,
-        name="g2_1", coeff=-4.0, lines="bsss", integer_p=True,
+        diagram=SpectrumDiagram.G2_1, lines="bsss", integer_p=True, tol=tol,
     )
 
 
-def diagram_g1_3(omega_p: float, omega: float, spec: ModelSpec) -> float:
+def diagram_g1_3(
+    omega_p: float, omega: float, spec: ModelSpec, tol: Optional[float] = None
+) -> float:
     """Delta-reduced six-soliton diagram (integer p only)."""
 
     def energies(big):
@@ -223,11 +244,13 @@ def diagram_g1_3(omega_p: float, omega: float, spec: ModelSpec) -> float:
 
     return _diagram(
         omega_p, omega, spec, energies, _two_pair_reflection(spec), formfactors,
-        name="g1_3", coeff=0.5, integer_p=True, mirror=True,
+        diagram=SpectrumDiagram.G1_3, integer_p=True, mirror=True, tol=tol,
     )
 
 
-def diagram_g3a(omega_p: float, omega: float, spec: ModelSpec) -> float:
+def diagram_g3a(
+    omega_p: float, omega: float, spec: ModelSpec, tol: Optional[float] = None
+) -> float:
     """Soliton pair + breather-1 absorbed, breather-1 emitted (integer p)."""
 
     def energies(big):
@@ -250,11 +273,14 @@ def diagram_g3a(omega_p: float, omega: float, spec: ModelSpec) -> float:
 
     return _diagram(
         omega_p, omega, spec, energies, reflection, formfactors,
-        name="g3a", coeff=-8.0, lines="bssb", integer_p=True, mirror=True,
+        diagram=SpectrumDiagram.G3A, lines="bssb", integer_p=True, mirror=True,
+        tol=tol,
     )
 
 
-def diagram_g4a(omega_p: float, omega: float, spec: ModelSpec) -> float:
+def diagram_g4a(
+    omega_p: float, omega: float, spec: ModelSpec, tol: Optional[float] = None
+) -> float:
     """Three breather-1 absorbed, breather-1 emitted; symmetry factor 1/2."""
 
     def energies(big):
@@ -277,11 +303,13 @@ def diagram_g4a(omega_p: float, omega: float, spec: ModelSpec) -> float:
 
     return _diagram(
         omega_p, omega, spec, energies, reflection, formfactors,
-        name="g4a", coeff=-2.0, lines="bbbb", mirror=True,
+        diagram=SpectrumDiagram.G4A, lines="bbbb", mirror=True, tol=tol,
     )
 
 
-def diagram_g5a(omega_p: float, omega: float, spec: ModelSpec) -> float:
+def diagram_g5a(
+    omega_p: float, omega: float, spec: ModelSpec, tol: Optional[float] = None
+) -> float:
     """Pair + breather-1 with one soliton line passing the photon vertices.
 
     The direct line reflects once; its conjugated and plain reflection factors
@@ -309,11 +337,11 @@ def diagram_g5a(omega_p: float, omega: float, spec: ModelSpec) -> float:
 
     return _diagram(
         omega_p, omega, spec, energies, reflection, formfactors,
-        name="g5a", coeff=8.0, lines="bsss", integer_p=True,
+        diagram=SpectrumDiagram.G5A, lines="bsss", integer_p=True, tol=tol,
     )
 
 
-_DIAGRAM_FUNCS: Dict[SpectrumDiagram, Callable[[float, float, ModelSpec], float]] = {
+_DIAGRAM_FUNCS: Dict[SpectrumDiagram, Callable[..., float]] = {
     SpectrumDiagram.G1_1: diagram_g1_1,
     SpectrumDiagram.G2_1: diagram_g2_1,
     SpectrumDiagram.G1_3: diagram_g1_3,
@@ -338,10 +366,13 @@ def active_diagrams(spec: ModelSpec) -> List[SpectrumDiagram]:
     return out
 
 
-def spectrum_point(omega_p: float, omega: float, spec: ModelSpec) -> float:
-    """gamma(omega'|omega) summed over the active diagrams."""
+def spectrum_point(
+    omega_p: float, omega: float, spec: ModelSpec, tol: Optional[float] = None
+) -> float:
+    """gamma(omega'|omega) summed over the active diagrams, each E-integral
+    to the absolute tolerance `tol` (by default _TOL_DIAGRAM max(1, omega))."""
     return math.fsum(
-        _DIAGRAM_FUNCS[d](omega_p, omega, spec) for d in active_diagrams(spec)
+        _DIAGRAM_FUNCS[d](omega_p, omega, spec, tol) for d in active_diagrams(spec)
     )
 
 
@@ -362,18 +393,27 @@ def sum_rule_check(
 
     The omega' integral uses the substitution omega' = omega u^2, which
     regularizes the integrable 1/omega' endpoint of the boundary sine-Gordon
-    spectrum.  `breakdown` is r(omega) if the caller has it already.
+    spectrum.  Its integrand is f(u) = 2u sum_d coeff_d val_d, val_d the E-
+    integral of diagram d, and the integral of 2u over (0, 1) is 1, so
+    diagram errors of at most tol_d add at most sum_d |coeff_d| tol_d to it.
+    The absolute tolerance tol omega is split as QUADPACK splits an outer
+    tolerance with its inner integrals (Piessens et al. 1983): 3/4 to the
+    outer rule, and each diagram gets tol_d = (tol omega / 4) / sum_d
+    |coeff_d|, so the integral is held to tol omega in total.  `breakdown`
+    is r(omega) if the caller has it already.
     """
     check_omega(omega)
+    coeff_sum = sum(abs(_COEFFS[d]) for d in active_diagrams(spec))
+    diagram_tol = 0.25 * tol * omega / coeff_sum
 
     def f(u: float) -> float:
         omega_p = omega * u * u
         if omega_p <= 0.0 or omega_p >= omega:
             return 0.0
-        g = spectrum_point(omega_p, omega, spec)
+        g = spectrum_point(omega_p, omega, spec, diagram_tol)
         return omega_p * g * 2.0 * omega * u
 
-    lhs = float(adaptive_1d(f, 0.0, 1.0, tol=tol * omega).value.real)
+    lhs = float(adaptive_1d(f, 0.0, 1.0, tol=0.75 * tol * omega).value.real)
     if breakdown is None:
         breakdown = reflection_coefficient(omega, spec)
     return lhs / (omega * _inelastic_loss(breakdown))

@@ -3,7 +3,9 @@
 The reflection coefficient is assembled from excitation-sector terms (single
 breathers, the soliton-antisoliton pair, breather 1+2, pair + breather 1),
 each a delta-constrained integral of reflection amplitudes times squared form
-factors.  Frequencies are in units of the boundary scale T_B = 1.
+factors.  Frequencies are in units of the boundary scale T_B = 1.  Each
+multi-particle term is integrated at its set's tolerance in
+`formfactors.set_integral`, the tolerance its r0 weight is held to.
 """
 
 from __future__ import annotations
@@ -19,12 +21,6 @@ from .errors import DomainError, InsufficientData
 from .formfactors import breather_weight, r0_weights, set_integral
 from .model import ModelSpec, breather, check_omega, mass_ratio
 from .reflection import r_breather, soliton_pair_bracket
-
-# tolerances of the term integrals, times max(1, omega); set_integral passes
-# them to integrate_simplex, which applies them before the 1/((2 pi)^n n!)
-# normalisation, so a term is held to about tol max(1, omega)/((2 pi)^n omega)
-_TOL_2D = 1e-9
-_TOL_3D = 1e-6
 
 
 @dataclass(frozen=True)
@@ -64,7 +60,7 @@ def r_term_soliton_pair(omega: float, spec: ModelSpec) -> complex:
     def reflection(l1, l2):
         return soliton_pair_bracket(l1, l2, spec)
 
-    return set_integral("pm", omega, spec, _TOL_2D * max(1.0, omega), reflection)
+    return set_integral("pm", omega, spec, reflection=reflection)
 
 
 def r_term_12(omega: float, spec: ModelSpec) -> complex:
@@ -76,7 +72,7 @@ def r_term_12(omega: float, spec: ModelSpec) -> complex:
     def reflection(l1, l2):
         return r_breather(l1, 1, spec) * r_breather(l2, 2, spec)
 
-    return set_integral("12", omega, spec, _TOL_2D * max(1.0, omega), reflection)
+    return set_integral("12", omega, spec, reflection=reflection)
 
 
 def r_term_pm1(omega: float, spec: ModelSpec) -> complex:
@@ -90,7 +86,7 @@ def r_term_pm1(omega: float, spec: ModelSpec) -> complex:
     def reflection(l1, l2, l3):
         return soliton_pair_bracket(l1, l2, spec, sign=+1) * r_breather(l3, 1, spec)
 
-    return set_integral("pm1", omega, spec, _TOL_3D * max(1.0, omega), reflection)
+    return set_integral("pm1", omega, spec, reflection=reflection)
 
 
 # multi-particle terms by r0 label; the single-breather labels are "m<k>"

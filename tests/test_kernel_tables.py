@@ -10,7 +10,7 @@ import pytest
 import bscat.formfactors as formfactors_mod
 import bscat.quadrature as quadrature_mod
 import bscat.reflection as reflection_mod
-from bscat.errors import DomainError, ToleranceNotMet
+from bscat.errors import DomainError
 from bscat.formfactors import _TABLE_N, _exp_i_direct, exp_I, r0_weights
 from bscat.model import make_model
 from bscat.spectrum import spectrum_point
@@ -44,20 +44,6 @@ def test_exp_I_tables_match_direct(z):
     assert _nan_aware_max(errors) <= 1e-12
 
 
-def _table_fault(z, line, err, width, half_width):
-    reason = (
-        f"the e^I table's first panel [0, {width}] on this line misses its 1e-12 "
-        f"check with {err}: panel width {width} is {width / half_width:.3f} of "
-        f"the strip half-width {half_width} (strip_panel_width allows 1.5)"
-    )
-    return pytest.param(
-        z,
-        line,
-        marks=pytest.mark.xfail(strict=True, raises=ToleranceNotMet, reason=reason),
-        id=f"z={z}-{line}",
-    )
-
-
 # lines Im lambda = f(xi) of e^{I}, theta1 = pi - xi
 _LINES = {
     "0": lambda xi: 0.0,
@@ -68,21 +54,37 @@ _LINES = {
 
 
 @pytest.mark.parametrize(
-    "z, line",
+    "z, line, width",
     [
-        _table_fault(0.63, "0", 1.464e-12, 16, 10.698),
-        _table_fault(0.61, "-pi", 1.466e-12, 16, 11.197),
-        _table_fault(0.30, "theta1", 1.171e-12, 4, 2.693),
-        _table_fault(0.72, "-theta1", 1.731e-12, 16, 10.771),
+        pytest.param(z, line, width, id=f"z={z}-{line}")
+        for z, line, width in (
+            (0.63, "0", 8.0),
+            (0.61, "-pi", 8.0),
+            (0.30, "theta1", 2.0),
+            (0.72, "-theta1", 8.0),
+        )
     ],
 )
-def test_exp_I_table_next_to_the_panel_width_cap(z, line):
-    # where the panel width nears 1.5 strip half-widths, the degree-20
-    # panel can miss 1e-12; these lines must read as the direct sum does
+def test_exp_I_table_next_to_the_panel_width_cap(z, line, width):
+    # strip_panel_width gives these lines 1.40-1.50 strip half-widths, where
+    # the degree-20 panel 0 missed its 1e-12 check (1.17e-12 to 1.73e-12)
+    # and the lookup raised ToleranceNotMet; the line is now tabulated at
+    # half that width, and reads as the direct sum does
     spec = make_model("bsg", z)
     lam = complex(0.5, _LINES[line](spec.xi))
     ref = _exp_i_direct(lam, spec.xi, _TABLE_N)
     assert abs(exp_I(lam, spec) / ref - 1.0) <= 1e-12
+    assert formfactors_mod._exp_i_line(spec.xi, lam.imag)._width == width
+
+
+def test_exp_I_line_keeps_a_width_that_passes():
+    # panel 0 is built when the line is set up; a line whose panel 0 passes
+    # keeps strip_panel_width's width (z = 1/3: 4 on every line)
+    xi = make_model("bsg", 1.0 / 3.0).xi
+    for im in _form_factor_lines(xi):
+        table = formfactors_mod._exp_i_line(xi, im)
+        assert table._width == 4.0
+        assert 0 in table._panels
 
 
 @pytest.mark.parametrize("z", _SCAN_Z, ids=lambda z: f"{z:.4g}")

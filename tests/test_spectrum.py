@@ -344,6 +344,38 @@ class TestSumRule:
         ratio = sum_rule_check(1.0, make_model(kind, 0.5))
         assert ratio == pytest.approx(1.0, abs=1e-4)
 
+    @pytest.mark.parametrize(
+        "kind, z, omega",
+        [("bsg", 1.0 / 3.0, 1.0), ("bsg", 0.5, 10.0), ("kondo", 0.5, 10.0)],
+        ids=["bsg-third-1", "bsg-half-10", "kondo-half-10"],
+    )
+    def test_diagram_budget_stays_within_tolerance(self, monkeypatch, kind, z, omega):
+        # the outer rule runs at 3/4 tol omega and each diagram at (tol omega
+        # / 4) / sum |coeff|; the energy integral agrees within tol omega with
+        # a run whose diagrams stay at _TOL_DIAGRAM max(1, omega).  Measured:
+        # the ratios differ by 7.6e-10, 3.8e-12 and 6.0e-13
+        tol = 1e-5
+        spec = make_model(kind, z)
+        bd = reflection_coefficient(omega, spec)
+        budgeted = sum_rule_check(omega, spec, tol=tol, breakdown=bd)
+        real = spectrum_mod.spectrum_point
+        monkeypatch.setattr(
+            spectrum_mod, "spectrum_point", lambda wp, w, s, tol: real(wp, w, s)
+        )
+        full = sum_rule_check(omega, spec, tol=tol, breakdown=bd)
+        loss = omega * spectrum_mod._inelastic_loss(bd)
+        assert abs(budgeted - full) * loss <= tol * omega
+
+    def test_evaluation_count_with_the_diagram_budget(self, monkeypatch):
+        # every adaptive_1d point of the sum rule at bsG z = 1/3, omega = 1,
+        # tol 1e-5 (the omega' rule and the diagrams): 2325, against 5265
+        # with every diagram at _TOL_DIAGRAM
+        spec = make_model("bsg", 1.0 / 3.0)
+        bd = reflection_coefficient(1.0, spec)
+        evaluations = _count_evaluations(monkeypatch)
+        sum_rule_check(1.0, spec, breakdown=bd)
+        assert sum(evaluations) <= 2400
+
     def test_rejects_nonpositive_frequency(self):
         with pytest.raises(DomainError):
             sum_rule_check(-1.0, make_model("bsg", 0.5))

@@ -48,6 +48,19 @@ class TestReflectionCoefficient:
             r = abs(bd.total) / (1.0 - bd.truncation_bound)
             assert r <= 1.0 + bd.truncation_bound
 
+    @pytest.mark.parametrize(
+        "kind, z", [("bsg", 1.0 / 3.0), ("bsg", 0.4), ("kondo", 1.0 / 3.0)]
+    )
+    def test_r_is_bounded_by_unitarity_on_a_log_grid(self, kind, z):
+        # the same bound from omega = 1e-2 to 1e2, at integer p with the
+        # pair + breather set (z = 1/3) and at non-integer p (z = 0.4); |r|
+        # tends to 1 at both ends and reads 0.93-0.99 at omega = 1 and 10
+        spec = make_model(kind, z)
+        for omega in np.geomspace(1e-2, 1e2, 5):
+            bd = reflection_coefficient(float(omega), spec)
+            r = abs(bd.total) / (1.0 - bd.truncation_bound)
+            assert r <= 1.0 + bd.truncation_bound, omega
+
     def test_term_keys_many_breathers(self):
         spec = make_model("bsg", 0.2)
         bd = reflection_coefficient(1.0, spec)
@@ -90,7 +103,7 @@ class TestReflectionCoefficient:
         free_theory = []
         real = formfactors_mod.set_integral
 
-        def recorded(label, omega, spec, tol, reflection=None):
+        def recorded(label, omega, spec, tol=None, reflection=None):
             if reflection is None:
                 free_theory.append(label)
             return real(label, omega, spec, tol, reflection)
@@ -166,8 +179,9 @@ class TestExchangeSymmetricSets:
                     assert abs(a - b) <= 1e-12 * abs(a), (name, z, e1, e2)
 
     def test_r0_pair_breather_count(self, monkeypatch):
-        # the pm1 weight at bsG z = 1/3 (tolerance 1e-7): 4530 integrand
-        # calls, against 9060 with both mirror halves of every inner pair
+        # the pm1 weight at bsG z = 1/3, at its r(omega) term's tolerance
+        # _TOL_3D = 1e-6: 1440 integrand calls (4530 at 1e-7, 9060 at 1e-7
+        # with both mirror halves of every inner pair)
         calls = []
         results = []
         real = formfactors_mod.integrate_simplex
@@ -182,10 +196,19 @@ class TestExchangeSymmetricSets:
 
         monkeypatch.setattr(formfactors_mod, "integrate_simplex", counted)
         formfactors_mod.set_integral(
-            "pm1", 1.0, make_model("bsg", 1.0 / 3.0), formfactors_mod._SETS["pm1"][1]
+            "pm1", 1.0, make_model("bsg", 1.0 / 3.0), formfactors_mod._TOL_3D
         )
         (res,) = results
-        assert res.evaluations == len(calls) <= 4600
+        assert res.evaluations == len(calls) <= 1470
+
+    @pytest.mark.parametrize("z", [1.0 / 3.0, 0.25, 0.2], ids=["1/3", "1/4", "0.2"])
+    def test_r0_pair_breather_weight_at_its_term_tolerance(self, z):
+        # the pm1 weight is held to its r(omega) term's tolerance: off a
+        # tol-1e-9 run by 8.2e-13, 1.1e-12 and 4.4e-13, against the term's
+        # own budget of about 4e-9
+        spec = make_model("bsg", z)
+        reference = formfactors_mod.set_integral("pm1", 1.0, spec, 1e-9).real
+        assert abs(r0_weights(spec)["pm1"] - reference) <= 2e-12
 
     def test_breather_pair_is_integrated_whole(self, monkeypatch):
         spec = make_model("bsg", 0.25)
