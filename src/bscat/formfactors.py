@@ -85,8 +85,6 @@ def _check_strip(*diffs: complex) -> None:
 def _exp_i_residual(lam: complex, xi: float, N: int) -> complex:
     """The residual integral of I(lambda) left by the N-term Gamma product,
     on the panel rule; zero at xi = pi, where its kernel vanishes."""
-    if abs(math.pi - xi) < 1e-14:
-        return 0.0 + 0.0j
     w = (lam + 1j * math.pi) / 2.0
     return integrate_semi_infinite(
         _exp_i_kernel,
@@ -224,7 +222,6 @@ def _exp_i_line(xi: float, lam_i: float) -> ChebyshevTable:
 
 @lru_cache(maxsize=400_000)
 def _exp_i_cached(lam_r: float, lam_i: float, xi: float) -> complex:
-    _exp_i_decay(lam_i, xi, _TABLE_N)
     lam = complex(lam_r, lam_i)
     _, factors, sign, _ = _exp_i_fold(xi, lam_i)
     # e^{I(-conj lambda)} = conj e^{I(lambda)}: the table holds Re lambda >= 0

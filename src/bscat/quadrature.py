@@ -403,20 +403,6 @@ def integrate_semi_infinite(
 # Piecewise-Chebyshev tables of smooth functions on the real line
 
 
-@lru_cache(maxsize=8)
-def _chebyshev_rule(n: int) -> Tuple[np.ndarray, np.ndarray, Tuple[float, ...]]:
-    """The n first-kind Chebyshev points t_j = cos(pi (j + 1/2)/n) on
-    [-1, 1], the matrix that maps values there to the coefficients of the
-    degree n - 1 interpolant in T_0..T_{n-1}, and the n - 1 interior
-    extrema cos(pi j/n) of T_n, midway in angle between adjacent points.
-    The interpolation error is proportional to T_n, so it peaks there."""
-    angles = math.pi * (np.arange(n) + 0.5) / n
-    to_coeffs = (2.0 / n) * np.cos(np.outer(np.arange(n), angles))
-    to_coeffs[0] *= 0.5
-    midpoints = tuple(math.cos(math.pi * j / n) for j in range(1, n))
-    return np.cos(angles), to_coeffs, midpoints
-
-
 def _clenshaw(coeffs: Tuple[complex, ...], t: float) -> complex:
     """sum_k coeffs[k] T_k(t) by Clenshaw's recurrence."""
     b1 = b2 = 0.0
@@ -429,6 +415,20 @@ def _clenshaw(coeffs: Tuple[complex, ...], t: float) -> complex:
 # Chebyshev points per ChebyshevTable panel, and the panel check's tolerance
 _TABLE_POINTS = 21
 _TABLE_TOL = 1e-12
+# the _TABLE_POINTS first-kind Chebyshev points t_j = cos(pi (j + 1/2)/n) on
+# [-1, 1], the matrix that maps values there to the coefficients of the
+# degree n - 1 interpolant in T_0..T_{n-1}, and the n - 1 interior extrema
+# cos(pi j/n) of T_n, midway in angle between adjacent points: the
+# interpolation error is proportional to T_n, so it peaks there
+_ANGLES = math.pi * (np.arange(_TABLE_POINTS) + 0.5) / _TABLE_POINTS
+_CHEB_POINTS = np.cos(_ANGLES)
+_TO_COEFFS = (2.0 / _TABLE_POINTS) * np.cos(
+    np.outer(np.arange(_TABLE_POINTS), _ANGLES)
+)
+_TO_COEFFS[0] *= 0.5
+_MIDPOINTS = tuple(
+    math.cos(math.pi * j / _TABLE_POINTS) for j in range(1, _TABLE_POINTS)
+)
 
 
 def strip_panel_width(half_width: float) -> float:
@@ -493,12 +493,11 @@ class ChebyshevTable:
     def _build(self, k: int) -> Tuple[complex, ...]:
         half = 0.5 * self._width
         centre = (k + 0.5) * self._width
-        points, to_coeffs, midpoints = _chebyshev_rule(_TABLE_POINTS)
-        values = np.array([self._builder(centre + half * t) for t in points])
-        coeffs = tuple(complex(c) for c in to_coeffs @ values)
+        values = np.array([self._builder(centre + half * t) for t in _CHEB_POINTS])
+        coeffs = tuple(complex(c) for c in _TO_COEFFS @ values)
         errors = [
             abs(_clenshaw(coeffs, t) - self._builder(centre + half * t))
-            for t in midpoints
+            for t in _MIDPOINTS
         ]
         # np.max, unlike max, returns a NaN it meets, which then fails
         err = float(np.max(errors))

@@ -53,7 +53,6 @@ _ASYMPTOTE_EXPONENT = 32.0
 def _rs_phase_cached(lam_r: float, lam_i: float, xi: float) -> complex:
     if _rs_phase_asymptotic(lam_r, xi):
         return _rs_phase_direct(complex(lam_r, lam_i), xi)
-    _rs_phase_decay(lam_i, xi)
     # phase(-conj lambda) = -conj phase(lambda): the table holds Re lambda >= 0
     value = _rs_phase_line(xi, lam_i)(abs(lam_r))
     return -value.conjugate() if lam_r < 0.0 else value

@@ -58,14 +58,16 @@ class SpectrumDiagram(Enum):
     G5A = "g5a"  # pair + breather-1 with a direct soliton line (integer p)
 
 
-# a diagram is coeff / (omega' omega) times its integral over E
-_COEFFS = {
-    SpectrumDiagram.G1_1: 2.0,
-    SpectrumDiagram.G2_1: -4.0,
-    SpectrumDiagram.G1_3: 0.5,
-    SpectrumDiagram.G3A: -8.0,
-    SpectrumDiagram.G4A: -2.0,
-    SpectrumDiagram.G5A: 8.0,
+# one row per diagram, in the CSV column order: (coeff, lines, mirror,
+# integer_p) as _diagram reads them; a diagram is coeff / (omega' omega)
+# times its integral over E
+_DIAGRAMS = {
+    SpectrumDiagram.G1_1: (2.0, (0, 0, 0, 0), True, False),
+    SpectrumDiagram.G2_1: (-4.0, (1, 0, 0, 0), False, True),
+    SpectrumDiagram.G1_3: (0.5, (0, 0, 0, 0), True, True),
+    SpectrumDiagram.G3A: (-8.0, (1, 0, 0, 1), True, True),
+    SpectrumDiagram.G4A: (-2.0, (1, 1, 1, 1), True, False),
+    SpectrumDiagram.G5A: (8.0, (1, 0, 0, 0), False, True),
 }
 
 
@@ -88,22 +90,19 @@ def _diagram(
     energies: Callable[[float], Tuple[float, float, float, float]],
     reflection: Callable[..., complex],
     formfactors: Callable[..., complex],
-    *,
     diagram: SpectrumDiagram,
-    lines: str = "ssss",
-    integer_p: bool = False,
-    mirror: bool = False,
     tol: Optional[float] = None,
 ) -> float:
-    """_COEFFS[diagram] / (omega' omega) times the integral over the internal
-    energy E in (0, omega - omega') of
+    """coeff / (omega' omega) times the integral over the internal energy E
+    in (0, omega - omega') of
 
         Re(reflection - 1) Re(formfactors) / ((2 pi)^4 e1 e2 e3 e4).
 
-    `energies(E)` gives the four line energies e1..e4 and `lines` their
-    excitations, "s" for a soliton or antisoliton and "b" for breather 1.
-    Line k enters `reflection(l1..l4)` and `formfactors(l1..l4)` through its
-    rapidity log(e_k), less log(m_1/m_s) on breather lines.
+    `energies(E)` gives the four line energies e1..e4; `lines`, from the
+    diagram's row, the breather whose mass ratio shifts each line's rapidity
+    (0 for a soliton line), as in formfactors._SETS: line k enters
+    `reflection(l1..l4)` and `formfactors(l1..l4)` as log(e_k) - log(m_b/m_s).
+    A breather line raises DomainError at z >= 1/2, `integer_p` at non-integer p.
 
     The integral is one adaptive GK15 call over t in (0, 1), with
     E = w t^2 (3 - 2t) and dE = 6 w t (1 - t) dt, w = omega - omega': a
@@ -129,12 +128,10 @@ def _diagram(
         raise DomainError(
             f"need 0 < omega_p < omega, got omega_p={omega_p}, omega={omega}"
         )
-    if "b" in lines and spec.n_breathers < 1:
-        raise DomainError(f"diagram {diagram.value} needs the m=1 breather (z < 1/2)")
+    coeff, lines, mirror, integer_p = _DIAGRAMS[diagram]
     if integer_p and spec.p_int is None:
         raise DomainError(f"diagram {diagram.value} requires integer p = 1/z")
-    lmu = math.log(mass_ratio(breather(1), spec)) if "b" in lines else 0.0
-    shifts = [lmu if kind == "b" else 0.0 for kind in lines]
+    shifts = [math.log(mass_ratio(breather(b), spec)) if b else 0.0 for b in lines]
     width = omega - omega_p
     unimodular = spec.is_kondo
 
@@ -159,7 +156,7 @@ def _diagram(
         val = 2.0 * float(adaptive_1d(mapped, 0.0, 0.5, tol=tol / 2.0).value.real)
     else:
         val = float(adaptive_1d(mapped, 0.0, 1.0, tol=tol).value.real)
-    return _COEFFS[diagram] / (omega_p * omega) * val
+    return coeff / (omega_p * omega) * val
 
 
 def _two_pair_reflection(spec: ModelSpec) -> Callable[..., complex]:
@@ -193,7 +190,7 @@ def diagram_g1_1(
 
     return _diagram(
         omega_p, omega, spec, energies, _two_pair_reflection(spec), formfactors,
-        diagram=SpectrumDiagram.G1_1, mirror=True, tol=tol,
+        SpectrumDiagram.G1_1, tol,
     )
 
 
@@ -218,7 +215,7 @@ def diagram_g2_1(
 
     return _diagram(
         omega_p, omega, spec, energies, reflection, formfactors,
-        diagram=SpectrumDiagram.G2_1, lines="bsss", integer_p=True, tol=tol,
+        SpectrumDiagram.G2_1, tol,
     )
 
 
@@ -244,7 +241,7 @@ def diagram_g1_3(
 
     return _diagram(
         omega_p, omega, spec, energies, _two_pair_reflection(spec), formfactors,
-        diagram=SpectrumDiagram.G1_3, integer_p=True, mirror=True, tol=tol,
+        SpectrumDiagram.G1_3, tol,
     )
 
 
@@ -273,8 +270,7 @@ def diagram_g3a(
 
     return _diagram(
         omega_p, omega, spec, energies, reflection, formfactors,
-        diagram=SpectrumDiagram.G3A, lines="bssb", integer_p=True, mirror=True,
-        tol=tol,
+        SpectrumDiagram.G3A, tol,
     )
 
 
@@ -303,7 +299,7 @@ def diagram_g4a(
 
     return _diagram(
         omega_p, omega, spec, energies, reflection, formfactors,
-        diagram=SpectrumDiagram.G4A, lines="bbbb", mirror=True, tol=tol,
+        SpectrumDiagram.G4A, tol,
     )
 
 
@@ -337,7 +333,7 @@ def diagram_g5a(
 
     return _diagram(
         omega_p, omega, spec, energies, reflection, formfactors,
-        diagram=SpectrumDiagram.G5A, lines="bsss", integer_p=True, tol=tol,
+        SpectrumDiagram.G5A, tol,
     )
 
 
@@ -354,16 +350,9 @@ _DIAGRAM_FUNCS: Dict[SpectrumDiagram, Callable[..., float]] = {
 def active_diagrams(spec: ModelSpec) -> List[SpectrumDiagram]:
     """Default diagram set: the pair diagram alone unless the m=1 breather
     exists at integer p, where the interference and breather diagrams enter."""
-    out = [SpectrumDiagram.G1_1]
     if spec.p_int is not None and spec.n_breathers >= 1:
-        out += [
-            SpectrumDiagram.G2_1,
-            SpectrumDiagram.G1_3,
-            SpectrumDiagram.G3A,
-            SpectrumDiagram.G4A,
-            SpectrumDiagram.G5A,
-        ]
-    return out
+        return list(_DIAGRAMS)
+    return [SpectrumDiagram.G1_1]
 
 
 def spectrum_point(
@@ -403,7 +392,7 @@ def sum_rule_check(
     is r(omega) if the caller has it already.
     """
     check_omega(omega)
-    coeff_sum = sum(abs(_COEFFS[d]) for d in active_diagrams(spec))
+    coeff_sum = sum(abs(_DIAGRAMS[d][0]) for d in active_diagrams(spec))
     diagram_tol = 0.25 * tol * omega / coeff_sum
 
     def f(u: float) -> float:

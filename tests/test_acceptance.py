@@ -81,6 +81,18 @@ class TestFreeFermionSpectrum:
             assert abs(value / exact - 1.0) <= 1e-6, omega_p / omega
 
 
+# the sum-rule ratios at omega = 1, tol 1e-3, where the spectrum away from
+# z = 1/2 and bsG z = 1/3 misses energy conservation (ROADMAP item 2)
+_MISSED_SUM_RULES = [
+    ("bsg", 0.4, 0.4115),
+    ("kondo", 0.4, 0.041),
+    ("bsg", 0.6, 0.4238),
+    ("kondo", 0.6, 0.4321),
+    ("kondo", 1.0 / 3.0, 0.7627),
+    ("bsg", 0.25, 0.0244),
+]
+
+
 class TestSumRule:
     """criterion 3: energy conservation of the resolved spectrum."""
 
@@ -93,6 +105,22 @@ class TestSumRule:
     @pytest.mark.parametrize("omega", [0.1, 1.0, 10.0])
     def test_breather_diagram_set(self, omega):
         ratio = sum_rule_check(omega, make_model("bsg", 1.0 / 3.0), tol=1e-3)
+        assert 0.85 <= ratio <= 1.15
+
+    @pytest.mark.parametrize(
+        "kind, z",
+        [
+            pytest.param(
+                kind,
+                z,
+                id=f"{kind}-{z:.3g}",
+                marks=pytest.mark.xfail(strict=True, reason=f"sum-rule ratio {ratio}"),
+            )
+            for kind, z, ratio in _MISSED_SUM_RULES
+        ],
+    )
+    def test_away_from_the_checked_points(self, kind, z):
+        ratio = sum_rule_check(1.0, make_model(kind, z), tol=1e-3)
         assert 0.85 <= ratio <= 1.15
 
 

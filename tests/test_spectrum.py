@@ -5,10 +5,19 @@ import pytest
 
 import bscat.spectrum as spectrum_mod
 from bscat.errors import DomainError
-from bscat.formfactors import _exp_i_cached, exp_I, f_111, f_breather1, f_pm, f_pm1
+from bscat.formfactors import (
+    _exp_i_cached,
+    exp_I,
+    f_111,
+    f_breather1,
+    f_pm,
+    f_pm1,
+    r0_weights,
+    set_integral,
+)
 from bscat.model import make_model
 from bscat.quadrature import QuadResult
-from bscat.reflection import _rs_phase_cached
+from bscat.reflection import _rs_phase_cached, soliton_pair_bracket
 from bscat.referm import spectrum_half
 from bscat.spectrum import (
     SpectrumDiagram,
@@ -20,7 +29,7 @@ from bscat.spectrum import (
     spectrum_point,
     sum_rule_check,
 )
-from bscat.twopoint import reflection_coefficient
+from bscat.twopoint import ReflectionBreakdown, reflection_coefficient
 from closed_forms import kondo_half_spectrum
 
 SPEC3_BSG = make_model("bsg", 1.0 / 3.0)
@@ -32,14 +41,21 @@ class TestActiveDiagrams:
         assert active_diagrams(make_model("bsg", 0.5)) == [SpectrumDiagram.G1_1]
 
     def test_integer_p_with_breather(self):
-        assert set(active_diagrams(SPEC3_BSG)) == {
-            SpectrumDiagram.G1_1,
-            SpectrumDiagram.G2_1,
-            SpectrumDiagram.G1_3,
-            SpectrumDiagram.G3A,
-            SpectrumDiagram.G4A,
-            SpectrumDiagram.G5A,
-        }
+        # the diagram table, the function table and the active set list the
+        # diagrams in one order, the CSV column order of `bscat spectrum`
+        assert (
+            list(spectrum_mod._DIAGRAMS)
+            == list(spectrum_mod._DIAGRAM_FUNCS)
+            == active_diagrams(SPEC3_BSG)
+            == [
+                SpectrumDiagram.G1_1,
+                SpectrumDiagram.G2_1,
+                SpectrumDiagram.G1_3,
+                SpectrumDiagram.G3A,
+                SpectrumDiagram.G4A,
+                SpectrumDiagram.G5A,
+            ]
+        )
 
     def test_non_integer_p_pair_only(self):
         assert active_diagrams(make_model("bsg", 0.47)) == [SpectrumDiagram.G1_1]
@@ -50,6 +66,23 @@ class TestActiveDiagrams:
             diagram_g2_1(0.3, 1.0, spec)
         with pytest.raises(DomainError):
             diagram_g3a(0.3, 1.0, spec)
+
+    @pytest.mark.parametrize(
+        "diagram, z",
+        [(SpectrumDiagram.G2_1, 0.5), (SpectrumDiagram.G4A, 0.6)],
+        ids=["g2_1-half", "g4a-0.6"],
+    )
+    def test_breather_diagrams_rejected_without_breather_1(
+        self, monkeypatch, diagram, z
+    ):
+        # the mass ratio of breather 1 is refused before any integration
+        calls = []
+        monkeypatch.setattr(
+            spectrum_mod, "adaptive_1d", lambda *a, **k: calls.append(a)
+        )
+        with pytest.raises(DomainError, match="breather m=1 does not exist"):
+            spectrum_mod._DIAGRAM_FUNCS[diagram](0.3, 1.0, make_model("bsg", z))
+        assert calls == []
 
 
 class TestFreeFermionOracle:
@@ -375,6 +408,34 @@ class TestSumRule:
         evaluations = _count_evaluations(monkeypatch)
         sum_rule_check(1.0, spec, breakdown=bd)
         assert sum(evaluations) <= 2400
+
+    @pytest.mark.parametrize(
+        "z, omega", [(0.25, 0.1), (0.75, 10.0), (0.6, 1.0)], ids=str
+    )
+    def test_pair_diagram_identity_at_generic_z(self, monkeypatch, z, omega):
+        # with f_pm held at z = 1/2, G1_1 integrates to omega (1 - |r|^2) for
+        # any pair reflection factor R, r the pair set's integral of R: an
+        # answer-free check of the diagram integral, its mirror half, the
+        # omega' rule and the bsG bracket at z.  Measured: ratio - 1 =
+        # -2.7e-9, -6.2e-8 and 9.3e-9.  At z = 1/4, omega = 0.1 the loss
+        # omega (1 - |r|^2) = 2.8e-8 is below tol omega, so the ratio itself
+        # is held to 1e-6 as well
+        tol = 1e-5
+        half = make_model("bsg", 0.5)
+        spec = make_model("bsg", z)
+        def bracket(l1, l2):
+            return soliton_pair_bracket(l1, l2, spec)
+
+        r = set_integral("pm", omega, half, reflection=bracket) / r0_weights(half)["pm"]
+        pair = spectrum_mod._two_pair_reflection(spec)
+        monkeypatch.setattr(spectrum_mod, "_two_pair_reflection", lambda _: pair)
+        bd = ReflectionBreakdown(
+            omega=omega, terms={"pm": r}, total=r, truncation_bound=0.0
+        )
+        ratio = sum_rule_check(omega, half, tol=tol, breakdown=bd)
+        loss = omega * (1.0 - abs(r) ** 2)
+        assert abs(ratio - 1.0) * loss <= tol * omega
+        assert abs(ratio - 1.0) <= 1e-6
 
     def test_rejects_nonpositive_frequency(self):
         with pytest.raises(DomainError):
