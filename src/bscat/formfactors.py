@@ -34,7 +34,8 @@ line whose panel 0 misses its check.  A lookup adds
 the logs of the few linear factors the shifts shed, precomputed per line.
 The contour
 function H is exactly -[t^{2p-5}] prod (e^{-c/2} + t e^{c/2}) (see `bigH`).
-The breather couplings read S0 from `smatrix.s0`, the one S0 evaluator.
+The breather couplings are the closed-form residues of the soliton-antisoliton
+S-matrix at the breather poles (`_breather_coupling_arg`).
 """
 
 from __future__ import annotations
@@ -56,7 +57,6 @@ from .quadrature import (
     integrate_simplex,
     strip_panel_width,
 )
-from .smatrix import s0
 
 TWO_PI = 2.0 * math.pi
 # the e^{I} tables: Gamma-product truncation
@@ -388,18 +388,17 @@ def f_pm(l1: complex, l2: complex, spec: ModelSpec) -> complex:
 
 
 def _breather_coupling_arg(m: int, spec: ModelSpec) -> float:
-    """The quantity (xi/pi) sin(pi^2/xi) S0(i theta^(m)).  At integer p, where
-    sin(pi^2/xi) vanishes and S0 has a pole, it is the residue formula
-    2 cot(m xi/2) prod_{j<m} cot^2(j xi/2); otherwise S0 comes from
-    `smatrix.s0` at any depth of the imaginary axis."""
+    """(xi/pi) sin(pi^2/xi) S0(i theta^(m)) for odd m, the only m whose form
+    factors need it: the residue 2 cot(m xi/2) prod_{j<m} cot^2(j xi/2) of
+    the soliton-antisoliton S-matrix at the breather-m pole (Babujian, Fring,
+    Karowski & Zapletal, Nucl. Phys. B 538 (1999) 535) at every xi, and its
+    limit at integer p, where S0 has a pole there.  At even m the S0
+    expression has the opposite sign."""
     xi = spec.xi
-    if spec.p_int is not None:
-        res = 2.0 * (1.0 / math.tan(xi * m / 2.0))
-        for j in range(1, m):
-            res *= (1.0 / math.tan(xi * j / 2.0)) ** 2
-        return res
-    s0_val = s0(1j * theta_m(m, spec), spec).real
-    return (xi / math.pi) * math.sin(math.pi**2 / xi) * s0_val
+    res = 2.0 * (1.0 / math.tan(xi * m / 2.0))
+    for j in range(1, m):
+        res *= (1.0 / math.tan(xi * j / 2.0)) ** 2
+    return res
 
 
 @lru_cache(maxsize=256)
@@ -667,7 +666,7 @@ def f_pm1(l1: complex, l2: complex, l3: complex, spec: ModelSpec) -> complex:
     xi = spec.xi
     th = theta_m(1, spec)
     c = c_const(spec)
-    res_s0 = _breather_coupling_arg(1, spec)  # residue form at integer p
+    res_s0 = _breather_coupling_arg(1, spec)  # S-matrix residue at breather 1
     # normalization and phase anchored by fusion consistency: fusing the
     # soliton pair of f_pmpm at the breather bound-state pole reproduces this
     # function with the same fusion constant that maps f_pm onto f_breather1

@@ -67,7 +67,6 @@ def _gk15(f, a: float, b: float):
     """One Gauss-Kronrod 7-15 panel on [a, b]; returns (K15, |K15-G7|, nevals)."""
     h = 0.5 * (b - a)
     c = 0.5 * (a + b)
-    fk = [0.0] * 15
     resk = 0.0 + 0.0j
     resg = 0.0 + 0.0j
     # center node

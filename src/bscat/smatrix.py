@@ -6,9 +6,8 @@ a semi-infinite integral of sin(x theta) times a kernel that
 on its GK15 panel rule; the panels are sized from the kernel's nearest
 pole, min(1, 2 pi/xi), and the rate |theta|, and the rule holds its
 estimate to 1e-12.  Past that
-integral's strip, S0 on the imaginary axis 0 < Im theta < pi is an
-alternating series of rising-factorial ratios (`_s0_imag_axis`); elsewhere
-it is continued by crossing.  Breather-soliton
+integral's strip, S0 is the crossing image of the integral where that
+image lies inside the strip, and a DomainError elsewhere.  Breather-soliton
 and breather-breather amplitudes are finite products of elementary
 factors.  Right-left massless limits and left-mover conjugation are exposed
 for the pipeline.
@@ -20,7 +19,6 @@ import cmath
 import math
 
 import numpy as np
-from scipy.special import poch
 
 from .errors import DomainError
 from .model import Excitation, ExcitationKind, ModelSpec, validate_excitation
@@ -67,39 +65,6 @@ def _s0_integral(theta: complex, spec: ModelSpec) -> complex:
     return -cmath.exp(-1j * res.value)
 
 
-def _s0_imag_axis(t: float, xi: float) -> float:
-    """S0(i t) for 0 < t < pi, at any depth.  For each b of the product form of
-    S0 (Zamolodchikov & Zamolodchikov 1979) the a-product is a ratio of
-    rising factorials, so that with d = 2t/xi, l_b = (xi + b pi - t)/xi and
-    c_b = ((b + 1) pi - t)/xi
-
-        S0(i t) = -sgn exp sum_{b >= 0} (-1)^b [ln poch(c_b, d) - ln |poch(l_b, d)|],
-
-    sgn = sign poch(l_0, d); only l_0 can be <= 0, and the poles sit at
-    t = (k + 1) xi.  The alternating b-sum runs to b = 399 and is accelerated
-    by repeated averaging of its last 24 partial sums.  Since
-    ln poch(x, h) <= h ln(x + h), d is split into the fewest equal steps h
-    that keep every poch factor below e^700 (one step for z > 0.027)."""
-    k = round(t / xi)
-    if k >= 1 and abs(t - k * xi) < _POLE_TOL:
-        raise DomainError(f"S0(i t) pole at t = {t}")
-    b = np.arange(400.0)
-    d = 2.0 * t / xi
-    l_b = (xi + b * math.pi - t) / xi
-    c_b = ((b + 1.0) * math.pi - t) / xi
-    n_steps = math.ceil(d * math.log(c_b[-1] + d) / 700.0)
-    h = d / n_steps
-    steps = h * np.arange(n_steps)
-    poch_l = poch(l_b[:, None] + steps, h)
-    terms = np.log(poch(c_b[:, None] + steps, h)).sum(axis=1)
-    terms -= np.log(np.abs(poch_l)).sum(axis=1)
-    terms[1::2] *= -1.0
-    window = np.cumsum(terms)[-24:]
-    while len(window) > 1:
-        window = 0.5 * (window[1:] + window[:-1])
-    return -float(np.prod(np.sign(poch_l[0]))) * math.exp(window[0])
-
-
 def _sin_ratio(theta: complex, spec: ModelSpec) -> complex:
     """sin(-(pi/xi) i theta) / sin((pi/xi)(pi + i theta)), with the integer-p limit."""
     a = math.pi / spec.xi  # = p - 1
@@ -114,20 +79,23 @@ def _sin_ratio(theta: complex, spec: ModelSpec) -> complex:
 
 def s0(theta: complex, spec: ModelSpec) -> complex:
     """Scalar (anti)soliton exchange factor S0(theta), |Im theta| <= pi: the
-    integral inside its strip, the imaginary-axis series past it for
-    0 < Im theta < pi, and the crossing image of the integral otherwise."""
+    integral inside its strip, less a margin; past it, the crossing image of
+    the integral when i pi - theta lies closer to the real axis.  Other
+    arguments, and the poles theta = i k xi that the crossing factor
+    carries, raise DomainError."""
     theta = complex(theta)
     if abs(theta.imag) > math.pi + 1e-12:
         raise DomainError(f"|Im theta| > pi unsupported (got {theta.imag})")
     strip = min(spec.xi, math.pi)
     if abs(theta.imag) < strip - _STRIP_MARGIN:
         return _s0_integral(theta, spec)
-    if theta.real == 0.0 and 0.0 < theta.imag < math.pi:
-        return complex(_s0_imag_axis(theta.imag, spec.xi))
     # Continuation via crossing: S0(theta) = S0(i pi - theta) * sin((pi/xi)(pi + i theta)) / sin(-(pi/xi) i theta)
     reflected = 1j * math.pi - theta
     if abs(reflected.imag) < abs(theta.imag) - 1e-12:
-        return _s0_integral(reflected, spec) / _sin_ratio(theta, spec)
+        ratio = _sin_ratio(theta, spec)
+        if abs(ratio) < _POLE_TOL:
+            raise DomainError(f"S0 pole at theta = {theta}")
+        return _s0_integral(reflected, spec) / ratio
     raise DomainError(
         f"S0 not evaluable at theta = {theta} for z = {spec.z}: outside the "
         "convergence strip of both the direct integral and its crossing image"

@@ -10,11 +10,12 @@ N = 2 at every z sampled here, and a different quadrature), and the R_s
 phase and S0 integrals are integrated as printed, and so are the integrals
 of the constants c and F(-i pi).  Each integral runs over
 many short mpmath.quad subintervals up to the point where its exponential
-bound falls below 1e-32.  S0 on the imaginary axis past the integral's
-strip comes from the rising-factorial series of its product form, summed
-by mpmath.nsum; before printing, that series is checked against the S0
-integral inside the strip and against the closed value -sqrt(3) at z = 0.4,
-t = pi/3.
+bound falls below 1e-32.  The breather couplings
+(xi/pi) sin(pi^2/xi) S0(i theta_m), theta_m = pi - m xi, read S0 past the
+integral's strip from the rising-factorial series of its product form,
+summed by mpmath.nsum; before printing, that series is checked against the
+S0 integral inside the strip and against the closed value -sqrt(3) at
+z = 0.4, t = pi/3.
 """
 
 from __future__ import annotations
@@ -221,16 +222,22 @@ RS_POINTS = tuple(
 S0_POINTS = tuple((0.4, complex(re, im)) for re, im in ((0.5, 0.0), (-3.0, 0.0), (8.0, 0.0), (1.0, 0.6), (-2.0, -1.0)))
 
 
-# S0(i t) past the integral's strip: the odd-breather fusion angles
-# pi - m xi that reach the series, two generic depths, and one point at a z
-# small enough that bscat splits its rising factorials
-S0_IMAG_AXIS_POINTS = tuple(
-    (z, t)
+def breather_coupling(m, z):
+    """(xi/pi) sin(pi^2/xi) S0(i theta_m), theta_m = pi - m xi, with S0 from
+    the imaginary-axis series."""
+    xi = _xi(z)
+    return xi / mp.pi * mp.sin(mp.pi**2 / xi) * s0_imag_axis(mp.pi - m * xi, z)
+
+
+# the odd breathers whose fusion angle lies past the S0 integral's strip,
+# less bscat's margin of 0.35, and at z = 0.0201 a few odd m up to the
+# largest, 47: (z, m)
+BREATHER_COUPLING_POINTS = tuple(
+    (z, m)
     for z in (0.3, 0.27, 0.22, 0.15)
-    for t in (math.pi - float(_xi(z)) * m for m in range(1, int(1 / z), 2))
-    # bscat leaves the S0 integral for the series past min(xi, pi) - 0.35
-    if t >= min(float(_xi(z)), math.pi) - 0.35
-) + ((0.3, 1.2), (0.27, 0.9), (0.0201, 3.0))
+    for m in range(1, int(1 / z), 2)
+    if math.pi - float(_xi(z)) * m >= min(float(_xi(z)), math.pi) - 0.35
+) + tuple((0.0201, m) for m in (1, 3, 15, 31, 47))
 
 
 C_CONST_Z = (0.05, 0.1, 0.2, 0.25, 1.0 / 3.0, 0.4, 0.6, 0.75, 0.9)
@@ -261,9 +268,9 @@ if __name__ == "__main__":
         print(f"    ({z!r}, {_fmt(theta)}, {_fmt(s0(theta, z))}),")
     print(")")
     _check_s0_imag_axis()
-    print("S0_IMAG_AXIS = (")
-    for z, t in S0_IMAG_AXIS_POINTS:
-        print(f"    ({z!r}, {t!r}, {float(s0_imag_axis(t, z))!r}),")
+    print("BREATHER_COUPLING = (")
+    for z, m in BREATHER_COUPLING_POINTS:
+        print(f"    ({z!r}, {m!r}, {float(breather_coupling(m, z))!r}),")
     print(")")
     print("C_CONST = (")
     for z in C_CONST_Z:

@@ -351,14 +351,24 @@ class TestBreatherCoupling:
     @pytest.mark.parametrize("z0", [1.0 / 3.0, 0.25, 0.2])
     def test_continuous_through_integer_p(self, z0):
         # breather 1 sits on an S0 pole at integer p, where the coupling is
-        # the residue formula; at z0 -/+ 1e-5 it is read from S0(i theta_1)
-        # deep on the imaginary axis, and the two average to the residue
+        # the limit of (xi/pi) sin(pi^2/xi) S0(i theta_1); the closed form
+        # holds on both sides, so at z0 -/+ 1e-5 the two average to it
         residue = _breather_coupling_arg(1, make_model("bsg", z0))
         mean = 0.5 * sum(
             _breather_coupling_arg(1, make_model("bsg", z0 + dz))
             for dz in (-1e-5, 1e-5)
         )
         assert mean == pytest.approx(residue, rel=1e-8)
+
+    @pytest.mark.parametrize("z", [0.38, 0.4, 0.45, 0.48])
+    def test_equals_the_s0_expression_inside_the_strip(self, z):
+        # theta_1 lies inside the S0 integral's strip: the closed form
+        # against (xi/pi) sin(pi^2/xi) S0(i theta_1) from the integral
+        spec = make_model("bsg", z)
+        xi = spec.xi
+        s0_val = s0(1j * (math.pi - xi), spec).real
+        expected = (xi / math.pi) * math.sin(math.pi**2 / xi) * s0_val
+        assert _breather_coupling_arg(1, spec) == pytest.approx(expected, rel=1e-12)
 
 
 class TestTruncationWeights:

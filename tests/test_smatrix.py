@@ -49,10 +49,16 @@ class TestScalarFactor:
 
     def test_imaginary_axis_pole(self):
         # S0(i t) has poles at t = (k + 1) xi; at z = 0.3 the second lies
-        # past the integral's strip, on the imaginary-axis series
+        # past the integral's strip, where S0 is the crossing image
         spec = make_model("bsg", 0.3)
         with pytest.raises(DomainError):
             s0(2j * spec.xi, spec)
+
+    def test_pole_just_off_the_imaginary_axis(self):
+        # the crossing factor's zero at t = 2 xi, approached off the axis
+        spec = make_model("bsg", 0.3)
+        with pytest.raises(DomainError):
+            s0(1e-300 + 2j * spec.xi, spec)
 
     def test_rejects_outside_strip(self):
         with pytest.raises(DomainError):
