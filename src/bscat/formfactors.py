@@ -433,11 +433,8 @@ def f_breather1(m: int, lam: complex, spec: ModelSpec) -> complex:
 def _bigf_prefactor(xi: float) -> float:
     """F(-i pi) = exp int_0^inf 4 sinh(pi x) sinh(xi x) sinh((pi + xi) x)
     / (x sinh(2 pi x)^2) dx, whose kernel is -1/2 the N = 0 tail kernel."""
-    decay = TWO_PI - 2.0 * xi
-    if decay <= 0.0:
-        raise DomainError("F(lambda) requires xi < pi (z < 1/2)")
     tail = integrate_semi_infinite(
-        _bigf_tail_kernel, (xi, 0), 0.0, 0, decay, 0.5, tol=1e-12
+        _bigf_tail_kernel, (xi, 0), 0.0, 0, TWO_PI - 2.0 * xi, 0.5, tol=1e-12
     )
     return math.exp(-0.5 * tail.value.real)
 
@@ -489,15 +486,12 @@ def _bigf_cached(lam_r: float, lam_i: float, xi: float, N: int) -> complex:
         prod += k * cmath.log(num / den)
 
     w = lam + 1j * math.pi
-    decay = TWO_PI - 2.0 * xi + 4.0 * math.pi * N - 2.0 * abs(w.imag)
-    if decay <= 0.0:
-        raise DomainError(f"F tail integral diverges at Im lambda = {lam.imag}")
     tail_val = integrate_semi_infinite(
         _bigf_tail_kernel,
         (xi, N),
         w,
         2,
-        decay,
+        TWO_PI - 2.0 * xi + 4.0 * math.pi * N - 2.0 * abs(w.imag),
         0.5,  # nearest kernel pole: sinh(2 pi x)^2 at i/2
         tol=1e-12,
     ).value
@@ -512,14 +506,11 @@ def bigF(lam: complex, spec: ModelSpec) -> complex:
 
 @lru_cache(maxsize=64)
 def _cube_bracket(xi: float) -> float:
-    """[sqrt(2 sin(xi/2)) exp(-int_0^xi x dx / (2 pi sin x))]^3."""
-
-    def g(x: float) -> float:
-        if x == 0.0:
-            return 1.0 / TWO_PI
-        return x / (TWO_PI * math.sin(x))
-
-    integral = adaptive_1d(g, 0.0, xi, 1e-12).value.real
+    """[sqrt(2 sin(xi/2)) exp(-int_0^xi x dx / (2 pi sin x))]^3; the GK15
+    nodes are interior, so x = 0 is never sampled."""
+    integral = adaptive_1d(
+        lambda x: x / (TWO_PI * math.sin(x)), 0.0, xi, 1e-12
+    ).value.real
     return (math.sqrt(2.0 * math.sin(xi / 2.0)) * math.exp(-integral)) ** 3
 
 

@@ -2,11 +2,11 @@
 
 Deterministic adaptive Gauss-Kronrod (G7/K15) quadrature for complex-valued
 integrands, an energy-simplex integrator implementing the delta-constrained
-measure prod dE_i/E_i / (2pi)^n / n!, the one semi-infinite integrator (a
-cached rule of equal GK15 panels on [0, x_max], whose tabulated kernel is
-multiplied by sin(kappa x)**power on every call), and a lazily built
-piecewise-Chebyshev table of a smooth function of one real variable.  All
-engines are pure functions of their inputs: identical calls produce
+measure prod dE_i/E_i / (2pi)^n / n!, the one semi-infinite integrator
+(equal GK15 panels on [0, x_max], on which the kernel is tabulated once and
+cached, then multiplied by sin(kappa x)**power on every call), and a lazily
+built piecewise-Chebyshev table of a smooth function of one real variable.
+All engines are pure functions of their inputs: identical calls produce
 bit-identical results (fixed subdivision order, heap keyed with
 deterministic tie-breaks).
 """
@@ -282,45 +282,6 @@ _MAX_PANELS = 4096
 _MAX_EXPONENT = 709.0
 
 
-@dataclass(frozen=True)
-class PanelRule:
-    """n_panels equal GK15 panels of width `width` on [0, n_panels * width].
-
-    `nodes` has one row per panel; every panel has the same weights.
-    """
-
-    width: float
-    nodes: np.ndarray
-    weights: np.ndarray  # columns: K15, K15 - embedded G7
-
-    def integrate(self, values: np.ndarray, tol: float) -> QuadResult:
-        """Sum of the K15 panel sums of `values`, given on the first
-        len(values) rows of `nodes`; the error estimate is the sum of the
-        panels' |K15 - G7|.  Raises ToleranceNotMet past `tol` or when the
-        estimate is not finite."""
-        k15, k15_minus_g7 = (values @ self.weights).T
-        value = complex(k15.sum())
-        err = float(np.abs(k15_minus_g7).sum())
-        if not err <= tol:
-            raise ToleranceNotMet(
-                f"panel rule: error estimate {err:.3e} exceeds tol {tol:.3e} "
-                f"({len(values)} panels of width {self.width:.3e})",
-                value=value,
-                abs_error_estimate=err,
-            )
-        return QuadResult(value=value, abs_error_estimate=err, evaluations=values.size)
-
-
-@lru_cache(maxsize=256)
-def panel_rule(width: float, n_panels: int) -> PanelRule:
-    """The cached rule of n_panels equal GK15 panels of width `width`."""
-    half = 0.5 * width
-    centres = half * (2.0 * np.arange(n_panels) + 1.0)
-    nodes = centres[:, None] + half * _T15[None, :]
-    weights = half * np.stack([_WK15, _WK15 - _WG15], axis=1)
-    return PanelRule(width, nodes, weights)
-
-
 def panel_layout(
     decay_rate: float, pole_distance: float, rate: float, growth: float = 0.0
 ) -> Tuple[float, int, int]:
@@ -337,12 +298,15 @@ def panel_layout(
     size): n panels of `width` reach the truncation point where the bound
     reaches _TRUNCATION_TARGET, and `size`, the next power of two >= n, is
     the panel count of the cached table those n panels are read from.
-    Raises ToleranceNotMet, before anything is allocated, when more than
+    Raises DomainError when decay_rate <= 0, where the integral diverges,
+    and ToleranceNotMet, before anything is allocated, when more than
     _MAX_PANELS panels would be needed (a decay rate near 0, at the edge of
     a kernel's strip).
     """
-    if decay_rate <= 0:
-        raise DomainError(f"decay_rate must be positive, got {decay_rate}")
+    if not decay_rate > 0:
+        raise DomainError(
+            f"semi-infinite integral diverges: decay rate {decay_rate} is not positive"
+        )
     x_max = -math.log(_TRUNCATION_TARGET) / decay_rate
     width = _POLE_FRACTION * pole_distance
     while width * math.hypot(rate, decay_rate + growth) > _PHASE_PER_PANEL:
@@ -358,8 +322,15 @@ def panel_layout(
 
 @lru_cache(maxsize=256)
 def _tabulated(kernel: Callable[..., np.ndarray], args: tuple, width: float, size: int):
-    rule = panel_rule(width, size)
-    return rule, kernel(rule.nodes, *args)
+    """`size` equal GK15 panels of `width` on [0, size * width]: their nodes
+    (one row per panel, no node at x = 0), kernel(nodes, *args), and the
+    weights every panel shares, scaled to the width (columns K15 and K15
+    minus the embedded G7)."""
+    half = 0.5 * width
+    centres = half * (2.0 * np.arange(size) + 1.0)
+    nodes = centres[:, None] + half * _T15[None, :]
+    weights = half * np.stack([_WK15, _WK15 - _WG15], axis=1)
+    return nodes, kernel(nodes, *args), weights
 
 
 def integrate_semi_infinite(
@@ -376,12 +347,14 @@ def integrate_semi_infinite(
 
     The panels are those of panel_layout(decay_rate, pole_distance,
     power |Re kappa|, 2 power |Im kappa|); kernel(x, *args) is tabulated on
-    them once per (kernel, args, layout) and cached, so a call evaluates
-    only the sine, on the first n panels; no node is at x = 0.  Raises
-    DomainError when decay_rate <= 0, and ToleranceNotMet past `tol` and when
-    the sine could overflow on the panels (a complex kappa next to the edge
-    of the kernel's strip, where the product is finite but its factors are
-    not).
+    them once per (kernel, args, layout) and cached (`_tabulated`), so a
+    call evaluates only the sine, on the first n panels.  The value sums
+    the panels' K15 sums, the estimate their |K15 - G7|.  The one place
+    that refuses a kernel integral: DomainError when decay_rate <= 0, and
+    ToleranceNotMet past `tol` (with the value and estimate), past
+    _MAX_PANELS panels, and when the sine could overflow on the panels (a
+    complex kappa next to the edge of the kernel's strip, where the product
+    is finite but its factors are not).
     """
     width, n, size = panel_layout(
         decay_rate, pole_distance, power * abs(kappa.real), 2.0 * power * abs(kappa.imag)
@@ -392,10 +365,21 @@ def integrate_semi_infinite(
             f"panel rule: sin(kappa x)**{power} grows as e^{growth:.0f} on "
             f"[0, {n * width:.3e}] (decay rate {decay_rate:.3e})"
         )
-    rule, table = _tabulated(kernel, args, width, size)
+    nodes, table, weights = _tabulated(kernel, args, width, size)
     # numpy's real sine is several times faster than its complex one
     kappa = kappa.real if kappa.imag == 0.0 else kappa
-    return rule.integrate(table[:n] * np.sin(kappa * rule.nodes[:n]) ** power, tol)
+    values = table[:n] * np.sin(kappa * nodes[:n]) ** power
+    k15, k15_minus_g7 = (values @ weights).T
+    value = complex(k15.sum())
+    err = float(np.abs(k15_minus_g7).sum())
+    if not err <= tol:
+        raise ToleranceNotMet(
+            f"panel rule: error estimate {err:.3e} exceeds tol {tol:.3e} "
+            f"({n} panels of width {width:.3e})",
+            value=value,
+            abs_error_estimate=err,
+        )
+    return QuadResult(value=value, abs_error_estimate=err, evaluations=values.size)
 
 
 # ---------------------------------------------------------------------------

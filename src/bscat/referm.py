@@ -88,10 +88,24 @@ def spectrum_half(omega_p: float, omega: float, model: ModelKind) -> float:
             f"need 0 < omega_p < omega < inf, got omega_p={omega_p}, omega={omega}"
         )
 
-    def f(x: float) -> complex:
-        a = _kernel(omega, x, model)
-        b = _kernel(-omega, x + omega_p - omega, model)
-        return a * b - 1.0
+    if model is ModelKind.BoundarySineGordon:
+
+        def f(x: float) -> complex:
+            a = _kernel(omega, x, model)
+            b = _kernel(-omega, x + omega_p - omega, model)
+            return a * b - 1.0
+
+    else:
+        # Kondo: the two kernels are unimodular phases, and Re(K K') - 1 =
+        # cos(Phi) - 1 cancels; -2 s^2/(1 + s^2) with s = tan(Phi/2) does not
+        a = _lambda_cut(model) / 2.0
+
+        def f(x: float) -> float:
+            p = x * (x + omega_p) + a * a
+            q = (omega - x) * (omega - x - omega_p) + a * a
+            s = a * omega_p * omega * (omega - omega_p - 2.0 * x)
+            s /= p * q + (a * omega_p) ** 2
+            return -2.0 * s * s / (1.0 + s * s)
 
     val = adaptive_1d(f, 0.0, omega - omega_p, tol=1e-13).value
     return float((-2.0 / (omega * omega_p)) * val.real)

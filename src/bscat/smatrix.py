@@ -1,16 +1,17 @@
 """Bulk two-particle S-matrix of the sine-Gordon model (massless kinematics).
 
-Soliton-sector amplitudes are built from the scalar factor S0(theta) given by
-a semi-infinite integral of sin(x theta) times a kernel that
-`quadrature.integrate_semi_infinite` tabulates once per (xi, panel layout)
-on its GK15 panel rule; the panels are sized from the kernel's nearest
-pole, min(1, 2 pi/xi), and the rate |theta|, and the rule holds its
-estimate to 1e-12.  Past that
-integral's strip, S0 is the crossing image of the integral where that
-image lies inside the strip, and a DomainError elsewhere.  Breather-soliton
-and breather-breather amplitudes are finite products of elementary
-factors.  Right-left massless limits and left-mover conjugation are exposed
-for the pipeline.
+Soliton-sector amplitudes are built from the scalar factor S0(theta),
+|Im theta| <= pi: for Im theta <= pi/2 its integral of sin(x theta) times a
+kernel that `quadrature.integrate_semi_infinite` tabulates once per (xi,
+panel layout), the panels sized from the kernel's nearest pole,
+min(1, 2 pi/xi), and the rate |theta|, to 1e-12; above, the crossing image
+of that integral at i pi - theta.  The integral converges for
+|Im theta| < min(xi, pi), so on the real axis at every z; the integrator
+refuses where it diverges (DomainError) or nears its strip edge
+(ToleranceNotMet), and `s0` only |Im theta| > pi and the crossing factor's
+poles.  Breather-soliton and breather-breather amplitudes are finite
+products of elementary factors.  Right-left massless limits and left-mover
+conjugation are exposed for the pipeline.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from .model import Excitation, ExcitationKind, ModelSpec, validate_excitation
 from .quadrature import integrate_semi_infinite
 
 _POLE_TOL = 1e-12
-_STRIP_MARGIN = 0.35  # switch to the crossing continuation near the strip edge
 
 
 def _s0_kernel(x: np.ndarray, xi: float) -> np.ndarray:
@@ -43,21 +43,15 @@ def _s0_kernel(x: np.ndarray, xi: float) -> np.ndarray:
 
 
 def _s0_integral(theta: complex, spec: ModelSpec) -> complex:
-    """Direct evaluation of the S0 phase integral inside its convergence strip,
-    on the fixed panel rule to 1e-12 absolute."""
+    """The S0 phase integral, on the fixed panel rule to 1e-12 absolute; it
+    converges for |Im theta| < min(xi, pi)."""
     xi = spec.xi
-    decay = min(xi, math.pi) - abs(theta.imag)
-    if decay <= 0:
-        raise DomainError(
-            f"S0 integral diverges at Im theta = {theta.imag} (strip half-width "
-            f"{min(xi, math.pi)})"
-        )
     res = integrate_semi_infinite(
         _s0_kernel,
         (xi,),
         theta,
         1,
-        decay,
+        min(xi, math.pi) - abs(theta.imag),
         # nearest kernel poles: cosh(pi x/2) at i, sinh(xi x/2) at 2 pi i/xi
         min(1.0, 2.0 * math.pi / xi),
         tol=1e-12,
@@ -78,40 +72,33 @@ def _sin_ratio(theta: complex, spec: ModelSpec) -> complex:
 
 
 def s0(theta: complex, spec: ModelSpec) -> complex:
-    """Scalar (anti)soliton exchange factor S0(theta), |Im theta| <= pi: the
-    integral inside its strip, less a margin; past it, the crossing image of
-    the integral when i pi - theta lies closer to the real axis.  Other
-    arguments, and the poles theta = i k xi that the crossing factor
-    carries, raise DomainError."""
+    """Scalar (anti)soliton exchange factor S0(theta), |Im theta| <= pi.
+
+    For Im theta <= pi/2 it is the integral; above, the crossing image
+    S0(i pi - theta) / _sin_ratio(theta).  DomainError for |Im theta| > pi
+    and at the poles theta = i k xi that the crossing factor carries; the
+    integrator raises DomainError where the integral diverges and
+    ToleranceNotMet next to the edge of its strip."""
     theta = complex(theta)
     if abs(theta.imag) > math.pi + 1e-12:
         raise DomainError(f"|Im theta| > pi unsupported (got {theta.imag})")
-    strip = min(spec.xi, math.pi)
-    if abs(theta.imag) < strip - _STRIP_MARGIN:
+    if theta.imag <= 0.5 * math.pi:
         return _s0_integral(theta, spec)
-    # Continuation via crossing: S0(theta) = S0(i pi - theta) * sin((pi/xi)(pi + i theta)) / sin(-(pi/xi) i theta)
-    reflected = 1j * math.pi - theta
-    if abs(reflected.imag) < abs(theta.imag) - 1e-12:
-        ratio = _sin_ratio(theta, spec)
-        if abs(ratio) < _POLE_TOL:
-            raise DomainError(f"S0 pole at theta = {theta}")
-        return _s0_integral(reflected, spec) / ratio
-    raise DomainError(
-        f"S0 not evaluable at theta = {theta} for z = {spec.z}: outside the "
-        "convergence strip of both the direct integral and its crossing image"
-    )
+    ratio = _sin_ratio(theta, spec)
+    if abs(ratio) < _POLE_TOL:
+        raise DomainError(f"S0 pole at theta = {theta}")
+    return _s0_integral(1j * math.pi - theta, spec) / ratio
 
 
 def s_soliton(theta: complex, channel: str, spec: ModelSpec) -> complex:
-    """Soliton-sector S-matrix entry.
+    """Soliton-antisoliton S-matrix entry.
 
-    channel in {"pp", "mm", "pm_pm", "mp_mp", "pm_mp", "mp_pm"}: the first two
-    letters are the incoming pair (p = soliton, m = antisoliton), the suffix
-    the outgoing pair for the mixed channels.
+    channel in {"pm_pm", "mp_mp", "pm_mp", "mp_pm"}: the incoming pair, then
+    the outgoing one (p = soliton, m = antisoliton); "pm_pm" and "mp_mp" are
+    transmission, "pm_mp" and "mp_pm" reflection.  Same-charge pairs scatter
+    with S0 alone (`s0`).
     """
     theta = complex(theta)
-    if channel in ("pp", "mm"):
-        return s0(theta, spec)
     if channel in ("pm_pm", "mp_mp"):
         if spec.p_int is not None:
             return ((-1.0) ** spec.p_int) * s0(theta, spec)

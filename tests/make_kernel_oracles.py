@@ -219,7 +219,13 @@ RS_POINTS = tuple(
     for re, im in ((0.3, 0.0), (-2.5, 0.0), (11.0, 0.0), (-19.0, 0.0), (1.2, 0.4), (-6.0, 0.25))
 )
 
-S0_POINTS = tuple((0.4, complex(re, im)) for re, im in ((0.5, 0.0), (-3.0, 0.0), (8.0, 0.0), (1.0, 0.6), (-2.0, -1.0)))
+S0_POINTS = tuple(
+    (0.4, complex(re, im))
+    for re, im in ((0.5, 0.0), (-3.0, 0.0), (8.0, 0.0), (1.0, 0.6), (-2.0, -1.0))
+) + tuple(
+    # the real axis at small z, where the integral's strip is narrow
+    (z, complex(re, 0.0)) for z in (0.1, 0.05) for re in (0.5, -3.0, 8.0)
+)
 
 
 def breather_coupling(m, z):
@@ -229,8 +235,8 @@ def breather_coupling(m, z):
     return xi / mp.pi * mp.sin(mp.pi**2 / xi) * s0_imag_axis(mp.pi - m * xi, z)
 
 
-# the odd breathers whose fusion angle lies past the S0 integral's strip,
-# less bscat's margin of 0.35, and at z = 0.0201 a few odd m up to the
+# the odd breathers whose fusion angle lies within 0.35 of the S0
+# integral's strip edge or past it, and at z = 0.0201 a few odd m up to the
 # largest, 47: (z, m)
 BREATHER_COUPLING_POINTS = tuple(
     (z, m)

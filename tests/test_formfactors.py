@@ -30,6 +30,7 @@ from bscat.smatrix import s0, s_breather_breather, s_breather_soliton
 SPEC3 = make_model("bsg", 1.0 / 3.0)
 SPEC4 = make_model("bsg", 0.25)
 SPEC5 = make_model("bsg", 0.2)
+SPEC10 = make_model("bsg", 0.1)
 SPEC_HALF = make_model("bsg", 0.5)
 
 
@@ -223,13 +224,24 @@ class TestLorentzCovariance:
 
 
 class TestExchangeAxiom:
-    @pytest.mark.parametrize("spec", [SPEC3, SPEC4], ids=["p3", "p4"])
+    # at z = 0.1 (p = 10) S0 needs its integral on the whole real axis
+    @pytest.mark.parametrize("spec", [SPEC3, SPEC4, SPEC10], ids=["p3", "p4", "p10"])
     def test_f_pm_watson(self, spec):
         p = spec.p_int
         for l1, l2 in ((0.4, -0.3), (1.2, 0.1), (-0.8, 0.9)):
             lhs = f_pm(l1, l2, spec)
             rhs = (-1.0) ** (p + 1) * s0(l2 - l1, spec) * f_pm(l2, l1, spec)
             assert abs(lhs - rhs) / abs(lhs) < 1e-8
+
+    def test_f_pm_at_coinciding_rapidities(self):
+        # at even p the sinh/cosh ratio is 0/0 at l1 = l2; its limit matches
+        # the mean of the two sides to O(h^2)
+        for lam in (0.3, -0.7):
+            centre = f_pm(lam, lam, SPEC4)
+            assert cmath.isfinite(centre) and abs(centre) > 0.1
+            for h in (1e-2, 1e-3, 1e-4):
+                mean = 0.5 * (f_pm(lam + h, lam, SPEC4) + f_pm(lam - h, lam, SPEC4))
+                assert abs(mean - centre) <= h * h * abs(centre)
 
     def test_f_111_exchange(self):
         for l1, l2, l3 in ((0.4, -0.3, 0.2), (1.1, 0.5, -0.6)):

@@ -13,7 +13,6 @@ from bscat.quadrature import (
     integrate_semi_infinite,
     integrate_simplex,
     panel_layout,
-    panel_rule,
 )
 
 
@@ -197,7 +196,7 @@ class TestSemiInfinite:
         assert res.value == pytest.approx(0.25, abs=1e-13)
 
     def test_invalid_decay_rate(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="diverges"):
             integrate_semi_infinite(_exponential, (1.0,), 0.0, 0, 0.0, 1.0, tol=1e-12)
 
 
@@ -249,44 +248,65 @@ class TestChebyshevTable:
 
 
 class TestPanelRule:
+    # the rule behind integrate_semi_infinite: the equal GK15 panels of
+    # panel_layout, on which _tabulated caches the kernel
     @pytest.mark.parametrize("w", [0.3, 2.0, 17.0])
     def test_damped_oscillation_closed_form(self, w):
         # int_0^inf e^{-x} sin^2(w x) dx = 2 w^2 / (1 + 4 w^2)
         width, n, size = panel_layout(1.0, 1.0, 2.0 * w)
-        rule = panel_rule(width, size)
-        x = rule.nodes[:n]
-        res = rule.integrate(np.exp(-x) * np.sin(w * x) ** 2, tol=1e-12)
+        res = integrate_semi_infinite(_exponential, (1.0,), w, 2, 1.0, 1.0, tol=1e-12)
         exact = 2.0 * w * w / (1.0 + 4.0 * w * w)
         assert res.value == pytest.approx(exact, abs=1e-13)
         assert res.evaluations == 15 * n
 
-    def test_error_estimate_is_reported(self):
-        # panels of width 1 resolve sin^2(3x) only roughly: the G7 estimate
-        # is far above roundoff and bounds the K15 error
-        rule = panel_rule(1.0, 64)
-        x = rule.nodes[:40]
-        res = rule.integrate(np.exp(-x) * np.sin(3.0 * x) ** 2, tol=1e-3)
+    def test_error_estimate_is_reported(self, monkeypatch):
+        # at 8 radians per panel, panels of width 1 resolve sin^2(3x) only
+        # roughly: the G7 estimate is far above roundoff and bounds the K15
+        # error
+        monkeypatch.setattr(quadrature, "_PHASE_PER_PANEL", 8.0)
+        pole = 1.0 / quadrature._POLE_FRACTION
+        width, n, size = panel_layout(1.0, pole, 6.0)
+        assert width == pytest.approx(1.0) and n == 37
+        res = integrate_semi_infinite(_exponential, (1.0,), 3.0, 2, 1.0, pole, tol=1e-3)
         assert 1e-9 < res.abs_error_estimate <= 1e-3
         assert abs(res.value - 18.0 / 37.0) <= res.abs_error_estimate
 
-    def test_coarse_panels_raise_with_best_value(self):
-        rule = panel_rule(4.0, 8)
-        x = rule.nodes
-        with pytest.raises(ToleranceNotMet) as exc:
-            rule.integrate(np.exp(-x) * np.sin(10.0 * x) ** 2, tol=1e-12)
+    def test_coarse_panels_raise_with_best_value(self, monkeypatch):
+        # panels of width 4 under sin^2(10 x): the estimate misses 1e-12
+        monkeypatch.setattr(quadrature, "_PHASE_PER_PANEL", 100.0)
+        pole = 4.0 / quadrature._POLE_FRACTION
+        assert panel_layout(1.0, pole, 20.0)[0] == pytest.approx(4.0)
+        with pytest.raises(ToleranceNotMet, match="panel rule") as exc:
+            integrate_semi_infinite(_exponential, (1.0,), 10.0, 2, 1.0, pole, tol=1e-12)
         assert exc.value.value is not None
+        assert abs(exc.value.value - 200.0 / 401.0) < 0.5
         assert exc.value.abs_error_estimate > 1e-12
 
     def test_rule_covers_its_interval(self):
-        rule = panel_rule(0.25, 4)
-        assert rule.nodes.shape == (4, 15)
-        assert 0.0 < rule.nodes.min() and rule.nodes.max() < 1.0
-        assert np.all(np.diff(rule.nodes.ravel()) > 0.0)
+        nodes, table, weights = quadrature._tabulated(_exponential, (1.0,), 0.25, 4)
+        assert nodes.shape == (4, 15)
+        assert 0.0 < nodes.min() and nodes.max() < 1.0
+        assert np.all(np.diff(nodes.ravel()) > 0.0)
+        assert np.array_equal(table, np.exp(-nodes))
         # both rules integrate a constant exactly over one panel
-        kronrod, kronrod_minus_gauss = rule.weights.T
+        kronrod, kronrod_minus_gauss = weights.T
         assert kronrod.sum() == pytest.approx(0.25, rel=1e-14)
         assert (kronrod - kronrod_minus_gauss).sum() == pytest.approx(0.25, rel=1e-14)
-        assert panel_rule(0.25, 4) is rule  # cached
+        assert quadrature._tabulated(_exponential, (1.0,), 0.25, 4)[0] is nodes  # cached
+
+    def test_kernel_is_tabulated_once_per_layout(self):
+        calls = []
+
+        def kernel(x, rate):
+            calls.append(x.shape)
+            return np.exp(-rate * x)
+
+        for w in (0.5, 0.7, 0.9):
+            # one layout: the panel width 0.35 is set by the pole alone
+            res = integrate_semi_infinite(kernel, (3.0,), w, 2, 3.0, 1.0, tol=1e-12)
+            exact = 2.0 * w * w / (3.0 * (9.0 + 4.0 * w * w))
+            assert res.value == pytest.approx(exact, abs=1e-13)
+        assert len(calls) == 1
 
     def test_layout(self):
         for decay, pole, rate in ((1.0, 1.0, 0.0), (60.0, 1.0, 3.0), (4.7, 0.5, 64.0)):
@@ -295,7 +315,7 @@ class TestPanelRule:
             assert size >= n and size & (size - 1) == 0 and size < 2 * n + 1
             assert width <= 0.5 * pole
             assert width * math.hypot(rate, decay) <= 2.0
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="diverges: decay rate 0.0"):
             panel_layout(0.0, 1.0, 1.0)
 
     def test_layout_refuses_more_than_the_panel_cap(self):

@@ -11,6 +11,8 @@ from bscat.referm import (
     r_half_closed,
     spectrum_half,
 )
+from bscat.spectrum import default_omega_prime_grid
+from closed_forms import kondo_half_spectrum
 
 BSG = ModelKind.BoundarySineGordon
 KONDO = ModelKind.Kondo
@@ -89,6 +91,15 @@ class TestSpectrum:
         assert spectrum_half(0.3, 1.0, KONDO) == pytest.approx(
             0.046639038062904786, rel=1e-10
         )
+
+    def test_kondo_low_frequency_grid(self):
+        # the Kondo integrand has no cancellation, so the oracle holds at the
+        # ends of the default grid at omega = 0.1 too
+        for omega_p in default_omega_prime_grid(0.1):
+            exact = kondo_half_spectrum(omega_p, 0.1)
+            assert spectrum_half(omega_p, 0.1, KONDO) == pytest.approx(
+                exact, rel=1e-12, abs=0.0
+            )
 
     def test_positive(self):
         for model in (BSG, KONDO):

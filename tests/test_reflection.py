@@ -141,6 +141,19 @@ class TestPhaseAsymptoteSwitch:
                     assert phase == sign * limit
 
 
+    @pytest.mark.parametrize("side", [1.01, 1.5])
+    def test_lookup_past_the_switch_is_the_limit(self, side):
+        # past the switch a lookup skips the table and returns the limit
+        xi = make_model("bsg", 1.0 / 3.0).xi
+        limit = math.pi * (math.pi - xi) / (4.0 * xi)
+        switch = reflection_mod._ASYMPTOTE_EXPONENT / (2.0 * reflection_mod._rs_phase_pole(xi))
+        for sign in (1.0, -1.0):
+            lam_r = sign * side * switch
+            phase = reflection_mod._rs_phase_cached(lam_r, 0.0, xi)
+            assert phase == sign * limit
+            assert phase == reflection_mod._rs_phase_direct(complex(lam_r, 0.0), xi)
+
+
 class TestStripEdge:
     @pytest.mark.parametrize("eps", [1e-9, 1e-4, 0.1])
     def test_phase_next_to_the_strip_edge_is_refused(self, eps):

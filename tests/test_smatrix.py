@@ -3,7 +3,8 @@ import math
 
 import pytest
 
-from bscat.errors import DomainError
+import bscat.smatrix as smatrix_mod
+from bscat.errors import DomainError, ToleranceNotMet
 from bscat.model import ANTISOLITON, SOLITON, breather, make_model
 from bscat.smatrix import (
     s0,
@@ -59,6 +60,24 @@ class TestScalarFactor:
         spec = make_model("bsg", 0.3)
         with pytest.raises(DomainError):
             s0(1e-300 + 2j * spec.xi, spec)
+
+    def test_branches_agree_past_pi_half(self):
+        # at z = 0.4 the integral converges up to Im theta = xi = 2.09, past
+        # pi/2, where s0 takes the crossing image: the two agree there
+        spec = make_model("bsg", 0.4)
+        for theta in (complex(0.7, 1.6), complex(-1.2, 1.9), complex(2.0, 1.8)):
+            direct = smatrix_mod._s0_integral(theta, spec)
+            assert abs(s0(theta, spec) - direct) <= 1e-12
+
+    def test_integrator_refuses_outside_the_strip(self):
+        # at z = 0.1 the integral converges for |Im theta| < xi = 0.35 only:
+        # past that it diverges, and next to it the panel rule refuses
+        spec = make_model("bsg", 0.1)
+        with pytest.raises(DomainError, match="diverges"):
+            s0(complex(0.3, 1.0), spec)
+        for eps in (1e-9, 1e-3):
+            with pytest.raises(ToleranceNotMet, match="decay rate"):
+                s0(complex(0.3, spec.xi - eps), spec)
 
     def test_rejects_outside_strip(self):
         with pytest.raises(DomainError):

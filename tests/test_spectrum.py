@@ -157,6 +157,12 @@ class TestDiagramRegressions:
         for key, table in _REGRESSION.items():
             assert math.fsum(table.values()) > 0.0
 
+    def test_six_soliton_diagram_at_small_z(self):
+        # G1_3 reads S0 on the real axis, inside the integral's strip at
+        # every z.  The value is not pinned: the z = 0.1 spectrum carries
+        # the open sum-rule deficit
+        assert math.isfinite(spectrum_mod.diagram_g1_3(0.3, 1.0, make_model("bsg", 0.1)))
+
     def test_spectrum_point_sums_diagrams(self):
         key = ("bsg", 0.3, 1.0)
         total = spectrum_point(0.3, 1.0, SPEC3_BSG)
