@@ -49,7 +49,7 @@ import numpy as np
 from scipy.special import loggamma
 
 from .errors import DomainError, ToleranceNotMet
-from .model import ModelSpec, breather, mass_ratio
+from .model import ModelSpec, breather, check_breather, mass_ratio
 from .quadrature import (
     ChebyshevTable,
     adaptive_1d,
@@ -418,8 +418,7 @@ def _f_breather1_const(m: int, spec: ModelSpec) -> complex:
 
 def f_breather1(m: int, lam: complex, spec: ModelSpec) -> complex:
     """Single-breather form factor f_m(lambda); zero for even m."""
-    if not (1 <= m <= spec.n_breathers):
-        raise DomainError(f"breather m={m} invalid (n_breathers={spec.n_breathers})")
+    check_breather(m, spec)
     if m % 2 == 0:
         return 0.0 + 0.0j
     return _f_breather1_const(m, spec) * cmath.exp(complex(lam))

@@ -109,12 +109,18 @@ def make_model(kind: ModelKind | str, z: float) -> ModelSpec:
     return ModelSpec(kind=kind, z=z)
 
 
-def validate_excitation(exc: Excitation, spec: ModelSpec) -> None:
-    if exc.kind is ExcitationKind.Breather and exc.m > spec.n_breathers:
+def check_breather(m: int, spec: ModelSpec) -> None:
+    """Raise DomainError unless breather m exists at the model's coupling."""
+    if not (1 <= m <= spec.n_breathers):
         raise DomainError(
-            f"breather m={exc.m} does not exist at z={spec.z} "
+            f"breather m={m} does not exist at z={spec.z} "
             f"(n_breathers={spec.n_breathers})"
         )
+
+
+def validate_excitation(exc: Excitation, spec: ModelSpec) -> None:
+    if exc.kind is ExcitationKind.Breather:
+        check_breather(exc.m, spec)
 
 
 def mass_ratio(exc: Excitation, spec: ModelSpec) -> float:

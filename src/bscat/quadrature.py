@@ -354,28 +354,32 @@ def integrate_semi_infinite(
     ToleranceNotMet past `tol` (with the value and estimate), past
     _MAX_PANELS panels, and when the sine could overflow on the panels (a
     complex kappa next to the edge of the kernel's strip, where the product
-    is finite but its factors are not).
+    is finite but its factors are not).  Each refusal names the kernel and
+    kappa.
     """
-    width, n, size = panel_layout(
-        decay_rate, pole_distance, power * abs(kappa.real), 2.0 * power * abs(kappa.imag)
-    )
+    try:
+        width, n, size = panel_layout(
+            decay_rate, pole_distance, power * abs(kappa.real), 2.0 * power * abs(kappa.imag)
+        )
+    except (DomainError, ToleranceNotMet) as exc:
+        raise type(exc)(f"{kernel.__name__} at kappa = {kappa}: {exc}") from None
     growth = power * abs(kappa.imag) * n * width
     if growth > _MAX_EXPONENT:
         raise ToleranceNotMet(
-            f"panel rule: sin(kappa x)**{power} grows as e^{growth:.0f} on "
-            f"[0, {n * width:.3e}] (decay rate {decay_rate:.3e})"
+            f"{kernel.__name__} at kappa = {kappa}: panel rule: sin(kappa x)**{power} "
+            f"grows as e^{growth:.0f} on [0, {n * width:.3e}] (decay rate {decay_rate:.3e})"
         )
     nodes, table, weights = _tabulated(kernel, args, width, size)
     # numpy's real sine is several times faster than its complex one
-    kappa = kappa.real if kappa.imag == 0.0 else kappa
-    values = table[:n] * np.sin(kappa * nodes[:n]) ** power
+    k = kappa.real if kappa.imag == 0.0 else kappa
+    values = table[:n] * np.sin(k * nodes[:n]) ** power
     k15, k15_minus_g7 = (values @ weights).T
     value = complex(k15.sum())
     err = float(np.abs(k15_minus_g7).sum())
     if not err <= tol:
         raise ToleranceNotMet(
-            f"panel rule: error estimate {err:.3e} exceeds tol {tol:.3e} "
-            f"({n} panels of width {width:.3e})",
+            f"{kernel.__name__} at kappa = {kappa}: panel rule: error estimate "
+            f"{err:.3e} exceeds tol {tol:.3e} ({n} panels of width {width:.3e})",
             value=value,
             abs_error_estimate=err,
         )

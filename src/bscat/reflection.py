@@ -5,6 +5,11 @@ flip charge off the boundary; breathers reflect diagonally), products over
 excitation sets including the right-left exchange phases, and the conjugation
 identity R(lambda + i pi) = conj(R(lambda)) as a checkable residual.
 
+`soliton_amplitudes` returns a soliton's flip and keep-charge amplitudes
+together, from one R_s in the boundary sine-Gordon model (the Kondo
+keep-charge entry is an exact zero); the soliton-pair brackets read that
+pair once per rapidity.
+
 All rapidities are measured from the boundary rapidity (boundary scale
 T_B = 1 throughout).
 
@@ -37,7 +42,7 @@ from typing import Dict, Sequence, Tuple
 import numpy as np
 
 from .errors import DomainError
-from .model import Excitation, ExcitationKind, ModelSpec, validate_excitation
+from .model import Excitation, ExcitationKind, ModelSpec, check_breather, validate_excitation
 from .quadrature import ChebyshevTable, integrate_semi_infinite, strip_panel_width
 from .smatrix import s_rl_limit
 
@@ -136,17 +141,24 @@ def r_s(lam: complex, spec: ModelSpec) -> complex:
     return amplitude * cmath.exp(1j * _rs_phase_cached(lam.real, lam.imag, spec.xi))
 
 
-def r_bsg_soliton(lam: complex, flip: bool, spec: ModelSpec) -> complex:
-    """Soliton reflection amplitude: charge-flipping R_+-^-+ (flip=True) or
-    charge-preserving R_+-^+- (flip=False); both are even under charge parity."""
+def soliton_amplitudes(lam: complex, spec: ModelSpec) -> Tuple[complex, complex]:
+    """Soliton reflection amplitudes (flip, diag) of either model: the
+    charge-flipping R_+-^-+ and the charge-preserving R_+-^+-, both even
+    under charge parity.  Boundary sine-Gordon: i e^{(p-1) lambda/2} R_s and
+    e^{-(p-1) lambda/2} R_s from one R_s.  Kondo: a unimodular flip
+    amplitude, and a charge-preserving entry that vanishes (an exact 0j)."""
     lam = complex(lam)
+    if spec.is_kondo:
+        e = cmath.exp(lam)
+        den = e + 1j
+        if abs(den) < _POLE_TOL:
+            raise DomainError(f"Kondo soliton reflection pole at lambda = {lam}")
+        return cmath.exp(1j * math.pi / (4.0 * spec.z)) * (e - 1j) / den, 0j
     if abs(lam.imag) > math.pi + 1e-12:
         raise DomainError(f"|Im lambda| > pi unsupported (got {lam.imag})")
     pm1 = spec.p - 1.0
     rs = r_s(lam, spec)
-    if flip:
-        return 1j * cmath.exp(pm1 * lam / 2.0) * rs
-    return cmath.exp(-pm1 * lam / 2.0) * rs
+    return 1j * cmath.exp(pm1 * lam / 2.0) * rs, cmath.exp(-pm1 * lam / 2.0) * rs
 
 
 def r_bsg_breather(lam: complex, m: int, spec: ModelSpec) -> complex:
@@ -158,8 +170,7 @@ def r_bsg_breather(lam: complex, m: int, spec: ModelSpec) -> complex:
     the boundary bootstrap for a bound state of m breathers 1 (Ghoshal &
     Zamolodchikov, Int. J. Mod. Phys. A 9 (1994) 3841); unimodular on real
     rapidities."""
-    if not (1 <= m <= spec.n_breathers):
-        raise DomainError(f"breather m={m} invalid (n_breathers={spec.n_breathers})")
+    check_breather(m, spec)
     base = complex(lam) / 2.0 - 1j * math.pi / 4.0
     out = 1.0 + 0.0j
     for k in range(1, m + 1):
@@ -167,22 +178,9 @@ def r_bsg_breather(lam: complex, m: int, spec: ModelSpec) -> complex:
     return out
 
 
-def r_kondo_soliton(lam: complex, spec: ModelSpec, flip: bool = True) -> complex:
-    """Kondo soliton reflection amplitude; the charge-preserving entry vanishes."""
-    if not flip:
-        return 0.0 + 0.0j
-    lam = complex(lam)
-    e = cmath.exp(lam)
-    den = e + 1j
-    if abs(den) < _POLE_TOL:
-        raise DomainError(f"Kondo soliton reflection pole at lambda = {lam}")
-    return cmath.exp(1j * math.pi / (4.0 * spec.z)) * (e - 1j) / den
-
-
 def r_kondo_breather(lam: complex, m: int, spec: ModelSpec) -> complex:
     """Diagonal breather-m reflection amplitude of the Kondo model."""
-    if not (1 <= m <= spec.n_breathers):
-        raise DomainError(f"breather m={m} invalid (n_breathers={spec.n_breathers})")
+    check_breather(m, spec)
     lam = complex(lam)
     num = cmath.tanh(lam / 2.0 - 1j * spec.xi * m / 4.0)
     den = cmath.tanh(lam / 2.0 + 1j * spec.xi * m / 4.0)
@@ -212,10 +210,8 @@ def r_amplitude(
         if in_exc.m != out_exc.m:
             return 0.0 + 0.0j
         return r_breather(lam, in_exc.m, spec)
-    flip = in_exc.charge != out_exc.charge
-    if spec.is_bsg:
-        return r_bsg_soliton(lam, flip, spec)
-    return r_kondo_soliton(lam, spec, flip=flip)
+    flip, diag = soliton_amplitudes(lam, spec)
+    return flip if in_exc.charge != out_exc.charge else diag
 
 
 def soliton_pair_bracket(
@@ -229,13 +225,13 @@ def soliton_pair_bracket(
     the sign only matters for the boundary sine-Gordon model.
     """
     phase = cmath.exp(-1j * math.pi / (2.0 * spec.z))
+    flip1, diag1 = soliton_amplitudes(lam1, spec)
+    flip2, diag2 = soliton_amplitudes(lam2, spec)
     if spec.is_kondo:
-        return phase * r_kondo_soliton(lam1, spec) * r_kondo_soliton(lam2, spec)
-    flip = r_bsg_soliton(lam1, True, spec) * r_bsg_soliton(lam2, True, spec)
-    diag = r_bsg_soliton(lam1, False, spec) * r_bsg_soliton(lam2, False, spec)
-    if sign > 0:
-        return phase * flip + diag / phase
-    return phase * flip - diag / phase
+        return phase * flip1 * flip2
+    flip = phase * (flip1 * flip2)
+    diag = diag1 * diag2 / phase
+    return flip + diag if sign > 0 else flip - diag
 
 
 def soliton_split_bracket(
@@ -248,20 +244,9 @@ def soliton_split_bracket(
     No channel phases survive: the direct line's own factors cancel by
     boundary unitarity.
     """
-    if spec.is_kondo:
-        return (
-            r_kondo_soliton(lam_in, spec).conjugate()
-            * r_kondo_soliton(lam_out, spec)
-        )
-    flip = (
-        r_bsg_soliton(lam_in, True, spec).conjugate()
-        * r_bsg_soliton(lam_out, True, spec)
-    )
-    diag = (
-        r_bsg_soliton(lam_in, False, spec).conjugate()
-        * r_bsg_soliton(lam_out, False, spec)
-    )
-    return flip - diag
+    flip_in, diag_in = soliton_amplitudes(lam_in, spec)
+    flip_out, diag_out = soliton_amplitudes(lam_out, spec)
+    return flip_in.conjugate() * flip_out - diag_in.conjugate() * diag_out
 
 
 def _out_label_choices(exc: Excitation, spec: ModelSpec) -> Tuple[Excitation, ...]:

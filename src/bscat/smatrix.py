@@ -22,7 +22,7 @@ import math
 import numpy as np
 
 from .errors import DomainError
-from .model import Excitation, ExcitationKind, ModelSpec, validate_excitation
+from .model import Excitation, ExcitationKind, ModelSpec, check_breather, validate_excitation
 from .quadrature import integrate_semi_infinite
 
 _POLE_TOL = 1e-12
@@ -116,8 +116,7 @@ def s_soliton(theta: complex, channel: str, spec: ModelSpec) -> complex:
 
 def s_breather_soliton(theta: complex, m: int, spec: ModelSpec) -> complex:
     """Breather-m / (anti)soliton exchange amplitude (diagonal)."""
-    if not (1 <= m <= spec.n_breathers):
-        raise DomainError(f"breather m={m} invalid (n_breathers={spec.n_breathers})")
+    check_breather(m, spec)
     theta = complex(theta)
     xi = spec.xi
     c = 1j * math.cos(xi / 2.0)
@@ -155,11 +154,8 @@ def s_breather_breather(theta: complex, m1: int, m2: int, spec: ModelSpec) -> co
     form is fixed by the fusion bootstrap from S_{11} and satisfies unitarity
     and |S| = 1 on the real line.
     """
-    for m in (m1, m2):
-        if not (1 <= m <= spec.n_breathers):
-            raise DomainError(
-                f"breather m={m} invalid (n_breathers={spec.n_breathers})"
-            )
+    check_breather(m1, spec)
+    check_breather(m2, spec)
     theta = complex(theta)
     xi = spec.xi
     d = abs(m1 - m2)

@@ -367,8 +367,7 @@ def spectrum_point(
 
 def _inelastic_loss(bd: ReflectionBreakdown) -> float:
     """1 - |r|^2 of the normalized reflection coefficient."""
-    r = bd.total / (1.0 - bd.truncation_bound)
-    return 1.0 - abs(r) ** 2
+    return 1.0 - abs(bd.normalized) ** 2
 
 
 def sum_rule_check(
@@ -389,9 +388,13 @@ def sum_rule_check(
     tolerance with its inner integrals (Piessens et al. 1983): 3/4 to the
     outer rule, and each diagram gets tol_d = (tol omega / 4) / sum_d
     |coeff_d|, so the integral is held to tol omega in total.  `breakdown`
-    is r(omega) if the caller has it already.
+    is r(omega) if the caller has it already; it is normalized (or
+    refused) before the integral.
     """
     check_omega(omega)
+    if breakdown is None:
+        breakdown = reflection_coefficient(omega, spec)
+    loss = _inelastic_loss(breakdown)
     coeff_sum = sum(abs(_DIAGRAMS[d][0]) for d in active_diagrams(spec))
     diagram_tol = 0.25 * tol * omega / coeff_sum
 
@@ -403,9 +406,7 @@ def sum_rule_check(
         return omega_p * g * 2.0 * omega * u
 
     lhs = float(adaptive_1d(f, 0.0, 1.0, tol=0.75 * tol * omega).value.real)
-    if breakdown is None:
-        breakdown = reflection_coefficient(omega, spec)
-    return lhs / (omega * _inelastic_loss(breakdown))
+    return lhs / (omega * loss)
 
 
 def default_omega_prime_grid(omega: float, n: int = 40) -> List[float]:

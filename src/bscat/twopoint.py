@@ -32,6 +32,16 @@ class ReflectionBreakdown:
     total: complex
     truncation_bound: float  # 1 - sum of the included free-theory weights
 
+    @property
+    def normalized(self) -> complex:
+        """r divided by the included free-theory weight sum 1 - truncation_bound,
+        so that gamma -> 0 at high frequency instead of saturating at the
+        truncation floor."""
+        floor = 1.0 - self.truncation_bound
+        if floor <= 0:
+            raise DomainError("truncation bound >= 1: nothing to normalize by")
+        return self.total / floor
+
 
 @dataclass(frozen=True)
 class RateCurve:
@@ -113,22 +123,14 @@ def reflection_coefficient(omega: float, spec: ModelSpec) -> ReflectionBreakdown
 
 def rates_from_r(breakdowns: Sequence[ReflectionBreakdown]) -> RateCurve:
     """gamma = -ln|r|^2 and delta = -arg(r)/2, unwrapped downward from the
-    highest frequency (where delta = 0 is unambiguous in both models).
-
-    r is divided by the included free-theory weight sum (1 - truncation_bound)
-    so that gamma -> 0 at high frequency instead of saturating at the
-    truncation floor.
+    highest frequency (where delta = 0 is unambiguous in both models), of
+    the normalized r (`ReflectionBreakdown.normalized`).
     """
     if not breakdowns:
         raise InsufficientData("no reflection data")
     bds = sorted(breakdowns, key=lambda b: b.omega)
     omegas = [b.omega for b in bds]
-    rs = []
-    for b in bds:
-        floor = 1.0 - b.truncation_bound
-        if floor <= 0:
-            raise DomainError("truncation bound >= 1: nothing to normalize by")
-        rs.append(b.total / floor)
+    rs = [b.normalized for b in bds]
     gamma = [-math.log(abs(r) ** 2) if abs(r) > 0 else math.inf for r in rs]
 
     # unwrap from high omega downward

@@ -28,9 +28,8 @@ from .reflection import (
     _rs_phase_direct,
     r_amplitude,
     r_breather,
-    r_bsg_soliton,
     r_conjugation_check,
-    r_kondo_soliton,
+    soliton_amplitudes,
 )
 from .smatrix import s0, s_breather_breather, s_breather_soliton, s_entry, s_soliton
 
@@ -122,11 +121,10 @@ def _suite_reflection() -> List[Check]:
                     )
                 if spec.n_breathers >= 1:
                     conjugation.append(r_conjugation_check([(breather(1), lam)], spec))
+                flip, diag = soliton_amplitudes(lam, spec)
                 if spec.is_kondo:
-                    modulus.append(abs(abs(r_kondo_soliton(lam, spec)) - 1.0))
+                    modulus.append(abs(abs(flip) - 1.0))
                 else:
-                    flip = r_bsg_soliton(lam, True, spec)
-                    diag = r_bsg_soliton(lam, False, spec)
                     modulus.append(abs(abs(flip) ** 2 + abs(diag) ** 2 - 1.0))
     # every breather: |R_m| = 1 on real rapidities, and the boundary fusion
     # bootstrap R_m(lambda) = prod_{k=1..m} R_1(lambda + i xi (m + 1 - 2k)/2)

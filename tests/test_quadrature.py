@@ -199,6 +199,19 @@ class TestSemiInfinite:
         with pytest.raises(DomainError, match="diverges"):
             integrate_semi_infinite(_exponential, (1.0,), 0.0, 0, 0.0, 1.0, tol=1e-12)
 
+    @pytest.mark.parametrize(
+        "error, decay, tol, reason",
+        [
+            (DomainError, 0.0, 1e-12, "diverges"),
+            (ToleranceNotMet, 1e-4, 1e-12, "more than 4096"),
+            (ToleranceNotMet, 1.0, 1e-30, "exceeds tol"),
+        ],
+        ids=["diverges", "panel-cap", "tolerance"],
+    )
+    def test_refusal_names_the_kernel(self, error, decay, tol, reason):
+        with pytest.raises(error, match=r"^_exponential at kappa = 0\.5: .*" + reason):
+            integrate_semi_infinite(_exponential, (1.0,), 0.5, 1, decay, 1.0, tol=tol)
+
 
 class TestChebyshevTable:
     def test_interpolates_an_analytic_function(self):

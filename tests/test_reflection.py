@@ -10,11 +10,10 @@ from bscat.reflection import (
     r_amplitude,
     r_breather,
     r_bsg_breather,
-    r_bsg_soliton,
     r_conjugation_check,
     r_kondo_breather,
-    r_kondo_soliton,
     r_product,
+    soliton_amplitudes,
     soliton_pair_bracket,
     soliton_split_bracket,
 )
@@ -25,19 +24,19 @@ class TestFreeFermionClosedForms:
         spec = make_model("bsg", 0.5)
         for lam in (0.7, -1.2, 0.0):
             e = cmath.exp(lam)
-            assert r_bsg_soliton(lam, True, spec) == pytest.approx(
+            assert soliton_amplitudes(lam, spec)[0] == pytest.approx(
                 1j * e / (e + 1j), abs=1e-12
             )
 
     def test_kondo_amplitude_frozen(self):
         spec = make_model("kondo", 0.5)
-        assert r_kondo_soliton(0.7, spec) == pytest.approx(
+        assert soliton_amplitudes(0.7, spec)[0] == pytest.approx(
             0.796705459992875 + 0.6043677771171635j, abs=1e-12
         )
 
     def test_kondo_diagonal_entry_vanishes(self):
         spec = make_model("kondo", 0.5)
-        assert r_kondo_soliton(0.7, spec, flip=False) == 0.0
+        assert soliton_amplitudes(0.7, spec)[1] == 0.0
 
 
 class TestUnitarity:
@@ -45,8 +44,7 @@ class TestUnitarity:
     def test_bsg_soliton_column_norm(self, z):
         spec = make_model("bsg", z)
         for lam in (-1.5, 0.0, 0.8, 2.3):
-            flip = r_bsg_soliton(lam, True, spec)
-            diag = r_bsg_soliton(lam, False, spec)
+            flip, diag = soliton_amplitudes(lam, spec)
             assert abs(flip) ** 2 + abs(diag) ** 2 == pytest.approx(1.0, abs=1e-10)
             # off-diagonal orthogonality of the 2x2 reflection matrix
             assert abs((diag * flip.conjugate()).real) < 1e-10
@@ -55,7 +53,7 @@ class TestUnitarity:
     def test_kondo_soliton_unimodular(self, z):
         spec = make_model("kondo", z)
         for lam in (-1.5, 0.4, 2.0):
-            assert abs(abs(r_kondo_soliton(lam, spec)) - 1.0) < 1e-12
+            assert abs(abs(soliton_amplitudes(lam, spec)[0]) - 1.0) < 1e-12
 
     def test_breather_amplitudes_unimodular(self):
         # breather reflection is unimodular on real rapidities for every m,
@@ -93,15 +91,13 @@ class TestBreatherFusion:
 class TestAsymptotes:
     def test_high_rapidity_bsg_flip_dominates(self):
         spec = make_model("bsg", 1.0 / 3.0)
-        flip = r_bsg_soliton(30.0, True, spec)
-        diag = r_bsg_soliton(30.0, False, spec)
+        flip, diag = soliton_amplitudes(30.0, spec)
         assert abs(abs(flip) - 1.0) < 1e-9
         assert abs(diag) < 1e-9
 
     def test_low_rapidity_bsg_diag_dominates(self):
         spec = make_model("bsg", 1.0 / 3.0)
-        flip = r_bsg_soliton(-30.0, True, spec)
-        diag = r_bsg_soliton(-30.0, False, spec)
+        flip, diag = soliton_amplitudes(-30.0, spec)
         assert abs(flip) < 1e-9
         assert abs(abs(diag) - 1.0) < 1e-9
 
@@ -114,8 +110,8 @@ class TestAsymptotes:
     def test_kondo_limits(self):
         spec = make_model("kondo", 0.5)
         phase = cmath.exp(1j * math.pi / (4.0 * spec.z))
-        assert r_kondo_soliton(30.0, spec) == pytest.approx(phase, abs=1e-10)
-        assert r_kondo_soliton(-30.0, spec) == pytest.approx(-phase, abs=1e-10)
+        assert soliton_amplitudes(30.0, spec)[0] == pytest.approx(phase, abs=1e-10)
+        assert soliton_amplitudes(-30.0, spec)[0] == pytest.approx(-phase, abs=1e-10)
 
 
 class TestPhaseAsymptoteSwitch:
@@ -159,14 +155,14 @@ class TestStripEdge:
     def test_phase_next_to_the_strip_edge_is_refused(self, eps):
         # at z = 1/3 the R_s phase integrand decays as e^{-(3 xi - 2|Im lambda|) x},
         # which vanishes at |Im lambda| = 3 pi/4, inside the |Im lambda| <= pi
-        # that r_bsg_soliton accepts; next to that edge the panel rule would
+        # that soliton_amplitudes accepts; next to that edge the panel rule would
         # need millions of panels, or sin(2 lambda x) would overflow on them,
         # and it refuses instead of returning NaN
         spec = make_model("bsg", 1.0 / 3.0)
         edge = 1.5 * spec.xi
         assert edge == pytest.approx(0.75 * math.pi)
         with pytest.raises(ToleranceNotMet, match="decay rate"):
-            r_bsg_soliton(complex(0.3, edge - eps), True, spec)
+            soliton_amplitudes(complex(0.3, edge - eps), spec)
 
     def test_phase_inside_the_strip(self):
         # further inside, the phase is evaluated; its kernel is real, so
@@ -194,10 +190,10 @@ class TestAmplitudeDispatch:
     def test_soliton_channels(self):
         spec = make_model("bsg", 0.4)
         assert r_amplitude(0.5, SOLITON, ANTISOLITON, spec) == pytest.approx(
-            r_bsg_soliton(0.5, True, spec), abs=1e-14
+            soliton_amplitudes(0.5, spec)[0], abs=1e-14
         )
         assert r_amplitude(0.5, SOLITON, SOLITON, spec) == pytest.approx(
-            r_bsg_soliton(0.5, False, spec), abs=1e-14
+            soliton_amplitudes(0.5, spec)[1], abs=1e-14
         )
 
 
@@ -235,6 +231,30 @@ class TestProductsAndBracket:
         assert soliton_split_bracket(l_in, l_out, spec) == pytest.approx(
             expected, abs=1e-12
         )
+
+    @pytest.mark.parametrize("kind", ["bsg", "kondo"])
+    def test_brackets_evaluate_r_s_once_per_rapidity(self, monkeypatch, kind):
+        # a bracket reads both channels of a rapidity from one
+        # soliton_amplitudes call: two R_s for its two rapidities in the
+        # boundary sine-Gordon model, none for Kondo
+        spec = make_model(kind, 1.0 / 3.0)
+        real = reflection_mod.r_s
+        calls = []
+
+        def counted(lam, spec):
+            calls.append(lam)
+            return real(lam, spec)
+
+        monkeypatch.setattr(reflection_mod, "r_s", counted)
+        brackets = (
+            lambda: soliton_pair_bracket(0.6, -0.2, spec),
+            lambda: soliton_pair_bracket(0.6, -0.2, spec, sign=+1),
+            lambda: soliton_split_bracket(0.6, -0.2, spec),
+        )
+        for bracket in brackets:
+            calls.clear()
+            bracket()
+            assert calls == ([0.6, -0.2] if kind == "bsg" else [])
 
     @pytest.mark.parametrize("kind", ["bsg", "kondo"])
     def test_breather_dispatch_matches_product(self, kind):

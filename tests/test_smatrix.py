@@ -71,9 +71,10 @@ class TestScalarFactor:
 
     def test_integrator_refuses_outside_the_strip(self):
         # at z = 0.1 the integral converges for |Im theta| < xi = 0.35 only:
-        # past that it diverges, and next to it the panel rule refuses
+        # past that it diverges, and next to it the panel rule refuses; the
+        # refusal names the kernel and its argument
         spec = make_model("bsg", 0.1)
-        with pytest.raises(DomainError, match="diverges"):
+        with pytest.raises(DomainError, match=r"^_s0_kernel at kappa = \(0\.3\+1j\): .*diverges"):
             s0(complex(0.3, 1.0), spec)
         for eps in (1e-9, 1e-3):
             with pytest.raises(ToleranceNotMet, match="decay rate"):

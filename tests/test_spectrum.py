@@ -447,6 +447,19 @@ class TestSumRule:
         with pytest.raises(DomainError):
             sum_rule_check(-1.0, make_model("bsg", 0.5))
 
+    def test_rejects_a_breakdown_with_nothing_to_normalize_by(self, monkeypatch):
+        # a truncation bound of 1 leaves no free-theory weight to divide r
+        # by: refused with a DomainError before the omega' integral starts
+        def no_integral(*args, **kwargs):
+            raise AssertionError("the omega' integral ran")
+
+        monkeypatch.setattr(spectrum_mod, "adaptive_1d", no_integral)
+        bd = ReflectionBreakdown(
+            omega=1.0, terms={}, total=0.5 + 0.0j, truncation_bound=1.0
+        )
+        with pytest.raises(DomainError, match="truncation bound >= 1"):
+            sum_rule_check(1.0, make_model("bsg", 0.5), breakdown=bd)
+
     @pytest.mark.parametrize("omega", [math.nan, math.inf], ids=["nan", "inf"])
     def test_rejects_non_finite_frequency(self, omega):
         spec = make_model("bsg", 0.5)
