@@ -3,7 +3,7 @@
 Special functions (the Gamma-product/residual-integral function e^{I(lambda)},
 the constant c, the pair function zeta, the breather minimal function F, the
 contour function H), the explicit form factors f_{+-}, f_m, f_{111}, f_{12},
-f_{+-+-}, f_{+-1}, the excitation-set integrals of the reflection coefficient
+f_{+-1}, the excitation-set integrals of the reflection coefficient
 and, from the same integrals, the free-theory truncation weights r0.  The
 overall constant of f_{12} is 2 F(i xi), the value that the fusion of
 f_{111} at its breather-2 pole fixes.
@@ -26,8 +26,9 @@ needed.  e^{I} calls that rule only to build tables.  Per (xi, Im lambda)
 line, the whole exponent of e^{I} -- the residual at N = 2 plus its Gamma
 product with every term near the poles of Gamma shifted up by the
 recurrence (`_exp_i_fold`) -- is tabulated in Re lambda >= 0 with 21
-Chebyshev points (degree 20) per panel, each built on first use and checked
-against the direct sum to 1e-12 absolute at its 20 interior midpoints
+Chebyshev points (degree 20) per panel, each built on first use, with its
+Gamma product in one call of the numpy `_loggamma`, and checked against the
+direct sum to 1e-12 absolute at its 20 interior midpoints
 (`quadrature.ChebyshevTable`).  The panel width follows from the strip of
 analyticity about the line (`quadrature.strip_panel_width`), halved on a
 line whose panel 0 misses its check.  A lookup adds
@@ -46,7 +47,6 @@ from functools import lru_cache
 from typing import Callable, Optional, Tuple
 
 import numpy as np
-from scipy.special import loggamma
 
 from .errors import DomainError, ToleranceNotMet
 from .model import ModelSpec, breather, check_breather, mass_ratio
@@ -76,6 +76,78 @@ def _check_strip(*diffs: complex) -> None:
             raise DomainError(
                 f"rapidity difference {d} outside the analyticity strip |Im| <= 2 pi"
             )
+
+
+# ---------------------------------------------------------------------------
+# log Gamma
+
+# B_2k / (2k (2k - 1)), k = 1..8: the Stirling series of log Gamma, whose
+# ninth term is below 2e-17 at |z| >= _STIRLING_MIN
+_STIRLING = (
+    1.0 / 12.0,
+    -1.0 / 360.0,
+    1.0 / 1260.0,
+    -1.0 / 1680.0,
+    1.0 / 1188.0,
+    -691.0 / 360360.0,
+    1.0 / 156.0,
+    -3617.0 / 122400.0,
+)
+_STIRLING_MIN = 10.0
+_LOG_TWO_PI = math.log(TWO_PI)
+
+
+def _loggamma(z):
+    """The principal branch of log Gamma(z), elementwise on finite z off
+    the poles; real input (x > 0) returns the real log Gamma(x), from
+    math.lgamma.
+
+    For Re z >= 1/2 the argument is shifted up to Re z >= 10 by the
+    recurrence, log Gamma(z) = log Gamma(z + m) - sum_{i<m} log(z + i),
+    and the 8-term Stirling series gives log Gamma(z + m).  The shed
+    factors are multiplied in pairs on a 2-D array before their logs are
+    summed: each has Re > 0, so a pair's argument stays inside (-pi, pi)
+    and the principal logs add up to the principal branch.  For Re z < 1/2
+    the reflection formula with its branch correction (Hare, "Computing the
+    principal branch of log-Gamma", J. Algorithms 25 (1997) 221) reads
+    log Gamma(1 - z): in Im z >= 0,
+
+        log Gamma(z) = log(2 pi) - i pi/2 + i pi z - log(1 - e^{2 pi i z})
+                       - log Gamma(1 - z),
+
+    both sides analytic in the upper half-plane and equal at z = 1/2, and
+    log Gamma(conj z) = conj log Gamma(z) below it.  1 - e^{2 pi i z} is
+    taken by expm1 with Re z reduced to [-1/2, 1/2], so that its log stays
+    accurate next to the poles."""
+    z = np.asarray(z)
+    if not np.iscomplexobj(z):
+        return np.vectorize(math.lgamma, otypes=[float])(z)
+    reflect = z.real < 0.5
+    w = np.where(reflect, 1.0 - z, z)
+    shifts = np.maximum(0.0, np.ceil(_STIRLING_MIN - w.real))
+    steps = np.arange(2 * math.ceil(0.5 * np.max(shifts, initial=0.0)))
+    factors = np.where(steps < shifts[..., None], w[..., None] + steps, 1.0)
+    shed = np.sum(np.log(factors[..., 0::2] * factors[..., 1::2]), axis=-1)
+    w = w + shifts
+    r = 1.0 / w
+    r2 = r * r
+    series = _STIRLING[-1]
+    for c in _STIRLING[-2::-1]:
+        series = series * r2 + c
+    out = (w - 0.5) * np.log(w) - w + 0.5 * _LOG_TWO_PI + series * r - shed
+    if np.any(reflect):
+        out = np.array(out)
+        zr = z[reflect]
+        upper = np.where(zr.imag < 0.0, zr.conjugate(), zr)
+        branch = (
+            _LOG_TWO_PI
+            - 0.5j * math.pi
+            + 1j * math.pi * upper
+            - np.log(-np.expm1(TWO_PI * 1j * (upper - np.round(upper.real))))
+        )
+        branch = np.where(zr.imag < 0.0, branch.conjugate(), branch)
+        out[reflect] = branch - out[reflect]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -109,20 +181,32 @@ def _exp_i_decay(lam_i: float, xi: float, N: int) -> float:
     return decay
 
 
-def _exp_i_log_product(lam: complex, xi: float, N: int, shifts=0.0) -> complex:
-    """Log of the N-term Gamma product of e^{I(lambda)}; with `shifts`, each
-    loggamma argument raised by shifts_j (the sum a line's table holds,
-    see `_exp_i_fold`)."""
-    offsets, slopes, weights, const = _exp_i_product_terms(xi, N)
-    u = 1j * lam / math.pi
-    return complex(weights @ loggamma(offsets + shifts + slopes * u)) + const
+def _exp_i_log_terms(lam, xi: float, N: int, shifts=0.0) -> np.ndarray:
+    """weight_j loggamma(offset_j + shifts_j + slope_j u), u = i lambda/pi,
+    for each lambda of the array `lam` (rows) and term j (columns): the
+    terms of the N-term Gamma product of e^{I(lambda)}, in one loggamma
+    call; with `shifts`, each argument raised by shifts_j (the sum a line's
+    table holds, see `_exp_i_fold`)."""
+    offsets, slopes, weights, _ = _exp_i_product_terms(xi, N)
+    lam = np.asarray(lam, dtype=complex)[..., None]
+    # u as the scalar i lambda/pi rounds it, each part divided by pi
+    u = -lam.imag / math.pi + 1j * (lam.real / math.pi)
+    return weights * _loggamma(offsets + shifts + slopes * u)
+
+
+def _exp_i_log_product(lam, xi: float, N: int, shifts=0.0):
+    """Log of the N-term Gamma product of e^{I(lambda)} at each lambda of
+    `lam`, with its arguments raised by `shifts` (`_exp_i_log_terms`)."""
+    const = _exp_i_product_terms(xi, N)[3]
+    return np.sum(_exp_i_log_terms(lam, xi, N, shifts), axis=-1) + const
 
 
 def _exp_i_direct(lam: complex, xi: float, N: int) -> complex:
     """e^{I(lambda)} from the N-term Gamma product and the residual
     integral, without the table: the reference the table is checked
     against, N-independent for N >= 1."""
-    return cmath.exp(_exp_i_residual(lam, xi, N) + _exp_i_log_product(lam, xi, N))
+    log_product = complex(_exp_i_log_product(lam, xi, N))
+    return cmath.exp(_exp_i_residual(lam, xi, N) + log_product)
 
 
 # factors of the fold whose constant part is this close to 0 vanish at
@@ -156,7 +240,7 @@ def _exp_i_fold(
     """
     offsets, slopes, weights, _ = _exp_i_product_terms(xi, _TABLE_N)
     delta = 2.0 * max(1.0, 1.0 / xi)
-    # as _exp_i_log_product rounds it, so that a factor vanishing on the
+    # as _exp_i_log_terms rounds it, so that a factor vanishing on the
     # line is the same number as the loggamma argument there
     real = (offsets + slopes * (1j * complex(0.0, lam_i) / math.pi)).real
     shifts = np.maximum(0.0, np.ceil(delta - real))
@@ -184,6 +268,10 @@ def _exp_i_line(xi: float, lam_i: float) -> ChebyshevTable:
     Re lambda >= 0 on panels sized by its strip of analyticity: the shifted
     Gamma terms' strip, bounded by the residual's.
 
+    A panel takes one builder call on its 41 points: one residual integral
+    per point, and the Gamma product at all of them in one loggamma call on
+    a 41 x 16 array (16 terms at N = 2).
+
     The panels are checked to 1e-12 absolute, or to the rounding of the
     loggamma sum, 2 eps sum_j |w_j loggamma(z_j + m_j)|, where that is
     larger: at small z the terms reach loggamma(1 + 3 pi/xi) and cancel to
@@ -198,17 +286,14 @@ def _exp_i_line(xi: float, lam_i: float) -> ChebyshevTable:
     0.72), and leaves 0.70-0.75 half-widths there."""
     shifts, _, _, half_width = _exp_i_fold(xi, lam_i)
     half_width = min(half_width, _exp_i_decay(lam_i, xi, _TABLE_N))
-    offsets, slopes, weights, _ = _exp_i_product_terms(xi, _TABLE_N)
 
-    def exponent(lam_r: float) -> complex:
-        lam = complex(lam_r, lam_i)
-        return _exp_i_residual(lam, xi, _TABLE_N) + _exp_i_log_product(
-            lam, xi, _TABLE_N, shifts
-        )
+    def exponent(lam_r: np.ndarray) -> np.ndarray:
+        lam = lam_r + 1j * lam_i
+        residuals = [_exp_i_residual(complex(l), xi, _TABLE_N) for l in lam]
+        return np.array(residuals) + _exp_i_log_product(lam, xi, _TABLE_N, shifts)
 
     def rounding(lam_r: float) -> float:
-        u = 1j * complex(lam_r, lam_i) / math.pi
-        terms = weights * loggamma(offsets + shifts + slopes * u)
+        terms = _exp_i_log_terms(complex(lam_r, lam_i), xi, _TABLE_N, shifts)
         return 2.0 * _EPS * float(np.sum(np.abs(terms)))
 
     width = strip_panel_width(half_width)
@@ -289,10 +374,10 @@ def _exp_i_product_terms(xi: float, N: int):
         np.sum(
             k
             * (
-                loggamma(a * (2 * k + 1))
-                + loggamma(1.0 + a * (2 * k - 1))
-                - loggamma(2 * k * a)
-                - loggamma(1.0 + 2 * k * a)
+                _loggamma(a * (2 * k + 1))
+                + _loggamma(1.0 + a * (2 * k - 1))
+                - _loggamma(2 * k * a)
+                - _loggamma(1.0 + 2 * k * a)
             )
         )
     )
@@ -608,42 +693,6 @@ def bigH(
     return -e[s]
 
 
-def f_pmpm(
-    l1: complex, l2: complex, l3: complex, l4: complex, spec: ModelSpec
-) -> complex:
-    """Two soliton-antisoliton pairs form factor f_{+-+-} (integer p only)."""
-    if spec.p_int is None:
-        raise DomainError("f_pmpm is implemented for integer p only")
-    p = spec.p_int
-    if p == 2:
-        return 0.0 + 0.0j
-    lams = [complex(l) for l in (l1, l2, l3, l4)]
-    _check_strip(*[lams[i] - lams[j] for i in range(4) for j in range(i + 1, 4)])
-    xi = spec.xi
-    c = c_const(spec)
-    pref = (
-        2.0 * math.pi**2 / (c * c * xi) * ((-1.0) ** (p - 1)) / math.sqrt(2.0 * spec.z)
-    )
-    out = pref * cmath.exp(sum(lams) / 2.0)
-    for i in range(4):
-        for j in range(i + 1, 4):
-            out *= zeta(lams[i] - lams[j], spec)
-    out *= bigH(*lams, spec)
-    pm1 = p - 1.0
-    s41 = cmath.sinh(pm1 * (lams[3] - lams[0]))
-    s23 = cmath.sinh(pm1 * (lams[1] - lams[2]))
-    if min(abs(s41), abs(s23)) < 1e-12:
-        raise DomainError("f_pmpm exchange pole (coinciding rapidities)")
-    out /= s41 * s23
-    h21 = 0.5 * pm1 * (lams[1] - lams[0])
-    h43 = 0.5 * pm1 * (lams[3] - lams[2])
-    sh21, ch21 = cmath.sinh(h21), cmath.cosh(h21)
-    sh43, ch43 = cmath.sinh(h43), cmath.cosh(h43)
-    if min(abs(ch21 * sh43), abs(sh21 * ch43)) < 1e-12:
-        raise DomainError("f_pmpm exchange pole (coinciding rapidities)")
-    return out * (1.0 / (ch21 * sh43) + 1.0 / (sh21 * ch43))
-
-
 def f_pm1(l1: complex, l2: complex, l3: complex, spec: ModelSpec) -> complex:
     """Soliton-antisoliton-breather1 form factor f_{+-1} (integer p only)."""
     if spec.p_int is None:
@@ -658,8 +707,9 @@ def f_pm1(l1: complex, l2: complex, l3: complex, spec: ModelSpec) -> complex:
     c = c_const(spec)
     res_s0 = _breather_coupling_arg(1, spec)  # S-matrix residue at breather 1
     # normalization and phase anchored by fusion consistency: fusing the
-    # soliton pair of f_pmpm at the breather bound-state pole reproduces this
-    # function with the same fusion constant that maps f_pm onto f_breather1
+    # soliton pair of f_{+-+-} at the breather bound-state pole reproduces
+    # this function with the same fusion constant that maps f_pm onto
+    # f_breather1 (tests/pair_pair.py holds f_{+-+-})
     pref = (
         8.0j
         * math.pi**2

@@ -9,14 +9,15 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass, field
-
-import numpy as np
-from scipy.special import gamma as _gamma
 
 from .errors import DomainError
 
 _P_INT_TOL = 1e-9
+# the logs of the largest finite and the smallest normal float
+_LOG_HUGE = math.log(sys.float_info.max)
+_LOG_TINY = math.log(sys.float_info.min)
 
 
 class ModelKind(enum.Enum):
@@ -149,16 +150,23 @@ def t_b_from_physical(epsilon_J: float, cutoff_Lambda: float, z: float) -> float
         raise DomainError(f"z must lie in (0, 1), got {z}")
     if z > 0.999:
         raise DomainError("z too close to 1: the exponent 1/(1-z) diverges")
-    # an out-of-range T_B is refused below, not warned about here
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        pref = _gamma(z / (2.0 * (1.0 - z))) / (
-            math.sqrt(math.pi) * _gamma(1.0 / (2.0 * (1.0 - z)))
+    # log T_B from lgamma differences: the Gamma ratio is inf/inf near z = 1,
+    # and an out-of-range T_B is refused before it is formed
+    log_t_b = (
+        math.lgamma(z / (2.0 * (1.0 - z)))
+        - math.lgamma(1.0 / (2.0 * (1.0 - z)))
+        - 0.5 * math.log(math.pi)
+        + (
+            math.log(math.pi)
+            + math.log(epsilon_J)
+            - math.lgamma(z)
+            - z * math.log(cutoff_Lambda)
         )
-        bracket = math.pi * epsilon_J / (_gamma(z) * cutoff_Lambda**z)
-        t_b = float(pref * bracket ** (1.0 / (1.0 - z)))
-    if not (math.isfinite(t_b) and t_b > 0.0):
+        / (1.0 - z)
+    )
+    if not _LOG_TINY < log_t_b < _LOG_HUGE:
         raise DomainError(
-            f"T_B = {t_b} is not a finite positive number: epsilon_J = {epsilon_J}, "
-            f"cutoff_Lambda = {cutoff_Lambda} and z = {z} are out of range"
+            f"T_B = exp({log_t_b:.6g}) is not a finite positive float: epsilon_J = "
+            f"{epsilon_J}, cutoff_Lambda = {cutoff_Lambda} and z = {z} are out of range"
         )
-    return t_b
+    return math.exp(log_t_b)

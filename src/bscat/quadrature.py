@@ -390,8 +390,9 @@ def integrate_semi_infinite(
 # Piecewise-Chebyshev tables of smooth functions on the real line
 
 
-def _clenshaw(coeffs: Tuple[complex, ...], t: float) -> complex:
-    """sum_k coeffs[k] T_k(t) by Clenshaw's recurrence."""
+def _clenshaw(coeffs: Tuple[complex, ...], t):
+    """sum_k coeffs[k] T_k(t) by Clenshaw's recurrence, t a float or an
+    array of them."""
     b1 = b2 = 0.0
     t2 = 2.0 * t
     for c in coeffs[:0:-1]:
@@ -413,9 +414,9 @@ _TO_COEFFS = (2.0 / _TABLE_POINTS) * np.cos(
     np.outer(np.arange(_TABLE_POINTS), _ANGLES)
 )
 _TO_COEFFS[0] *= 0.5
-_MIDPOINTS = tuple(
-    math.cos(math.pi * j / _TABLE_POINTS) for j in range(1, _TABLE_POINTS)
-)
+_MIDPOINTS = np.cos(math.pi * np.arange(1, _TABLE_POINTS) / _TABLE_POINTS)
+# where a panel's builder is called: its points, then its check points
+_BUILD_POINTS = np.concatenate([_CHEB_POINTS, _MIDPOINTS])
 
 
 def strip_panel_width(half_width: float) -> float:
@@ -438,15 +439,15 @@ class ChebyshevTable:
     """A lazily built piecewise-Chebyshev interpolant of builder(x), x real.
 
     The real line is cut into equal panels [k width, (k + 1) width], k an
-    integer.  A panel is built on the first lookup that lands in it: the
-    builder is called on its _TABLE_POINTS = 21 first-kind Chebyshev points
-    and the values become the coefficients of a degree-20 interpolant
-    (Trefethen, Approximation Theory and Approximation Practice, chs. 8 and
-    19).  Every new panel is then checked against the builder at the 20
-    interior extrema of T_21; if the interpolant is off by more than
-    _TABLE_TOL = 1e-12 there (absolute), the panel is not kept and
-    ToleranceNotMet is raised.  The builder must be analytic in a
-    neighbourhood of each panel it is asked for.  `rounding`, if given, is
+    integer.  A panel is built on the first lookup that lands in it, from
+    one builder call on an array of 41 x: its _TABLE_POINTS = 21 first-kind
+    Chebyshev points, whose values become the coefficients of a degree-20
+    interpolant (Trefethen, Approximation Theory and Approximation
+    Practice, chs. 8 and 19), then the 20 interior extrema of T_21, where
+    every new panel is checked against the builder's last 20 values; if the
+    interpolant is off by more than _TABLE_TOL = 1e-12 there (absolute), the
+    panel is not kept and ToleranceNotMet is raised.  The builder must be
+    analytic in a neighbourhood of each panel it is asked for.  `rounding`, if given, is
     the builder's own rounding error at x (nondecreasing in |x|); a panel is
     then checked to the larger of _TABLE_TOL and its value at the panel's
     edge farther from 0.  `panels` counts the panels built so far, and
@@ -455,7 +456,7 @@ class ChebyshevTable:
 
     def __init__(
         self,
-        builder: Callable[[float], complex],
+        builder: Callable[[np.ndarray], np.ndarray],
         width: float,
         rounding: Optional[Callable[[float], float]] = None,
     ):
@@ -480,12 +481,9 @@ class ChebyshevTable:
     def _build(self, k: int) -> Tuple[complex, ...]:
         half = 0.5 * self._width
         centre = (k + 0.5) * self._width
-        values = np.array([self._builder(centre + half * t) for t in _CHEB_POINTS])
-        coeffs = tuple(complex(c) for c in _TO_COEFFS @ values)
-        errors = [
-            abs(_clenshaw(coeffs, t) - self._builder(centre + half * t))
-            for t in _MIDPOINTS
-        ]
+        values = self._builder(centre + half * _BUILD_POINTS)
+        coeffs = tuple(complex(c) for c in _TO_COEFFS @ values[:_TABLE_POINTS])
+        errors = np.abs(_clenshaw(coeffs, _MIDPOINTS) - values[_TABLE_POINTS:])
         # np.max, unlike max, returns a NaN it meets, which then fails
         err = float(np.max(errors))
         tol = _TABLE_TOL

@@ -69,7 +69,9 @@ def _rs_phase_line(xi: float, lam_i: float) -> ChebyshevTable:
     panels sized by its strip of analyticity, |Im lambda| < min(3 xi,
     xi + 2 pi)/2."""
     return ChebyshevTable(
-        lambda lam_r: _rs_phase_direct(complex(lam_r, lam_i), xi),
+        lambda lam_r: np.array(
+            [_rs_phase_direct(complex(x, lam_i), xi) for x in lam_r]
+        ),
         strip_panel_width(0.5 * _rs_phase_decay(lam_i, xi)),
     )
 

@@ -2,6 +2,9 @@ import ast
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -481,14 +484,14 @@ class TestValidate:
 # sha256 of stdout; a change that moves these bytes updates the hash here
 # and records the moved output
 _PINNED_STDOUT = {
-    "validate --suite all": "98ab3ed145e3c2c05caaea3b9f698a5eec98af6e443a13fbce07a19e907049f0",
-    "rates --model bsg --z 0.3333333333333333 --omega 0.7": "5281f61c26f50f1b014826a52abc3fcda30d918d9b99b89c9f06d974f218a805",
-    "rates --model kondo --z 0.3333333333333333 --omega 0.7": "2523667a2f3b8691a2eeed643d0462117d9ac3041335ae7658da0c6cb2d8d67a",
+    "validate --suite all": "7f905c7d230a647dd8a4f1e8685d4532af077ab97299ada2ec9ec4b18eb9bd85",
+    "rates --model bsg --z 0.3333333333333333 --omega 0.7": "5aff7dfb9339bc69eedea4131f8d7cf175a00c59de6cec0aac687660c5644790",
+    "rates --model kondo --z 0.3333333333333333 --omega 0.7": "d3d2dc9e86c0aa0c7da4d4db8ea3760c1bca9ea87f4e5c25e3e173f37a9083ae",
     "rates --model kondo --z 0.5 --omega 1e-2..1e2:12 --format json": "64647b72a05d5382bb80808edf076fe6f271d79be38df4e5f8b90902d4546bd5",
-    "r0 --model bsg --z 0.3333333333333333": "dcca5b182985c1cb70f7fded6b684558c9930ba024db79a6c07b89c56ba5da78",
-    "r0 --model bsg --z 0.2": "8b8eae5cd4a5bdf38e48850e3ec15528ae687947f1db93b3d4d900286b7fa846",
+    "r0 --model bsg --z 0.3333333333333333": "c74b65a42e5fdc5953e86887be7fe618856237715a928146fe55a73b8c06c6b8",
+    "r0 --model bsg --z 0.2": "262ce4dd521503700744776bbf0fc9e8b6ba2d62e2943269e19b09762b699e42",
     "spectrum --model kondo --z 0.5 --omega 1 --points 10": "75109442bba416e7c7dd446782fb5983a47abe8032207fb416011a2779f5ecf8",
-    "spectrum --model bsg --z 0.3333333333333333 --omega 1 --points 8": "a8e465c74058c23028338ad045ec4f97f0a910367ebaa0c20d5c7cb0c72c9522",
+    "spectrum --model bsg --z 0.3333333333333333 --omega 1 --points 8": "8a467effc184ccb333648b0c1cf0b1fdd797ab5c5cbb15ed89b5b8f0f55afff2",
 }
 
 
@@ -510,3 +513,16 @@ def test_cli_imports_no_private_name():
         if alias.name.startswith("_") and not alias.name.endswith("__")
     ]
     assert private == []
+
+
+def test_cli_import_leaves_scipy_out():
+    # scipy is a test dependency only: a fresh interpreter importing the CLI
+    # must not load it
+    src = str(Path(cli_mod.__file__).resolve().parents[1])
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    probe = "import sys, bscat.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    res = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
+    )
+    assert res.stdout.strip() == "[]"

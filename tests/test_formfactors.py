@@ -2,6 +2,7 @@ import cmath
 import math
 
 import mpmath
+import numpy as np
 import pytest
 
 from bscat.errors import DomainError, ToleranceNotMet
@@ -10,6 +11,7 @@ from bscat.formfactors import (
     _breather_coupling_arg,
     _exp_i_direct,
     _exp_i_line,
+    _loggamma,
     _TABLE_N,
     bigF,
     bigH,
@@ -20,18 +22,61 @@ from bscat.formfactors import (
     f_breather1,
     f_pm,
     f_pm1,
-    f_pmpm,
     r0_weights,
     zeta,
 )
 from bscat.model import make_model
 from bscat.smatrix import s0, s_breather_breather, s_breather_soliton
+from pair_pair import f_pmpm
 
 SPEC3 = make_model("bsg", 1.0 / 3.0)
 SPEC4 = make_model("bsg", 0.25)
 SPEC5 = make_model("bsg", 0.2)
 SPEC10 = make_model("bsg", 0.1)
 SPEC_HALF = make_model("bsg", 0.5)
+
+
+def _loggamma_error(z):
+    """Worst |_loggamma - log Gamma| / max(1, |log Gamma|) over the array z,
+    against 30-digit mpmath."""
+    got = _loggamma(z)
+    worst = 0.0
+    with mpmath.workdps(30):
+        for arg, value in zip(z, got):
+            ref = complex(mpmath.loggamma(mpmath.mpc(arg.real, arg.imag)))
+            worst = max(worst, abs(value - ref) / max(1.0, abs(ref)))
+    return worst
+
+
+class TestLogGamma:
+    # the principal branch, the one mpmath.loggamma returns
+    def test_table_range(self):
+        # the e^{I} tables' arguments: Re z >= 2 max(1, 1/xi) after the fold
+        re, im = np.meshgrid(
+            np.linspace(2.0, 60.0, 17), np.linspace(-60.0, 60.0, 17)
+        )
+        assert _loggamma_error((re + 1j * im).ravel()) <= 1e-14
+
+    def test_direct_path_by_reflection(self):
+        # off the poles at the non-positive integers
+        re, im = np.meshgrid(
+            np.linspace(-4.9877, 0.4877, 23), np.linspace(-60.0, 60.0, 13)
+        )
+        assert _loggamma_error((re + 1j * im).ravel()) <= 1e-14
+
+    def test_next_to_the_negative_real_axis(self):
+        # where the principal branch jumps: Im log Gamma(x +- i0) is -+ 3 pi
+        # on (-3, -2)
+        re = np.linspace(-4.9877, 0.4877, 56)
+        z = np.concatenate([re + 1e-3j, re - 1e-3j])
+        assert _loggamma_error(z) <= 1e-14
+        jump = _loggamma(-2.5 + 1e-3j) - _loggamma(-2.5 - 1e-3j)
+        assert abs(jump.imag + 6.0 * math.pi) < 1e-2
+
+    def test_real_input_returns_a_real_result(self):
+        x = np.array([0.1, 0.5, 1.0, 2.0, 3.5, 12.25, 60.0])
+        assert _loggamma(x).dtype == np.float64
+        assert _loggamma_error(x) <= 1e-14
 
 
 class TestBuildingBlocks:
@@ -321,6 +366,22 @@ class TestBreatherFusion:
         expected = res_111 / (1j * kappa2)
         value = f_12(la, lb + 0.5j * xi, spec)
         assert abs(value / expected - 1.0) <= 1e-9
+
+    @pytest.mark.parametrize("z", [1.0 / 3.0, 0.25, 0.2])
+    def test_f_pmpm_fuses_to_f_pm1(self, z):
+        """Res_{l4 = l3 + i theta_1} f_{+-+-}(l1, l2, l3 - i theta_1/2, l4) =
+        kappa f_pm1(l1, l2, l3), with the constant kappa of Res_{l2 = l1 + i
+        theta_1} f_pm(l1 - i theta_1/2, l2) = kappa f_1(l1): the soliton
+        pair fuses to breather 1 alike in both.  The reversed order has no
+        pole."""
+        spec = make_model("bsg", z)
+        half = 0.5j * (math.pi - spec.xi)
+        kappa = _residue(lambda eps: f_pm(0.1 - half + eps, 0.1 + half, spec)) / (
+            f_breather1(1, 0.1, spec)
+        )
+        for l1, l2, l3 in ((0.4, -0.3, 0.9), (-0.2, 0.6, 0.1), (1.1, 0.3, -0.5)):
+            res = _residue(lambda eps: f_pmpm(l1, l2, l3 - half + eps, l3 + half, spec))
+            assert abs(res / (kappa * f_pm1(l1, l2, l3, spec)) - 1.0) <= 1e-9
 
 
 class TestFreeFermionPoint:

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -118,15 +119,29 @@ class TestBoundaryScaleConversion:
             (-1.0, 1.0, 0.5),
             (1.0, 0.0, 0.5),
             (1.0, 1.0, 1.2),
-            # finite couplings whose T_B overflows, underflows or is nan
+            # finite couplings whose T_B overflows or underflows: 1.3e3004,
+            # 1.3e-2996 and 2.0e495
             (1e300, 1.0, 0.9),
             (1e-300, 1.0, 0.9),
-            (1.0, 1.0, 0.998),
+            (1.0, 1.0, 0.999),
         ],
     )
     def test_domain_errors(self, args):
         with pytest.raises(DomainError):
             t_b_from_physical(*args)
+
+    @pytest.mark.parametrize("args", [(1.0, 1.0, 0.998), (1.0, 10.0, 0.998)])
+    def test_near_z_one_against_mpmath(self, args):
+        # both Gammas of the prefactor overflow a float here (Gamma(249.5)),
+        # but T_B is 7.5e246 and 7.5e-253
+        with mpmath.workdps(30):
+            eps, lam, z = (mpmath.mpf(a) for a in args)
+            exact = (
+                mpmath.gamma(z / (2 * (1 - z)))
+                / (mpmath.sqrt(mpmath.pi) * mpmath.gamma(1 / (2 * (1 - z))))
+                * (mpmath.pi * eps / (mpmath.gamma(z) * lam**z)) ** (1 / (1 - z))
+            )
+            assert abs(t_b_from_physical(*args) / exact - 1) <= 1e-12
 
     def test_rejects_z_near_one(self):
         with pytest.raises(DomainError):

@@ -214,9 +214,10 @@ class TestSemiInfinite:
 
 
 class TestChebyshevTable:
+    # builders take the array of a panel's 41 x and return their values
     def test_interpolates_an_analytic_function(self):
         def f(x):
-            return complex(math.cos(x), math.sin(3.0 * x))
+            return np.cos(x) + 1j * np.sin(3.0 * x)
 
         table = ChebyshevTable(f, 1.0)
         for x in (-7.3, -1e-9, 0.0, 0.3, 0.999999, 20.0):
@@ -229,25 +230,26 @@ class TestChebyshevTable:
 
         def builder(x):
             calls.append(x)
-            return math.exp(x)
+            return np.exp(x)
 
         table = ChebyshevTable(builder, 0.5)
         table(1.3)
-        # 21 Chebyshev points plus the 20 interior midpoints of the check,
-        # all inside the panel [1, 1.5]
+        # one call on the 21 Chebyshev points plus the 20 interior midpoints
+        # of the check, all inside the panel [1, 1.5]
         assert table.panels == 1
-        assert len(calls) == 41 and 1.0 < min(calls) and max(calls) < 1.5
+        assert len(calls) == 1 and calls[0].shape == (41,)
+        assert 1.0 < calls[0].min() and calls[0].max() < 1.5
         table(1.1)
-        assert table.panels == 1 and len(calls) == 41
+        assert table.panels == 1 and len(calls) == 1
         table(1.6)
-        assert table.panels == 2 and len(calls) == 82
+        assert table.panels == 2 and len(calls) == 2
 
     @pytest.mark.parametrize(
         "builder",
         [
-            lambda x: 0.0 if x < 0.5 else 1.0,
+            lambda x: np.where(x < 0.5, 0.0, 1.0),
             # NaN only at the last check point, 0.5 + 0.5 cos(20 pi/21)
-            lambda x: math.nan if 0.004 < x < 0.008 else x,
+            lambda x: np.where((0.004 < x) & (x < 0.008), math.nan, x),
         ],
         ids=["step", "nan-at-the-last-check"],
     )
