@@ -2,7 +2,9 @@
 
 Output is deterministic: identical configuration produces byte-identical
 files (floats printed with 17 significant digits, rows in grid order).
-Exit codes: 0 success, 2 validation failure, 1 error.
+Exit codes: 0 success, 1 error, 2 validation failure, 3 an incomplete
+spectrum (its sum-rule ratio outside the acceptance band; the output is
+written all the same).
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from . import __version__
 from .errors import BscatError
 from .formfactors import r0_weights
 from .model import make_model, t_b_from_physical
-from .spectrum import spectrum_curve
+from .spectrum import SUM_RULE_BAND, spectrum_curve
 from .twopoint import rates_from_r, reflection_coefficient
 from .validate import SUITES
 
@@ -230,7 +232,8 @@ def rates(model, z, omega, spacing, output, fmt) -> None:
 @_format_option
 @_config_option
 def spectrum(model, z, omega, points, output, fmt) -> None:
-    """Energy-resolved decay spectrum gamma(omega'|omega)."""
+    """Energy-resolved decay spectrum gamma(omega'|omega); exit 3 if its sum
+    rule misses the acceptance band."""
     curve = spectrum_curve(omega, make_model(model, z), grid_size=points)
     diagrams = list(curve.per_diagram.keys())
     header = ["omega_prime", "gamma_spec"] + [d.value for d in diagrams]
@@ -246,9 +249,18 @@ def spectrum(model, z, omega, points, output, fmt) -> None:
         omega=omega,
         sum_rule_ratio=curve.sum_rule_ratio,
         gamma_disc=curve.gamma_disc,
+        complete=curve.complete,
     )
     footer = [f"# sum_rule_ratio = {_fmt(curve.sum_rule_ratio)}"]
     _write_table(output, fmt, header, rows, meta, footer_lines=footer)
+    if not curve.complete:
+        lo, hi = SUM_RULE_BAND
+        click.echo(
+            f"incomplete spectrum: sum_rule_ratio = {_fmt(curve.sum_rule_ratio)}"
+            f" outside [{lo}, {hi}]",
+            err=True,
+        )
+        sys.exit(3)
 
 
 @main.command()

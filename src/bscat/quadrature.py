@@ -355,7 +355,8 @@ def integrate_semi_infinite(
     _MAX_PANELS panels, and when the sine could overflow on the panels (a
     complex kappa next to the edge of the kernel's strip, where the product
     is finite but its factors are not).  Each refusal names the kernel and
-    kappa.
+    kappa.  It serves five kernel integrals: the e^{I} residual, the R_s
+    phase, F's tail and the constants c and F(-i pi).
     """
     try:
         width, n, size = panel_layout(

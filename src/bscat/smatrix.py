@@ -1,15 +1,10 @@
 """Bulk two-particle S-matrix of the sine-Gordon model (massless kinematics).
 
 Soliton-sector amplitudes are built from the scalar factor S0(theta),
-|Im theta| <= pi: for Im theta <= pi/2 its integral of sin(x theta) times a
-kernel that `quadrature.integrate_semi_infinite` tabulates once per (xi,
-panel layout), the panels sized from the kernel's nearest pole,
-min(1, 2 pi/xi), and the rate |theta|, to 1e-12; above, the crossing image
-of that integral at i pi - theta.  The integral converges for
-|Im theta| < min(xi, pi), so on the real axis at every z; the integrator
-refuses where it diverges (DomainError) or nears its strip edge
-(ToleranceNotMet), and `s0` only |Im theta| > pi and the crossing factor's
-poles.  Breather-soliton and breather-breather amplitudes are finite
+|Im theta| <= pi, which Watson's equation for the pair function gives as the
+exchange ratio -e^{I(-theta)}/e^{I(theta)} of `formfactors.exp_I`; it is
+refused at |Im theta| > pi and at its poles theta = i k xi, where e^{I(theta)}
+vanishes.  Breather-soliton and breather-breather amplitudes are finite
 products of elementary factors.  Right-left massless limits and left-mover
 conjugation are exposed for the pipeline.
 """
@@ -19,44 +14,11 @@ from __future__ import annotations
 import cmath
 import math
 
-import numpy as np
-
 from .errors import DomainError
+from .formfactors import exp_I
 from .model import Excitation, ExcitationKind, ModelSpec, check_breather, validate_excitation
-from .quadrature import integrate_semi_infinite
 
 _POLE_TOL = 1e-12
-
-
-def _s0_kernel(x: np.ndarray, xi: float) -> np.ndarray:
-    """The S0 phase kernel sinh((pi - xi) x/2) / (x sinh(xi x/2) cosh(pi x/2))
-    without its sin(x theta) factor, written with decaying exponentials only,
-    so that it neither overflows nor cancels at any x > 0."""
-    a = abs(math.pi - xi)
-    rate = 0.5 * (xi + math.pi - a)
-    return (
-        math.copysign(2.0, math.pi - xi)
-        * np.exp(-rate * x)
-        * np.expm1(-a * x)
-        / (x * np.expm1(-xi * x) * (1.0 + np.exp(-math.pi * x)))
-    )
-
-
-def _s0_integral(theta: complex, spec: ModelSpec) -> complex:
-    """The S0 phase integral, on the fixed panel rule to 1e-12 absolute; it
-    converges for |Im theta| < min(xi, pi)."""
-    xi = spec.xi
-    res = integrate_semi_infinite(
-        _s0_kernel,
-        (xi,),
-        theta,
-        1,
-        min(xi, math.pi) - abs(theta.imag),
-        # nearest kernel poles: cosh(pi x/2) at i, sinh(xi x/2) at 2 pi i/xi
-        min(1.0, 2.0 * math.pi / xi),
-        tol=1e-12,
-    )
-    return -cmath.exp(-1j * res.value)
 
 
 def _sin_ratio(theta: complex, spec: ModelSpec) -> complex:
@@ -72,22 +34,19 @@ def _sin_ratio(theta: complex, spec: ModelSpec) -> complex:
 
 
 def s0(theta: complex, spec: ModelSpec) -> complex:
-    """Scalar (anti)soliton exchange factor S0(theta), |Im theta| <= pi.
+    """Scalar (anti)soliton exchange factor S0(theta) = -e^{I(-theta)}/e^{I(theta)},
+    |Im theta| <= pi (Watson's equation for the pair function).
 
-    For Im theta <= pi/2 it is the integral; above, the crossing image
-    S0(i pi - theta) / _sin_ratio(theta).  DomainError for |Im theta| > pi
-    and at the poles theta = i k xi that the crossing factor carries; the
-    integrator raises DomainError where the integral diverges and
-    ToleranceNotMet next to the edge of its strip."""
+    DomainError for |Im theta| > pi and at the poles theta = i k xi, where
+    e^{I(theta)} vanishes, also when approached off the imaginary axis."""
     theta = complex(theta)
     if abs(theta.imag) > math.pi + 1e-12:
         raise DomainError(f"|Im theta| > pi unsupported (got {theta.imag})")
-    if theta.imag <= 0.5 * math.pi:
-        return _s0_integral(theta, spec)
-    ratio = _sin_ratio(theta, spec)
-    if abs(ratio) < _POLE_TOL:
+    num = exp_I(-theta, spec)
+    den = exp_I(theta, spec)
+    if abs(den) <= _POLE_TOL * abs(num):
         raise DomainError(f"S0 pole at theta = {theta}")
-    return _s0_integral(1j * math.pi - theta, spec) / ratio
+    return -num / den
 
 
 def s_soliton(theta: complex, channel: str, spec: ModelSpec) -> complex:

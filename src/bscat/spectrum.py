@@ -46,6 +46,9 @@ _CROSS = 1j * math.pi
 # absolute tolerance scale of the 1D omega-integrals inside each diagram
 _TOL_DIAGRAM = 1e-10
 
+# the acceptance band of a complete spectrum's sum-rule ratio
+SUM_RULE_BAND = (0.85, 1.15)
+
 
 class SpectrumDiagram(Enum):
     """Labeled diagrams of the spectrum expansion."""
@@ -81,6 +84,13 @@ class SpectrumCurve:
     per_diagram: Dict[SpectrumDiagram, Tuple[float, ...]]
     sum_rule_ratio: float
     gamma_disc: float  # coefficient of the elastic delta(omega'-omega) term
+
+    @property
+    def complete(self) -> bool:
+        """True when the diagrams carry the whole inelastic loss, i.e. the
+        sum-rule ratio lies in SUM_RULE_BAND (False for a NaN ratio)."""
+        lo, hi = SUM_RULE_BAND
+        return lo <= self.sum_rule_ratio <= hi
 
 
 def _diagram(

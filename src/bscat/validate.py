@@ -153,6 +153,8 @@ def _suite_formfactors() -> List[Check]:
         spec = make_model("bsg", z)
         p = spec.p_int
         for l1, l2 in ((0.4, -0.3), (1.2, 0.1), (-0.8, 0.9)):
+            # s0 is e^{I}'s exchange ratio, so this row checks f_pm's
+            # kinematic prefactor; the S0 oracles check e^{I} against S0
             lhs = f_pm(l1, l2, spec)
             rhs = (-1.0) ** (p + 1) * s0(l2 - l1, spec) * f_pm(l2, l1, spec)
             watson.append(abs(lhs - rhs) / max(1.0, abs(lhs)))

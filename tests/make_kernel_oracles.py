@@ -10,12 +10,15 @@ N = 2 at every z sampled here, and a different quadrature), and the R_s
 phase and S0 integrals are integrated as printed, and so are the integrals
 of the constants c and F(-i pi).  Each integral runs over
 many short mpmath.quad subintervals up to the point where its exponential
-bound falls below 1e-32.  The breather couplings
-(xi/pi) sin(pi^2/xi) S0(i theta_m), theta_m = pi - m xi, read S0 past the
-integral's strip from the rising-factorial series of its product form,
-summed by mpmath.nsum; before printing, that series is checked against the
-S0 integral inside the strip and against the closed value -sqrt(3) at
-z = 0.4, t = pi/3.
+bound falls below 1e-32.  bscat takes S0 from its e^{I} (the exchange
+ratio of Watson's equation); these S0 rows are what check it against
+values computed another way: the S0 and S0_FAR rows from the S0 integral,
+the S0_IMAG_AXIS rows S0(i t) past the integral's strip from the
+rising-factorial series of its product form, summed by mpmath.nsum.  The
+breather couplings (xi/pi) sin(pi^2/xi) S0(i theta_m), theta_m = pi - m xi,
+read S0 from that series too; before printing, the series is checked
+against the S0 integral inside the strip and against the closed value
+-sqrt(3) at z = 0.4, t = pi/3.
 """
 
 from __future__ import annotations
@@ -225,7 +228,17 @@ S0_POINTS = tuple(
 ) + tuple(
     # the real axis at small z, where the integral's strip is narrow
     (z, complex(re, 0.0)) for z in (0.1, 0.05) for re in (0.5, -3.0, 8.0)
+) + tuple(
+    # past Im theta = pi/2, still inside the integral's strip (xi = 2.09)
+    (0.4, complex(re, im))
+    for re, im in ((0.7, 1.6), (-1.2, 1.9), (2.0, 1.8))
 )
+
+# far out on the real axis at small z, held to 1e-11 absolute: (z, theta)
+S0_FAR_POINTS = ((0.05, complex(-35.0, 0.0)), (0.03, complex(20.0, 0.0)))
+
+# the imaginary axis past the integral's strip, from the product form: (z, t)
+S0_IMAG_AXIS_POINTS = ((0.1, 1.0), (0.15, 1.0), (0.15, 2.0), (0.25, 1.2), (0.3, 1.5))
 
 
 def breather_coupling(m, z):
@@ -273,7 +286,15 @@ if __name__ == "__main__":
     for z, theta in S0_POINTS:
         print(f"    ({z!r}, {_fmt(theta)}, {_fmt(s0(theta, z))}),")
     print(")")
+    print("S0_FAR = (")
+    for z, theta in S0_FAR_POINTS:
+        print(f"    ({z!r}, {_fmt(theta)}, {_fmt(s0(theta, z))}),")
+    print(")")
     _check_s0_imag_axis()
+    print("S0_IMAG_AXIS = (")
+    for z, t in S0_IMAG_AXIS_POINTS:
+        print(f"    ({z!r}, {t!r}, {float(s0_imag_axis(t, z))!r}),")
+    print(")")
     print("BREATHER_COUPLING = (")
     for z, m in BREATHER_COUPLING_POINTS:
         print(f"    ({z!r}, {m!r}, {float(breather_coupling(m, z))!r}),")

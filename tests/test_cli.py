@@ -372,6 +372,23 @@ class TestSpectrum:
         assert payload["meta"]["omega"] == 2.0
         assert payload["meta"]["sum_rule_ratio"] == pytest.approx(1.0, abs=1e-4)
         assert payload["meta"]["gamma_disc"] < 0.0
+        assert payload["meta"]["complete"] is True
+
+    def test_incomplete_spectrum_exits_3_with_its_rows_written(self, runner):
+        # Kondo z = 1/3 misses the sum-rule band (ratio 0.763): the table
+        # is written, the ratio and the band go to stderr, and the exit is 3
+        argv = ["spectrum", "--model", "kondo", "--z", str(1.0 / 3.0), "--omega", "1", "--points", "4"]
+        res = runner.invoke(main, argv)
+        assert res.exit_code == 3
+        header, rows = _rows(res.stdout)
+        assert header[:2] == ["omega_prime", "gamma_spec"] and len(rows) == 3
+        assert res.stdout.splitlines()[-1].startswith("# sum_rule_ratio = 0.76")
+        assert "outside [0.85, 1.15]" in res.stderr
+        res = runner.invoke(main, argv + ["--format", "json"])
+        assert res.exit_code == 3
+        meta = json.loads(res.stdout)["meta"]
+        assert meta["complete"] is False
+        assert meta["sum_rule_ratio"] == pytest.approx(0.763, abs=1e-3)
 
 
 class TestR0:
@@ -484,14 +501,14 @@ class TestValidate:
 # sha256 of stdout; a change that moves these bytes updates the hash here
 # and records the moved output
 _PINNED_STDOUT = {
-    "validate --suite all": "7f905c7d230a647dd8a4f1e8685d4532af077ab97299ada2ec9ec4b18eb9bd85",
+    "validate --suite all": "09f8d41f6d863f0a36f7fc8078e3c03b0d946eabb6c6818729573b4c68ace60b",
     "rates --model bsg --z 0.3333333333333333 --omega 0.7": "5aff7dfb9339bc69eedea4131f8d7cf175a00c59de6cec0aac687660c5644790",
     "rates --model kondo --z 0.3333333333333333 --omega 0.7": "d3d2dc9e86c0aa0c7da4d4db8ea3760c1bca9ea87f4e5c25e3e173f37a9083ae",
     "rates --model kondo --z 0.5 --omega 1e-2..1e2:12 --format json": "64647b72a05d5382bb80808edf076fe6f271d79be38df4e5f8b90902d4546bd5",
     "r0 --model bsg --z 0.3333333333333333": "c74b65a42e5fdc5953e86887be7fe618856237715a928146fe55a73b8c06c6b8",
     "r0 --model bsg --z 0.2": "262ce4dd521503700744776bbf0fc9e8b6ba2d62e2943269e19b09762b699e42",
     "spectrum --model kondo --z 0.5 --omega 1 --points 10": "75109442bba416e7c7dd446782fb5983a47abe8032207fb416011a2779f5ecf8",
-    "spectrum --model bsg --z 0.3333333333333333 --omega 1 --points 8": "8a467effc184ccb333648b0c1cf0b1fdd797ab5c5cbb15ed89b5b8f0f55afff2",
+    "spectrum --model bsg --z 0.3333333333333333 --omega 1 --points 8": "366db0b6359fbb5f448848ac91d8d6b46af29cad054b0cece221a3eed8499122",
 }
 
 

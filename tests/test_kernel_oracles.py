@@ -4,11 +4,14 @@ The reference values below were computed with mpmath at 30 digits by
 tests/make_kernel_oracles.py (run it to reprint them): e^{I(lambda)} from its
 integral representation with N = 5 Gamma factors (EXP_I_REMOVABLE at the
 exact rational z), the R_s phase and the S0
-integral as printed, the breather couplings (xi/pi) sin(pi^2/xi)
+integral as printed (S0, S0_FAR), S0(i t) past that integral's strip
+(S0_IMAG_AXIS) and the breather couplings (xi/pi) sin(pi^2/xi)
 S0(i theta_m) with S0 from the rising-factorial series of its product form,
 and the constants c and F(-i pi) from their integrals as printed.  Rows are
-(z, argument, reference); the BREATHER_COUPLING argument is the breather
-number m, and the constants' rows are (z, reference).
+(z, argument, reference); the S0_IMAG_AXIS argument is t, the
+BREATHER_COUPLING argument the breather number m, and the constants' rows
+are (z, reference).  bscat's S0 is the exchange ratio of its e^{I}, so these
+rows are what tie the two to independent values.
 """
 
 import math
@@ -186,6 +189,20 @@ S0 = (
     (0.05, complex(0.5, 0.0), complex(-0.9250599603050222, 0.37982110241595407)),
     (0.05, complex(-3.0, 0.0), complex(0.360487084378824, -0.9327642049285846)),
     (0.05, complex(8.0, 0.0), complex(0.999967220577275, 0.008096775343273544)),
+    (0.4, complex(0.7, 1.6), complex(-1.4930483290935903, 1.2177916660918526)),
+    (0.4, complex(-1.2, 1.9), complex(-0.8997747975169123, -1.1368684296704243)),
+    (0.4, complex(2.0, 1.8), complex(-0.7971728389102001, 0.8561169858417457)),
+)
+S0_FAR = (
+    (0.05, complex(-35.0, 0.0), complex(1.0, -1.6962222923535446e-14)),
+    (0.03, complex(20.0, 0.0), complex(-0.49999992657233155, -0.8660254461779187)),
+)
+S0_IMAG_AXIS = (
+    (0.1, 1.0, -15684.11028233554),
+    (0.15, 1.0, 314.185889429035),
+    (0.15, 2.0, 253.47469190403865),
+    (0.25, 1.2, 27.2377548153266),
+    (0.3, 1.5, 17.336435179625227),
 )
 BREATHER_COUPLING = (
     (0.3, 1, 2.507920675325408),
@@ -309,10 +326,25 @@ def test_worst_sees_nan():
 
 
 def test_s0_at_z_04():
-    # each row at its own z: z = 0.4 in and next to the strip, and the real
-    # axis at z = 0.1 and 0.05, where the strip half-width xi is 0.35 and 0.17
+    # each row at its own z: z = 0.4 off the real axis, up to Im theta = 1.9,
+    # and the real axis at z = 0.1 and 0.05, where the integral's strip
+    # half-width xi is 0.35 and 0.17
     for z, theta, ref in S0:
         assert abs(s0(theta, make_model("bsg", z)) - ref) <= 1e-12
+
+
+def test_s0_far_on_the_real_axis():
+    # the exchange ratio of e^{I} carries the rounding of e^{I}'s exponent,
+    # which grows with |theta|/xi: 3.0e-12 at z = 0.05, theta = -35
+    for z, theta, ref in S0_FAR:
+        assert abs(s0(theta, make_model("bsg", z)) - ref) <= 1e-11
+
+
+def test_s0_on_the_imaginary_axis():
+    # past the integral's strip |Im theta| < xi, against the series of the
+    # product form; S0(i t) is real there
+    for z, t, ref in S0_IMAG_AXIS:
+        assert abs(s0(1j * t, make_model("bsg", z)) - ref) <= 1e-12 * abs(ref)
 
 
 @pytest.mark.parametrize("z, m, ref", BREATHER_COUPLING)

@@ -3,8 +3,11 @@ import math
 
 import pytest
 
+import bscat.formfactors as formfactors
+import bscat.quadrature as quadrature
 import bscat.smatrix as smatrix_mod
-from bscat.errors import DomainError, ToleranceNotMet
+from bscat.errors import DomainError
+from bscat.formfactors import exp_I
 from bscat.model import ANTISOLITON, SOLITON, breather, make_model
 from bscat.smatrix import (
     s0,
@@ -49,36 +52,52 @@ class TestScalarFactor:
             assert abs(lhs - rhs) < 1e-10
 
     def test_imaginary_axis_pole(self):
-        # S0(i t) has poles at t = (k + 1) xi; at z = 0.3 the second lies
-        # past the integral's strip, where S0 is the crossing image
+        # S0(i t) has poles at t = k xi, k >= 1, where e^{I(i t)} vanishes
         spec = make_model("bsg", 0.3)
-        with pytest.raises(DomainError):
-            s0(2j * spec.xi, spec)
+        for k in (1, 2):
+            with pytest.raises(DomainError, match="S0 pole"):
+                s0(k * 1j * spec.xi, spec)
 
     def test_pole_just_off_the_imaginary_axis(self):
-        # the crossing factor's zero at t = 2 xi, approached off the axis
+        # the zero of e^{I} at t = 2 xi, approached off the axis
         spec = make_model("bsg", 0.3)
         with pytest.raises(DomainError):
             s0(1e-300 + 2j * spec.xi, spec)
 
     def test_branches_agree_past_pi_half(self):
-        # at z = 0.4 the integral converges up to Im theta = xi = 2.09, past
-        # pi/2, where s0 takes the crossing image: the two agree there
+        # past Im theta = pi/2 the exchange ratio agrees with the crossing
+        # image of S0 at i pi - theta, which lies below pi/2
         spec = make_model("bsg", 0.4)
         for theta in (complex(0.7, 1.6), complex(-1.2, 1.9), complex(2.0, 1.8)):
-            direct = smatrix_mod._s0_integral(theta, spec)
-            assert abs(s0(theta, spec) - direct) <= 1e-12
+            image = s0(1j * math.pi - theta, spec) / smatrix_mod._sin_ratio(theta, spec)
+            assert abs(s0(theta, spec) - image) <= 1e-12
 
-    def test_integrator_refuses_outside_the_strip(self):
-        # at z = 0.1 the integral converges for |Im theta| < xi = 0.35 only:
-        # past that it diverges, and next to it the panel rule refuses; the
-        # refusal names the kernel and its argument
-        spec = make_model("bsg", 0.1)
-        with pytest.raises(DomainError, match=r"^_s0_kernel at kappa = \(0\.3\+1j\): .*diverges"):
-            s0(complex(0.3, 1.0), spec)
-        for eps in (1e-9, 1e-3):
-            with pytest.raises(ToleranceNotMet, match="decay rate"):
-                s0(complex(0.3, spec.xi - eps), spec)
+    @pytest.mark.parametrize("z", [0.1, 0.15])
+    def test_crossing_past_the_integral_strip(self, z):
+        # S0(i pi - theta) = S0(theta) times the crossing factor, with theta
+        # and i pi - theta both where the S0 integral diverges (its strip is
+        # |Im theta| < xi = 0.35, 0.55)
+        spec = make_model("bsg", z)
+        for theta in (complex(0.5, 1.0), complex(-0.7, 0.6), complex(1.2, 2.0)):
+            lhs = s0(1j * math.pi - theta, spec)
+            rhs = s0(theta, spec) * smatrix_mod._sin_ratio(theta, spec)
+            assert abs(lhs - rhs) < 1e-10
+
+    def test_s0_makes_no_kernel_integral(self, monkeypatch):
+        # S0 is the exchange ratio of e^{I}: with e^{I(+-theta)} known, no
+        # semi-infinite integral runs
+        spec = make_model("bsg", 0.3)
+        theta = complex(1.3, 0.4)
+        exp_I(theta, spec)
+        exp_I(-theta, spec)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("integrate_semi_infinite called")
+
+        for mod in (quadrature, formfactors, smatrix_mod):
+            if hasattr(mod, "integrate_semi_infinite"):
+                monkeypatch.setattr(mod, "integrate_semi_infinite", refuse)
+        s0(theta, spec)
 
     def test_rejects_outside_strip(self):
         with pytest.raises(DomainError):

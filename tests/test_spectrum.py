@@ -20,6 +20,7 @@ from bscat.quadrature import QuadResult
 from bscat.reflection import _rs_phase_cached, soliton_pair_bracket
 from bscat.referm import spectrum_half
 from bscat.spectrum import (
+    SpectrumCurve,
     SpectrumDiagram,
     active_diagrams,
     diagram_g1_1,
@@ -479,8 +480,17 @@ class TestSpectrumCurve:
         assert len(curve.values) == len(curve.omega_primes)
         assert all(v > 0.0 for v in curve.values)
         assert abs(curve.sum_rule_ratio - 1.0) <= 1e-9
+        assert curve.complete
         # elastic delta-function weight is a negative depletion
         assert -1.0 < curve.gamma_disc < 0.0
+
+    @pytest.mark.parametrize(
+        "ratio, complete",
+        [(1.0, True), (0.85, True), (1.15, True), (0.8499, False), (1.1501, False), (math.nan, False)],
+    )
+    def test_complete_is_the_sum_rule_band(self, ratio, complete):
+        curve = SpectrumCurve(1.0, (), (), {}, sum_rule_ratio=ratio, gamma_disc=-0.1)
+        assert curve.complete is complete
 
     def test_values_sum_per_diagram(self):
         curve = spectrum_curve(1.0, make_model("kondo", 0.5), grid_size=8)
