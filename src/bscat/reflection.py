@@ -1,9 +1,11 @@
 """Boundary reflection matrices in the massless limit.
 
 Single-excitation amplitudes R_e^{e'}(lambda) for both models (solitons may
-flip charge off the boundary; breathers reflect diagonally), products over
-excitation sets including the right-left exchange phases, and the conjugation
-identity R(lambda + i pi) = conj(R(lambda)) as a checkable residual.
+flip charge off the boundary; breathers reflect diagonally) and the
+soliton-pair brackets that r(omega) and gamma(omega'|omega) read, with the
+right-left exchange phase exp(-i pi/2z) set in `soliton_pair_bracket`.
+`bscat validate` checks boundary crossing, R(lambda + i pi) =
+conj(R(lambda)), on those brackets and on the breather amplitudes.
 
 `soliton_amplitudes` returns a soliton's flip and keep-charge amplitudes
 together, from one R_s in the boundary sine-Gordon model (the Kondo
@@ -34,17 +36,15 @@ phase(-conj lambda) = -conj phase(lambda), the tables hold Re lambda >= 0.
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 from functools import lru_cache
-from typing import Dict, Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from .errors import DomainError
 from .model import Excitation, ExcitationKind, ModelSpec, check_breather, validate_excitation
 from .quadrature import ChebyshevTable, integrate_semi_infinite, strip_panel_width
-from .smatrix import s_rl_limit
 
 _POLE_TOL = 1e-12
 # the phase integral differs from its large-|Re lambda| limit by about
@@ -249,72 +249,3 @@ def soliton_split_bracket(
     flip_in, diag_in = soliton_amplitudes(lam_in, spec)
     flip_out, diag_out = soliton_amplitudes(lam_out, spec)
     return flip_in.conjugate() * flip_out - diag_in.conjugate() * diag_out
-
-
-def _out_label_choices(exc: Excitation, spec: ModelSpec) -> Tuple[Excitation, ...]:
-    if exc.kind is ExcitationKind.Breather:
-        return (exc,)
-    return (exc, exc.conjugate)
-
-
-def r_product(
-    excs: Sequence[Tuple[Excitation, float]], spec: ModelSpec
-) -> Dict[Tuple[Excitation, ...], complex]:
-    """Product of reflection amplitudes over an ordered excitation set, summed
-    label structure: maps each outgoing label assignment to
-
-        prod_{l<k} S~_{e_k e'_l} * prod_k R_{e_k}^{e'_k}(lambda_k),
-
-    where S~ is the right-left massless exchange limit.  Rapidities must be
-    pre-shifted by the caller's mass-ratio convention.
-    """
-    for exc, _ in excs:
-        validate_excitation(exc, spec)
-    n = len(excs)
-    singles = []
-    for exc, lam in excs:
-        row = {}
-        for out in _out_label_choices(exc, spec):
-            row[out] = r_amplitude(lam, exc, out, spec)
-        singles.append(row)
-    result: Dict[Tuple[Excitation, ...], complex] = {}
-    for combo in itertools.product(*(row.keys() for row in singles)):
-        value = 1.0 + 0.0j
-        for k in range(n):
-            value *= singles[k][combo[k]]
-        for l in range(n - 1):
-            for k in range(l + 1, n):
-                value *= s_rl_limit(excs[k][0], combo[l], spec)
-        result[tuple(combo)] = value
-    return result
-
-
-def r_conjugation_check(
-    excs: Sequence[Tuple[Excitation, float]], spec: ModelSpec
-) -> float:
-    """Residual of the crossing identity Rprod(lambda + i pi) = conj(Rprod(lambda)).
-
-    The identity holds on charge-neutral excitation sets, entry by entry over
-    the charge-conserving outgoing label assignments (the only entries entering
-    observables); the input set must therefore be charge-neutral.  The
-    residual is the largest over those entries, NaN if any entry is NaN.
-    """
-    total_charge = sum(exc.charge for exc, _ in excs)
-    if total_charge != 0:
-        raise DomainError(
-            "conjugation check requires a charge-neutral excitation set "
-            f"(got total charge {total_charge})"
-        )
-    base = r_product(excs, spec)
-    shifted = r_product(
-        [(exc, complex(lam, math.pi)) for exc, lam in excs], spec
-    )
-    return float(
-        np.max(
-            [
-                abs(shifted[combo] - value.conjugate())
-                for combo, value in base.items()
-                if sum(e.charge for e in combo) == 0
-            ]
-        )
-    )

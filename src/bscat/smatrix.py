@@ -5,8 +5,8 @@ Soliton-sector amplitudes are built from the scalar factor S0(theta),
 exchange ratio -e^{I(-theta)}/e^{I(theta)} of `formfactors.exp_I`; it is
 refused at |Im theta| > pi and at its poles theta = i k xi, where e^{I(theta)}
 vanishes.  Breather-soliton and breather-breather amplitudes are finite
-products of elementary factors.  Right-left massless limits and left-mover
-conjugation are exposed for the pipeline.
+products of elementary factors; `s_entry` reads any of them by excitation
+labels.
 """
 
 from __future__ import annotations
@@ -125,19 +125,6 @@ def s_breather_breather(theta: complex, m1: int, m2: int, spec: ModelSpec) -> co
     for j in range(1, min(m1, m2)):
         out *= _tanh_ratio(theta, (d + 2 * j) * xi / 2.0) ** 2
     return out
-
-
-def s_rl_limit(e1: Excitation, e2: Excitation, spec: ModelSpec) -> complex:
-    """Massless right-left exchange limit (diagonal): e^{-i pi/(2z)} for equal
-    soliton charges, its conjugate for opposite charges, 1 with any breather."""
-    validate_excitation(e1, spec)
-    validate_excitation(e2, spec)
-    if e1.kind is ExcitationKind.Breather or e2.kind is ExcitationKind.Breather:
-        return 1.0 + 0.0j
-    phase = cmath.exp(-1j * math.pi / (2.0 * spec.z))
-    if e1.charge == e2.charge:
-        return phase
-    return phase.conjugate()
 
 
 def s_entry(

@@ -28,8 +28,8 @@ from .reflection import (
     _rs_phase_direct,
     r_amplitude,
     r_breather,
-    r_conjugation_check,
     soliton_amplitudes,
+    soliton_pair_bracket,
 )
 from .smatrix import s0, s_breather_breather, s_breather_soliton, s_entry, s_soliton
 
@@ -111,16 +111,20 @@ def _suite_reflection() -> List[Check]:
                             ).conjugate()
                         target = 1.0 if e == e2 else 0.0
                         unitarity.append(abs(acc - target))
-                # the soliton-sector continuation to Im lambda = pi exists only
-                # for xi > 2 pi / 3 (bsG); Kondo solitons are meromorphic
+                # boundary crossing, R(lambda + i pi) = conj(R(lambda)), on the
+                # brackets and amplitudes that r(omega) and gamma(omega'|omega)
+                # read.  The soliton-sector continuation to Im lambda = pi
+                # exists only for xi > 2 pi / 3 (bsG); Kondo solitons are
+                # meromorphic
+                shift = 1j * math.pi
                 if spec.is_kondo or 3.0 * spec.xi > 2.0 * math.pi + 1e-9:
-                    conjugation.append(
-                        r_conjugation_check(
-                            [(SOLITON, lam), (ANTISOLITON, lam + 0.3)], spec
-                        )
-                    )
+                    for sign in (-1, 1):
+                        crossed = soliton_pair_bracket(lam + shift, lam + 0.3 + shift, spec, sign)
+                        direct = soliton_pair_bracket(lam, lam + 0.3, spec, sign)
+                        conjugation.append(abs(crossed - direct.conjugate()))
                 if spec.n_breathers >= 1:
-                    conjugation.append(r_conjugation_check([(breather(1), lam)], spec))
+                    crossed = r_breather(lam + shift, 1, spec)
+                    conjugation.append(abs(crossed - r_breather(lam, 1, spec).conjugate()))
                 flip, diag = soliton_amplitudes(lam, spec)
                 if spec.is_kondo:
                     modulus.append(abs(abs(flip) - 1.0))

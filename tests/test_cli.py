@@ -477,6 +477,7 @@ class TestValidate:
         [
             ("s0", 2, "smatrix", "s-crossing"),
             ("f_breather1", 3, "formfactors", "kinematic-pole"),
+            ("soliton_pair_bracket", 2, "reflection", "r-conjugation"),
         ],
     )
     def test_nan_sample_after_a_finite_one_fails(
@@ -501,7 +502,7 @@ class TestValidate:
 # sha256 of stdout; a change that moves these bytes updates the hash here
 # and records the moved output
 _PINNED_STDOUT = {
-    "validate --suite all": "09f8d41f6d863f0a36f7fc8078e3c03b0d946eabb6c6818729573b4c68ace60b",
+    "validate --suite all": "0b01ca00055d0e4db160df1b931470b16f5739c8ddae70fbaa4933bd53a63c2c",
     "rates --model bsg --z 0.3333333333333333 --omega 0.7": "5aff7dfb9339bc69eedea4131f8d7cf175a00c59de6cec0aac687660c5644790",
     "rates --model kondo --z 0.3333333333333333 --omega 0.7": "d3d2dc9e86c0aa0c7da4d4db8ea3760c1bca9ea87f4e5c25e3e173f37a9083ae",
     "rates --model kondo --z 0.5 --omega 1e-2..1e2:12 --format json": "64647b72a05d5382bb80808edf076fe6f271d79be38df4e5f8b90902d4546bd5",
@@ -532,14 +533,36 @@ def test_cli_imports_no_private_name():
     assert private == []
 
 
-def test_cli_import_leaves_scipy_out():
-    # scipy is a test dependency only: a fresh interpreter importing the CLI
-    # must not load it
+def _fresh_interpreter(probe: str) -> str:
+    """stdout of `probe` run by a fresh interpreter that imports this bscat."""
     src = str(Path(cli_mod.__file__).resolve().parents[1])
     path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
-    probe = "import sys, bscat.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     res = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
     )
-    assert res.stdout.strip() == "[]"
+    return res.stdout.strip()
+
+
+def test_cli_import_leaves_scipy_out():
+    # scipy is a test dependency only: a fresh interpreter importing the CLI
+    # must not load it
+    probe = "import sys, bscat.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    assert _fresh_interpreter(probe) == "[]"
+
+
+def test_reflection_import_leaves_smatrix_out():
+    # the reflection amplitudes and brackets do not depend on the bulk
+    # S-matrix.  The package's __init__ imports every observable (and
+    # with them smatrix), so the probe loads the bscat package without
+    # running it and then imports bscat.reflection alone
+    probe = (
+        "import importlib.util, sys; "
+        "spec = importlib.util.find_spec('bscat'); "
+        "pkg = importlib.util.module_from_spec(spec); sys.modules['bscat'] = pkg; "
+        "import bscat.reflection; "
+        "print(sorted(m for m in sys.modules if m.startswith('bscat.')))"
+    )
+    loaded = _fresh_interpreter(probe)
+    assert "bscat.reflection" in loaded
+    assert "bscat.smatrix" not in loaded

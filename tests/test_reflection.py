@@ -10,9 +10,7 @@ from bscat.reflection import (
     r_amplitude,
     r_breather,
     r_bsg_breather,
-    r_conjugation_check,
     r_kondo_breather,
-    r_product,
     soliton_amplitudes,
     soliton_pair_bracket,
     soliton_split_bracket,
@@ -273,58 +271,27 @@ class TestProductsAndBracket:
     def test_product_high_rapidity_delta(self):
         # at high rapidity the reflection is a pure charge flip
         spec = make_model("bsg", 0.5)
-        table = r_product([(SOLITON, 30.0), (ANTISOLITON, 30.3)], spec)
-        dominant = table[(ANTISOLITON, SOLITON)]
-        assert abs(abs(dominant) - 1.0) < 1e-9
-        for combo, val in table.items():
-            if combo != (ANTISOLITON, SOLITON):
-                assert abs(val) < 1e-9
-
-    def test_product_includes_exchange_phase(self):
-        spec = make_model("bsg", 1.0 / 3.0)
-        table = r_product([(SOLITON, 0.4), (ANTISOLITON, -0.1)], spec)
-        from bscat.smatrix import s_rl_limit
-
-        manual = (
-            r_amplitude(0.4, SOLITON, ANTISOLITON, spec)
-            * r_amplitude(-0.1, ANTISOLITON, SOLITON, spec)
-            * s_rl_limit(ANTISOLITON, ANTISOLITON, spec)
-        )
-        assert table[(ANTISOLITON, SOLITON)] == pytest.approx(manual, abs=1e-12)
+        flip, diag = soliton_amplitudes(30.0, spec)
+        assert abs(abs(flip) - 1.0) < 1e-9
+        assert abs(diag) < 1e-9
 
 
 class TestConjugationIdentity:
+    # boundary crossing, R(lambda + i pi) = conj(R(lambda)), on what the
+    # observables read: both signs of the soliton-pair bracket and the
+    # breather amplitude
     @pytest.mark.parametrize("z", [0.5, 0.6])
     def test_soliton_pair_both_models(self, z):
+        shift = 1j * math.pi
         for kind in ("bsg", "kondo"):
             spec = make_model(kind, z)
-            res = r_conjugation_check(
-                [(SOLITON, 0.4), (ANTISOLITON, 0.7)], spec
-            )
-            assert res < 1e-9
+            for sign in (-1, 1):
+                crossed = soliton_pair_bracket(0.4 + shift, 0.7 + shift, spec, sign)
+                direct = soliton_pair_bracket(0.4, 0.7, spec, sign)
+                assert abs(crossed - direct.conjugate()) < 1e-9
 
     def test_breather_all_couplings(self):
         for kind in ("bsg", "kondo"):
             spec = make_model(kind, 1.0 / 3.0)
-            assert r_conjugation_check([(breather(1), 0.3)], spec) < 1e-9
-
-    def test_charged_set_rejected(self):
-        spec = make_model("bsg", 0.5)
-        with pytest.raises(DomainError):
-            r_conjugation_check([(SOLITON, 0.4)], spec)
-
-    def test_nan_entry_gives_nan_residual(self, monkeypatch):
-        # the shifted set's amplitudes come back NaN: the residual is NaN,
-        # not the 0.0 a max(residual, ...) accumulator would keep
-        real = reflection_mod.r_product
-
-        def nan_when_shifted(excs, spec):
-            table = real(excs, spec)
-            if any(complex(lam).imag for _, lam in excs):
-                return {combo: complex(math.nan, math.nan) for combo in table}
-            return table
-
-        monkeypatch.setattr(reflection_mod, "r_product", nan_when_shifted)
-        spec = make_model("bsg", 0.5)
-        res = r_conjugation_check([(SOLITON, 0.4), (ANTISOLITON, 0.7)], spec)
-        assert math.isnan(res)
+            crossed = r_breather(0.3 + 1j * math.pi, 1, spec)
+            assert abs(crossed - r_breather(0.3, 1, spec).conjugate()) < 1e-9

@@ -9,12 +9,12 @@ import bscat.smatrix as smatrix_mod
 from bscat.errors import DomainError
 from bscat.formfactors import exp_I
 from bscat.model import ANTISOLITON, SOLITON, breather, make_model
+from bscat.reflection import soliton_amplitudes, soliton_pair_bracket
 from bscat.smatrix import (
     s0,
     s_breather_breather,
     s_breather_soliton,
     s_entry,
-    s_rl_limit,
     s_soliton,
 )
 
@@ -183,18 +183,33 @@ class TestBreatherAmplitudes:
 
 
 class TestRightLeftLimit:
+    # the massless right-left exchange phase e^{-i pi/2z} multiplies the
+    # charge-flip channel of the soliton-pair bracket, and its conjugate the
+    # charge-keeping channel
     def test_soliton_phases_z_third(self):
-        spec = make_model("bsg", 1.0 / 3.0)
-        assert s_rl_limit(SOLITON, SOLITON, spec) == pytest.approx(1j, abs=1e-14)
-        assert s_rl_limit(SOLITON, ANTISOLITON, spec) == pytest.approx(
-            -1j, abs=1e-14
+        spec = make_model("kondo", 1.0 / 3.0)
+        flip1, flip2 = soliton_amplitudes(0.4, spec)[0], soliton_amplitudes(-0.1, spec)[0]
+        assert soliton_pair_bracket(0.4, -0.1, spec) / (flip1 * flip2) == pytest.approx(
+            1j, abs=1e-14
         )
+        spec = make_model("bsg", 1.0 / 3.0)
+        flip1, diag1 = soliton_amplitudes(0.4, spec)
+        flip2, diag2 = soliton_amplitudes(-0.1, spec)
+        plus = soliton_pair_bracket(0.4, -0.1, spec, sign=+1)
+        minus = soliton_pair_bracket(0.4, -0.1, spec, sign=-1)
+        assert (plus + minus) / (2.0 * flip1 * flip2) == pytest.approx(1j, abs=1e-14)
+        assert (plus - minus) / (2.0 * diag1 * diag2) == pytest.approx(-1j, abs=1e-14)
 
     def test_breather_is_transparent(self):
+        # the right-left limit is the theta -> infinity limit of the massive
+        # amplitude: 1 with any breather, so breather terms carry no phase
         spec = make_model("bsg", 1.0 / 3.0)
-        assert s_rl_limit(breather(1), SOLITON, spec) == 1.0
-        assert s_rl_limit(SOLITON, breather(1), spec) == 1.0
+        assert s_breather_soliton(40.0, 1, spec) == pytest.approx(1.0, abs=1e-12)
+        assert s_breather_breather(40.0, 1, 1, spec) == pytest.approx(1.0, abs=1e-12)
 
     def test_free_fermion_point(self):
-        spec = make_model("bsg", 0.5)
-        assert s_rl_limit(SOLITON, SOLITON, spec) == pytest.approx(-1.0, abs=1e-14)
+        spec = make_model("kondo", 0.5)
+        flip1, flip2 = soliton_amplitudes(0.4, spec)[0], soliton_amplitudes(-0.1, spec)[0]
+        assert soliton_pair_bracket(0.4, -0.1, spec) / (flip1 * flip2) == pytest.approx(
+            -1.0, abs=1e-14
+        )
