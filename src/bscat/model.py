@@ -18,6 +18,11 @@ _P_INT_TOL = 1e-9
 # the logs of the largest finite and the smallest normal float
 _LOG_HUGE = math.log(sys.float_info.max)
 _LOG_TINY = math.log(sys.float_info.min)
+# the smallest frequency served: the integrands divide by products of up to
+# four line energies, each at most omega, which underflow once omega nears
+# the fourth root of the smallest normal float, 1.2e-77 (the first spectrum
+# point fails at 1e-80); the floor leaves a margin for energies below omega
+_OMEGA_MIN = 1e-50
 
 
 class ModelKind(enum.Enum):
@@ -133,9 +138,11 @@ def mass_ratio(exc: Excitation, spec: ModelSpec) -> float:
 
 
 def check_omega(omega: float) -> None:
-    """Raise DomainError unless the frequency omega is finite and positive."""
+    """Raise DomainError unless the frequency omega is finite and >= _OMEGA_MIN."""
     if not (math.isfinite(omega) and omega > 0):
         raise DomainError(f"omega must be finite and positive, got {omega}")
+    if omega < _OMEGA_MIN:
+        raise DomainError(f"omega = {omega} is below the floor {_OMEGA_MIN}")
 
 
 def t_b_from_physical(epsilon_J: float, cutoff_Lambda: float, z: float) -> float:

@@ -100,8 +100,9 @@ def adaptive_1d(
     Deterministic: the worst-error interval (ties broken by left endpoint)
     is always split next, and the final sum is accumulated in interval order.
     An interval too narrow to split (QUADPACK's roundoff test: about 200 ulp
-    of its endpoints wide) is frozen with its error estimate kept, so that a
-    singularity the rule cannot resolve raises ToleranceNotMet.
+    of its endpoints wide) holds a singularity the rule cannot resolve: the
+    call raises ToleranceNotMet at once, naming the interval, with the sum of
+    all intervals as its value and an infinite error estimate.
     """
     if not (a < b):
         raise DomainError(f"need a < b, got [{a}, {b}]")
@@ -109,22 +110,18 @@ def adaptive_1d(
     # heap entries: (-err, a, b, value, err); tuple comparison falls through
     # to `a` for ties, which is deterministic.
     heap = [(-err, a, b, val, err)]
-    frozen = []
     total_err = err
-    frozen_err = 0.0
     nevals = n
-    while total_err > tol and len(heap) + len(frozen) < _MAX_INTERVALS:
-        entry = heapq.heappop(heap)
-        _, ia, ib, _, ierr = entry
+    while total_err > tol and len(heap) < _MAX_INTERVALS:
+        _, ia, ib, ival, ierr = heapq.heappop(heap)
         mid = 0.5 * (ia + ib)
         if mid <= ia or mid >= ib or ib - ia <= _ROUNDOFF_WIDTH * max(abs(ia), abs(ib)):
-            frozen.append(entry)
-            frozen_err += ierr
-            # no split can bring the total under tol once the frozen
-            # intervals' share alone exceeds it
-            if not heap or frozen_err > tol:
-                break
-            continue
+            intervals = sorted(heap + [(0.0, ia, ib, ival, ierr)], key=lambda t: t[1])
+            raise ToleranceNotMet(
+                f"adaptive_1d: cannot split [{ia!r}, {ib!r}] to meet tol {tol:.3e}",
+                value=sum((t[3] for t in intervals), 0.0 + 0.0j),
+                abs_error_estimate=math.inf,
+            )
         total_err -= ierr
         v1, e1, n1 = _gk15(integrand, ia, mid)
         v2, e2, n2 = _gk15(integrand, mid, ib)
@@ -133,7 +130,7 @@ def adaptive_1d(
         heapq.heappush(heap, (-e2, mid, ib, v2, e2))
         total_err += e1 + e2
     # deterministic accumulation: sort by left endpoint
-    intervals = sorted(heap + frozen, key=lambda t: t[1])
+    intervals = sorted(heap, key=lambda t: t[1])
     value = 0.0 + 0.0j
     total_err = 0.0
     for _, _, _, ival, ierr in intervals:

@@ -134,6 +134,7 @@ def _diagram(
     where the product is close to 1.  The boundary sine-Gordon brackets are
     not unimodular and keep the direct form.
     """
+    check_omega(omega)
     if not (0.0 < omega_p < omega):
         raise DomainError(
             f"need 0 < omega_p < omega, got omega_p={omega_p}, omega={omega}"

@@ -41,6 +41,8 @@ def _rows(csv_text):
         (["rates", "--z", "0.5", "--omega", "1..inf:3"], 1),
         (["rates", "--z", "1.5", "--omega", "1"], 1),
         (["spectrum", "--z", "0.5", "--omega", "-1"], 1),
+        # below the frequency floor the diagram integrand's e1 e2 e3 e4 underflows
+        (["spectrum", "--omega", "1e-80", "--points", "2"], 1),
         (["r0", "--z", "1.5"], 1),
         (["convert-tb", "--epsilon-j", "nan", "--cutoff-lambda", "1", "--z", "0.5"], 1),
         (["convert-tb", "--epsilon-j", "1", "--cutoff-lambda", "inf", "--z", "0.5"], 1),
@@ -287,6 +289,33 @@ class TestRates:
         assert header[5] == "error"
         assert rows[0][1] == "nan"
         assert rows[0][5].startswith("DomainError: f_pm overflows")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # the simplex's 1/(e1 e2) underflows to a division by zero
+            ["--omega", "1e-200"],
+            # the pair terms underflow to 0 and a finite gamma is printed
+            ["--z", "0.3333333333333333", "--omega", "5e-324"],
+            ["--z", "0.5", "--omega", "5e-324"],
+        ],
+        ids=" ".join,
+    )
+    def test_omega_below_the_floor_is_a_domain_error_row(self, runner, argv):
+        res = runner.invoke(main, ["rates"] + argv)
+        assert res.exit_code == 0
+        assert res.exception is None
+        _, rows = _rows(res.output)
+        assert rows[0][1] == rows[0][2] == "nan"
+        assert rows[0][5].startswith("DomainError: ") and "below the floor 1e-50" in rows[0][5]
+
+    def test_sweep_keeps_its_rows_above_the_floor(self, runner):
+        res = runner.invoke(main, ["rates", "--omega", "1e-250..1e-1:4"])
+        assert res.exit_code == 0
+        assert res.exception is None
+        _, rows = _rows(res.output)
+        assert [row[5].startswith("DomainError: ") for row in rows] == [True, True, True, False]
+        assert float(rows[3][0]) == pytest.approx(0.1) and float(rows[3][1]) > 0.0
 
     def test_json_is_strict_json(self, runner):
         # the failed row's NaN columns are null: NaN and Infinity are not JSON
@@ -551,18 +580,21 @@ def test_cli_import_leaves_scipy_out():
     assert _fresh_interpreter(probe) == "[]"
 
 
+def test_quadrature_import_loads_only_errors():
+    # the package holds no re-exports, so a submodule loads only its own imports
+    probe = "import sys, bscat.quadrature; print(sorted(m for m in sys.modules if m.split('.')[0] == 'bscat'))"
+    assert _fresh_interpreter(probe) == "['bscat', 'bscat.errors', 'bscat.quadrature']"
+
+
+def test_cli_import_leaves_referm_out():
+    # the free-fermion oracle is for tests and library callers; the CLI never calls it
+    probe = "import sys, bscat.cli; print('bscat.referm' in sys.modules)"
+    assert _fresh_interpreter(probe) == "False"
+
+
 def test_reflection_import_leaves_smatrix_out():
-    # the reflection amplitudes and brackets do not depend on the bulk
-    # S-matrix.  The package's __init__ imports every observable (and
-    # with them smatrix), so the probe loads the bscat package without
-    # running it and then imports bscat.reflection alone
-    probe = (
-        "import importlib.util, sys; "
-        "spec = importlib.util.find_spec('bscat'); "
-        "pkg = importlib.util.module_from_spec(spec); sys.modules['bscat'] = pkg; "
-        "import bscat.reflection; "
-        "print(sorted(m for m in sys.modules if m.startswith('bscat.')))"
-    )
+    # the reflection amplitudes and brackets do not depend on the bulk S-matrix
+    probe = "import sys, bscat.reflection; print(sorted(m for m in sys.modules if m.startswith('bscat.')))"
     loaded = _fresh_interpreter(probe)
     assert "bscat.reflection" in loaded
     assert "bscat.smatrix" not in loaded

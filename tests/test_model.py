@@ -13,6 +13,7 @@ from bscat.model import (
     ExcitationKind,
     ModelKind,
     breather,
+    check_omega,
     make_model,
     mass_ratio,
     t_b_from_physical,
@@ -98,6 +99,13 @@ class TestMassRatio:
         spec = make_model("bsg", 0.2)
         for m in range(1, spec.n_breathers + 1):
             assert 0.0 < mass_ratio(breather(m), spec) < 2.0
+
+
+def test_omega_floor():
+    # products of four line energies underflow below 1.2e-77
+    check_omega(1e-50)
+    with pytest.raises(DomainError, match="below the floor 1e-50"):
+        check_omega(9.9e-51)
 
 
 class TestBoundaryScaleConversion:

@@ -47,14 +47,16 @@ class TestAdaptive1D:
     def test_unresolvable_singularity_is_an_error(self):
         # an interior |x - c|^-0.9 spike at c = 1/pi: bisection reaches
         # floating-point width next to c, where the GK15 estimate collapses
-        # to 0 while 0.4 of the integral is missing; the interval that can
-        # no longer be split keeps its estimate, so the call raises
+        # to 0 while 0.5 of the integral is missing; the call raises at the
+        # first interval that can no longer be split, and its estimate bounds
+        # the error of the value it carries
         c = 1.0 / math.pi
         exact = 10.0 * (c**0.1 + (1.0 - c) ** 0.1)
         with pytest.raises(ToleranceNotMet) as exc:
             adaptive_1d(lambda x: 0.0 if x == c else abs(x - c) ** -0.9, 0.0, 1.0, tol=1e-6)
         assert exc.value.abs_error_estimate > 1e-6
         assert abs(exc.value.value - exact) > 1e-6
+        assert exc.value.abs_error_estimate >= abs(exc.value.value - exact)
 
     def test_nan_integrand_is_an_error(self):
         with pytest.raises(ToleranceNotMet) as exc:

@@ -468,6 +468,11 @@ class TestSumRule:
             with pytest.raises(DomainError, match="omega must be finite"):
                 call(omega, spec)
 
+    def test_point_rejects_a_frequency_below_the_floor(self):
+        # at omega = 1e-80 the diagram integrand's e1 e2 e3 e4 underflows to 0
+        with pytest.raises(DomainError, match="below the floor"):
+            spectrum_point(0.3e-80, 1e-80, make_model("bsg", 1.0 / 3.0))
+
 
 class TestSpectrumCurve:
     def test_structure(self):
