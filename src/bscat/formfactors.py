@@ -49,7 +49,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from .errors import DomainError, ToleranceNotMet
-from .model import ModelSpec, breather, check_breather, mass_ratio
+from .model import ModelSpec, breather_mass, check_breather, line_shifts
 from .quadrature import (
     ChebyshevTable,
     adaptive_1d,
@@ -751,10 +751,10 @@ def f_pm1(l1: complex, l2: complex, l3: complex, spec: ModelSpec) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# Excitation sets of the reflection coefficient and their free-theory weights
+# The excitation sets of the reflection coefficient and their free-theory weights
 
 # multi-particle sets: label -> per line, the breather whose mass ratio
-# shifts the rapidity, 0 for a soliton line
+# shifts the rapidity, 0 for a soliton line (decoded by `model.line_shifts`)
 _SETS = {"pm": (0, 0), "12": (1, 2), "pm1": (0, 0, 1)}
 # the one tolerance table of the set integrals: set_integral's default `tol`
 # at omega is this, by the set's number of lines, times max(1, omega), in the
@@ -770,7 +770,7 @@ _SET_FORM_FACTORS = {"pm": f_pm, "12": f_12, "pm1": f_pm1}
 
 def breather_weight(m: int, spec: ModelSpec) -> float:
     """Single-breather weight |f_m(0)|^2 / (2 pi mu_m^2)."""
-    mu = mass_ratio(breather(m), spec)
+    mu = breather_mass(m, spec)
     return abs(f_breather1(m, 0.0, spec)) ** 2 / (TWO_PI * mu * mu)
 
 
@@ -804,7 +804,7 @@ def set_integral(
     if tol is None:
         tol = (_TOL_3D if len(lines) == 3 else _TOL_2D) * max(1.0, omega)
     form_factor = _SET_FORM_FACTORS[label]
-    shifts = [math.log(mass_ratio(breather(b), spec)) if b else 0.0 for b in lines]
+    shifts = line_shifts(lines, spec)
 
     def integrand(*energies):
         ls = [math.log(e) - s for e, s in zip(energies, shifts)]

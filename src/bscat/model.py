@@ -1,4 +1,4 @@
-"""Model parameters, excitation taxonomy, mass ratios and unit conventions.
+"""Model parameters, breather masses and unit conventions.
 
 All downstream frequencies are measured in units of the boundary scale T_B
 (i.e. T_B = 1, boundary rapidity lambda_B = 0).  The converter from physical
@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 import sys
 from dataclasses import dataclass, field
+from typing import List, Sequence
 
 from .errors import DomainError
 
@@ -62,61 +64,25 @@ class ModelSpec:
         return self.kind is ModelKind.Kondo
 
 
-class ExcitationKind(enum.Enum):
-    Soliton = "+"
-    Antisoliton = "-"
-    Breather = "b"
-
-
-@dataclass(frozen=True)
-class Excitation:
-    """Soliton (+), antisoliton (-) or breather (neutral bound state, index m)."""
-
-    kind: ExcitationKind
-    m: int = 0
-
-    def __post_init__(self):
-        if self.kind is ExcitationKind.Breather:
-            if self.m < 1:
-                raise DomainError(f"breather index must be >= 1, got {self.m}")
-        elif self.m != 0:
-            raise DomainError("m is only meaningful for breathers")
-
-    @property
-    def charge(self) -> int:
-        if self.kind is ExcitationKind.Soliton:
-            return 1
-        if self.kind is ExcitationKind.Antisoliton:
-            return -1
-        return 0
-
-    @property
-    def conjugate(self) -> "Excitation":
-        if self.kind is ExcitationKind.Soliton:
-            return Excitation(ExcitationKind.Antisoliton)
-        if self.kind is ExcitationKind.Antisoliton:
-            return Excitation(ExcitationKind.Soliton)
-        return self
-
-
-SOLITON = Excitation(ExcitationKind.Soliton)
-ANTISOLITON = Excitation(ExcitationKind.Antisoliton)
-
-
-def breather(m: int) -> Excitation:
-    return Excitation(ExcitationKind.Breather, m)
-
-
 def make_model(kind: ModelKind | str, z: float) -> ModelSpec:
     """Construct a validated ModelSpec for coupling z in (0, 1); the kind may
     be given as a ModelKind or its string value ("bsg" / "kondo")."""
     if not isinstance(kind, ModelKind):
-        kind = ModelKind(kind)
+        try:
+            kind = ModelKind(kind)
+        except ValueError:
+            names = " or ".join(k.value for k in ModelKind)
+            raise DomainError(
+                f"unknown model kind {kind!r}: expected {names}"
+            ) from None
     return ModelSpec(kind=kind, z=z)
 
 
 def check_breather(m: int, spec: ModelSpec) -> None:
     """Raise DomainError unless breather m exists at the model's coupling."""
+    # int first: it short-circuits the slower ABC check on the hot path
+    if not isinstance(m, (int, numbers.Integral)):
+        raise DomainError(f"breather index must be an integer, got {m!r}")
     if not (1 <= m <= spec.n_breathers):
         raise DomainError(
             f"breather m={m} does not exist at z={spec.z} "
@@ -124,17 +90,16 @@ def check_breather(m: int, spec: ModelSpec) -> None:
         )
 
 
-def validate_excitation(exc: Excitation, spec: ModelSpec) -> None:
-    if exc.kind is ExcitationKind.Breather:
-        check_breather(exc.m, spec)
+def breather_mass(m: int, spec: ModelSpec) -> float:
+    """Mass of breather m in units of the soliton mass: 2 sin(m xi / 2)."""
+    check_breather(m, spec)
+    return 2.0 * math.sin(m * spec.xi / 2.0)
 
 
-def mass_ratio(exc: Excitation, spec: ModelSpec) -> float:
-    """Bulk mass ratio: 1 for (anti)solitons, 2 sin(m xi / 2) for breather m."""
-    validate_excitation(exc, spec)
-    if exc.kind is ExcitationKind.Breather:
-        return 2.0 * math.sin(exc.m * spec.xi / 2.0)
-    return 1.0
+def line_shifts(lines: Sequence[int], spec: ModelSpec) -> List[float]:
+    """Rapidity shift log(mass) of each line of a diagram or excitation set,
+    coded 0 for a soliton line and m for breather m."""
+    return [math.log(breather_mass(b, spec)) if b else 0.0 for b in lines]
 
 
 def check_omega(omega: float) -> None:

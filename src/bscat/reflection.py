@@ -1,9 +1,10 @@
 """Boundary reflection matrices in the massless limit.
 
-Single-excitation amplitudes R_e^{e'}(lambda) for both models (solitons may
-flip charge off the boundary; breathers reflect diagonally) and the
-soliton-pair brackets that r(omega) and gamma(omega'|omega) read, with the
-right-left exchange phase exp(-i pi/2z) set in `soliton_pair_bracket`.
+Single-particle amplitudes for both models, a soliton's flip and
+keep-charge pair (`soliton_amplitudes`) and the diagonal amplitude of
+breather m (`r_breather`), and the soliton-pair brackets that r(omega) and
+gamma(omega'|omega) read, with the right-left exchange phase
+exp(-i pi/2z) set in `soliton_pair_bracket`.
 `bscat validate` checks boundary crossing, R(lambda + i pi) =
 conj(R(lambda)), on those brackets and on the breather amplitudes.
 
@@ -43,7 +44,7 @@ from typing import Tuple
 import numpy as np
 
 from .errors import DomainError
-from .model import Excitation, ExcitationKind, ModelSpec, check_breather, validate_excitation
+from .model import ModelSpec, check_breather
 from .quadrature import ChebyshevTable, integrate_semi_infinite, strip_panel_width
 
 _POLE_TOL = 1e-12
@@ -196,24 +197,6 @@ def r_breather(lam: complex, m: int, spec: ModelSpec) -> complex:
     if spec.is_bsg:
         return r_bsg_breather(lam, m, spec)
     return r_kondo_breather(lam, m, spec)
-
-
-def r_amplitude(
-    lam: complex, in_exc: Excitation, out_exc: Excitation, spec: ModelSpec
-) -> complex:
-    """Single-excitation reflection amplitude R_in^out(lambda); zero unless the
-    bulk masses of the labels coincide."""
-    validate_excitation(in_exc, spec)
-    validate_excitation(out_exc, spec)
-    B = ExcitationKind.Breather
-    if (in_exc.kind is B) != (out_exc.kind is B):
-        return 0.0 + 0.0j
-    if in_exc.kind is B:
-        if in_exc.m != out_exc.m:
-            return 0.0 + 0.0j
-        return r_breather(lam, in_exc.m, spec)
-    flip, diag = soliton_amplitudes(lam, spec)
-    return flip if in_exc.charge != out_exc.charge else diag
 
 
 def soliton_pair_bracket(

@@ -1,12 +1,13 @@
 """Bulk two-particle S-matrix of the sine-Gordon model (massless kinematics).
 
-Soliton-sector amplitudes are built from the scalar factor S0(theta),
-|Im theta| <= pi, which Watson's equation for the pair function gives as the
-exchange ratio -e^{I(-theta)}/e^{I(theta)} of `formfactors.exp_I`; it is
-refused at |Im theta| > pi and at its poles theta = i k xi, where e^{I(theta)}
-vanishes.  Breather-soliton and breather-breather amplitudes are finite
-products of elementary factors; `s_entry` reads any of them by excitation
-labels.
+The soliton sector (`soliton_s_matrix`, one array indexed by charge) is
+built from the scalar factor S0(theta), |Im theta| <= pi, which Watson's
+equation for the pair function gives as the exchange ratio
+-e^{I(-theta)}/e^{I(theta)} of `formfactors.exp_I`; it is refused at
+|Im theta| > pi and at its poles theta = i k xi, where e^{I(theta)}
+vanishes.  Breather-soliton and breather-breather amplitudes are diagonal,
+finite products of elementary factors, read by the breathers' integer
+indices.
 """
 
 from __future__ import annotations
@@ -14,9 +15,11 @@ from __future__ import annotations
 import cmath
 import math
 
+import numpy as np
+
 from .errors import DomainError
 from .formfactors import exp_I
-from .model import Excitation, ExcitationKind, ModelSpec, check_breather, validate_excitation
+from .model import ModelSpec, check_breather
 
 _POLE_TOL = 1e-12
 
@@ -49,28 +52,30 @@ def s0(theta: complex, spec: ModelSpec) -> complex:
     return -num / den
 
 
-def s_soliton(theta: complex, channel: str, spec: ModelSpec) -> complex:
-    """Soliton-antisoliton S-matrix entry.
-
-    channel in {"pm_pm", "mp_mp", "pm_mp", "mp_pm"}: the incoming pair, then
-    the outgoing one (p = soliton, m = antisoliton); "pm_pm" and "mp_mp" are
-    transmission, "pm_mp" and "mp_pm" reflection.  Same-charge pairs scatter
-    with S0 alone (`s0`).
-    """
+def soliton_s_matrix(theta: complex, spec: ModelSpec) -> np.ndarray:
+    """Soliton-sector S-matrix as a (2, 2, 2, 2) array s[a, b, c, d]: 0 is a
+    soliton, 1 an antisoliton, (a, b) the incoming pair and (c, d) the
+    outgoing one.  Same-charge pairs scatter with S0 alone (`s0`);
+    soliton-antisoliton pairs by transmission (c, d) = (a, b) and
+    reflection (c, d) = (b, a), the reflection vanishing at integer p.
+    Every charge-changing entry is an exact 0."""
     theta = complex(theta)
-    if channel in ("pm_pm", "mp_mp"):
-        if spec.p_int is not None:
-            return ((-1.0) ** spec.p_int) * s0(theta, spec)
-        return s0(theta, spec) * _sin_ratio(theta, spec)
-    if channel in ("pm_mp", "mp_pm"):
-        if spec.p_int is not None:
-            return 0.0j
+    s_0 = s0(theta, spec)
+    if spec.p_int is not None:
+        transmission = ((-1.0) ** spec.p_int) * s_0
+        reflection = 0.0j
+    else:
+        transmission = s_0 * _sin_ratio(theta, spec)
         a = math.pi / spec.xi
         den = cmath.sin(a * (math.pi + 1j * theta))
         if abs(den) < _POLE_TOL:
             raise DomainError(f"soliton S-matrix pole at theta = {theta}")
-        return s0(theta, spec) * math.sin(math.pi**2 / spec.xi) / den
-    raise DomainError(f"unknown soliton channel {channel!r}")
+        reflection = s_0 * math.sin(math.pi**2 / spec.xi) / den
+    s = np.zeros((2, 2, 2, 2), dtype=complex)
+    s[0, 0, 0, 0] = s[1, 1, 1, 1] = s_0
+    s[0, 1, 0, 1] = s[1, 0, 1, 0] = transmission
+    s[0, 1, 1, 0] = s[1, 0, 0, 1] = reflection
+    return s
 
 
 def s_breather_soliton(theta: complex, m: int, spec: ModelSpec) -> complex:
@@ -125,37 +130,3 @@ def s_breather_breather(theta: complex, m1: int, m2: int, spec: ModelSpec) -> co
     for j in range(1, min(m1, m2)):
         out *= _tanh_ratio(theta, (d + 2 * j) * xi / 2.0) ** 2
     return out
-
-
-def s_entry(
-    e1: Excitation,
-    e2: Excitation,
-    o1: Excitation,
-    o2: Excitation,
-    theta: complex,
-    spec: ModelSpec,
-) -> complex:
-    """General S-matrix entry S_{e1 e2}^{o1 o2}(theta); zero unless allowed."""
-    for e in (e1, e2, o1, o2):
-        validate_excitation(e, spec)
-    k = (e1.kind, e2.kind)
-    ko = (o1.kind, o2.kind)
-    B = ExcitationKind.Breather
-    S_, A_ = ExcitationKind.Soliton, ExcitationKind.Antisoliton
-    if B in k or B in ko:
-        # diagonal in breather content
-        if (e1, e2) != (o1, o2):
-            return 0.0j
-        if e1.kind is B and e2.kind is B:
-            return s_breather_breather(theta, e1.m, e2.m, spec)
-        if e1.kind is B:
-            return s_breather_soliton(theta, e1.m, spec)
-        return s_breather_soliton(theta, e2.m, spec)
-    # soliton sector: U(1) conservation
-    if e1.charge + e2.charge != o1.charge + o2.charge:
-        return 0.0j
-    if k == (S_, S_) or k == (A_, A_):
-        return s0(theta, spec) if (o1, o2) == (e1, e2) else 0.0j
-    if (o1, o2) == (e1, e2):
-        return s_soliton(theta, "pm_pm" if k == (S_, A_) else "mp_mp", spec)
-    return s_soliton(theta, "pm_mp" if k == (S_, A_) else "mp_pm", spec)

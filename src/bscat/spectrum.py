@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import DomainError
 from .formfactors import f_111, f_breather1, f_pm, f_pm1
-from .model import ModelSpec, breather, check_omega, mass_ratio
+from .model import ModelSpec, check_omega, line_shifts
 from .quadrature import adaptive_1d
 from .reflection import r_breather, soliton_pair_bracket, soliton_split_bracket
 from .smatrix import s0
@@ -110,7 +110,7 @@ def _diagram(
 
     `energies(E)` gives the four line energies e1..e4; `lines`, from the
     diagram's row, the breather whose mass ratio shifts each line's rapidity
-    (0 for a soliton line), as in formfactors._SETS: line k enters
+    (0 for a soliton line), decoded by `model.line_shifts`: line k enters
     `reflection(l1..l4)` and `formfactors(l1..l4)` as log(e_k) - log(m_b/m_s).
     A breather line raises DomainError at z >= 1/2, `integer_p` at non-integer p.
 
@@ -142,7 +142,7 @@ def _diagram(
     coeff, lines, mirror, integer_p = _DIAGRAMS[diagram]
     if integer_p and spec.p_int is None:
         raise DomainError(f"diagram {diagram.value} requires integer p = 1/z")
-    shifts = [math.log(mass_ratio(breather(b), spec)) if b else 0.0 for b in lines]
+    shifts = line_shifts(lines, spec)
     width = omega - omega_p
     unimodular = spec.is_kondo
 

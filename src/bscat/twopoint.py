@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DomainError, InsufficientData
 from .formfactors import breather_weight, r0_weights, set_integral
-from .model import ModelSpec, breather, check_omega, mass_ratio
+from .model import ModelSpec, breather_mass, check_omega
 from .reflection import r_breather, soliton_pair_bracket
 
 
@@ -58,7 +58,7 @@ def r_term_breather(omega: float, m: int, spec: ModelSpec) -> complex:
     check_omega(omega)
     if m % 2 == 0 or not (1 <= m <= spec.n_breathers):
         raise DomainError(f"breather term needs odd m <= {spec.n_breathers}, got {m}")
-    mu = mass_ratio(breather(m), spec)
+    mu = breather_mass(m, spec)
     return breather_weight(m, spec) * r_breather(math.log(omega / mu), m, spec)
 
 

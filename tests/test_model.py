@@ -7,18 +7,15 @@ from hypothesis import strategies as st
 
 from bscat.errors import DomainError
 from bscat.model import (
-    ANTISOLITON,
-    SOLITON,
-    Excitation,
-    ExcitationKind,
     ModelKind,
-    breather,
+    breather_mass,
+    check_breather,
     check_omega,
+    line_shifts,
     make_model,
-    mass_ratio,
     t_b_from_physical,
-    validate_excitation,
 )
+from bscat.twopoint import r_term_breather
 
 
 class TestModelSpec:
@@ -53,6 +50,10 @@ class TestModelSpec:
         assert make_model("bsg", 0.5).kind is ModelKind.BoundarySineGordon
         assert make_model(ModelKind.Kondo, 0.5).kind is ModelKind.Kondo
 
+    def test_unknown_kind(self):
+        with pytest.raises(DomainError, match="'foo'.*bsg or kondo"):
+            make_model("foo", 0.3)
+
     @pytest.mark.parametrize("z", [0.0, 1.0, -0.2, 1.7])
     def test_z_out_of_range(self, z):
         with pytest.raises(DomainError):
@@ -60,45 +61,47 @@ class TestModelSpec:
 
 
 class TestExcitation:
-    def test_charges(self):
-        assert SOLITON.charge == 1
-        assert ANTISOLITON.charge == -1
-        assert breather(2).charge == 0
-
-    def test_conjugate_is_involution(self):
-        for exc in (SOLITON, ANTISOLITON, breather(1), breather(3)):
-            assert exc.conjugate.conjugate == exc
-        assert SOLITON.conjugate == ANTISOLITON
-
+    # a breather is named by its integer index m, 1 <= m <= n_breathers; a
+    # soliton line carries the code 0
     def test_invalid_breather_index(self):
-        with pytest.raises(DomainError):
-            breather(0)
-        with pytest.raises(DomainError):
-            Excitation(ExcitationKind.Soliton, m=2)
+        spec = make_model("bsg", 0.2)
+        for m in (0, -1):
+            with pytest.raises(DomainError):
+                breather_mass(m, spec)
 
     def test_validate_against_spectrum(self):
         spec = make_model("bsg", 1.0 / 3.0)
-        validate_excitation(breather(1), spec)
+        check_breather(1, spec)
         with pytest.raises(DomainError):
-            validate_excitation(breather(2), spec)
+            breather_mass(2, spec)
+
+    @pytest.mark.parametrize("m", [1.5, 2.0])
+    def test_non_integer_breather_index(self, m):
+        # at z = 0.2 a float index inside 1..3 used to pass the range check
+        # and die later in range(m) with a TypeError
+        spec = make_model("bsg", 0.2)
+        with pytest.raises(DomainError, match="must be an integer"):
+            check_breather(m, spec)
+        with pytest.raises(DomainError):
+            r_term_breather(1.0, m, spec)
 
 
 class TestMassRatio:
     def test_soliton_mass_is_unit(self):
+        # a soliton line (code 0) carries no rapidity shift
         spec = make_model("bsg", 0.4)
-        assert mass_ratio(SOLITON, spec) == 1.0
-        assert mass_ratio(ANTISOLITON, spec) == 1.0
+        assert line_shifts((0, 0), spec) == [0.0, 0.0]
 
     def test_first_breather_at_z_third(self):
         spec = make_model("bsg", 1.0 / 3.0)
-        assert mass_ratio(breather(1), spec) == pytest.approx(
-            math.sqrt(2.0), abs=1e-14
-        )
+        assert breather_mass(1, spec) == pytest.approx(math.sqrt(2.0), abs=1e-14)
+        shift = math.log(breather_mass(1, spec))
+        assert line_shifts((0, 0, 1), spec) == [0.0, 0.0, shift]
 
     def test_breather_masses_below_pair_threshold(self):
         spec = make_model("bsg", 0.2)
         for m in range(1, spec.n_breathers + 1):
-            assert 0.0 < mass_ratio(breather(m), spec) < 2.0
+            assert 0.0 < breather_mass(m, spec) < 2.0
 
 
 def test_omega_floor():

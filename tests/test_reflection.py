@@ -5,9 +5,8 @@ import pytest
 
 import bscat.reflection as reflection_mod
 from bscat.errors import DomainError, ToleranceNotMet
-from bscat.model import ANTISOLITON, SOLITON, breather, make_model
+from bscat.model import make_model
 from bscat.reflection import (
-    r_amplitude,
     r_breather,
     r_bsg_breather,
     r_kondo_breather,
@@ -175,24 +174,20 @@ class TestStripEdge:
 
 
 class TestAmplitudeDispatch:
-    def test_mass_mismatch_gives_zero(self):
-        spec = make_model("bsg", 0.2)
-        assert r_amplitude(0.5, SOLITON, breather(1), spec) == 0.0
-        assert r_amplitude(0.5, breather(1), breather(2), spec) == 0.0
-
     def test_breather_index_validated(self):
         spec = make_model("bsg", 1.0 / 3.0)
         with pytest.raises(DomainError):
-            r_amplitude(0.5, breather(2), breather(2), spec)
+            r_breather(0.5, 2, spec)
 
     def test_soliton_channels(self):
+        # boundary sine-Gordon: flip i e^{(p-1) lambda/2} R_s and
+        # keep-charge e^{-(p-1) lambda/2} R_s
         spec = make_model("bsg", 0.4)
-        assert r_amplitude(0.5, SOLITON, ANTISOLITON, spec) == pytest.approx(
-            soliton_amplitudes(0.5, spec)[0], abs=1e-14
-        )
-        assert r_amplitude(0.5, SOLITON, SOLITON, spec) == pytest.approx(
-            soliton_amplitudes(0.5, spec)[1], abs=1e-14
-        )
+        rs = reflection_mod.r_s(0.5, spec)
+        half = (spec.p - 1.0) * 0.25
+        flip, diag = soliton_amplitudes(0.5, spec)
+        assert flip == pytest.approx(1j * cmath.exp(half) * rs, abs=1e-14)
+        assert diag == pytest.approx(cmath.exp(-half) * rs, abs=1e-14)
 
 
 class TestProductsAndBracket:
@@ -201,12 +196,12 @@ class TestProductsAndBracket:
             spec = make_model(kind, 0.4)
             phase = cmath.exp(-1j * math.pi / (2.0 * spec.z))
             l1, l2 = 0.6, -0.2
-            flip = r_amplitude(l1, SOLITON, ANTISOLITON, spec) * r_amplitude(
-                l2, ANTISOLITON, SOLITON, spec
-            )
-            diag = r_amplitude(l1, SOLITON, SOLITON, spec) * r_amplitude(
-                l2, ANTISOLITON, ANTISOLITON, spec
-            )
+            # R_+^-(l1) R_-^+(l2) and R_+^+(l1) R_-^-(l2); each amplitude is
+            # even under charge parity
+            flip1, diag1 = soliton_amplitudes(l1, spec)
+            flip2, diag2 = soliton_amplitudes(l2, spec)
+            flip = flip1 * flip2
+            diag = diag1 * diag2
             for sign in (-1, 1):
                 expected = phase * flip + sign * diag / phase
                 assert soliton_pair_bracket(l1, l2, spec, sign=sign) == pytest.approx(
@@ -221,11 +216,10 @@ class TestProductsAndBracket:
         spec = make_model(kind, 0.4)
         l_in, l_out = 0.6, -0.2
 
-        def channel(out):
-            absorbed = complex(r_amplitude(l_in, SOLITON, out, spec)).conjugate()
-            return absorbed * r_amplitude(l_out, SOLITON, out, spec)
-
-        expected = channel(ANTISOLITON) - channel(SOLITON)
+        # a soliton out as an antisoliton (flip) minus out as a soliton (diag)
+        flip_in, diag_in = soliton_amplitudes(l_in, spec)
+        flip_out, diag_out = soliton_amplitudes(l_out, spec)
+        expected = flip_in.conjugate() * flip_out - diag_in.conjugate() * diag_out
         assert soliton_split_bracket(l_in, l_out, spec) == pytest.approx(
             expected, abs=1e-12
         )
@@ -258,14 +252,13 @@ class TestProductsAndBracket:
     def test_breather_dispatch_matches_product(self, kind):
         spec = make_model(kind, 0.4)
         assert spec.n_breathers >= 1
+        direct = r_bsg_breather if kind == "bsg" else r_kondo_breather
         for m in range(1, spec.n_breathers + 1):
-            b = breather(m)
             l1, l2 = 0.6, -0.2
-            expected = r_amplitude(l1, b, b, spec) * r_amplitude(l2, b, b, spec)
+            expected = direct(l1, m, spec) * direct(l2, m, spec)
             assert r_breather(l1, m, spec) * r_breather(l2, m, spec) == pytest.approx(
                 expected, abs=1e-12
             )
-            direct = r_bsg_breather if kind == "bsg" else r_kondo_breather
             assert r_breather(l1, m, spec) == direct(l1, m, spec)
 
     def test_product_high_rapidity_delta(self):

@@ -1,6 +1,6 @@
-import itertools
 import math
 
+import numpy as np
 import pytest
 
 import bscat.formfactors as formfactors
@@ -8,17 +8,9 @@ import bscat.quadrature as quadrature
 import bscat.smatrix as smatrix_mod
 from bscat.errors import DomainError
 from bscat.formfactors import exp_I
-from bscat.model import ANTISOLITON, SOLITON, breather, make_model
+from bscat.model import make_model
 from bscat.reflection import soliton_amplitudes, soliton_pair_bracket
-from bscat.smatrix import (
-    s0,
-    s_breather_breather,
-    s_breather_soliton,
-    s_entry,
-    s_soliton,
-)
-
-CHARGES = (SOLITON, ANTISOLITON)
+from bscat.smatrix import s0, s_breather_breather, s_breather_soliton, soliton_s_matrix
 
 
 class TestScalarFactor:
@@ -48,7 +40,7 @@ class TestScalarFactor:
         spec = make_model("bsg", 0.4)
         for theta in (0.5, 1.2):
             lhs = s0(1j * math.pi - theta, spec)
-            rhs = s_soliton(theta, "pm_pm", spec)
+            rhs = soliton_s_matrix(theta, spec)[0, 1, 0, 1]
             assert abs(lhs - rhs) < 1e-10
 
     def test_imaginary_axis_pole(self):
@@ -108,32 +100,32 @@ class TestSolitonSector:
     def test_integer_p_is_diagonal(self):
         spec = make_model("bsg", 1.0 / 3.0)
         for theta in (0.4, -1.1):
-            assert s_soliton(theta, "pm_mp", spec) == 0.0
-            assert s_soliton(theta, "pm_pm", spec) == pytest.approx(
-                (-1.0) ** 3 * s0(theta, spec), abs=1e-12
-            )
+            s = soliton_s_matrix(theta, spec)
+            assert s[0, 1, 1, 0] == 0.0 and s[1, 0, 0, 1] == 0.0
+            for a, b in ((0, 1), (1, 0)):
+                assert s[a, b, a, b] == pytest.approx(
+                    (-1.0) ** 3 * s0(theta, spec), abs=1e-12
+                )
 
     def test_generic_z_matrix_unitarity(self):
         spec = make_model("bsg", 0.4)
         theta = 0.7
-        for ins in itertools.product(CHARGES, repeat=2):
-            for outs in itertools.product(CHARGES, repeat=2):
-                acc = 0.0j
-                for mid in itertools.product(CHARGES, repeat=2):
-                    acc += s_entry(*ins, *mid, theta, spec) * s_entry(
-                        *mid, *outs, -theta, spec
-                    )
-                target = 1.0 if ins == outs else 0.0
-                assert abs(acc - target) < 1e-10
+        s = soliton_s_matrix(theta, spec)
+        # the loop form of sum_{mn} S_ab^mn(theta) S_mn^cd(-theta)
+        s_back = soliton_s_matrix(-theta, spec)
+        for a, b, c, d in np.ndindex(2, 2, 2, 2):
+            acc = sum(s[a, b, m, n] * s_back[m, n, c, d] for m, n in np.ndindex(2, 2))
+            target = 1.0 if (a, b) == (c, d) else 0.0
+            assert abs(acc - target) < 1e-10
 
     def test_charge_conservation_zeros(self):
-        spec = make_model("bsg", 0.4)
-        assert s_entry(SOLITON, SOLITON, SOLITON, ANTISOLITON, 0.5, spec) == 0.0
-        assert s_entry(SOLITON, ANTISOLITON, SOLITON, SOLITON, 0.5, spec) == 0.0
-
-    def test_unknown_channel(self):
-        with pytest.raises(DomainError):
-            s_soliton(0.5, "xx", make_model("bsg", 0.4))
+        # every entry whose outgoing charge differs from its incoming one is
+        # an exact zero, at generic and at integer p
+        for z in (0.4, 1.0 / 3.0):
+            s = soliton_s_matrix(0.5, make_model("bsg", z))
+            for a, b, c, d in np.ndindex(2, 2, 2, 2):
+                if a + b != c + d:
+                    assert s[a, b, c, d] == 0.0
 
 
 class TestBreatherAmplitudes:
@@ -170,16 +162,6 @@ class TestBreatherAmplitudes:
             s_breather_soliton(0.5, 2, spec)
         with pytest.raises(DomainError):
             s_breather_breather(0.5, 1, 2, spec)
-
-    def test_s_entry_diagonal_in_breather_content(self):
-        spec = make_model("bsg", 0.2)
-        b1, b2 = breather(1), breather(2)
-        assert s_entry(b1, b2, b2, b1, 0.5, spec) == 0.0
-        val = s_entry(b1, b2, b1, b2, 0.5, spec)
-        assert val == pytest.approx(s_breather_breather(0.5, 1, 2, spec), abs=1e-14)
-        assert s_entry(b1, SOLITON, b1, SOLITON, 0.5, spec) == pytest.approx(
-            s_breather_soliton(0.5, 1, spec), abs=1e-14
-        )
 
 
 class TestRightLeftLimit:
