@@ -1,5 +1,7 @@
 """Error taxonomy shared by all bscat modules."""
 
+import numpy as np
+
 
 class BscatError(Exception):
     """Base class for all bscat errors."""
@@ -23,3 +25,9 @@ class ToleranceNotMet(BscatError):
 
 class InsufficientData(BscatError):
     """Not enough grid points inside the requested fit window."""
+
+
+def offending(values, mask):
+    """The first element of `values` (broadcast to mask's shape) where
+    `mask` holds: the point an elementwise refusal names."""
+    return np.broadcast_to(values, np.shape(mask))[mask].flat[0].item()

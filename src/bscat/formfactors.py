@@ -37,6 +37,16 @@ The contour
 function H is exactly -[t^{2p-5}] prod (e^{-c/2} + t e^{c/2}) (see `bigH`).
 The breather couplings are the closed-form residues of the soliton-antisoliton
 S-matrix at the breather poles (`_breather_coupling_arg`).
+
+Every special function and form factor takes arrays of rapidities and works
+elementwise, so that a quadrature panel's nodes are one call; a strip,
+pole or overflow refusal names the first offending point.  e^{I} reads an
+array line by line, one vectorised table lookup per distinct Im lambda
+(`_exp_i_on_line`: missing panels built in ascending order, coefficient
+rows gathered, Clenshaw on the matrix), and a number through the memo
+`_exp_i_cached`, the scalar entry of the same lookup.  F loops over its
+elements through its memo `_bigf_cached`.  zeta(-i theta^(1)), f_{+-1}'s
+one spec-dependent zeta factor, is computed once per spec (`_f_pm1_zeta`).
 """
 
 from __future__ import annotations
@@ -48,13 +58,14 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .errors import DomainError, ToleranceNotMet
+from .errors import DomainError, ToleranceNotMet, offending
 from .model import ModelSpec, breather_mass, check_breather, line_shifts
 from .quadrature import (
     ChebyshevTable,
     adaptive_1d,
     integrate_semi_infinite,
     integrate_simplex,
+    lookup_by_line,
     strip_panel_width,
 )
 
@@ -70,11 +81,13 @@ def theta_m(m: int, spec: ModelSpec) -> float:
     return math.pi - spec.xi * m
 
 
-def _check_strip(*diffs: complex) -> None:
+def _check_strip(*diffs) -> None:
     for d in diffs:
-        if abs(complex(d).imag) > TWO_PI + _STRIP_TOL:
+        outside = np.abs(np.imag(d)) > TWO_PI + _STRIP_TOL
+        if np.any(outside):
             raise DomainError(
-                f"rapidity difference {d} outside the analyticity strip |Im| <= 2 pi"
+                f"rapidity difference {offending(d, outside)} outside the "
+                "analyticity strip |Im| <= 2 pi"
             )
 
 
@@ -307,25 +320,43 @@ def _exp_i_line(xi: float, lam_i: float) -> ChebyshevTable:
 
 @lru_cache(maxsize=400_000)
 def _exp_i_cached(lam_r: float, lam_i: float, xi: float) -> complex:
-    lam = complex(lam_r, lam_i)
+    """The scalar entry of `_exp_i_on_line`, memoised."""
+    return complex(_exp_i_on_line(np.array([lam_r]), lam_i, xi)[0])
+
+
+def _exp_i_on_line(lam_r: np.ndarray, lam_i: float, xi: float) -> np.ndarray:
+    """e^{I(lam_r + i lam_i)} at each element of the array `lam_r`: one
+    lookup of the line's table, then the logs of the fold's linear factors.
+
+    e^{I(-conj lambda)} = conj e^{I(lambda)}: the table holds Re lambda >= 0.
+    At Re lambda = 0 a factor of the fold may vanish: the first such factor
+    makes the value an exact 0 (a zero) or raises DomainError (a pole)."""
     _, factors, sign, _ = _exp_i_fold(xi, lam_i)
-    # e^{I(-conj lambda)} = conj e^{I(lambda)}: the table holds Re lambda >= 0
-    x = abs(lam_r)
-    slope = x / xi
+    x = np.abs(lam_r)
     exponent = _exp_i_line(xi, lam_i)(x)
+    at_zero = x == 0.0
+    vanishing = [weight for b, weight in factors if abs(b) <= _ZERO_FACTOR]
+    zero = at_zero if vanishing and at_zero.any() else None
+    if zero is not None:
+        if vanishing[0] > 0.0:
+            lam = complex(offending(lam_r, zero), lam_i)
+            raise DomainError(f"e^I has a pole at lambda = {lam} (xi = {xi})")
+        x = np.where(zero, 1.0, x)  # its value is set to 0 below
+    slope = x / xi
     for b, weight in factors:
-        if x == 0.0 and abs(b) <= _ZERO_FACTOR:
-            if weight > 0.0:
-                raise DomainError(f"e^I has a pole at lambda = {lam} (xi = {xi})")
-            return 0.0 + 0.0j
-        exponent -= weight * cmath.log(complex(b, slope))
-    try:
-        value = sign * cmath.exp(exponent)
-    except OverflowError:
+        exponent = exponent - weight * np.log(b + 1j * slope)
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = sign * np.exp(exponent)
+    overflow = np.isfinite(exponent) & ~np.isfinite(value)
+    if overflow.any():
+        lam = complex(offending(lam_r, overflow), lam_i)
         raise DomainError(
-            f"e^I overflows at lambda = {lam} (xi = {xi}): exponent {exponent:.4g}"
-        ) from None
-    return value.conjugate() if lam_r < 0.0 else value
+            f"e^I overflows at lambda = {lam} (xi = {xi}): exponent "
+            f"{offending(exponent, overflow):.4g}"
+        )
+    if zero is not None:
+        value[zero] = 0.0
+    return np.where(lam_r < 0.0, value.conjugate(), value)
 
 
 def _exp_i_kernel(x: np.ndarray, xi: float, N: int) -> np.ndarray:
@@ -384,8 +415,8 @@ def _exp_i_product_terms(xi: float, N: int):
     return offsets, slopes, weights, const
 
 
-def exp_I(lam: complex, spec: ModelSpec) -> complex:
-    """The pair special function e^{I(lambda)}.
+def exp_I(lam, spec: ModelSpec):
+    """The pair special function e^{I(lambda)}, elementwise on an array.
 
     One table lookup of the whole exponent per line Im lambda = const: the
     residual integral left by the N = 2 Gamma product plus that product,
@@ -404,11 +435,14 @@ def exp_I(lam: complex, spec: ModelSpec) -> complex:
     At xi = pi (z = 1/2) e^{I} is identically 1: the Gamma product cancels
     term by term and the residual's kernel vanishes.  That point is answered
     here, before the cache and the tables.
+
+    A number is looked up through the memo `_exp_i_cached`, an array line
+    by line (`quadrature.lookup_by_line`: one `_exp_i_on_line` per distinct
+    Im lambda); both read the tables through the same vectorised lookup.
     """
-    lam = complex(lam)
     if abs(math.pi - spec.xi) < 1e-14:
-        return 1.0 + 0.0j
-    return _exp_i_cached(lam.real, lam.imag, spec.xi)
+        return np.ones(np.shape(lam), dtype=complex)[()]
+    return lookup_by_line(_exp_i_on_line, _exp_i_cached, lam, spec.xi)
 
 
 @lru_cache(maxsize=64)
@@ -425,43 +459,44 @@ def c_const(spec: ModelSpec) -> float:
     return _c_const_cached(spec.xi, spec.p)
 
 
-def zeta(lam: complex, spec: ModelSpec) -> complex:
-    """zeta(lambda) = c sinh(lambda/2) e^{I(lambda)}."""
-    lam = complex(lam)
-    return c_const(spec) * cmath.sinh(lam / 2.0) * exp_I(lam, spec)
+def zeta(lam, spec: ModelSpec):
+    """zeta(lambda) = c sinh(lambda/2) e^{I(lambda)}, elementwise."""
+    lam = np.asarray(lam, dtype=complex)
+    return c_const(spec) * np.sinh(lam / 2.0) * exp_I(lam, spec)
 
 
-def f_pm(l1: complex, l2: complex, spec: ModelSpec) -> complex:
-    """Soliton-antisoliton form factor f_{+-}(l1, l2); f_{-+} = -f_{+-}."""
-    l1, l2 = complex(l1), complex(l2)
+def f_pm(l1, l2, spec: ModelSpec):
+    """Soliton-antisoliton form factor f_{+-}(l1, l2); f_{-+} = -f_{+-}.
+    Elementwise on arrays; a refusal names the first offending point."""
+    l1, l2 = np.asarray(l1, dtype=complex), np.asarray(l2, dtype=complex)
     d = l1 - l2
     _check_strip(d)
     half = (spec.p - 1.0) / 2.0
-    try:
-        sh = cmath.sinh(d / 2.0)
-        ch = cmath.cosh(half * (d + 1j * math.pi))
-    except OverflowError:
-        # |Re d| (p - 1)/2 past ~710: reached at small z, e.g. z = 0.005
-        # with |Re d| > 7.1
+    with np.errstate(over="ignore", invalid="ignore"):
+        sh = np.sinh(d / 2.0)
+        ch = np.cosh(half * (d + 1j * math.pi))
+    # |Re d| (p - 1)/2 past ~710: reached at small z, e.g. z = 0.005 with
+    # |Re d| > 7.1
+    overflow = np.isfinite(d) & ~(np.isfinite(sh) & np.isfinite(ch))
+    if overflow.any():
         raise DomainError(
-            f"f_pm overflows at lambda1 - lambda2 = {d} (z = {spec.z})"
-        ) from None
-    if abs(ch) < 1e-9:
-        if abs(sh) < 1e-9:
-            # removable 0/0 at coinciding rapidities (even p): L'Hopital
-            ratio = cmath.cosh(d / 2.0) / (
-                2.0 * half * cmath.sinh(half * (d + 1j * math.pi))
-            )
-        else:
+            f"f_pm overflows at lambda1 - lambda2 = {offending(d, overflow)} (z = {spec.z})"
+        )
+    pole = np.abs(ch) < 1e-9
+    if pole.any():
+        breather = pole & ~(np.abs(sh) < 1e-9)
+        if breather.any():
             raise DomainError(
-                f"f_pm breather pole at lambda1 - lambda2 = {d}; use the "
-                "residue-based breather form factors instead"
+                f"f_pm breather pole at lambda1 - lambda2 = {offending(d, breather)}; "
+                "use the residue-based breather form factors instead"
             )
-    else:
-        ratio = sh / ch
+        # removable 0/0 at coinciding rapidities (even p): L'Hopital
+        sh = np.where(pole, np.cosh(d / 2.0), sh)
+        ch = np.where(pole, 2.0 * half * np.sinh(half * (d + 1j * math.pi)), ch)
+    ratio = sh / ch
     return (
         TWO_PI
-        * cmath.exp((l1 + l2) / 2.0)
+        * np.exp((l1 + l2) / 2.0)
         * ratio
         * exp_I(d, spec)
         / math.sqrt(2.0 * spec.z)
@@ -501,12 +536,12 @@ def _f_breather1_const(m: int, spec: ModelSpec) -> complex:
     )
 
 
-def f_breather1(m: int, lam: complex, spec: ModelSpec) -> complex:
-    """Single-breather form factor f_m(lambda); zero for even m."""
+def f_breather1(m: int, lam, spec: ModelSpec):
+    """Single-breather form factor f_m(lambda), elementwise; zero for even m."""
     check_breather(m, spec)
     if m % 2 == 0:
-        return 0.0 + 0.0j
-    return _f_breather1_const(m, spec) * cmath.exp(complex(lam))
+        return np.zeros(np.shape(lam), dtype=complex)[()]
+    return _f_breather1_const(m, spec) * np.exp(np.asarray(lam, dtype=complex))
 
 
 # ---------------------------------------------------------------------------
@@ -582,10 +617,12 @@ def _bigf_cached(lam_r: float, lam_i: float, xi: float, N: int) -> complex:
     return _bigf_prefactor(xi) * cmath.exp(prod + tail_val)
 
 
-def bigF(lam: complex, spec: ModelSpec) -> complex:
-    """Minimal breather-pair function F(lambda)."""
-    lam = complex(lam)
-    return _bigf_cached(lam.real, lam.imag, spec.xi, 10)
+def bigF(lam, spec: ModelSpec):
+    """Minimal breather-pair function F(lambda), elementwise: one memoised
+    `_bigf_cached` call per element."""
+    lam = np.asarray(lam, dtype=complex)
+    values = [_bigf_cached(v.real, v.imag, spec.xi, 10) for v in lam.ravel().tolist()]
+    return np.array(values, dtype=complex).reshape(lam.shape)[()]
 
 
 @lru_cache(maxsize=64)
@@ -593,20 +630,20 @@ def _cube_bracket(xi: float) -> float:
     """[sqrt(2 sin(xi/2)) exp(-int_0^xi x dx / (2 pi sin x))]^3; the GK15
     nodes are interior, so x = 0 is never sampled."""
     integral = adaptive_1d(
-        lambda x: x / (TWO_PI * math.sin(x)), 0.0, xi, 1e-12
+        lambda x: x / (TWO_PI * np.sin(x)), 0.0, xi, 1e-12
     ).value.real
     return (math.sqrt(2.0 * math.sin(xi / 2.0)) * math.exp(-integral)) ** 3
 
 
-def f_111(l1: complex, l2: complex, l3: complex, spec: ModelSpec) -> complex:
-    """Three breather-1 form factor f_{111}(l1, l2, l3)."""
+def f_111(l1, l2, l3, spec: ModelSpec):
+    """Three breather-1 form factor f_{111}(l1, l2, l3), elementwise."""
     if spec.n_breathers < 1:
         raise DomainError(f"no breathers at z = {spec.z}")
-    l1, l2, l3 = complex(l1), complex(l2), complex(l3)
+    lams = [np.asarray(l, dtype=complex) for l in (l1, l2, l3)]
+    l1, l2, l3 = lams
     _check_strip(l1 - l2, l1 - l3, l2 - l3)
     xi = spec.xi
-    e = [cmath.exp(l) for l in (l1, l2, l3)]
-    lams = (l1, l2, l3)
+    e = [np.exp(l) for l in lams]
     # the -i normalizes the annihilation-pole residue at l3 = l2 + i pi to
     # -(1 - S_{11}(l2 - l1)) f_1(l1), as the pole axiom requires
     pref = (
@@ -620,14 +657,19 @@ def f_111(l1: complex, l2: complex, l3: complex, spec: ModelSpec) -> complex:
     for i in range(3):
         for j in range(i + 1, 3):
             den = e[i] + e[j]
-            if abs(den) < 1e-14 * max(abs(e[i]), abs(e[j]), 1.0):
-                raise DomainError(f"f_111 kinematic pole at e^l{i+1} + e^l{j+1} = 0")
-            out *= bigF(lams[i] - lams[j], spec) / den
+            scale = np.maximum(np.maximum(np.abs(e[i]), np.abs(e[j])), 1.0)
+            pole = np.abs(den) < 1e-14 * scale
+            if pole.any():
+                raise DomainError(
+                    f"f_111 kinematic pole at e^l{i+1} + e^l{j+1} = 0 "
+                    f"(l{i+1} = {offending(lams[i], pole)})"
+                )
+            out = out * (bigF(lams[i] - lams[j], spec) / den)
     return out
 
 
-def f_12(l1: complex, l2: complex, spec: ModelSpec) -> complex:
-    """Breather-1/breather-2 form factor f_{12}(l1, l2).
+def f_12(l1, l2, spec: ModelSpec):
+    """Breather-1/breather-2 form factor f_{12}(l1, l2), elementwise.
 
     The printed normalization divides by F(i(pi + xi)), a pole of F; the
     constant is 2 F(i xi) instead, the value the bound-state fusion axiom
@@ -635,14 +677,16 @@ def f_12(l1: complex, l2: complex, spec: ModelSpec) -> complex:
     fixes (Smirnov 1992)."""
     if spec.n_breathers < 2:
         raise DomainError(f"f_12 requires two breathers (z = {spec.z})")
-    l1, l2 = complex(l1), complex(l2)
+    l1, l2 = np.asarray(l1, dtype=complex), np.asarray(l2, dtype=complex)
     _check_strip(l1 - l2)
     xi = spec.xi
-    e1, e2 = cmath.exp(l1), cmath.exp(l2)
+    e1, e2 = np.exp(l1), np.exp(l2)
     cs = math.cos(xi / 2.0)
     den = e1 * e1 + e2 * e2 + 2.0 * cs * e1 * e2
-    if abs(den) < 1e-14 * max(abs(e1 * e1), abs(e2 * e2), 1.0):
-        raise DomainError("f_12 kinematic pole")
+    scale = np.maximum(np.maximum(np.abs(e1 * e1), np.abs(e2 * e2)), 1.0)
+    pole = np.abs(den) < 1e-14 * scale
+    if pole.any():
+        raise DomainError(f"f_12 kinematic pole at l1 - l2 = {offending(l1 - l2, pole)}")
     return (
         4j
         * xi
@@ -664,10 +708,9 @@ def f_12(l1: complex, l2: complex, spec: ModelSpec) -> complex:
 # Four-particle sector (integer p)
 
 
-def bigH(
-    l1: complex, l2: complex, l3: complex, l4: complex, spec: ModelSpec
-) -> complex:
-    """Contour function H(l1..l4) over alpha in [-2 pi i, 0] (integer p only).
+def bigH(l1, l2, l3, l4, spec: ModelSpec):
+    """Contour function H(l1..l4) over alpha in [-2 pi i, 0] (integer p
+    only), elementwise.
 
     With the M = 4(p-2) constants c_{kj} = l_k + i pi j/(p-1) - i pi/4 and
     w = e^{-alpha}, each factor 2 sinh((alpha - c)/2) is
@@ -680,27 +723,35 @@ def bigH(
         raise DomainError("H is defined for integer p only")
     p = spec.p_int
     if p == 2:
-        return 0.0 + 0.0j
+        return np.zeros(np.broadcast(l1, l2, l3, l4).shape, dtype=complex)[()]
     s = 2 * (p - 2) - 1
     e = [1.0 + 0.0j] + [0.0j] * s  # coefficients of t^0..t^s
     for l in (l1, l2, l3, l4):
+        l = np.asarray(l, dtype=complex)
         for j in range(1, p - 1):
-            half = 0.5 * (complex(l) + 1j * math.pi * j / (p - 1.0) - 0.25j * math.pi)
-            a, b = cmath.exp(-half), cmath.exp(half)
+            half = 0.5 * (l + 1j * math.pi * j / (p - 1.0) - 0.25j * math.pi)
+            a, b = np.exp(-half), np.exp(half)
             for i in range(s, 0, -1):
                 e[i] = a * e[i] + b * e[i - 1]
-            e[0] *= a
+            e[0] = e[0] * a
     return -e[s]
 
 
-def f_pm1(l1: complex, l2: complex, l3: complex, spec: ModelSpec) -> complex:
-    """Soliton-antisoliton-breather1 form factor f_{+-1} (integer p only)."""
+@lru_cache(maxsize=64)
+def _f_pm1_zeta(spec: ModelSpec) -> complex:
+    """zeta(-i theta^(1)), the one spec-dependent zeta factor of f_pm1."""
+    return complex(zeta(-1j * theta_m(1, spec), spec))
+
+
+def f_pm1(l1, l2, l3, spec: ModelSpec):
+    """Soliton-antisoliton-breather1 form factor f_{+-1} (integer p only),
+    elementwise."""
     if spec.p_int is None:
         raise DomainError("f_pm1 is implemented for integer p only")
     p = spec.p_int
+    l1, l2, l3 = (np.asarray(l, dtype=complex) for l in (l1, l2, l3))
     if p == 2:
-        return 0.0 + 0.0j
-    l1, l2, l3 = complex(l1), complex(l2), complex(l3)
+        return np.zeros(np.broadcast(l1, l2, l3).shape, dtype=complex)[()]
     _check_strip(l1 - l2, l1 - l3, l2 - l3)
     xi = spec.xi
     th = theta_m(1, spec)
@@ -717,32 +768,37 @@ def f_pm1(l1: complex, l2: complex, l3: complex, spec: ModelSpec) -> complex:
         / cmath.sqrt(complex(2.0 * spec.z * res_s0))
     )
     pm1 = p - 1.0
-    s31 = cmath.sinh(pm1 * (l3 - l1 + 0.5j * th))
-    s23 = cmath.sinh(pm1 * (l2 - l3 + 0.5j * th))
-    if min(abs(s31), abs(s23)) < 1e-12:
-        raise DomainError("f_pm1 exchange pole (coinciding rapidities)")
+    s31 = np.sinh(pm1 * (l3 - l1 + 0.5j * th))
+    s23 = np.sinh(pm1 * (l2 - l3 + 0.5j * th))
+    pole = np.minimum(np.abs(s31), np.abs(s23)) < 1e-12
+    if pole.any():
+        raise DomainError(
+            "f_pm1 exchange pole (coinciding rapidities) at l3 - l1 = "
+            f"{offending(l3 - l1, pole)}, l2 - l3 = {offending(l2 - l3, pole)}"
+        )
     # zeta(l1 - l2)/sinh((p-1)(l2 - l1)) is finite at l1 = l2: the sinh zeros
     # cancel; take the analytic limit at exact coincidence (a midpoint
     # quadrature node can land there)
     d = l1 - l2
-    if abs(d) < 1e-12:
-        ratio21 = -c * exp_I(0.0, spec) / (2.0 * pm1)
-    else:
-        ratio21 = zeta(d, spec) / cmath.sinh(-pm1 * d)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio21 = zeta(d, spec) / np.sinh(-pm1 * d)
+    coincide = np.abs(d) < 1e-12
+    if coincide.any():
+        ratio21 = np.where(coincide, -c * exp_I(0.0, spec) / (2.0 * pm1), ratio21)
     zetas = (
         zeta(l1 - l3 - 0.5j * th, spec)
         * zeta(l1 - l3 + 0.5j * th, spec)
         * zeta(l2 - l3 - 0.5j * th, spec)
         * zeta(l2 - l3 + 0.5j * th, spec)
-        * zeta(-1j * th, spec)
+        * _f_pm1_zeta(spec)
     )
     h = bigH(l1, l2, l3 - 0.5j * th, l3 + 0.5j * th, spec)
-    fusion = cmath.cosh(0.5 * pm1 * (d - 1j * math.pi))
+    fusion = np.cosh(0.5 * pm1 * (d - 1j * math.pi))
     return (
         pref
         * fusion
-        * cmath.exp((l1 + l2) / 2.0)
-        * cmath.exp(l3)
+        * np.exp((l1 + l2) / 2.0)
+        * np.exp(l3)
         * ratio21
         * zetas
         * h
@@ -807,8 +863,8 @@ def set_integral(
     shifts = line_shifts(lines, spec)
 
     def integrand(*energies):
-        ls = [math.log(e) - s for e, s in zip(energies, shifts)]
-        weight = abs(form_factor(*ls, spec)) ** 2
+        ls = [np.log(e) - s for e, s in zip(energies, shifts)]
+        weight = np.abs(form_factor(*ls, spec)) ** 2
         return weight if reflection is None else reflection(*ls) * weight
 
     res = integrate_simplex(

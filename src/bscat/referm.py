@@ -5,12 +5,15 @@ z = 1/2, giving closed-form reflection coefficients, a finite-temperature
 conductance integral, and a one-dimensional integral for the energy-resolved
 spectrum.  These are computed here independently of the form-factor pipeline
 and serve as cross-checks for it.  Frequencies in units of T_B = 1.
+Every integrand here takes the array of an adaptive_1d panel's nodes.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+
+import numpy as np
 
 from .errors import DomainError
 from .model import ModelKind, check_omega
@@ -63,14 +66,14 @@ def conductance_finite_T(
 
     if temperature == 0.0:
         # tanh weights become step functions selecting 0 < Omega < omega
-        def f0(x: float) -> complex:
+        def f0(x: np.ndarray) -> np.ndarray:
             return _kernel(omega, x, model) - 1.0
 
         val = adaptive_1d(f0, 0.0, omega, tol=1e-13).value
         return 1.0 + val / omega
 
-    def f(x: float) -> complex:
-        w = math.tanh(x / (2.0 * temperature)) + math.tanh(
+    def f(x: np.ndarray) -> np.ndarray:
+        w = np.tanh(x / (2.0 * temperature)) + np.tanh(
             (omega - x) / (2.0 * temperature)
         )
         return w * (_kernel(omega, x, model) - 1.0)
@@ -90,7 +93,7 @@ def spectrum_half(omega_p: float, omega: float, model: ModelKind) -> float:
 
     if model is ModelKind.BoundarySineGordon:
 
-        def f(x: float) -> complex:
+        def f(x: np.ndarray) -> np.ndarray:
             a = _kernel(omega, x, model)
             b = _kernel(-omega, x + omega_p - omega, model)
             return a * b - 1.0
@@ -100,7 +103,7 @@ def spectrum_half(omega_p: float, omega: float, model: ModelKind) -> float:
         # cos(Phi) - 1 cancels; -2 s^2/(1 + s^2) with s = tan(Phi/2) does not
         a = _lambda_cut(model) / 2.0
 
-        def f(x: float) -> float:
+        def f(x: np.ndarray) -> np.ndarray:
             p = x * (x + omega_p) + a * a
             q = (omega - x) * (omega - x - omega_p) + a * a
             s = a * omega_p * omega * (omega - omega_p - 2.0 * x)

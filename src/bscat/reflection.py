@@ -32,6 +32,12 @@ phase is analytic in |Im lambda| < min(3 xi, xi + 2 pi)/2, and the panel
 width follows from the half-width s of that strip about the line
 (`quadrature.strip_panel_width`: at most 1.5 s, a power of two).  As
 phase(-conj lambda) = -conj phase(lambda), the tables hold Re lambda >= 0.
+
+Amplitudes and brackets take arrays of rapidities and work elementwise; a
+pole or strip refusal names the first offending point.  An array's phase is
+read line by line (`quadrature.lookup_by_line`: one vectorised table lookup
+per distinct Im lambda, `_rs_phase_on_line`), a number's through the memo
+`_rs_phase_cached`, the scalar entry of the same lookup.
 """
 
 from __future__ import annotations
@@ -43,9 +49,14 @@ from typing import Tuple
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, offending
 from .model import ModelSpec, check_breather
-from .quadrature import ChebyshevTable, integrate_semi_infinite, strip_panel_width
+from .quadrature import (
+    ChebyshevTable,
+    integrate_semi_infinite,
+    lookup_by_line,
+    strip_panel_width,
+)
 
 _POLE_TOL = 1e-12
 # the phase integral differs from its large-|Re lambda| limit by about
@@ -57,11 +68,23 @@ _ASYMPTOTE_EXPONENT = 32.0
 
 @lru_cache(maxsize=200_000)
 def _rs_phase_cached(lam_r: float, lam_i: float, xi: float) -> complex:
-    if _rs_phase_asymptotic(lam_r, xi):
-        return _rs_phase_direct(complex(lam_r, lam_i), xi)
+    """The scalar entry of `_rs_phase_on_line`, memoised."""
+    return complex(_rs_phase_on_line(np.array([lam_r]), lam_i, xi)[0])
+
+
+def _rs_phase_on_line(lam_r: np.ndarray, lam_i: float, xi: float) -> np.ndarray:
+    """The phase at lam_r + i lam_i for each element of the array `lam_r`:
+    its large-|Re lambda| limit past the asymptote switch, and one lookup of
+    the line's table short of it."""
+    _rs_phase_decay(lam_i, xi)  # refuses a line where the integral diverges
+    out = _rs_phase_limit(lam_r, xi).astype(complex)
+    near = ~_rs_phase_asymptotic(lam_r, xi)
+    if not near.any():
+        return out
     # phase(-conj lambda) = -conj phase(lambda): the table holds Re lambda >= 0
-    value = _rs_phase_line(xi, lam_i)(abs(lam_r))
-    return -value.conjugate() if lam_r < 0.0 else value
+    value = _rs_phase_line(xi, lam_i)(np.abs(lam_r[near]))
+    out[near] = np.where(lam_r[near] < 0.0, -value.conjugate(), value)
+    return out
 
 
 @lru_cache(maxsize=256)
@@ -94,18 +117,24 @@ def _rs_phase_decay(lam_i: float, xi: float) -> float:
     return decay
 
 
-def _rs_phase_asymptotic(lam_r: float, xi: float) -> bool:
-    """Whether the phase at Re lambda = lam_r is its large-|Re lambda| limit."""
-    return 2.0 * _rs_phase_pole(xi) * abs(lam_r) > _ASYMPTOTE_EXPONENT
+def _rs_phase_asymptotic(lam_r, xi: float):
+    """Whether the phase at Re lambda = lam_r is its large-|Re lambda| limit
+    (elementwise on an array)."""
+    return 2.0 * _rs_phase_pole(xi) * np.abs(lam_r) > _ASYMPTOTE_EXPONENT
 
 
 def _rs_phase_direct(lam: complex, xi: float) -> complex:
     decay = _rs_phase_decay(lam.imag, xi)
     if _rs_phase_asymptotic(lam.real, xi):
-        # the kernel is even in x, so the large-|Re lambda| limit has no
-        # power-law corrections; the error is exponentially small.
-        return complex(math.copysign(1.0, lam.real) * math.pi * (math.pi - xi) / (4.0 * xi))
+        return complex(_rs_phase_limit(lam.real, xi))
     return _rs_phase_integral(lam, xi, decay)
+
+
+def _rs_phase_limit(lam_r, xi: float):
+    """The phase's large-|Re lambda| limit, sign(Re lambda) pi (pi - xi)/(4 xi):
+    the kernel is even in x, so the limit has no power-law corrections, and
+    the error is exponentially small."""
+    return np.copysign(1.0, lam_r) * math.pi * (math.pi - xi) / (4.0 * xi)
 
 
 def _rs_phase_kernel(x: np.ndarray, xi: float) -> np.ndarray:
@@ -131,40 +160,51 @@ def _rs_phase_integral(lam: complex, xi: float, decay: float) -> complex:
     ).value
 
 
-def r_s(lam: complex, spec: ModelSpec) -> complex:
-    """Scalar factor of the boundary sine-Gordon soliton reflection amplitudes."""
-    lam = complex(lam)
+def r_s(lam, spec: ModelSpec):
+    """Scalar factor of the boundary sine-Gordon soliton reflection
+    amplitudes, elementwise."""
+    lam = np.asarray(lam, dtype=complex)
     pm1 = spec.p - 1.0
-    den = 2.0 * cmath.cosh(pm1 * lam / 2.0 - 1j * math.pi / 4.0)
-    if abs(den) < _POLE_TOL:
-        raise DomainError(f"R_s pole at lambda = {lam}")
+    den = 2.0 * np.cosh(pm1 * lam / 2.0 - 1j * math.pi / 4.0)
+    pole = np.abs(den) < _POLE_TOL
+    if pole.any():
+        raise DomainError(f"R_s pole at lambda = {offending(lam, pole)}")
     amplitude = cmath.exp(-1j * math.pi / 4.0) / den
     if abs(math.pi - spec.xi) < 1e-14:
         return amplitude  # the phase integrand vanishes identically at z = 1/2
-    return amplitude * cmath.exp(1j * _rs_phase_cached(lam.real, lam.imag, spec.xi))
+    phase = lookup_by_line(_rs_phase_on_line, _rs_phase_cached, lam, spec.xi)
+    return amplitude * np.exp(1j * phase)
 
 
-def soliton_amplitudes(lam: complex, spec: ModelSpec) -> Tuple[complex, complex]:
+def soliton_amplitudes(lam, spec: ModelSpec) -> Tuple:
     """Soliton reflection amplitudes (flip, diag) of either model: the
     charge-flipping R_+-^-+ and the charge-preserving R_+-^+-, both even
     under charge parity.  Boundary sine-Gordon: i e^{(p-1) lambda/2} R_s and
     e^{-(p-1) lambda/2} R_s from one R_s.  Kondo: a unimodular flip
-    amplitude, and a charge-preserving entry that vanishes (an exact 0j)."""
-    lam = complex(lam)
+    amplitude, and a charge-preserving entry that vanishes (an exact 0j).
+    Elementwise on arrays."""
+    lam = np.asarray(lam, dtype=complex)
     if spec.is_kondo:
-        e = cmath.exp(lam)
+        e = np.exp(lam)
         den = e + 1j
-        if abs(den) < _POLE_TOL:
-            raise DomainError(f"Kondo soliton reflection pole at lambda = {lam}")
-        return cmath.exp(1j * math.pi / (4.0 * spec.z)) * (e - 1j) / den, 0j
-    if abs(lam.imag) > math.pi + 1e-12:
-        raise DomainError(f"|Im lambda| > pi unsupported (got {lam.imag})")
+        pole = np.abs(den) < _POLE_TOL
+        if pole.any():
+            raise DomainError(
+                f"Kondo soliton reflection pole at lambda = {offending(lam, pole)}"
+            )
+        flip = cmath.exp(1j * math.pi / (4.0 * spec.z)) * (e - 1j) / den
+        return flip, np.zeros(lam.shape, dtype=complex)[()]
+    outside = np.abs(lam.imag) > math.pi + 1e-12
+    if outside.any():
+        raise DomainError(
+            f"|Im lambda| > pi unsupported (got {offending(lam.imag, outside)})"
+        )
     pm1 = spec.p - 1.0
     rs = r_s(lam, spec)
-    return 1j * cmath.exp(pm1 * lam / 2.0) * rs, cmath.exp(-pm1 * lam / 2.0) * rs
+    return 1j * np.exp(pm1 * lam / 2.0) * rs, np.exp(-pm1 * lam / 2.0) * rs
 
 
-def r_bsg_breather(lam: complex, m: int, spec: ModelSpec) -> complex:
+def r_bsg_breather(lam, m: int, spec: ModelSpec):
     """Diagonal breather-m reflection amplitude of the boundary sine-Gordon
     model: the m-fold fusion of R_1(lambda) = tanh(lambda/2 - i pi/4),
 
@@ -172,42 +212,46 @@ def r_bsg_breather(lam: complex, m: int, spec: ModelSpec) -> complex:
 
     the boundary bootstrap for a bound state of m breathers 1 (Ghoshal &
     Zamolodchikov, Int. J. Mod. Phys. A 9 (1994) 3841); unimodular on real
-    rapidities."""
+    rapidities.  Elementwise on arrays."""
     check_breather(m, spec)
-    base = complex(lam) / 2.0 - 1j * math.pi / 4.0
+    base = np.asarray(lam, dtype=complex) / 2.0 - 1j * math.pi / 4.0
     out = 1.0 + 0.0j
     for k in range(1, m + 1):
-        out *= cmath.tanh(base + 0.25j * spec.xi * (m + 1 - 2 * k))
+        out = out * np.tanh(base + 0.25j * spec.xi * (m + 1 - 2 * k))
     return out
 
 
-def r_kondo_breather(lam: complex, m: int, spec: ModelSpec) -> complex:
-    """Diagonal breather-m reflection amplitude of the Kondo model."""
+def r_kondo_breather(lam, m: int, spec: ModelSpec):
+    """Diagonal breather-m reflection amplitude of the Kondo model,
+    elementwise."""
     check_breather(m, spec)
-    lam = complex(lam)
-    num = cmath.tanh(lam / 2.0 - 1j * spec.xi * m / 4.0)
-    den = cmath.tanh(lam / 2.0 + 1j * spec.xi * m / 4.0)
-    if abs(den) < _POLE_TOL:
-        raise DomainError(f"Kondo breather reflection pole at lambda = {lam}")
+    lam = np.asarray(lam, dtype=complex)
+    num = np.tanh(lam / 2.0 - 1j * spec.xi * m / 4.0)
+    den = np.tanh(lam / 2.0 + 1j * spec.xi * m / 4.0)
+    pole = np.abs(den) < _POLE_TOL
+    if pole.any():
+        raise DomainError(
+            f"Kondo breather reflection pole at lambda = {offending(lam, pole)}"
+        )
     return num / den
 
 
-def r_breather(lam: complex, m: int, spec: ModelSpec) -> complex:
-    """Diagonal breather-m reflection amplitude R_m^m(lambda) of either model."""
+def r_breather(lam, m: int, spec: ModelSpec):
+    """Diagonal breather-m reflection amplitude R_m^m(lambda) of either
+    model, elementwise."""
     if spec.is_bsg:
         return r_bsg_breather(lam, m, spec)
     return r_kondo_breather(lam, m, spec)
 
 
-def soliton_pair_bracket(
-    lam1: complex, lam2: complex, spec: ModelSpec, sign: int = -1
-) -> complex:
+def soliton_pair_bracket(lam1, lam2, spec: ModelSpec, sign: int = -1):
     """Reflection combination of an outgoing soliton-antisoliton pair:
     exp(-i pi/2z) R_+^-(l1) R_-^+(l2) + sign * exp(+i pi/2z) R_+^+(l1) R_+^+(l2).
 
     sign = -1 for a pair that reflects as a whole; sign = +1 for pair lines
     that straddle the photon vertices.  The Kondo diagonal entry vanishes, so
-    the sign only matters for the boundary sine-Gordon model.
+    the sign only matters for the boundary sine-Gordon model.  Elementwise
+    on arrays, as is `soliton_split_bracket`.
     """
     phase = cmath.exp(-1j * math.pi / (2.0 * spec.z))
     flip1, diag1 = soliton_amplitudes(lam1, spec)
@@ -219,9 +263,7 @@ def soliton_pair_bracket(
     return flip + diag if sign > 0 else flip - diag
 
 
-def soliton_split_bracket(
-    lam_in: complex, lam_out: complex, spec: ModelSpec
-) -> complex:
+def soliton_split_bracket(lam_in, lam_out, spec: ModelSpec):
     """Reflection combination of a soliton pair split across the photon
     vertices, with the absorbed member conjugated:
     conj(R_+^-(l_in)) R_+^-(l_out) - conj(R_+^+(l_in)) R_+^+(l_out).

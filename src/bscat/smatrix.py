@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, offending
 from .formfactors import exp_I
 from .model import ModelSpec, check_breather
 
@@ -36,19 +36,22 @@ def _sin_ratio(theta: complex, spec: ModelSpec) -> complex:
     return num / den
 
 
-def s0(theta: complex, spec: ModelSpec) -> complex:
+def s0(theta, spec: ModelSpec):
     """Scalar (anti)soliton exchange factor S0(theta) = -e^{I(-theta)}/e^{I(theta)},
-    |Im theta| <= pi (Watson's equation for the pair function).
+    |Im theta| <= pi (Watson's equation for the pair function), elementwise.
 
     DomainError for |Im theta| > pi and at the poles theta = i k xi, where
-    e^{I(theta)} vanishes, also when approached off the imaginary axis."""
-    theta = complex(theta)
-    if abs(theta.imag) > math.pi + 1e-12:
-        raise DomainError(f"|Im theta| > pi unsupported (got {theta.imag})")
+    e^{I(theta)} vanishes, also when approached off the imaginary axis; it
+    names the first offending theta."""
+    theta = np.asarray(theta, dtype=complex)
+    outside = np.abs(theta.imag) > math.pi + 1e-12
+    if outside.any():
+        raise DomainError(f"|Im theta| > pi unsupported (got {offending(theta.imag, outside)})")
     num = exp_I(-theta, spec)
     den = exp_I(theta, spec)
-    if abs(den) <= _POLE_TOL * abs(num):
-        raise DomainError(f"S0 pole at theta = {theta}")
+    pole = np.abs(den) <= _POLE_TOL * np.abs(num)
+    if pole.any():
+        raise DomainError(f"S0 pole at theta = {offending(theta, pole)}")
     return -num / den
 
 

@@ -19,6 +19,16 @@ Gauss-Kronrod needs no bisection toward the endpoints.  The map is symmetric
 about t = 1/2, so a diagram whose integrand is invariant under E -> omega -
 omega' - E (G1_1, G1_3, G3A, G4A: their lines exchange in identical pairs)
 is integrated on t in (0, 1/2) only and doubled.
+
+The t-nodes do not depend on omega', so a diagram at many omega' is one
+family integral (`quadrature.adaptive_1d`) on shared nodes: the integrand
+is evaluated once per GK15 panel on a (15, m) array of (t, omega') points,
+every reflection factor and form factor elementwise, and the bisection goes
+on until each omega' meets its own tolerance.  `spectrum_curve` makes one
+family per active diagram over its whole grid, `sum_rule_check` one per
+diagram for each panel of its omega' rule (15 omega'), and `spectrum_point`
+at a single omega' a family of one.  Each member pays for the nodes of the
+one that needs most (see `quadrature`), and gains a call shared with all.
 """
 
 from __future__ import annotations
@@ -26,14 +36,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, offending
 from .formfactors import f_111, f_breather1, f_pm, f_pm1
 from .model import ModelSpec, check_omega, line_shifts
-from .quadrature import adaptive_1d
+from .quadrature import adaptive_1d, evaluate_masked
 from .reflection import r_breather, soliton_pair_bracket, soliton_split_bracket
 from .smatrix import s0
 from .twopoint import ReflectionBreakdown, reflection_coefficient
@@ -94,33 +104,39 @@ class SpectrumCurve:
 
 
 def _diagram(
-    omega_p: float,
+    omega_p,
     omega: float,
     spec: ModelSpec,
-    energies: Callable[[float], Tuple[float, float, float, float]],
-    reflection: Callable[..., complex],
-    formfactors: Callable[..., complex],
+    energies: Callable[[np.ndarray, np.ndarray], Tuple[np.ndarray, ...]],
+    reflection: Callable[..., np.ndarray],
+    formfactors: Callable[..., np.ndarray],
     diagram: SpectrumDiagram,
     tol: Optional[float] = None,
-) -> float:
+):
     """coeff / (omega' omega) times the integral over the internal energy E
     in (0, omega - omega') of
 
-        Re(reflection - 1) Re(formfactors) / ((2 pi)^4 e1 e2 e3 e4).
+        Re(reflection - 1) Re(formfactors) / ((2 pi)^4 e1 e2 e3 e4),
 
-    `energies(E)` gives the four line energies e1..e4; `lines`, from the
-    diagram's row, the breather whose mass ratio shifts each line's rapidity
-    (0 for a soliton line), decoded by `model.line_shifts`: line k enters
-    `reflection(l1..l4)` and `formfactors(l1..l4)` as log(e_k) - log(m_b/m_s).
-    A breather line raises DomainError at z >= 1/2, `integer_p` at non-integer p.
+    at one omega' (a float) or, as one family integral, at each omega' of
+    an array (an array).
+
+    `energies(E, omega')` gives the four line energies e1..e4; `lines`, from
+    the diagram's row, the breather whose mass ratio shifts each line's
+    rapidity (0 for a soliton line), decoded by `model.line_shifts`: line k
+    enters `reflection(l1..l4)` and `formfactors(l1..l4)` as log(e_k) -
+    log(m_b/m_s).  All three take arrays and work elementwise.  A breather
+    line raises DomainError at z >= 1/2, `integer_p` at non-integer p.
 
     The integral is one adaptive GK15 call over t in (0, 1), with
     E = w t^2 (3 - 2t) and dE = 6 w t (1 - t) dt, w = omega - omega': a
-    sqrt(E) or sqrt(w - E) endpoint becomes a smooth t^2 or (1 - t)^2.  Its
-    absolute tolerance `tol` applies to the E-integral itself, which the map
-    leaves unchanged, so the diagram is held to |coeff| tol/(omega' omega).
-    By default it is _TOL_DIAGRAM max(1, omega), the tolerance of a printed
-    spectrum row; sum_rule_check gives each diagram a share of its own.
+    sqrt(E) or sqrt(w - E) endpoint becomes a smooth t^2 or (1 - t)^2.  The
+    t-nodes are shared by every omega' of an array: adaptive_1d integrates
+    them as one family, each member to the absolute tolerance `tol`, which
+    applies to the E-integral itself, which the map leaves unchanged, so
+    the diagram is held to |coeff| tol/(omega' omega).  By default it is
+    _TOL_DIAGRAM max(1, omega), the tolerance of a printed spectrum row;
+    sum_rule_check gives each diagram a share of its own.
 
     A diagram declares `mirror` when its integrand is symmetric under
     E -> w - E, which exchanges its lines in identical pairs; the map is
@@ -132,42 +148,48 @@ def _diagram(
     model, whose reflection factors all have unit modulus at real rapidity:
     the two are equal there, and the second does not lose to cancellation
     where the product is close to 1.  The boundary sine-Gordon brackets are
-    not unimodular and keep the direct form.
+    not unimodular and keep the direct form.  The form factors are not
+    evaluated where that part is exactly 0, nor the integrand where E rounds
+    onto an end of (0, w).
     """
     check_omega(omega)
-    if not (0.0 < omega_p < omega):
+    wp = np.asarray(omega_p, dtype=float)
+    outside = ~((0.0 < wp) & (wp < omega))
+    if outside.any():
         raise DomainError(
-            f"need 0 < omega_p < omega, got omega_p={omega_p}, omega={omega}"
+            f"need 0 < omega_p < omega, got omega_p={offending(wp, outside)}, omega={omega}"
         )
     coeff, lines, mirror, integer_p = _DIAGRAMS[diagram]
     if integer_p and spec.p_int is None:
         raise DomainError(f"diagram {diagram.value} requires integer p = 1/z")
     shifts = line_shifts(lines, spec)
-    width = omega - omega_p
+    width = omega - wp
     unimodular = spec.is_kondo
 
-    def integrand(big: float) -> float:
-        if big <= 0.0 or big >= width:
-            return 0.0
-        es = energies(big)
-        ls = [math.log(e) - shift for e, shift in zip(es, shifts)]
+    def integrand(big: np.ndarray, wp: np.ndarray) -> np.ndarray:
+        es = np.broadcast_arrays(*energies(big, wp))
+        ls = [np.log(e) - shift for e, shift in zip(es, shifts)]
         delta = reflection(*ls) - 1.0
-        rpart = -0.5 * abs(delta) ** 2 if unimodular else delta.real
-        if rpart == 0.0:
-            return 0.0
-        fval = formfactors(*ls).real
+        rpart = -0.5 * np.abs(delta) ** 2 if unimodular else delta.real
+        fval = evaluate_masked(rpart != 0.0, formfactors, *ls).real
         return rpart * fval / (_MEASURE * (es[0] * es[1] * es[2] * es[3]))
 
-    def mapped(t: float) -> float:
-        return integrand(width * t * t * (3.0 - 2.0 * t)) * (6.0 * width * t * (1.0 - t))
+    def mapped(t: np.ndarray) -> np.ndarray:
+        if width.ndim:
+            t = t[:, None]  # rows: the nodes; columns: the members
+        big = width * t * t * (3.0 - 2.0 * t)
+        inside = (big > 0.0) & (big < width)
+        values = evaluate_masked(inside, integrand, big, np.broadcast_to(wp, big.shape))
+        return values.real * (6.0 * width * t * (1.0 - t))
 
     if tol is None:
         tol = _TOL_DIAGRAM * max(1.0, omega)
     if mirror:
-        val = 2.0 * float(adaptive_1d(mapped, 0.0, 0.5, tol=tol / 2.0).value.real)
+        val = 2.0 * adaptive_1d(mapped, 0.0, 0.5, tol=tol / 2.0).value.real
     else:
-        val = float(adaptive_1d(mapped, 0.0, 1.0, tol=tol).value.real)
-    return coeff / (omega_p * omega) * val
+        val = adaptive_1d(mapped, 0.0, 1.0, tol=tol).value.real
+    out = coeff / (wp * omega) * val
+    return float(out) if out.ndim == 0 else out
 
 
 def _two_pair_reflection(spec: ModelSpec) -> Callable[..., complex]:
@@ -184,12 +206,12 @@ def _two_pair_reflection(spec: ModelSpec) -> Callable[..., complex]:
 
 
 def diagram_g1_1(
-    omega_p: float, omega: float, spec: ModelSpec, tol: Optional[float] = None
-) -> float:
+    omega_p, omega: float, spec: ModelSpec, tol: Optional[float] = None
+):
     """Soliton-pair diagram: the only diagram computed at z >= 1/2."""
 
-    def energies(big):
-        return (omega - big, big, omega - omega_p - big, omega_p + big)
+    def energies(big, wp):
+        return (omega - big, big, omega - wp - big, wp + big)
 
     def formfactors(l1, l2, l3, l4):
         return (
@@ -206,12 +228,12 @@ def diagram_g1_1(
 
 
 def diagram_g2_1(
-    omega_p: float, omega: float, spec: ModelSpec, tol: Optional[float] = None
-) -> float:
+    omega_p, omega: float, spec: ModelSpec, tol: Optional[float] = None
+):
     """Breather-1 emission interfering with a soliton pair (integer p)."""
 
-    def energies(big):
-        return (omega, omega - omega_p - big, big, omega - big)
+    def energies(big, wp):
+        return (omega, omega - wp - big, big, omega - big)
 
     def reflection(l1, l2, l3, l4):
         return r_breather(l1, 1, spec).conjugate() * soliton_pair_bracket(l3, l4, spec)
@@ -231,12 +253,12 @@ def diagram_g2_1(
 
 
 def diagram_g1_3(
-    omega_p: float, omega: float, spec: ModelSpec, tol: Optional[float] = None
-) -> float:
+    omega_p, omega: float, spec: ModelSpec, tol: Optional[float] = None
+):
     """Delta-reduced six-soliton diagram (integer p only)."""
 
-    def energies(big):
-        return (big, omega - big, omega_p + big, omega - omega_p - big)
+    def energies(big, wp):
+        return (big, omega - big, wp + big, omega - wp - big)
 
     def formfactors(l1, l2, l3, l4):
         sfac = (s0(l4 - l1, spec) - s0(l2 - l1, spec)) * (
@@ -257,12 +279,12 @@ def diagram_g1_3(
 
 
 def diagram_g3a(
-    omega_p: float, omega: float, spec: ModelSpec, tol: Optional[float] = None
-) -> float:
+    omega_p, omega: float, spec: ModelSpec, tol: Optional[float] = None
+):
     """Soliton pair + breather-1 absorbed, breather-1 emitted (integer p)."""
 
-    def energies(big):
-        return (omega_p, big, omega - omega_p - big, omega)
+    def energies(big, wp):
+        return (wp, big, omega - wp - big, omega)
 
     def reflection(lg, l1, l2, lp):
         return (
@@ -286,12 +308,12 @@ def diagram_g3a(
 
 
 def diagram_g4a(
-    omega_p: float, omega: float, spec: ModelSpec, tol: Optional[float] = None
-) -> float:
+    omega_p, omega: float, spec: ModelSpec, tol: Optional[float] = None
+):
     """Three breather-1 absorbed, breather-1 emitted; symmetry factor 1/2."""
 
-    def energies(big):
-        return (omega_p, big, omega - omega_p - big, omega)
+    def energies(big, wp):
+        return (wp, big, omega - wp - big, omega)
 
     def reflection(lg, l1, l2, lp):
         return (
@@ -315,8 +337,8 @@ def diagram_g4a(
 
 
 def diagram_g5a(
-    omega_p: float, omega: float, spec: ModelSpec, tol: Optional[float] = None
-) -> float:
+    omega_p, omega: float, spec: ModelSpec, tol: Optional[float] = None
+):
     """Pair + breather-1 with one soliton line passing the photon vertices.
 
     The direct line reflects once; its conjugated and plain reflection factors
@@ -325,8 +347,8 @@ def diagram_g5a(
     (boundary unitarity removes the direct line's own factors).
     """
 
-    def energies(big):
-        return (omega_p, big, omega - omega_p - big, omega_p + big)
+    def energies(big, wp):
+        return (wp, big, omega - wp - big, wp + big)
 
     def reflection(lg, l_blue, l_red, l_purple):
         return (
@@ -348,7 +370,7 @@ def diagram_g5a(
     )
 
 
-_DIAGRAM_FUNCS: Dict[SpectrumDiagram, Callable[..., float]] = {
+_DIAGRAM_FUNCS: Dict[SpectrumDiagram, Callable[..., Any]] = {
     SpectrumDiagram.G1_1: diagram_g1_1,
     SpectrumDiagram.G2_1: diagram_g2_1,
     SpectrumDiagram.G1_3: diagram_g1_3,
@@ -367,18 +389,21 @@ def active_diagrams(spec: ModelSpec) -> List[SpectrumDiagram]:
 
 
 def spectrum_point(
-    omega_p: float, omega: float, spec: ModelSpec, tol: Optional[float] = None
-) -> float:
+    omega_p, omega: float, spec: ModelSpec, tol: Optional[float] = None
+):
     """gamma(omega'|omega) summed over the active diagrams, each E-integral
-    to the absolute tolerance `tol` (by default _TOL_DIAGRAM max(1, omega))."""
-    return math.fsum(
-        _DIAGRAM_FUNCS[d](omega_p, omega, spec, tol) for d in active_diagrams(spec)
-    )
+    to the absolute tolerance `tol` (by default _TOL_DIAGRAM max(1, omega)):
+    a float at one omega', an array at an array of them, each diagram one
+    family integral over the array (one `_DIAGRAM_FUNCS` call per diagram)."""
+    vals = [_DIAGRAM_FUNCS[d](omega_p, omega, spec, tol) for d in active_diagrams(spec)]
+    if np.ndim(omega_p) == 0:
+        return math.fsum(vals)
+    return np.array([math.fsum(col) for col in zip(*vals)])
 
 
 def _inelastic_loss(bd: ReflectionBreakdown) -> float:
     """1 - |r|^2 of the normalized reflection coefficient."""
-    return 1.0 - abs(bd.normalized) ** 2
+    return float(1.0 - abs(bd.normalized) ** 2)
 
 
 def sum_rule_check(
@@ -398,9 +423,10 @@ def sum_rule_check(
     The absolute tolerance tol omega is split as QUADPACK splits an outer
     tolerance with its inner integrals (Piessens et al. 1983): 3/4 to the
     outer rule, and each diagram gets tol_d = (tol omega / 4) / sum_d
-    |coeff_d|, so the integral is held to tol omega in total.  `breakdown`
-    is r(omega) if the caller has it already; it is normalized (or
-    refused) before the integral.
+    |coeff_d|, so the integral is held to tol omega in total.  An outer
+    panel's 15 omega' are one `spectrum_point` call: one family integral per
+    diagram.  `breakdown` is r(omega) if the caller has it already; it is
+    normalized (or refused) before the integral.
     """
     check_omega(omega)
     if breakdown is None:
@@ -409,15 +435,16 @@ def sum_rule_check(
     coeff_sum = sum(abs(_DIAGRAMS[d][0]) for d in active_diagrams(spec))
     diagram_tol = 0.25 * tol * omega / coeff_sum
 
-    def f(u: float) -> float:
-        omega_p = omega * u * u
-        if omega_p <= 0.0 or omega_p >= omega:
-            return 0.0
+    def energy(omega_p: np.ndarray, u: np.ndarray) -> np.ndarray:
         g = spectrum_point(omega_p, omega, spec, diagram_tol)
         return omega_p * g * 2.0 * omega * u
 
-    lhs = float(adaptive_1d(f, 0.0, 1.0, tol=0.75 * tol * omega).value.real)
-    return lhs / (omega * loss)
+    def f(u: np.ndarray) -> np.ndarray:
+        omega_p = omega * u * u
+        return evaluate_masked((omega_p > 0.0) & (omega_p < omega), energy, omega_p, u)
+
+    lhs = adaptive_1d(f, 0.0, 1.0, tol=0.75 * tol * omega).value.real
+    return float(lhs / (omega * loss))
 
 
 def default_omega_prime_grid(omega: float, n: int = 40) -> List[float]:
@@ -433,23 +460,20 @@ def spectrum_curve(
 ) -> SpectrumCurve:
     """Spectrum on a grid of omega', with per-diagram breakdown and the
     sum-rule ratio; the elastic delta-function coefficient is reported as
-    gamma_disc = -(1 - |r|^2)."""
+    gamma_disc = -(1 - |r|^2).  Each active diagram is one family integral
+    over the whole grid."""
     check_omega(omega)
-    diagrams = active_diagrams(spec)
     grid = default_omega_prime_grid(omega, grid_size)
-    per: Dict[SpectrumDiagram, List[float]] = {d: [] for d in diagrams}
-    totals: List[float] = []
-    for omega_p in grid:
-        vals = [_DIAGRAM_FUNCS[d](omega_p, omega, spec) for d in diagrams]
-        for d, v in zip(diagrams, vals):
-            per[d].append(v)
-        totals.append(math.fsum(vals))
+    per = {
+        d: tuple(_DIAGRAM_FUNCS[d](np.array(grid), omega, spec).tolist())
+        for d in active_diagrams(spec)
+    }
     bd = reflection_coefficient(omega, spec)
     return SpectrumCurve(
         omega=omega,
         omega_primes=tuple(grid),
-        values=tuple(totals),
-        per_diagram={d: tuple(v) for d, v in per.items()},
+        values=tuple(math.fsum(col) for col in zip(*per.values())),
+        per_diagram=per,
         sum_rule_ratio=sum_rule_check(omega, spec, breakdown=bd),
         gamma_disc=-_inelastic_loss(bd),
     )

@@ -531,14 +531,14 @@ class TestValidate:
 # sha256 of stdout; a change that moves these bytes updates the hash here
 # and records the moved output
 _PINNED_STDOUT = {
-    "validate --suite all": "0b01ca00055d0e4db160df1b931470b16f5739c8ddae70fbaa4933bd53a63c2c",
-    "rates --model bsg --z 0.3333333333333333 --omega 0.7": "5aff7dfb9339bc69eedea4131f8d7cf175a00c59de6cec0aac687660c5644790",
-    "rates --model kondo --z 0.3333333333333333 --omega 0.7": "d3d2dc9e86c0aa0c7da4d4db8ea3760c1bca9ea87f4e5c25e3e173f37a9083ae",
-    "rates --model kondo --z 0.5 --omega 1e-2..1e2:12 --format json": "64647b72a05d5382bb80808edf076fe6f271d79be38df4e5f8b90902d4546bd5",
-    "r0 --model bsg --z 0.3333333333333333": "c74b65a42e5fdc5953e86887be7fe618856237715a928146fe55a73b8c06c6b8",
-    "r0 --model bsg --z 0.2": "262ce4dd521503700744776bbf0fc9e8b6ba2d62e2943269e19b09762b699e42",
-    "spectrum --model kondo --z 0.5 --omega 1 --points 10": "75109442bba416e7c7dd446782fb5983a47abe8032207fb416011a2779f5ecf8",
-    "spectrum --model bsg --z 0.3333333333333333 --omega 1 --points 8": "366db0b6359fbb5f448848ac91d8d6b46af29cad054b0cece221a3eed8499122",
+    "validate --suite all": "ec6fffa3578dc9fc9619ae2c5e5e2cce61e62b32c5c8186093b55509854374d7",
+    "rates --model bsg --z 0.3333333333333333 --omega 0.7": "6b50ea87c98b7a46730eb268ea804707c11a342a0c31765c9a6255f9ba2c54d1",
+    "rates --model kondo --z 0.3333333333333333 --omega 0.7": "89449f97a1e8e21baeb3b55643ad3b07d66bdb91040ae1e0be07c12a4c1ee41f",
+    "rates --model kondo --z 0.5 --omega 1e-2..1e2:12 --format json": "b97131689e2527064ab17b288ebd92eec16532d6664db9d8ab216f84333094f7",
+    "r0 --model bsg --z 0.3333333333333333": "22aebdab2c8a526c8d52b12a080d350358f5a7375290ece67c711808df899cc2",
+    "r0 --model bsg --z 0.2": "5a06cbe5357f1a6b955496f2c8e19205e497efbf903dcbf4084d7ef47a43ae17",
+    "spectrum --model kondo --z 0.5 --omega 1 --points 10": "a6a51a98e8ea27fb5c0246efd1fadb8873c5c5a2d4f679ab13d55c6bae78c64f",
+    "spectrum --model bsg --z 0.3333333333333333 --omega 1 --points 8": "cb29c98417046745b6017123f44c06087de858804376ef23996e4e29af745ea3",
 }
 
 

@@ -17,17 +17,18 @@ from bscat.quadrature import (
 
 
 class TestAdaptive1D:
+    # integrands take the array of a panel's 15 nodes
     def test_polynomial_exact(self):
         res = adaptive_1d(lambda x: x * x, 0.0, 1.0, tol=1e-12)
         assert res.value.real == pytest.approx(1.0 / 3.0, abs=1e-13)
         assert res.abs_error_estimate <= 1e-12
 
     def test_oscillatory(self):
-        res = adaptive_1d(lambda x: math.cos(101.0 * x), 0.0, 10.0, tol=1e-10)
+        res = adaptive_1d(lambda x: np.cos(101.0 * x), 0.0, 10.0, tol=1e-10)
         assert res.value.real == pytest.approx(math.sin(1010.0) / 101.0, abs=1e-10)
 
     def test_complex_integrand(self):
-        res = adaptive_1d(lambda x: complex(x, -x), 0.0, 2.0, tol=1e-12)
+        res = adaptive_1d(lambda x: x - 1j * x, 0.0, 2.0, tol=1e-12)
         assert res.value == pytest.approx(complex(2.0, -2.0), abs=1e-12)
 
     def test_invalid_interval(self):
@@ -39,7 +40,7 @@ class TestAdaptive1D:
         monkeypatch.setattr(quadrature, "_MAX_INTERVALS", 8)
         with pytest.raises(ToleranceNotMet) as exc:
             adaptive_1d(
-                lambda x: 1.0 / math.sqrt(x) if x > 0 else 0.0, 0.0, 1.0, tol=1e-15
+                lambda x: np.where(x > 0, 1.0 / np.sqrt(x), 0.0), 0.0, 1.0, tol=1e-15
             )
         assert exc.value.value is not None
         assert exc.value.abs_error_estimate > 1e-15
@@ -53,19 +54,19 @@ class TestAdaptive1D:
         c = 1.0 / math.pi
         exact = 10.0 * (c**0.1 + (1.0 - c) ** 0.1)
         with pytest.raises(ToleranceNotMet) as exc:
-            adaptive_1d(lambda x: 0.0 if x == c else abs(x - c) ** -0.9, 0.0, 1.0, tol=1e-6)
+            adaptive_1d(lambda x: _spike(x, c), 0.0, 1.0, tol=1e-6)
         assert exc.value.abs_error_estimate > 1e-6
         assert abs(exc.value.value - exact) > 1e-6
         assert exc.value.abs_error_estimate >= abs(exc.value.value - exact)
 
     def test_nan_integrand_is_an_error(self):
         with pytest.raises(ToleranceNotMet) as exc:
-            adaptive_1d(lambda x: math.nan, 0.0, 1.0, tol=1e-10)
+            adaptive_1d(lambda x: np.full_like(x, math.nan), 0.0, 1.0, tol=1e-10)
         assert math.isnan(exc.value.abs_error_estimate)
 
     def test_deterministic(self):
         def f(x):
-            return math.sin(7.0 * x) / (1.0 + x * x)
+            return np.sin(7.0 * x) / (1.0 + x * x)
 
         r1 = adaptive_1d(f, 0.0, 5.0, tol=1e-11)
         r2 = adaptive_1d(f, 0.0, 5.0, tol=1e-11)
@@ -84,6 +85,99 @@ class TestAdaptive1D:
         res = adaptive_1d(lambda x: c0 + c1 * x, a, b, tol=1e-10)
         exact = c0 * (b - a) + 0.5 * c1 * (b * b - a * a)
         assert res.value.real == pytest.approx(exact, abs=1e-9)
+
+
+def _spike(x, c):
+    """|x - c|^-0.9, and 0 at x = c."""
+    with np.errstate(divide="ignore"):
+        return np.where(x == c, 0.0, np.abs(x - c) ** -0.9)
+
+
+class TestFamily:
+    """m integrals on one shared bisection: the integrand returns (15, m)."""
+
+    ks = np.array([1.0, 5.0, 101.0])
+
+    def family(self, x):
+        return np.cos(np.multiply.outer(x, self.ks))
+
+    def test_members_equal_separate_calls(self):
+        tol = 1e-10
+        res = adaptive_1d(self.family, 0.0, 10.0, tol=tol)
+        assert res.value.shape == res.abs_error_estimate.shape == (3,)
+        for k, rate in enumerate(self.ks):
+            alone = adaptive_1d(lambda x: np.cos(rate * x), 0.0, 10.0, tol=tol)
+            assert abs(res.value[k] - alone.value) <= tol
+            assert abs(res.value[k] - math.sin(10.0 * rate) / rate) <= tol
+            assert res.abs_error_estimate[k] <= tol
+        # the shared nodes are those of the member that needs most
+        assert res.evaluations == alone.evaluations
+
+    # the scalar rule's counts at the parent commit, before families
+    @pytest.mark.parametrize(
+        "f, b, tol, evaluations",
+        [
+            (lambda x: np.cos(101.0 * x), 10.0, 1e-10, 7665),
+            (lambda x: np.sin(7.0 * x) / (1.0 + x * x), 5.0, 1e-11, 315),
+            (lambda x: np.sqrt(x), 1.0, 1e-12, 585),
+        ],
+        ids=["cos-101", "damped-sine", "sqrt"],
+    )
+    def test_one_member_repeats_the_scalar_rule(self, f, b, tol, evaluations):
+        scalar = adaptive_1d(f, 0.0, b, tol=tol)
+        column = adaptive_1d(lambda x: f(x)[:, None], 0.0, b, tol=tol)
+        assert scalar.evaluations == column.evaluations == evaluations
+        assert column.value[0] == scalar.value
+        assert column.abs_error_estimate[0] == scalar.abs_error_estimate
+
+    def test_deterministic(self):
+        r1 = adaptive_1d(self.family, 0.0, 10.0, tol=np.array([1e-6, 1e-9, 1e-11]))
+        r2 = adaptive_1d(self.family, 0.0, 10.0, tol=np.array([1e-6, 1e-9, 1e-11]))
+        assert np.array_equal(r1.value, r2.value)
+        assert np.array_equal(r1.abs_error_estimate, r2.abs_error_estimate)
+        assert r1.evaluations == r2.evaluations
+
+    def test_each_member_meets_its_own_tolerance(self):
+        # the slow member holds a loose tolerance, the fast one a tight one:
+        # the rule goes on until the fast one meets its own
+        loose, tight = 1e-3, 1e-11
+        tol = np.array([tight, loose])
+        ks = np.array([1.0, 101.0])
+        res = adaptive_1d(lambda x: np.cos(np.multiply.outer(x, ks)), 0.0, 10.0, tol=tol)
+        assert np.all(res.abs_error_estimate <= tol)
+        exact = np.sin(10.0 * ks) / ks
+        assert np.all(np.abs(res.value - exact) <= tol)
+        fast_alone = adaptive_1d(lambda x: np.cos(101.0 * x), 0.0, 10.0, tol=loose)
+        slow_alone = adaptive_1d(lambda x: np.cos(x), 0.0, 10.0, tol=tight)
+        assert res.evaluations >= max(fast_alone.evaluations, slow_alone.evaluations)
+        # swapped, the fast member needs its tight tolerance: more nodes
+        swapped = adaptive_1d(
+            lambda x: np.cos(np.multiply.outer(x, ks)), 0.0, 10.0, tol=tol[::-1]
+        )
+        assert np.all(swapped.abs_error_estimate <= tol[::-1])
+        assert swapped.evaluations > res.evaluations
+
+    def test_an_unresolvable_member_is_named(self):
+        c = 1.0 / math.pi
+
+        def f(x):
+            return np.stack([np.cos(x), np.sin(x), _spike(x, c)], axis=-1)
+
+        with pytest.raises(ToleranceNotMet, match=r"member 2 of 3: cannot split") as exc:
+            adaptive_1d(f, 0.0, 1.0, tol=1e-6)
+        assert exc.value.value.shape == (3,)
+        assert abs(exc.value.value[0] - math.sin(1.0)) <= 1e-6
+        assert np.all(np.isinf(exc.value.abs_error_estimate))
+
+    def test_a_member_past_its_tolerance_is_named(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "_MAX_INTERVALS", 8)
+
+        def f(x):
+            return np.stack([np.cos(x), 1.0 / np.sqrt(x)], axis=-1)
+
+        with pytest.raises(ToleranceNotMet, match=r"member 1 of 2: error estimate") as exc:
+            adaptive_1d(f, 0.0, 1.0, tol=np.array([1e-12, 1e-15]))
+        assert exc.value.abs_error_estimate[1] > 1e-15
 
 
 class TestEnergySimplex:
@@ -114,7 +208,7 @@ class TestEnergySimplex:
             return e1 * e2
 
         integrate_simplex(2, 5.0, f, tol=1e-6)
-        assert all(abs(s - 5.0) < 1e-12 for s in seen)
+        assert seen and all(np.all(np.abs(s - 5.0) < 1e-12) for s in seen)
 
     @pytest.mark.parametrize("n_parts", [2, 3])
     def test_evaluations_count_integrand_calls(self, n_parts):
@@ -125,7 +219,8 @@ class TestEnergySimplex:
             return math.prod(energies)
 
         res = integrate_simplex(n_parts, 1.5, f, tol=1e-9)
-        assert res.evaluations == len(calls) > 0
+        # a call evaluates one panel's 15 nodes (an inner family's at n = 3)
+        assert res.evaluations == 15 * len(calls) > 0
 
     def test_three_parts_error_covers_inner_estimates(self, monkeypatch):
         inner_tol = 1e-7 / 4.0
@@ -143,13 +238,14 @@ class TestEnergySimplex:
         res = integrate_simplex(
             3,
             total,
-            lambda e1, e2, e3: e1 * e2 * e3 * math.sqrt(abs(e1 - 0.5)),
+            lambda e1, e2, e3: e1 * e2 * e3 * np.sqrt(np.abs(e1 - 0.5)),
             tol=1e-7,
         )
         norm = 1.0 / ((2.0 * math.pi) ** 3 * 6.0)
         assert inner_estimates
-        # each inner pair (two corner halves) is a slice of the outer measure
-        pairs = [a + b for a, b in zip(inner_estimates[::2], inner_estimates[1::2])]
+        # each inner pair (two corner halves, one member of each inner
+        # family) is a slice of the outer measure
+        pairs = [np.max(a + b) for a, b in zip(inner_estimates[::2], inner_estimates[1::2])]
         assert res.abs_error_estimate >= max(pairs) * total * norm
 
     @pytest.mark.parametrize("n_parts", [2, 3])
@@ -157,7 +253,7 @@ class TestEnergySimplex:
         # exactly symmetric under e1 <-> e2, so both corner halves of the
         # pair segment subdivide alike
         def f(e1, e2, e3=1.0):
-            return (e1 * e2) ** 1.5 * e3 * math.cos(3.0 * (e1 + e2) + e1 * e2 + e3)
+            return (e1 * e2) ** 1.5 * e3 * np.cos(3.0 * (e1 + e2) + e1 * e2 + e3)
 
         estimates = []
         real = quadrature.adaptive_1d

@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 
 from bscat.errors import DomainError
@@ -124,9 +125,10 @@ class TestSpectrum:
 
         def f(u):
             omega_p = omega * u * u
-            if omega_p <= 0.0 or omega_p >= omega:
-                return 0.0
-            return omega_p * spectrum_half(omega_p, omega, model) * 2.0 * omega * u
+            gamma = np.array(
+                [spectrum_half(wp, omega, model) if 0.0 < wp < omega else 0.0 for wp in omega_p]
+            )
+            return omega_p * gamma * 2.0 * omega * u
 
         lhs = adaptive_1d(f, 0.0, 1.0, tol=1e-9 * omega).value.real
         rhs = omega * (1.0 - abs(r_half_closed(omega, model)) ** 2)

@@ -287,11 +287,13 @@ def _mapped_integrand(monkeypatch, diagram, omega_p, omega, spec):
 
 
 def _asymmetry(f):
-    """max |f(t) - f(1 - t)| on five nodes, relative to the largest |f|."""
-    pairs = [(f(t), f(1.0 - t)) for t in (0.01, 0.1, 0.2, 0.33, 0.45)]
-    scale = max(max(abs(x), abs(y)) for x, y in pairs)
+    """max |f(t) - f(1 - t)| on five nodes, relative to the largest |f|;
+    f takes the array of the nodes."""
+    t = np.array([0.01, 0.1, 0.2, 0.33, 0.45])
+    x, y = f(t), f(1.0 - t)
+    scale = max(np.max(np.abs(x)), np.max(np.abs(y)))
     assert scale > 0.0
-    return max(abs(x - y) for x, y in pairs) / scale
+    return np.max(np.abs(x - y)) / scale
 
 
 class TestMirroredDiagrams:
@@ -407,9 +409,11 @@ class TestSumRule:
         assert abs(budgeted - full) * loss <= tol * omega
 
     def test_evaluation_count_with_the_diagram_budget(self, monkeypatch):
-        # every adaptive_1d point of the sum rule at bsG z = 1/3, omega = 1,
-        # tol 1e-5 (the omega' rule and the diagrams): 2325, against 5265
-        # with every diagram at _TOL_DIAGRAM
+        # every adaptive_1d node of the sum rule at bsG z = 1/3, omega = 1,
+        # tol 1e-5 (the omega' rule and the diagrams, each an outer panel's
+        # 15 omega' as one family): 345 nodes (4965 member evaluations),
+        # against 735 (10815) with every diagram at _TOL_DIAGRAM; one
+        # integral per omega' took 2325 nodes of one point each
         spec = make_model("bsg", 1.0 / 3.0)
         bd = reflection_coefficient(1.0, spec)
         evaluations = _count_evaluations(monkeypatch)
@@ -516,6 +520,26 @@ class TestSpectrumCurve:
         curve = spectrum_curve(1.0, spec, grid_size=4)
         assert calls == [1.0]
         assert curve.sum_rule_ratio == sum_rule_check(1.0, spec)
+
+    def test_one_family_integral_per_diagram(self, monkeypatch):
+        # bsG z = 1/2, omega = 1: G1_1 on the 39-point grid is one
+        # adaptive_1d call, a family of 39; the sum rule adds its omega'
+        # rule and one G1_1 family of 15 per panel of that rule
+        shapes, outer = [], []
+        real = spectrum_mod.adaptive_1d
+
+        def counted(f, a, b, tol):
+            res = real(f, a, b, tol)
+            shapes.append(np.shape(res.value))
+            if np.ndim(res.value) == 0:
+                outer.append(res.evaluations)
+            return res
+
+        monkeypatch.setattr(spectrum_mod, "adaptive_1d", counted)
+        spectrum_curve(1.0, make_model("bsg", 0.5))
+        assert shapes[0] == (39,)
+        (nodes,) = outer
+        assert shapes[1:] == [(15,)] * (nodes // 15) + [()]
 
     def test_invalid_arguments(self):
         spec = make_model("bsg", 0.5)
