@@ -13,9 +13,9 @@ deterministic tie-breaks).
 Integrands take arrays.  `adaptive_1d` calls its integrand once per GK15
 panel, on the panel's 15 nodes, and the integrand returns their 15 values,
 or a (15, m) array for a family of m integrals that share the nodes: the
-family is integrated on one shared bisection until every member meets its
-own tolerance (vector-valued adaptive quadrature, as in QUADPACK, Piessens
-et al. 1983, and scipy.integrate.quad_vec).  The trade: each member is
+family is integrated on one shared bisection until every member meets the
+tolerance (vector-valued adaptive quadrature, as in QUADPACK, Piessens et
+al. 1983, and scipy.integrate.quad_vec).  The trade: each member is
 evaluated on the nodes of the member that needs most -- a 39-row spectrum
 family at z = 1/2 takes 15 to 105 shared nodes, up to 4,095 member
 evaluations against 585 to 2,415 for 39 separate integrals -- but a member
@@ -113,7 +113,7 @@ def adaptive_1d(
     integrand: Callable[[np.ndarray], np.ndarray],
     a: float,
     b: float,
-    tol,
+    tol: float,
 ) -> QuadResult:
     """Adaptive G7/K15 bisection of one integral, or of a family of m
     integrals on one shared bisection, each to the absolute tolerance `tol`.
@@ -121,10 +121,9 @@ def adaptive_1d(
     The integrand takes the array of a panel's 15 nodes and returns their
     values, (15,) for one integral or (15, m) for a family of m (vector-
     valued adaptive quadrature, as in QUADPACK, Piessens et al. 1983, and
-    scipy.integrate.quad_vec).  `tol` is a number or an (m,) array; the
-    rule stops once every member's summed estimate meets its own tolerance,
-    and splits next the interval with the largest sum over members of
-    err_k/tol_k (of err_k for a number), ties broken by left endpoint; the
+    scipy.integrate.quad_vec).  The rule stops once every member's summed
+    estimate meets `tol`, and splits next the interval with the largest
+    sum of its members' estimates, ties broken by left endpoint; the
     final sum is accumulated in interval order, so identical calls are
     bit-identical.  A family costs every member the nodes of the one that
     needs most, but one integrand call per panel for all m: the trade pays
@@ -139,12 +138,10 @@ def adaptive_1d(
     """
     if not (a < b):
         raise DomainError(f"need a < b, got [{a}, {b}]")
-    tol = np.asarray(tol, dtype=float)
-    weight = 1.0 / tol if tol.ndim else 1.0
     val, err, n = _gk15(integrand, a, b)
     # heap entries: (-key, a, b, value, err); tuple comparison falls through
     # to `a` for ties, which is deterministic.
-    heap = [(-float(np.sum(err * weight)), a, b, val, err)]
+    heap = [(-float(np.sum(err)), a, b, val, err)]
     total_err = err
     nevals = n
     while np.any(total_err > tol) and len(heap) < _MAX_INTERVALS:
@@ -152,9 +149,9 @@ def adaptive_1d(
         mid = 0.5 * (ia + ib)
         if mid <= ia or mid >= ib or ib - ia <= _ROUNDOFF_WIDTH * max(abs(ia), abs(ib)):
             intervals = sorted(heap + [(0.0, ia, ib, ival, ierr)], key=lambda t: t[1])
-            member, _, worst_tol = _worst_member(total_err, tol)
+            member, _ = _worst_member(total_err)
             raise ToleranceNotMet(
-                f"adaptive_1d: {member}cannot split [{ia!r}, {ib!r}] to meet tol {worst_tol:.3e}",
+                f"adaptive_1d: {member}cannot split [{ia!r}, {ib!r}] to meet tol {tol:.3e}",
                 value=_result(sum(t[3] for t in intervals)),
                 abs_error_estimate=_result(np.full(np.shape(total_err), math.inf)),
             )
@@ -162,8 +159,8 @@ def adaptive_1d(
         v1, e1, n1 = _gk15(integrand, ia, mid)
         v2, e2, n2 = _gk15(integrand, mid, ib)
         nevals += n1 + n2
-        heapq.heappush(heap, (-float(np.sum(e1 * weight)), ia, mid, v1, e1))
-        heapq.heappush(heap, (-float(np.sum(e2 * weight)), mid, ib, v2, e2))
+        heapq.heappush(heap, (-float(np.sum(e1)), ia, mid, v1, e1))
+        heapq.heappush(heap, (-float(np.sum(e2)), mid, ib, v2, e2))
         total_err = total_err + e1 + e2
     # deterministic accumulation: sort by left endpoint
     intervals = sorted(heap, key=lambda t: t[1])
@@ -175,9 +172,9 @@ def adaptive_1d(
     value, total_err = _result(value), _result(total_err)
     # slack for a few ulp of re-summation; a NaN estimate fails too
     if not np.all(total_err <= tol * (1.0 + 1e-6)):
-        member, worst_err, worst_tol = _worst_member(total_err, tol)
+        member, worst_err = _worst_member(total_err)
         raise ToleranceNotMet(
-            f"adaptive_1d: {member}error estimate {worst_err:.3e} exceeds tol {worst_tol:.3e}",
+            f"adaptive_1d: {member}error estimate {worst_err:.3e} exceeds tol {tol:.3e}",
             value=value,
             abs_error_estimate=total_err,
         )
@@ -193,17 +190,15 @@ def _result(x):
     return complex(x) if np.iscomplexobj(x) else float(x)
 
 
-def _worst_member(err, tol) -> Tuple[str, float, float]:
-    """The member whose estimate is furthest past its tolerance (the first
-    with the largest err/tol, a NaN estimate first of all): its label,
-    'member k of m: ' for a family and '' for one integral, its estimate and
-    its tolerance."""
+def _worst_member(err) -> Tuple[str, float]:
+    """The member with the largest estimate (the first of them, a NaN
+    estimate first of all): its label, 'member k of m: ' for a family and
+    '' for one integral, and its estimate."""
     err = np.asarray(err, dtype=float)
-    tol = np.broadcast_to(tol, err.shape)
     if not err.ndim:
-        return "", float(err), float(tol)
-    k = int(np.argmax(np.where(np.isnan(err), math.inf, err / tol)))
-    return f"member {k} of {err.size}: ", float(err[k]), float(tol[k])
+        return "", float(err)
+    k = int(np.argmax(np.where(np.isnan(err), math.inf, err)))
+    return f"member {k} of {err.size}: ", float(err[k])
 
 
 def evaluate_masked(mask: np.ndarray, fn: Callable[..., np.ndarray], *arrays) -> np.ndarray:

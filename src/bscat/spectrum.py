@@ -24,7 +24,7 @@ The t-nodes do not depend on omega', so a diagram at many omega' is one
 family integral (`quadrature.adaptive_1d`) on shared nodes: the integrand
 is evaluated once per GK15 panel on a (15, m) array of (t, omega') points,
 every reflection factor and form factor elementwise, and the bisection goes
-on until each omega' meets its own tolerance.  `spectrum_curve` makes one
+on until every omega' meets the tolerance.  `spectrum_curve` makes one
 family per active diagram over its whole grid, `sum_rule_check` one per
 diagram for each panel of its omega' rule (15 omega'), and `spectrum_point`
 at a single omega' a family of one.  Each member pays for the nodes of the

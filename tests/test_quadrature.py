@@ -131,31 +131,11 @@ class TestFamily:
         assert column.abs_error_estimate[0] == scalar.abs_error_estimate
 
     def test_deterministic(self):
-        r1 = adaptive_1d(self.family, 0.0, 10.0, tol=np.array([1e-6, 1e-9, 1e-11]))
-        r2 = adaptive_1d(self.family, 0.0, 10.0, tol=np.array([1e-6, 1e-9, 1e-11]))
+        r1 = adaptive_1d(self.family, 0.0, 10.0, tol=1e-11)
+        r2 = adaptive_1d(self.family, 0.0, 10.0, tol=1e-11)
         assert np.array_equal(r1.value, r2.value)
         assert np.array_equal(r1.abs_error_estimate, r2.abs_error_estimate)
         assert r1.evaluations == r2.evaluations
-
-    def test_each_member_meets_its_own_tolerance(self):
-        # the slow member holds a loose tolerance, the fast one a tight one:
-        # the rule goes on until the fast one meets its own
-        loose, tight = 1e-3, 1e-11
-        tol = np.array([tight, loose])
-        ks = np.array([1.0, 101.0])
-        res = adaptive_1d(lambda x: np.cos(np.multiply.outer(x, ks)), 0.0, 10.0, tol=tol)
-        assert np.all(res.abs_error_estimate <= tol)
-        exact = np.sin(10.0 * ks) / ks
-        assert np.all(np.abs(res.value - exact) <= tol)
-        fast_alone = adaptive_1d(lambda x: np.cos(101.0 * x), 0.0, 10.0, tol=loose)
-        slow_alone = adaptive_1d(lambda x: np.cos(x), 0.0, 10.0, tol=tight)
-        assert res.evaluations >= max(fast_alone.evaluations, slow_alone.evaluations)
-        # swapped, the fast member needs its tight tolerance: more nodes
-        swapped = adaptive_1d(
-            lambda x: np.cos(np.multiply.outer(x, ks)), 0.0, 10.0, tol=tol[::-1]
-        )
-        assert np.all(swapped.abs_error_estimate <= tol[::-1])
-        assert swapped.evaluations > res.evaluations
 
     def test_an_unresolvable_member_is_named(self):
         c = 1.0 / math.pi
@@ -176,7 +156,7 @@ class TestFamily:
             return np.stack([np.cos(x), 1.0 / np.sqrt(x)], axis=-1)
 
         with pytest.raises(ToleranceNotMet, match=r"member 1 of 2: error estimate") as exc:
-            adaptive_1d(f, 0.0, 1.0, tol=np.array([1e-12, 1e-15]))
+            adaptive_1d(f, 0.0, 1.0, tol=1e-15)
         assert exc.value.abs_error_estimate[1] > 1e-15
 
 

@@ -215,9 +215,10 @@ class TestExchangeSymmetricSets:
     def test_r0_pair_breather_count(self, monkeypatch):
         # the pm1 weight at bsG z = 1/3, at its r(omega) term's tolerance
         # _TOL_3D = 1e-6: 270 integrand nodes, 18 calls of 15 nodes, each
-        # node one point of each of an inner family's 15 members (before the
-        # inner pairs became families: 1440 nodes of one point each; 4530 at
-        # 1e-7, 9060 at 1e-7 with both mirror halves of every inner pair)
+        # node one point of each of an inner family's 15 members, and 540
+        # with both mirror halves of every inner pair, which the bound
+        # refuses (before the inner pairs became families: 1440 nodes of
+        # one point each; 4530 at 1e-7, 9060 at 1e-7 with both halves)
         calls = []
         results = []
         real = formfactors_mod.integrate_simplex
@@ -235,7 +236,7 @@ class TestExchangeSymmetricSets:
             "pm1", 1.0, make_model("bsg", 1.0 / 3.0), formfactors_mod._TOL_3D
         )
         (res,) = results
-        assert res.evaluations == 15 * len(calls) <= 1470
+        assert res.evaluations == 15 * len(calls) <= 280
 
     @pytest.mark.parametrize("z", [1.0 / 3.0, 0.25, 0.2], ids=["1/3", "1/4", "0.2"])
     def test_r0_pair_breather_weight_at_its_term_tolerance(self, z):
