@@ -21,7 +21,7 @@ from .errors import BscatError
 from .formfactors import r0_weights
 from .model import make_model, t_b_from_physical
 from .spectrum import SUM_RULE_BAND, spectrum_curve
-from .twopoint import rates_from_r, reflection_coefficient
+from .twopoint import rates_from_r, reflection_coefficients
 from .validate import SUITES
 
 
@@ -198,13 +198,20 @@ def rates(model, z, omega, spacing, output, fmt) -> None:
     lo, hi, points = _parse_omega_range(omega)
     grid = _omega_grid(lo, hi, points, spacing)
 
-    def point(w: float):
+    def evaluate(omegas: List[float]):
+        """(breakdown, "") per frequency, or (None, the refusal) for each
+        when the grid is refused."""
         try:
-            return reflection_coefficient(w, spec), ""
+            return [(bd, "") for bd in reflection_coefficients(omegas, spec)]
         except BscatError as exc:
-            return None, f"{type(exc).__name__}: {exc}"
+            return [(None, f"{type(exc).__name__}: {exc}")] * len(omegas)
 
-    results = [point(w) for w in grid]
+    # the grid is one family per excitation set; if it is refused, each
+    # frequency is evaluated alone, so that only the failing ones lose
+    # their rows, each with its own message
+    results = evaluate(grid)
+    if results[0][0] is None and len(grid) > 1:
+        results = [evaluate([w])[0] for w in grid]
     good = [bd for bd, _ in results if bd is not None]
     if good:
         curve = rates_from_r(good)

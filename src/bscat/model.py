@@ -14,6 +14,8 @@ import sys
 from dataclasses import dataclass, field
 from typing import List, Sequence
 
+import numpy as np
+
 from .errors import DomainError
 
 _P_INT_TOL = 1e-9
@@ -102,12 +104,15 @@ def line_shifts(lines: Sequence[int], spec: ModelSpec) -> List[float]:
     return [math.log(breather_mass(b, spec)) if b else 0.0 for b in lines]
 
 
-def check_omega(omega: float) -> None:
-    """Raise DomainError unless the frequency omega is finite and >= _OMEGA_MIN."""
-    if not (math.isfinite(omega) and omega > 0):
-        raise DomainError(f"omega must be finite and positive, got {omega}")
-    if omega < _OMEGA_MIN:
-        raise DomainError(f"omega = {omega} is below the floor {_OMEGA_MIN}")
+def check_omega(omega) -> None:
+    """Raise DomainError unless the frequency omega, or each of an array of
+    them, is finite and >= _OMEGA_MIN; the message names the first that is
+    not."""
+    for w in np.ravel(omega).tolist():
+        if not (math.isfinite(w) and w > 0):
+            raise DomainError(f"omega must be finite and positive, got {w}")
+        if w < _OMEGA_MIN:
+            raise DomainError(f"omega = {w} is below the floor {_OMEGA_MIN}")
 
 
 def t_b_from_physical(epsilon_J: float, cutoff_Lambda: float, z: float) -> float:

@@ -19,11 +19,14 @@ al. 1983, and scipy.integrate.quad_vec).  The trade: each member is
 evaluated on the nodes of the member that needs most -- a 39-row spectrum
 family at z = 1/2 takes 15 to 105 shared nodes, up to 4,095 member
 evaluations against 585 to 2,415 for 39 separate integrals -- but a member
-evaluation is an array element, not a Python call.  `integrate_simplex`
-hands its integrand arrays of energies, the inner pairs of a 3-part simplex
-as one family per outer panel; `ChebyshevTable` looks up arrays of points
-in one vectorised pass, and `lookup_by_line` reads a function tabulated
-per line Im lambda = const at an array of complex lambda.
+evaluation is an array element, not a Python call.  A family's members
+may form an array of any shape; the panel sums contract the node axis.
+`integrate_simplex` hands its integrand arrays of energies, the inner pairs
+of a 3-part simplex as one family per outer panel, and integrates a 2-part
+simplex at an array of totals as one family (a grid of r(omega));
+`ChebyshevTable` looks up arrays of points in one vectorised pass, and
+`lookup_by_line` reads a function tabulated per line Im lambda = const at
+an array of complex lambda.
 """
 
 from __future__ import annotations
@@ -98,14 +101,18 @@ class QuadResult:
 
 def _gk15(f, a: float, b: float):
     """One Gauss-Kronrod 7-15 panel on [a, b]: f is called once, on the 15
-    nodes in ascending order, and returns their (15,) or (15, m) values.
-    Returns (K15, |K15 - G7|, 15 nodes), the first two of shape () or
-    (m,)."""
+    nodes in ascending order, and returns their (15,) values or (15,) +
+    members values for a family whose members form an array of any shape.
+    Returns (K15, |K15 - G7|, 15 nodes), the first two of the members'
+    shape (() for one integral)."""
     h = 0.5 * (b - a)
     c = 0.5 * (a + b)
-    values = f(c + h * _T15)
-    resk = h * (_WK15 @ values)
-    resg = h * (_WG15 @ values)
+    values = np.asarray(f(c + h * _T15))
+    # contract the node axis whatever the members' shape, one column per member
+    columns = values.reshape(15, -1)
+    members = values.shape[1:]
+    resk = h * (_WK15 @ columns).reshape(members)
+    resg = h * (_WG15 @ columns).reshape(members)
     return resk, np.abs(resk - resg), 15
 
 
@@ -119,8 +126,9 @@ def adaptive_1d(
     integrals on one shared bisection, each to the absolute tolerance `tol`.
 
     The integrand takes the array of a panel's 15 nodes and returns their
-    values, (15,) for one integral or (15, m) for a family of m (vector-
-    valued adaptive quadrature, as in QUADPACK, Piessens et al. 1983, and
+    values, (15,) for one integral or (15, m) for a family of m, or (15, a,
+    b) for a family whose members form an (a, b) array (vector-valued
+    adaptive quadrature, as in QUADPACK, Piessens et al. 1983, and
     scipy.integrate.quad_vec).  The rule stops once every member's summed
     estimate meets `tol`, and splits next the interval with the largest
     sum of its members' estimates, ties broken by left endpoint; the
@@ -133,8 +141,8 @@ def adaptive_1d(
     of its endpoints wide) holds a singularity the rule cannot resolve: the
     call raises ToleranceNotMet at once, naming the interval and the worst
     member, with the sum of all intervals as its value and an infinite error
-    estimate.  A family's value and estimate are (m,) arrays; one integral's
-    value is a complex and its estimate a float.
+    estimate.  A family's value and estimate are arrays of its members'
+    shape; one integral's value is a complex and its estimate a float.
     """
     if not (a < b):
         raise DomainError(f"need a < b, got [{a}, {b}]")
@@ -192,13 +200,16 @@ def _result(x):
 
 def _worst_member(err) -> Tuple[str, float]:
     """The member with the largest estimate (the first of them, a NaN
-    estimate first of all): its label, 'member k of m: ' for a family and
-    '' for one integral, and its estimate."""
+    estimate first of all): its label and its estimate.  The label is
+    'member k of m: ' for a family of m, 'member (i, j) of (a, b): ' for
+    a family whose members form an (a, b) array, and '' for one integral
+    or a family of one."""
     err = np.asarray(err, dtype=float)
-    if not err.ndim:
-        return "", float(err)
-    k = int(np.argmax(np.where(np.isnan(err), math.inf, err)))
-    return f"member {k} of {err.size}: ", float(err[k])
+    if err.size == 1:
+        return "", float(err.flat[0])
+    k = np.unravel_index(int(np.argmax(np.where(np.isnan(err), math.inf, err))), err.shape)
+    label, size = (k[0], err.size) if err.ndim == 1 else (tuple(map(int, k)), err.shape)
+    return f"member {label} of {size}: ", float(err[k])
 
 
 def evaluate_masked(mask: np.ndarray, fn: Callable[..., np.ndarray], *arrays) -> np.ndarray:
@@ -230,14 +241,15 @@ def _corner_pair(
 
     The segment is split at its midpoint and each half is mapped from its
     corner with e = width * u^2, u in (0, 1/sqrt(2)]; each half is integrated
-    to `tol` (adaptive_1d, a family for an array of widths; point receives
-    arrays of the shape of the nodes times the widths, and is not called
-    where e1 or e2 rounds to 0), and the result is the two halves' sum
-    (value, error estimate and evaluations).  With `symmetric`, point(e1, e2)
-    must equal point(e2, e1): only the left corner half is integrated, and
-    it stands for the right one as its mirror image, so the value and the
-    error estimate are twice the half's and `evaluations` counts its
-    evaluations once.
+    to `tol` (adaptive_1d, a family for an array of widths), and the result
+    is the two halves' sum (value, error estimate and evaluations).  point
+    receives arrays of the shape of the nodes times the widths, member k's
+    values in column k; a node where e1 or e2 rounds to 0 counts 0, point
+    being called at the segment's midpoint in its place.  With `symmetric`,
+    point(e1, e2) must equal point(e2, e1): only the left corner half is
+    integrated, and it stands for the right one as its mirror image, so the
+    value and the error estimate are twice the half's and `evaluations`
+    counts its evaluations once.
     """
     shape = (-1,) + (1,) * np.ndim(width)
 
@@ -246,11 +258,17 @@ def _corner_pair(
             u = u.reshape(shape)
             near = width * u * u
             far = width - near
+            inside = (near > 0.0) & (far > 0.0)
+            kept = inside.all()
+            if not kept:
+                mid = np.broadcast_to(0.5 * width, near.shape)
+                near, far = np.where(inside, near, mid), np.where(inside, far, mid)
             e1, e2 = (near, far) if left else (far, near)
             args = (e1, e2) + tuple(np.broadcast_to(x, near.shape) for x in extra)
-            return evaluate_masked((near > 0.0) & (far > 0.0), point, *args) * (
-                2.0 * width * u
-            )
+            values = point(*args)
+            if not kept:
+                values = np.where(inside, values, 0.0)
+            return values * (2.0 * width * u)
 
         return adaptive_1d(g, 0.0, _U_HALF, tol)
 
@@ -267,18 +285,22 @@ def _corner_pair(
 
 def integrate_simplex(
     n_parts: int,
-    total: float,
+    total: float | np.ndarray,
     integrand: Callable[..., np.ndarray],
     tol: float = 1e-9,
     symmetric: bool = False,
 ) -> QuadResult:
     """Integrate over {E_i > 0, sum E_i = total} with measure
     prod(dE_i / E_i) / (2 pi)^n / n!  (one dE eliminated by the delta),
-    for n = 2 or 3 parts.
+    for n = 2 or 3 parts.  At n = 2, `total` may be an (m,) array: the m
+    integrals are one family on one shared bisection (`_corner_pair`), each
+    held to `tol`, and the value and estimate are (m,) arrays.
 
     The integrand receives the energies E_1, ..., E_n as positional
     arguments, arrays of one shape, and returns the physical integrand
-    WITHOUT the 1/E jacobian (applied internally), elementwise.
+    WITHOUT the 1/E jacobian (applied internally), elementwise.  For an
+    array of totals they are (15, m) arrays, member k's energies in column
+    k, so that a per-member factor of shape (m,) broadcasts against them.
     `tol` is absolute and bounds the integral BEFORE the normalisation
     1/((2 pi)^n n!): the returned value and `abs_error_estimate` are after
     it, so the estimate is held to about tol/((2 pi)^n n!) (6.7e-4 tol at
@@ -301,8 +323,10 @@ def integrate_simplex(
     """
     if n_parts not in (2, 3):
         raise DomainError(f"n_parts must be 2 or 3, got {n_parts}")
-    if total <= 0:
+    if np.any(np.less_equal(total, 0.0)):
         raise DomainError(f"total must be positive, got {total}")
+    if n_parts == 3 and np.ndim(total):
+        raise DomainError("an array of totals needs n_parts = 2")
     norm = 1.0 / (TWO_PI**n_parts * math.factorial(n_parts))
     w = total
 

@@ -6,6 +6,13 @@ each a delta-constrained integral of reflection amplitudes times squared form
 factors.  Frequencies are in units of the boundary scale T_B = 1.  Each
 multi-particle term is integrated at its set's tolerance in
 `formfactors.set_integral`, the tolerance its r0 weight is held to.
+
+A grid of frequencies is one call, `reflection_coefficients`: each term
+takes the array of frequencies, and a two-line set ("pm", "12") integrates
+the whole grid as one family on one shared bisection, each frequency to its
+own tolerance.  The pair + breather set keeps one outer rule per frequency,
+and a single breather's term is closed form.  `reflection_coefficient` is
+the grid of one frequency.
 """
 
 from __future__ import annotations
@@ -53,18 +60,20 @@ class RateCurve:
     err: Tuple[float, ...]
 
 
-def r_term_breather(omega: float, m: int, spec: ModelSpec) -> complex:
-    """Single-breather term: |f_m(0)|^2/(2 pi mu_m^2) R_m^m(ln(omega/mu_m))."""
+def r_term_breather(omega, m: int, spec: ModelSpec):
+    """Single-breather term: |f_m(0)|^2/(2 pi mu_m^2) R_m^m(ln(omega/mu_m)),
+    at a frequency or elementwise at an array of them."""
     check_omega(omega)
     if m % 2 == 0 or not (1 <= m <= spec.n_breathers):
         raise DomainError(f"breather term needs odd m <= {spec.n_breathers}, got {m}")
     mu = breather_mass(m, spec)
-    return breather_weight(m, spec) * r_breather(math.log(omega / mu), m, spec)
+    return breather_weight(m, spec) * r_breather(np.log(np.divide(omega, mu)), m, spec)
 
 
-def r_term_soliton_pair(omega: float, spec: ModelSpec) -> complex:
+def r_term_soliton_pair(omega, spec: ModelSpec):
     """Soliton-antisoliton pair term: energy-simplex integral of the pair
-    reflection bracket times |f_{+-}|^2."""
+    reflection bracket times |f_{+-}|^2, at a frequency or, as one family,
+    at an array of them."""
     check_omega(omega)
 
     def reflection(l1, l2):
@@ -73,11 +82,12 @@ def r_term_soliton_pair(omega: float, spec: ModelSpec) -> complex:
     return set_integral("pm", omega, spec, reflection=reflection)
 
 
-def r_term_12(omega: float, spec: ModelSpec) -> complex:
-    """Breather-1 + breather-2 term with mass-ratio-shifted arguments."""
+def r_term_12(omega, spec: ModelSpec):
+    """Breather-1 + breather-2 term with mass-ratio-shifted arguments, at a
+    frequency or, as one family, at an array of them."""
     check_omega(omega)
     if spec.n_breathers < 2:
-        return 0.0 + 0.0j
+        return np.zeros(np.shape(omega), dtype=complex)[()]
 
     def reflection(l1, l2):
         return r_breather(l1, 1, spec) * r_breather(l2, 2, spec)
@@ -85,13 +95,14 @@ def r_term_12(omega: float, spec: ModelSpec) -> complex:
     return set_integral("12", omega, spec, reflection=reflection)
 
 
-def r_term_pm1(omega: float, spec: ModelSpec) -> complex:
-    """Soliton pair + breather-1 term (integer p only)."""
+def r_term_pm1(omega, spec: ModelSpec):
+    """Soliton pair + breather-1 term (integer p only), at a frequency or
+    elementwise at an array of them, each on its own outer rule."""
     check_omega(omega)
     if spec.p_int is None:
         raise DomainError("the pair+breather term requires integer p")
     if spec.n_breathers < 1:
-        return 0.0 + 0.0j
+        return np.zeros(np.shape(omega), dtype=complex)[()]
 
     def reflection(l1, l2, l3):
         return soliton_pair_bracket(l1, l2, spec, sign=+1) * r_breather(l3, 1, spec)
@@ -103,22 +114,43 @@ def r_term_pm1(omega: float, spec: ModelSpec) -> complex:
 _SET_TERMS = {"pm": r_term_soliton_pair, "12": r_term_12, "pm1": r_term_pm1}
 
 
-def reflection_coefficient(omega: float, spec: ModelSpec) -> ReflectionBreakdown:
-    """r(omega) as the sum of the terms of the excitation sets that carry a
-    free-theory weight in r0_weights, under the same labels."""
-    check_omega(omega)
+def reflection_coefficients(
+    omegas: Sequence[float], spec: ModelSpec
+) -> Tuple[ReflectionBreakdown, ...]:
+    """r(omega) at each frequency of a grid, as the sum of the terms of the
+    excitation sets that carry a free-theory weight in r0_weights, under the
+    same labels.
+
+    Each term is evaluated once for the whole grid: a two-line set's as one
+    family of integrals on one shared bisection, each frequency held to its
+    own tolerance (`set_integral`), the pair + breather set's on one outer
+    rule per frequency, a single breather's in closed form.  A refusal at
+    any frequency refuses the grid."""
+    grid = np.array(omegas, dtype=float)
+    check_omega(grid)
     weights = r0_weights(spec)
-    terms: Dict[str, complex] = {}
+    columns = {}
     for label in weights:
         if label in _SET_TERMS:
-            terms[label] = _SET_TERMS[label](omega, spec)
+            columns[label] = _SET_TERMS[label](grid, spec)
         else:
-            terms[label] = r_term_breather(omega, int(label[1:]), spec)
-    total = sum(terms.values())
+            columns[label] = r_term_breather(grid, int(label[1:]), spec)
     bound = max(0.0, 1.0 - sum(weights.values()))
-    return ReflectionBreakdown(
-        omega=omega, terms=terms, total=total, truncation_bound=bound
-    )
+    out = []
+    for k, omega in enumerate(grid.tolist()):
+        terms = {label: column[k] for label, column in columns.items()}
+        out.append(
+            ReflectionBreakdown(
+                omega=omega, terms=terms, total=sum(terms.values()), truncation_bound=bound
+            )
+        )
+    return tuple(out)
+
+
+def reflection_coefficient(omega: float, spec: ModelSpec) -> ReflectionBreakdown:
+    """r(omega) at one frequency: `reflection_coefficients` on a grid of one."""
+    (breakdown,) = reflection_coefficients((omega,), spec)
+    return breakdown
 
 
 def rates_from_r(breakdowns: Sequence[ReflectionBreakdown]) -> RateCurve:
@@ -146,27 +178,3 @@ def rates_from_r(breakdowns: Sequence[ReflectionBreakdown]) -> RateCurve:
     return RateCurve(
         omegas=tuple(omegas), gamma=tuple(gamma), delta=tuple(delta), err=tuple(err)
     )
-
-
-def fit_power_law(
-    curve: RateCurve, window: Tuple[float, float]
-) -> Tuple[float, float]:
-    """Least-squares slope of log gamma vs log omega over the window; returns
-    (exponent, r_squared)."""
-    lo, hi = window
-    xs, ys = [], []
-    for w, g in zip(curve.omegas, curve.gamma):
-        if lo <= w <= hi and g > 0:
-            xs.append(math.log(w))
-            ys.append(math.log(g))
-    if len(xs) < 8:
-        raise InsufficientData(
-            f"need >= 8 grid points with gamma > 0 in [{lo}, {hi}], got {len(xs)}"
-        )
-    x = np.array(xs)
-    y = np.array(ys)
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = y - (slope * x + intercept)
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r2 = 1.0 - float(np.sum(resid**2)) / ss_tot if ss_tot > 0 else 1.0
-    return float(slope), r2

@@ -259,14 +259,14 @@ class TestRates:
         assert len(payload["columns"]["gamma"]) == 3
 
     def test_failed_point_yields_nan_row(self, runner, monkeypatch):
-        real = cli_mod.reflection_coefficient
+        real = cli_mod.reflection_coefficients
 
-        def flaky(omega, spec):
-            if abs(omega - 1.0) < 1e-9:
+        def flaky(omegas, spec):
+            if any(abs(omega - 1.0) < 1e-9 for omega in omegas):
                 raise ToleranceNotMet("synthetic failure")
-            return real(omega, spec)
+            return real(omegas, spec)
 
-        monkeypatch.setattr(cli_mod, "reflection_coefficient", flaky)
+        monkeypatch.setattr(cli_mod, "reflection_coefficients", flaky)
         res = runner.invoke(
             main, ["rates", "--model", "bsg", "--z", "0.5", "--omega", "1e-1..1e1:3"]
         )
@@ -278,6 +278,36 @@ class TestRates:
         good = rows[0]
         assert good[5] == ""
         assert good[1] != "nan"
+
+    @pytest.mark.parametrize(
+        "argv, refused",
+        [
+            # two frequencies below the floor: the grid fails its check
+            (["--omega", "1e-200..1:3"], [True, True, False]),
+            # f_12's kinematic pole inside the 12 integral at omega = 1e-11
+            (["--z", "0.1", "--omega", "1e-11..1:3"], [True, False, False]),
+        ],
+        ids=["floor", "inside-an-integral"],
+    )
+    def test_a_refused_grid_prints_what_each_frequency_prints_alone(
+        self, runner, monkeypatch, argv, refused
+    ):
+        # a grid with a failing member is re-evaluated one frequency at a
+        # time: the same bytes as when every frequency is evaluated alone
+        grid = runner.invoke(main, ["rates"] + argv)
+        real = cli_mod.reflection_coefficients
+
+        def one_at_a_time(omegas, spec):
+            if len(omegas) > 1:
+                raise ToleranceNotMet("no families")
+            return real(omegas, spec)
+
+        monkeypatch.setattr(cli_mod, "reflection_coefficients", one_at_a_time)
+        alone = runner.invoke(main, ["rates"] + argv)
+        assert grid.exit_code == alone.exit_code == 0
+        assert grid.output == alone.output
+        _, rows = _rows(grid.output)
+        assert [row[5] != "" for row in rows] == refused
 
     def test_small_z_overflow_is_reported_in_the_row(self, runner):
         # at z = 0.005 the pair form factor overflows inside r0; the row
@@ -534,7 +564,7 @@ _PINNED_STDOUT = {
     "validate --suite all": "ec6fffa3578dc9fc9619ae2c5e5e2cce61e62b32c5c8186093b55509854374d7",
     "rates --model bsg --z 0.3333333333333333 --omega 0.7": "6b50ea87c98b7a46730eb268ea804707c11a342a0c31765c9a6255f9ba2c54d1",
     "rates --model kondo --z 0.3333333333333333 --omega 0.7": "89449f97a1e8e21baeb3b55643ad3b07d66bdb91040ae1e0be07c12a4c1ee41f",
-    "rates --model kondo --z 0.5 --omega 1e-2..1e2:12 --format json": "b97131689e2527064ab17b288ebd92eec16532d6664db9d8ab216f84333094f7",
+    "rates --model kondo --z 0.5 --omega 1e-2..1e2:12 --format json": "6d966d7d2da87995abe799dbc7ebeba1da38725b88af9f66b451b56dab48ee87",
     "r0 --model bsg --z 0.3333333333333333": "22aebdab2c8a526c8d52b12a080d350358f5a7375290ece67c711808df899cc2",
     "r0 --model bsg --z 0.2": "5a06cbe5357f1a6b955496f2c8e19205e497efbf903dcbf4084d7ef47a43ae17",
     "spectrum --model kondo --z 0.5 --omega 1 --points 10": "a6a51a98e8ea27fb5c0246efd1fadb8873c5c5a2d4f679ab13d55c6bae78c64f",

@@ -160,6 +160,47 @@ class TestFamily:
         assert exc.value.abs_error_estimate[1] > 1e-15
 
 
+    @pytest.mark.parametrize("shape", [(15, 3), (2, 3)], ids=["15x3", "2x3"])
+    def test_a_member_array_of_any_shape_equals_separate_integrals(self, shape):
+        # the panel sums contract the node axis: with members of shape
+        # (15, 3) a matrix product on the last axes returned 21.9998 where
+        # sin(1) c = 0.8415 was due, and other shapes raised ValueError
+        tol = 1e-12
+        c = np.arange(1.0, 1.0 + math.prod(shape)).reshape(shape) / math.prod(shape)
+        res = adaptive_1d(lambda x: np.cos(x)[:, None, None] * c, 0.0, 1.0, tol=tol)
+        assert res.value.shape == res.abs_error_estimate.shape == shape
+        for k in np.ndindex(shape):
+            alone = adaptive_1d(lambda x: np.cos(x) * c[k], 0.0, 1.0, tol=tol)
+            assert abs(res.value[k] - alone.value) <= tol
+            assert abs(res.value[k] - math.sin(1.0) * c[k]) <= tol
+
+    def test_a_member_of_a_member_array_is_named(self):
+        c = 1.0 / math.pi
+
+        def f(x):
+            out = np.stack([np.cos(x)] * 6, axis=-1).reshape(15, 2, 3)
+            out[:, 1, 2] = _spike(x, c)
+            return out
+
+        with pytest.raises(ToleranceNotMet, match=r"member \(1, 2\) of \(2, 3\): cannot split"):
+            adaptive_1d(f, 0.0, 1.0, tol=1e-6)
+
+    def test_a_family_of_one_is_not_labelled(self, monkeypatch):
+        # one member is one integral: its refusal reads as the scalar rule's
+        monkeypatch.setattr(quadrature, "_MAX_INTERVALS", 8)
+
+        def f(x):
+            return 1.0 / np.sqrt(x)
+
+        messages = []
+        for g in (f, lambda x: f(x)[:, None]):
+            with pytest.raises(ToleranceNotMet) as exc:
+                adaptive_1d(g, 0.0, 1.0, tol=1e-15)
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1]
+        assert messages[0].startswith("adaptive_1d: error estimate")
+
+
 class TestEnergySimplex:
     def test_two_parts_flat(self):
         w = 3.0
@@ -263,6 +304,50 @@ class TestEnergySimplex:
                 integrate_simplex(n_parts, 1.0, lambda *energies: 1.0)
         with pytest.raises(DomainError):
             integrate_simplex(2, 0.0, lambda e1, e2: 1.0)
+        with pytest.raises(DomainError, match="total must be positive"):
+            integrate_simplex(2, np.array([1.0, 0.0]), lambda e1, e2: 1.0)
+        with pytest.raises(DomainError, match="needs n_parts = 2"):
+            integrate_simplex(3, np.array([1.0, 2.0]), lambda *energies: 1.0)
+
+    def test_an_array_of_totals_is_one_family(self):
+        # the beta moment of test_two_parts_beta_moment at three totals:
+        # one shared bisection, member k's energies in column k, each
+        # member within tol of its own integral and of the closed form
+        totals = np.array([0.3, 1.7, 4.0])
+        shapes = []
+
+        def f(e1, e2):
+            shapes.append(e1.shape)
+            assert np.allclose(e1 + e2, totals)
+            return (e1 * e2) ** 1.5
+
+        tol = 1e-11
+        res = integrate_simplex(2, totals, f, tol=tol)
+        assert res.value.shape == res.abs_error_estimate.shape == (3,)
+        assert set(shapes) == {(15, 3)}
+        norm = 1.0 / (2.0 * (2.0 * math.pi) ** 2)
+        for k, w in enumerate(totals):
+            alone = integrate_simplex(2, w, lambda e1, e2: (e1 * e2) ** 1.5, tol=tol)
+            assert abs(res.value[k] - alone.value) <= 2.0 * tol * norm
+            assert abs(res.value[k] - w * w * (math.pi / 8.0) * norm) <= tol * norm
+
+    def test_a_node_that_rounds_onto_a_corner_counts_zero(self):
+        # at a width of 1e-320 the corner map's smallest nodes underflow to
+        # e = 0: point is called at the segment's midpoint in their place,
+        # so that it still receives the (15, m) shape, and never at 0
+        shapes, midpoints = [], []
+
+        def point(e1, e2):
+            shapes.append(e1.shape)
+            midpoints.append(np.any(e1[:, 0] == e2[:, 0]))
+            assert np.all(e1 > 0.0) and np.all(e2 > 0.0)
+            return np.ones(e1.shape, dtype=complex)
+
+        res = quadrature._corner_pair(point, np.array([1e-320, 1.0]), 1e-12)
+        assert set(shapes) == {(15, 2)}
+        assert any(midpoints)
+        assert abs(res.value[1] - 1.0) <= 1e-12
+        assert 0.0 < res.value[0].real <= 1e-320
 
 
 def _exponential(x, rate):

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 import bscat.formfactors as formfactors_mod
+import bscat.quadrature as quadrature_mod
+import bscat.twopoint as twopoint_mod
 from bscat.errors import DomainError, InsufficientData
 from bscat.formfactors import r0_weights
 from bscat.model import make_model
@@ -13,14 +15,15 @@ from bscat.referm import r_half_closed
 from bscat.twopoint import (
     RateCurve,
     ReflectionBreakdown,
-    fit_power_law,
     r_term_12,
     r_term_breather,
     r_term_pm1,
     r_term_soliton_pair,
     rates_from_r,
     reflection_coefficient,
+    reflection_coefficients,
 )
+from power_law import fit_power_law
 
 
 class TestReflectionCoefficient:
@@ -251,6 +254,109 @@ class TestExchangeSymmetricSets:
         spec = make_model("bsg", 0.25)
         _, symmetric = _simplex_integrand(monkeypatch, lambda: r_term_12(1.3, spec))
         assert not symmetric
+
+
+class TestRateGrid:
+    # reflection_coefficients integrates each two-line set over the whole
+    # omega grid as one family; pm1 keeps one outer rule per omega
+    def test_one_family_integral_per_two_line_set(self, monkeypatch):
+        # bsG z = 0.3 carries pm and 12 (non-integer p: no pm1); pm's
+        # symmetric pair is one corner half, 12's two
+        spec = make_model("bsg", 0.3)
+        r0_weights(spec)
+        shapes = []
+        real = quadrature_mod.adaptive_1d
+
+        def counted(f, a, b, tol):
+            res = real(f, a, b, tol)
+            shapes.append(np.shape(res.value))
+            return res
+
+        monkeypatch.setattr(quadrature_mod, "adaptive_1d", counted)
+        grid = np.geomspace(1e-3, 1e3, 60)
+        breakdowns = reflection_coefficients(grid, spec)
+        assert [bd.omega for bd in breakdowns] == grid.tolist()
+        assert set(breakdowns[0].terms) == {"m1", "pm", "12"}
+        assert shapes == [(60,)] * 3
+
+    @pytest.mark.parametrize("kind", ["bsg", "kondo"])
+    @pytest.mark.parametrize("z", [0.25, 1.0 / 3.0, 0.4, 0.5], ids=["1/4", "1/3", "0.4", "1/2"])
+    def test_members_agree_with_their_own_calls(self, kind, z):
+        # each member is held to its own tolerance, _TOL_2D max(1, omega)
+        # on the integral, about _TOL_2D max(1, omega)/((2 pi)^2 omega) on
+        # the term; a family member and its own call are within twice that
+        spec = make_model(kind, z)
+        grid = np.geomspace(1e-3, 1e3, 13)
+        labels = [label for label in ("pm", "12") if label in r0_weights(spec)]
+        for label in labels:
+            term = twopoint_mod._SET_TERMS[label]
+            family = term(grid, spec)
+            assert family.shape == grid.shape
+            for w, member in zip(grid, family):
+                bound = formfactors_mod._TOL_2D * max(1.0, w) / ((2.0 * math.pi) ** 2 * w)
+                assert abs(member - term(float(w), spec)) <= 2.0 * bound, (label, w)
+
+    def test_each_member_is_held_to_its_own_tolerance(self, monkeypatch):
+        # the family runs at the largest member tolerance with member k's
+        # integrand scaled up by the ratio to its own: at every node, the
+        # family's tolerance over its member's integrand equals the
+        # member's own call's tolerance over its integrand
+        spec = make_model("bsg", 0.25)
+        grid = np.array([0.5, 3.0, 40.0])
+        seen = []
+
+        def record(n_parts, total, integrand, tol, symmetric=False):
+            seen.append((integrand, tol))
+            return QuadResult(np.zeros(np.shape(total), dtype=complex), 0.0, 0)
+
+        monkeypatch.setattr(formfactors_mod, "integrate_simplex", record)
+        for label in ("pm", "12"):
+            term = twopoint_mod._SET_TERMS[label]
+            seen.clear()
+            term(grid, spec)
+            for w in grid:
+                term(float(w), spec)
+            (family, family_tol), *alone = seen
+            assert family_tol == formfactors_mod._TOL_2D * 40.0
+            u = np.linspace(0.05, 0.95, 15)[:, None]
+            values = family(grid * u, grid * (1.0 - u))
+            for k, (integrand, tol) in enumerate(alone):
+                assert tol == formfactors_mod._TOL_2D * max(1.0, grid[k])
+                own = integrand(grid[k] * u[:, 0], grid[k] * (1.0 - u[:, 0]))
+                assert np.allclose(family_tol * own, tol * values[:, k], rtol=1e-13, atol=0.0)
+
+    def test_pm1_costs_no_more_than_per_omega(self, monkeypatch):
+        # a family of 3-part simplices would evaluate every member on the
+        # nodes of its hardest one; the grid keeps one outer rule per omega
+        spec = make_model("bsg", 1.0 / 3.0)
+        grid = np.geomspace(0.1, 100.0, 5)
+        evaluations = []
+        real = formfactors_mod.integrate_simplex
+
+        def counted(n_parts, total, integrand, **kwargs):
+            def f(*energies):
+                evaluations.append(np.broadcast(*energies).size)
+                return integrand(*energies)
+
+            return real(n_parts, total, f, **kwargs)
+
+        monkeypatch.setattr(formfactors_mod, "integrate_simplex", counted)
+        on_grid = r_term_pm1(grid, spec)
+        grid_evaluations = sum(evaluations)
+        evaluations.clear()
+        alone = [r_term_pm1(float(w), spec) for w in grid]
+        assert grid_evaluations <= sum(evaluations)
+        assert np.array_equal(on_grid, np.array(alone))
+
+    def test_one_omega_is_a_grid_of_one(self):
+        spec = make_model("bsg", 0.25)
+        (grid_bd,) = reflection_coefficients([2.5], spec)
+        assert reflection_coefficient(2.5, spec) == grid_bd
+
+    def test_a_refusal_anywhere_refuses_the_grid(self):
+        spec = make_model("bsg", 0.5)
+        with pytest.raises(DomainError, match="below the floor"):
+            reflection_coefficients([1.0, 1e-60, 2.0], spec)
 
 
 def _synthetic_breakdowns(omegas, rs):
