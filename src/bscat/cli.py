@@ -112,8 +112,11 @@ def _omega_grid(lo: float, hi: float, points: int, spacing: str) -> List[float]:
     if spacing == "linear":
         step = (hi - lo) / (points - 1)
         return [lo + k * step for k in range(points)]
-    ratio = (hi / lo) ** (1.0 / (points - 1))
-    return [lo * ratio**k for k in range(points)]
+    # in log space, where hi/lo cannot overflow (1e-40..1e300), and in
+    # decades, so that a decade-aligned grid is exact powers of ten
+    start, stop = math.log10(lo), math.log10(hi)
+    step = (stop - start) / (points - 1)
+    return [lo] + [10.0 ** (start + k * step) for k in range(1, points - 1)] + [hi]
 
 
 def _json_value(v):

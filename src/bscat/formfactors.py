@@ -12,11 +12,13 @@ Conventions: rapidity lambda parameterizes the energy e^lambda of a unit-mass
 excitation; breather arguments are pre-shifted by -log(mass ratio) by callers.
 All form factors carry Lorentz spin 1: f(lambda + a) = e^a f(lambda).
 
-The per-rapidity residual integrals of e^{I} and of F run on
+The residual integrals of e^{I} and of F run on
 `quadrature.integrate_semi_infinite`: equal GK15 panels whose
 lambda-independent kernel is tabulated once per (xi, N, panel layout), so
-that each call evaluates only sin^2(w x) on the first n panels, and so do
-the constants c and F(-i pi), from the N = 0 kernels.  n reaches the point
+that each call evaluates only sin^2(w x) on the first n panels, one call
+for all the points of a table panel or of an array's line (a family sized
+by its largest |Re w|), and so do the constants c and F(-i pi), from the
+N = 0 kernels.  n reaches the point
 where the integrand's exponential bound falls below 1e-16.  The panel width is
 0.35 of the distance to the kernel's nearest pole (min(1, 2 pi/xi) for
 e^{I}, 1/2 for F), halved until a panel spans at most 2 radians of
@@ -43,9 +45,11 @@ elementwise, so that a quadrature panel's nodes are one call; a strip,
 pole or overflow refusal names the first offending point.  e^{I} reads an
 array line by line, one vectorised table lookup per distinct Im lambda
 (`_exp_i_on_line`: missing panels built in ascending order, coefficient
-rows gathered, Clenshaw on the matrix), and a number through the memo
-`_exp_i_cached`, the scalar entry of the same lookup.  F loops over its
-elements through its memo `_bigf_cached`.  zeta(-i theta^(1)), f_{+-1}'s
+rows gathered by one index, the series summed in one pass), and a number
+through the memo `_exp_i_cached`, the scalar entry of the same lookup.  F
+reads an array line by line too (`_bigf_on_line`: its Gamma-product head
+vectorised, its tail one family integral; no table yet), and a number
+through its memo `_bigf_cached`.  zeta(-i theta^(1)), f_{+-1}'s
 one spec-dependent zeta factor, is computed once per spec (`_f_pm1_zeta`).
 """
 
@@ -167,16 +171,18 @@ def _loggamma(z):
 # e^{I(lambda)} and derived pair functions
 
 
-def _exp_i_residual(lam: complex, xi: float, N: int) -> complex:
+def _exp_i_residual(lam, xi: float, N: int):
     """The residual integral of I(lambda) left by the N-term Gamma product,
-    on the panel rule; zero at xi = pi, where its kernel vanishes."""
+    on the panel rule, at a complex lambda or, as one family, at each of an
+    array of lambda on one line Im lambda = const; zero at xi = pi, where
+    its kernel vanishes."""
     w = (lam + 1j * math.pi) / 2.0
     return integrate_semi_infinite(
         _exp_i_kernel,
         (xi, N),
         w,
         2,
-        _exp_i_decay(lam.imag, xi, N),
+        _exp_i_decay(float(np.ravel(np.imag(lam))[0]), xi, N),
         # nearest kernel poles: sinh(pi x), cosh(pi x/2) at i, sinh(xi x/2) at 2 pi i/xi
         min(1.0, TWO_PI / xi),
         tol=1e-12,
@@ -282,8 +288,8 @@ def _exp_i_line(xi: float, lam_i: float) -> ChebyshevTable:
     Gamma terms' strip, bounded by the residual's.
 
     A panel takes one builder call on its 41 points: one residual integral
-    per point, and the Gamma product at all of them in one loggamma call on
-    a 41 x 16 array (16 terms at N = 2).
+    for all of them (a family), and the Gamma product at all of them in one
+    loggamma call on a 41 x 16 array (16 terms at N = 2).
 
     The panels are checked to 1e-12 absolute, or to the rounding of the
     loggamma sum, 2 eps sum_j |w_j loggamma(z_j + m_j)|, where that is
@@ -302,8 +308,7 @@ def _exp_i_line(xi: float, lam_i: float) -> ChebyshevTable:
 
     def exponent(lam_r: np.ndarray) -> np.ndarray:
         lam = lam_r + 1j * lam_i
-        residuals = [_exp_i_residual(complex(l), xi, _TABLE_N) for l in lam]
-        return np.array(residuals) + _exp_i_log_product(lam, xi, _TABLE_N, shifts)
+        return _exp_i_residual(lam, xi, _TABLE_N) + _exp_i_log_product(lam, xi, _TABLE_N, shifts)
 
     def rounding(lam_r: float) -> float:
         terms = _exp_i_log_terms(complex(lam_r, lam_i), xi, _TABLE_N, shifts)
@@ -580,13 +585,22 @@ def _bigf_tail_kernel(x: np.ndarray, xi: float, N: int) -> np.ndarray:
 
 @lru_cache(maxsize=400_000)
 def _bigf_cached(lam_r: float, lam_i: float, xi: float, N: int) -> complex:
-    """F(lambda): N factors of its Gamma product times the integral of the
-    rest; N-independent for N >= 1."""
-    lam = complex(lam_r, lam_i)
+    """The scalar entry of `_bigf_on_line`, memoised."""
+    return complex(_bigf_on_line(np.array([lam_r]), lam_i, xi, N)[0])
+
+
+def _bigf_on_line(lam_r: np.ndarray, lam_i: float, xi: float, N: int) -> np.ndarray:
+    """F(lam_r + i lam_i) at each element of the array `lam_r`: N factors of
+    its Gamma product times the exponential of the integral of the rest,
+    one family on the line; N-independent for N >= 1.  A point where a
+    factor's numerator vanishes before any denominator does is an exact 0;
+    one where a denominator vanishes first raises DomainError."""
+    lam = lam_r + 1j * lam_i
     u = 0.5j + lam / TWO_PI
     u2 = u * u
     xh = xi / TWO_PI
-    prod = 0.0 + 0.0j  # log of the k-product
+    prod = np.zeros(lam.shape, dtype=complex)  # log of the k-product
+    zero = np.zeros(lam.shape, dtype=bool)
     for k in range(1, N + 1):
         num = (
             (1.0 + u2 / (k - 0.5) ** 2)
@@ -598,31 +612,35 @@ def _bigf_cached(lam_r: float, lam_i: float, xi: float, N: int) -> complex:
             * (1.0 + u2 / (k - 0.5 - xh) ** 2)
             * (1.0 + u2 / (k + xh) ** 2)
         )
-        if abs(den) < 1e-280:
-            raise DomainError(f"F(lambda) pole at lambda = {lam}")
-        if abs(num) < 1e-280:
-            return 0.0 + 0.0j
-        prod += k * cmath.log(num / den)
+        pole = (np.abs(den) < 1e-280) & ~zero
+        if pole.any():
+            raise DomainError(f"F(lambda) pole at lambda = {offending(lam, pole)}")
+        zero |= np.abs(num) < 1e-280
+        with np.errstate(divide="ignore", invalid="ignore"):
+            prod += k * np.log(num / den)
 
     w = lam + 1j * math.pi
-    tail_val = integrate_semi_infinite(
+    tail = integrate_semi_infinite(
         _bigf_tail_kernel,
         (xi, N),
         w,
         2,
-        TWO_PI - 2.0 * xi + 4.0 * math.pi * N - 2.0 * abs(w.imag),
+        TWO_PI - 2.0 * xi + 4.0 * math.pi * N - 2.0 * abs(math.pi + lam_i),
         0.5,  # nearest kernel pole: sinh(2 pi x)^2 at i/2
         tol=1e-12,
     ).value
-    return _bigf_prefactor(xi) * cmath.exp(prod + tail_val)
+    with np.errstate(invalid="ignore"):
+        value = _bigf_prefactor(xi) * np.exp(prod + tail)
+    return np.where(zero, 0.0, value)
 
 
 def bigF(lam, spec: ModelSpec):
-    """Minimal breather-pair function F(lambda), elementwise: one memoised
-    `_bigf_cached` call per element."""
-    lam = np.asarray(lam, dtype=complex)
-    values = [_bigf_cached(v.real, v.imag, spec.xi, 10) for v in lam.ravel().tolist()]
-    return np.array(values, dtype=complex).reshape(lam.shape)[()]
+    """Minimal breather-pair function F(lambda), elementwise, with its
+    Gamma product cut at N = 10 factors.  A number goes through the memo
+    `_bigf_cached`; an array line by line (`quadrature.lookup_by_line`),
+    one `_bigf_on_line` per distinct Im lambda: a vectorised Gamma-product
+    head and one family tail integral."""
+    return lookup_by_line(_bigf_on_line, _bigf_cached, lam, spec.xi, 10)
 
 
 @lru_cache(maxsize=64)

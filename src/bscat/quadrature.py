@@ -4,8 +4,9 @@ Deterministic adaptive Gauss-Kronrod (G7/K15) quadrature for complex-valued
 integrands, an energy-simplex integrator implementing the delta-constrained
 measure prod dE_i/E_i / (2pi)^n / n!, the one semi-infinite integrator
 (equal GK15 panels on [0, x_max], on which the kernel is tabulated once and
-cached, then multiplied by sin(kappa x)**power on every call), and a lazily
-built piecewise-Chebyshev table of a smooth function of one real variable.
+cached, then multiplied by sin(kappa x)**power on every call, for one kappa
+or a family of them on one line Im kappa = const), and a lazily built
+piecewise-Chebyshev table of a smooth function of x >= 0.
 All engines are pure functions of their inputs: identical calls produce
 bit-identical results (fixed subdivision order, heap keyed with
 deterministic tie-breaks).
@@ -24,9 +25,12 @@ may form an array of any shape; the panel sums contract the node axis.
 `integrate_simplex` hands its integrand arrays of energies, the inner pairs
 of a 3-part simplex as one family per outer panel, and integrates a 2-part
 simplex at an array of totals as one family (a grid of r(omega));
-`ChebyshevTable` looks up arrays of points in one vectorised pass, and
-`lookup_by_line` reads a function tabulated per line Im lambda = const at
-an array of complex lambda.
+`integrate_semi_infinite` integrates an array of kappa on one line as one
+family, its panel sums matrix products; `ChebyshevTable` looks up arrays
+of points in one vectorised pass (missing panels built, rows gathered by
+one index, the series summed at once), and `lookup_by_line` reads a
+function evaluated per line Im lambda = const at an array of complex
+lambda.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
-from .errors import DomainError, ToleranceNotMet
+from .errors import DomainError, ToleranceNotMet, offending
 
 TWO_PI = 2.0 * math.pi
 
@@ -441,73 +445,150 @@ def _tabulated(kernel: Callable[..., np.ndarray], args: tuple, width: float, siz
     return nodes, kernel(nodes, *args), weights
 
 
+# a family is summed in blocks of members whose (members x panels)
+# temporaries hold at most this many member-panels, each block reduced
+# before the next, so that a large family does not raise peak memory
+_BLOCK_MEMBER_PANELS = 1024
+
+
+def _panel_rule(nodes, table, weights, width: float, b: float, power: int):
+    """The K15 and K15 - G7 sums of table * sin(kappa x)**power on each of
+    the panels of `nodes` (of `width`), as a function of an (m,) array of
+    kappa on the line Im kappa = b, returning an (m, panels, 2) array.
+
+    Panel 0 is summed directly.  On the others sin(kappa x)**power is 1,
+    sin(kappa x) = sin(a x) cosh(b x) + i cos(a x) sinh(b x) (a = Re
+    kappa), or (1 - cos(2 kappa x))/2, so each sum is one of sin/cos(A x)
+    times the kernel times cosh/sinh(B x) (A = power a, B = power b).  The
+    kernel times cosh/sinh(B x), weighted, is a set of member-independent
+    node vectors; at x = c + h t, sin/cos(A x) follow by angle addition
+    from sin/cos(A c), (m, panels), and sin/cos(A h t), (m, 15), so that
+    the sums are one matrix product, and a member takes 2 (panels + 15)
+    real sines and cosines instead of 15 panels complex ones.  The
+    (1 - cos)/2 form loses 1 - cos(2 kappa x) to cancellation where kappa x
+    is small, which is why panel 0, where kernels grow as 1/x^2, is summed
+    directly."""
+    const = table[1:] @ weights
+    rate_b = power * b
+    if rate_b == 0.0:
+        parts = table[None, 1:]
+    else:
+        rest = nodes[1:]
+        parts = np.stack([table[1:] * np.cosh(rate_b * rest), table[1:] * np.sinh(rate_b * rest)])
+    # rows (part, weight column, panel), one column per node of a panel
+    vectors = (parts[:, None] * weights.T[None, :, None, :]).reshape(-1, 15)
+    centres = nodes[1:, 7]  # the middle node, t = 0
+    offsets = 0.5 * width * _T15
+
+    def sums(kappa: np.ndarray) -> np.ndarray:
+        # numpy's real sine is several times faster than its complex one
+        k = kappa.real if b == 0.0 else kappa
+        first = (table[0] * np.sin(np.outer(k, nodes[0])) ** power) @ weights
+        m = kappa.size
+        if power == 0 or not const.size:
+            return np.concatenate([first[:, None], np.broadcast_to(const, (m,) + const.shape)], 1)
+        rate_a = power * kappa.real
+        at_nodes = np.outer(rate_a, offsets)
+        local = np.concatenate([np.cos(at_nodes), np.sin(at_nodes)])  # (2m, 15)
+        at_centres = np.outer(rate_a, centres)[None, :, :, None]
+        cos_c, sin_c = np.cos(at_centres), np.sin(at_centres)
+        # (part, weight column, panel, cos/sin of A h t, member), then the
+        # sums by cos(A h t) and sin(A h t) as (part, member, panel, column)
+        by = (vectors @ local.T).reshape(len(parts), 2, -1, 2, m)
+        by_cos, by_sin = by[..., 0, :].transpose(0, 3, 2, 1), by[..., 1, :].transpose(0, 3, 2, 1)
+        if power == 1:
+            value = sin_c[0] * by_cos[0] + cos_c[0] * by_sin[0] + 0j
+            if len(parts) == 2:
+                value = value + 1j * (cos_c[0] * by_cos[1] - sin_c[0] * by_sin[1])
+        else:
+            value = 0.5 * (const - (cos_c[0] * by_cos[0] - sin_c[0] * by_sin[0])) + 0j
+            if len(parts) == 2:
+                value = value + 0.5j * (sin_c[0] * by_cos[1] + cos_c[0] * by_sin[1])
+        return np.concatenate([first[:, None], value], axis=1)
+
+    return sums
+
+
 def integrate_semi_infinite(
     kernel: Callable[..., np.ndarray],
     args: tuple,
-    kappa: complex,
+    kappa,
     power: int,
     decay_rate: float,
     pole_distance: float,
     tol: float,
 ) -> QuadResult:
     """Integral over (0, inf) of kernel(x, *args) * sin(kappa x)**power,
-    the integrand bounded by C e^{-decay_rate x}.
+    the integrand bounded by C e^{-decay_rate x}, for one kappa or, as one
+    family, for each of an array of kappa on one line Im kappa = const (the
+    value and the estimate then have kappa's shape).  power is 0, 1 or 2.
 
-    The panels are those of panel_layout(decay_rate, pole_distance,
-    power |Re kappa|, 2 power |Im kappa|); kernel(x, *args) is tabulated on
-    them once per (kernel, args, layout) and cached (`_tabulated`), so a
-    call evaluates only the sine, on the first n panels.  The value sums
-    the panels' K15 sums, the estimate their |K15 - G7|.  The one place
-    that refuses a kernel integral: DomainError when decay_rate <= 0, and
-    ToleranceNotMet past `tol` (with the value and estimate), past
-    _MAX_PANELS panels, and when the sine could overflow on the panels (a
-    complex kappa next to the edge of the kernel's strip, where the product
-    is finite but its factors are not).  Each refusal names the kernel and
+    The family shares the panels of panel_layout(decay_rate, pole_distance,
+    power max |Re kappa|, 2 power |Im kappa|); kernel(x, *args) is
+    tabulated on them once per (kernel, args, layout) and cached
+    (`_tabulated`), so a call evaluates only the sine, on the first n
+    panels: on panel 0 directly, on the others by angle addition in matrix
+    products (`_panel_rule`), in blocks of members of at most
+    _BLOCK_MEMBER_PANELS member-panels.  A number is a family of one.  Each member's value sums its panels' K15 sums, its
+    estimate their |K15 - G7|.  The one place that refuses a kernel
+    integral: DomainError when decay_rate <= 0 or when the family spans two
+    lines, and ToleranceNotMet past _MAX_PANELS panels, when the sine could
+    overflow on the panels (a complex kappa next to the edge of the
+    kernel's strip, where the product is finite but its factors are not),
+    and when a member's estimate exceeds `tol` (with the values and
+    estimates, naming the worst member).  Each refusal names the kernel and
     kappa.  It serves five kernel integrals: the e^{I} residual, the R_s
     phase, F's tail and the constants c and F(-i pi).
     """
+    kappas = np.asarray(kappa, dtype=complex).reshape(-1)
+    a, b = kappas.real, float(kappas[0].imag)
+    if np.ndim(kappa) == 0:
+        label = f"{kernel.__name__} at kappa = {kappa}"
+    else:
+        span = f"{float(a.min())!r}..{float(a.max())!r} {b:+}i"
+        label = f"{kernel.__name__} at kappa = {span} ({a.size} members)"
+    if np.any(kappas.imag != b):
+        lines = f"{float(kappas.imag.min())!r} and {float(kappas.imag.max())!r}"
+        raise DomainError(f"{kernel.__name__}: a family spans the lines Im kappa = {lines}")
     try:
         width, n, size = panel_layout(
-            decay_rate, pole_distance, power * abs(kappa.real), 2.0 * power * abs(kappa.imag)
+            decay_rate, pole_distance, power * float(np.max(np.abs(a))), 2.0 * power * abs(b)
         )
     except (DomainError, ToleranceNotMet) as exc:
-        raise type(exc)(f"{kernel.__name__} at kappa = {kappa}: {exc}") from None
-    growth = power * abs(kappa.imag) * n * width
+        raise type(exc)(f"{label}: {exc}") from None
+    growth = power * abs(b) * n * width
     if growth > _MAX_EXPONENT:
         raise ToleranceNotMet(
-            f"{kernel.__name__} at kappa = {kappa}: panel rule: sin(kappa x)**{power} "
+            f"{label}: panel rule: sin(kappa x)**{power} "
             f"grows as e^{growth:.0f} on [0, {n * width:.3e}] (decay rate {decay_rate:.3e})"
         )
     nodes, table, weights = _tabulated(kernel, args, width, size)
-    # numpy's real sine is several times faster than its complex one
-    k = kappa.real if kappa.imag == 0.0 else kappa
-    values = table[:n] * np.sin(k * nodes[:n]) ** power
-    k15, k15_minus_g7 = (values @ weights).T
-    value = complex(k15.sum())
-    err = float(np.abs(k15_minus_g7).sum())
-    if not err <= tol:
+    rule = _panel_rule(nodes[:n], table[:n], weights, width, b, power)
+    value = np.empty(kappas.size, dtype=complex)
+    err = np.empty(kappas.size)
+    step = max(1, _BLOCK_MEMBER_PANELS // n)
+    for start in range(0, kappas.size, step):
+        block = slice(start, start + step)
+        sums = rule(kappas[block])
+        value[block] = sums[..., 0].sum(axis=1)
+        err[block] = np.abs(sums[..., 1]).sum(axis=1)
+    if not np.all(err <= tol):
+        k = int(np.argmax(np.where(np.isnan(err), math.inf, err)))
+        member, worst = _worst_member(err.reshape(np.shape(kappa)))
+        if member:
+            member = f"{member[:-2]}, kappa = {kappas[k]}: "
         raise ToleranceNotMet(
-            f"{kernel.__name__} at kappa = {kappa}: panel rule: error estimate "
-            f"{err:.3e} exceeds tol {tol:.3e} ({n} panels of width {width:.3e})",
-            value=value,
-            abs_error_estimate=err,
+            f"{label}: {member}panel rule: error estimate "
+            f"{worst:.3e} exceeds tol {tol:.3e} ({n} panels of width {width:.3e})",
+            value=_result(value.reshape(np.shape(kappa))),
+            abs_error_estimate=_result(err.reshape(np.shape(kappa))),
         )
-    return QuadResult(value=value, abs_error_estimate=err, evaluations=values.size)
+    value, err = _result(value.reshape(np.shape(kappa))), _result(err.reshape(np.shape(kappa)))
+    return QuadResult(value=value, abs_error_estimate=err, evaluations=15 * n)
 
 
 # ---------------------------------------------------------------------------
 # Piecewise-Chebyshev tables of smooth functions on the real line
-
-
-def _clenshaw(coeffs, t):
-    """sum_k coeffs[k] T_k(t) by Clenshaw's recurrence: coeffs a sequence
-    of numbers and t a float or an array, or coeffs an array of shape
-    (degree + 1,) + t.shape that holds the series of each t along axis 0."""
-    b1 = b2 = 0.0
-    t2 = 2.0 * t
-    for c in coeffs[:0:-1]:
-        b1, b2 = t2 * b1 - b2 + c, b1
-    return t * b1 - b2 + coeffs[0]
 
 
 # Chebyshev points per ChebyshevTable panel, and the panel check's tolerance
@@ -527,22 +608,43 @@ _TO_COEFFS[0] *= 0.5
 _MIDPOINTS = np.cos(math.pi * np.arange(1, _TABLE_POINTS) / _TABLE_POINTS)
 # where a panel's builder is called: its points, then its check points
 _BUILD_POINTS = np.concatenate([_CHEB_POINTS, _MIDPOINTS])
+_DEGREES = np.arange(_TABLE_POINTS, dtype=float)
+# a ChebyshevTable stores panels 0 .. _MAX_TABLE_PANELS - 1 (x up to 8192 at
+# the narrowest e^{I} width, 1/8) in one dense array indexed by panel number;
+# a lookup's panel numbers must be exact integers, below 2^53
+_MAX_TABLE_PANELS = 1 << 16
+_MAX_PANEL_NUMBER = 2.0**53
+
+
+def _chebyshev_sum(coeffs: np.ndarray, t) -> np.ndarray:
+    """sum_k coeffs[..., k] T_k(t) for t in [-1, 1], complex coeffs of
+    shape t.shape + (_TABLE_POINTS,) (the series of each t) or
+    (_TABLE_POINTS,) (one series for every t).  T_k(t) = cos(k arccos t)
+    for all k in one call, then one batched matrix product per point on
+    the real and imaginary parts: a few array operations in place of
+    Clenshaw's recurrence, one per degree, and a point's value does not
+    depend on the other points looked up with it."""
+    basis = np.cos(np.multiply.outer(np.arccos(t), _DEGREES))
+    parts = coeffs.view(np.float64).reshape(coeffs.shape + (2,))
+    out = (basis[..., None, :] @ parts)[..., 0, :]
+    return out[..., 0] + 1j * out[..., 1]
 
 
 def lookup_by_line(
     on_line: Callable[..., np.ndarray], cached: Callable[..., complex], lam, *args
 ):
-    """A function of complex lambda that is tabulated per line Im lambda =
-    const: `cached(Re, Im, *args)` at a number, and at an array one
-    `on_line(Re array, Im, *args)` per distinct Im lambda, whose results
-    are scattered back elementwise."""
+    """A function of complex lambda that is evaluated per line Im lambda =
+    const (a table or a family integral per line): `cached(Re, Im, *args)`
+    at a number, and at an array one `on_line(Re array, Im, *args)` per
+    distinct Im lambda, whose results are scattered back elementwise."""
     if np.ndim(lam) == 0:
         lam = complex(lam)
         return cached(lam.real, lam.imag, *args)
     lam = np.asarray(lam, dtype=complex)
-    lines = np.unique(lam.imag)
-    if lines.size == 1:
-        return on_line(lam.real, float(lines[0]), *args)
+    im = lam.imag
+    if lam.size and np.all(im == im.flat[0]):
+        return on_line(lam.real, float(im.flat[0]), *args)
+    lines = np.unique(im)
     out = np.full(lam.shape, complex(math.nan, math.nan))
     for lam_i in lines:
         on = lam.imag == lam_i
@@ -567,10 +669,10 @@ def strip_panel_width(half_width: float) -> float:
 
 
 class ChebyshevTable:
-    """A lazily built piecewise-Chebyshev interpolant of builder(x), x real.
+    """A lazily built piecewise-Chebyshev interpolant of builder(x), x >= 0.
 
-    The real line is cut into equal panels [k width, (k + 1) width], k an
-    integer.  A panel is built on the first lookup that lands in it, from
+    The half-line is cut into equal panels [k width, (k + 1) width], k = 0,
+    1, ...  A panel is built on the first lookup that lands in it, from
     one builder call on an array of 41 x: its _TABLE_POINTS = 21 first-kind
     Chebyshev points, whose values become the coefficients of a degree-20
     interpolant (Trefethen, Approximation Theory and Approximation
@@ -579,10 +681,11 @@ class ChebyshevTable:
     interpolant is off by more than _TABLE_TOL = 1e-12 there (absolute), the
     panel is not kept and ToleranceNotMet is raised.  The builder must be
     analytic in a neighbourhood of each panel it is asked for.  `rounding`, if given, is
-    the builder's own rounding error at x (nondecreasing in |x|); a panel is
+    the builder's own rounding error at x (nondecreasing in x); a panel is
     then checked to the larger of _TABLE_TOL and its value at the panel's
-    edge farther from 0.  `panels` counts the panels built so far, and
-    `worst_error` is the largest check error seen on them.
+    right edge.  The coefficients are one dense array indexed by panel
+    number, of at most _MAX_TABLE_PANELS panels.  `panels` counts the panels built so far, and `worst_error` is
+    the largest check error seen on them.
     """
 
     def __init__(
@@ -594,46 +697,66 @@ class ChebyshevTable:
         self._builder = builder
         self._width = width
         self._rounding = rounding
-        self._panels: Dict[int, np.ndarray] = {}
+        self._coeffs = np.zeros((1, _TABLE_POINTS), dtype=complex)
+        self._built = np.zeros(1, dtype=bool)
         self.worst_error = 0.0
 
     @property
     def panels(self) -> int:
-        return len(self._panels)
+        return int(np.count_nonzero(self._built))
 
     def __call__(self, x):
-        """The interpolant at x, a float or an array of them (elementwise).
+        """The interpolant at x >= 0, a float or an array of them
+        (elementwise); DomainError at a negative x, NaN or an x past 2^53
+        panels, and at a panel past _MAX_TABLE_PANELS that its builder
+        answers.
 
-        One vectorised lookup: the panels the points land in that are not
-        built yet are built in ascending k, their coefficient rows are
-        gathered, and Clenshaw's recurrence runs on the gathered matrix."""
+        One vectorised pass: the panels the points land in that are not
+        built yet are built in ascending k, the points' coefficient rows
+        are gathered by one fancy index, and the series are summed on the
+        gathered rows in one pass (`_chebyshev_sum`)."""
         x = np.asarray(x, dtype=float)
         k = np.floor(x / self._width)
-        panels, index = np.unique(k, return_inverse=True)
-        built = self._panels
-        rows = np.array([built[j] if j in built else self._build(j) for j in map(int, panels)])
-        # local coordinate in [-1, 1] of x on panel k
-        coeffs = np.moveaxis(rows[index.reshape(x.shape)], -1, 0)
-        value = _clenshaw(coeffs, 2.0 * (x / self._width - k) - 1.0)
+        bad = ~((k >= 0.0) & (k < _MAX_PANEL_NUMBER))
+        if bad.any():
+            raise DomainError(
+                f"Chebyshev table: x = {offending(x, bad)} is not in "
+                f"[0, {_MAX_PANEL_NUMBER * self._width:g})"
+            )
+        index = k.astype(np.intp)
+        known = np.take(self._built, index, mode="clip") & (index < self._built.size)
+        if not known.all():
+            for j in np.unique(index[~known]).tolist():
+                self._build(j)
+        value = _chebyshev_sum(self._coeffs[index], 2.0 * (x / self._width - k) - 1.0)
         return complex(value) if value.ndim == 0 else value
 
-    def _build(self, k: int) -> np.ndarray:
+    def _build(self, k: int) -> None:
         half = 0.5 * self._width
         centre = (k + 0.5) * self._width
         values = self._builder(centre + half * _BUILD_POINTS)
         coeffs = (_TO_COEFFS @ values[:_TABLE_POINTS]).astype(complex)
-        errors = np.abs(_clenshaw(coeffs, _MIDPOINTS) - values[_TABLE_POINTS:])
+        errors = np.abs(_chebyshev_sum(coeffs, _MIDPOINTS) - values[_TABLE_POINTS:])
         # np.max, unlike max, returns a NaN it meets, which then fails
         err = float(np.max(errors))
         tol = _TABLE_TOL
         if self._rounding is not None:
-            tol = max(tol, self._rounding(centre + math.copysign(half, centre)))
+            tol = max(tol, self._rounding(centre + half))
         if not err <= tol:
             raise ToleranceNotMet(
                 f"Chebyshev table: panel [{centre - half:.6g}, {centre + half:.6g}] "
                 f"interpolates with error {err:.3e}, more than tol {tol:.3e}",
                 abs_error_estimate=err,
             )
+        if k >= _MAX_TABLE_PANELS:
+            raise DomainError(
+                f"Chebyshev table: panel [{centre - half:.6g}, {centre + half:.6g}] "
+                f"is past the table's {_MAX_TABLE_PANELS} panels"
+            )
         self.worst_error = max(self.worst_error, err)
-        self._panels[k] = coeffs
-        return coeffs
+        if k >= self._built.size:
+            grow = max(k + 1, 2 * self._built.size) - self._built.size
+            self._coeffs = np.concatenate([self._coeffs, np.zeros((grow, _TABLE_POINTS), complex)])
+            self._built = np.concatenate([self._built, np.zeros(grow, dtype=bool)])
+        self._coeffs[k] = coeffs
+        self._built[k] = True

@@ -27,7 +27,8 @@ ToleranceNotMet.  Past |Re lambda| = 16/d the phase is its large-|Re lambda|
 limit, which the integral matches there to 3e-13 or better for z >= 0.05.
 Short of that, a phase lookup reads a per-(xi, Im lambda) table
 (`quadrature.ChebyshevTable`, 21 Chebyshev points per panel, each panel
-built from the integral on first use and checked against it to 1e-12): the
+built on first use from one family integral over its 41 points, the points
+past the switch keeping the limit, and checked against them to 1e-12): the
 phase is analytic in |Im lambda| < min(3 xi, xi + 2 pi)/2, and the panel
 width follows from the half-width s of that strip about the line
 (`quadrature.strip_panel_width`: at most 1.5 s, a power of two).  As
@@ -64,6 +65,11 @@ _POLE_TOL = 1e-12
 # real axis; the limit is used once that exponent passes this value
 # (e^{-32} ~ 1e-14)
 _ASYMPTOTE_EXPONENT = 32.0
+# R_s = e^{-i pi/4}/(2 cosh((p - 1) lambda/2 - i pi/4)) and the soliton
+# amplitudes e^{+-(p - 1) lambda/2} R_s are refused past this |Re| of
+# (p - 1) lambda/2, where the exponentials and their reciprocals leave the
+# normal doubles (e^{+-708}): at small z, e.g. |Re lambda| > 43 at z = 0.03
+_MAX_HALF_EXPONENT = 700.0
 
 
 @lru_cache(maxsize=200_000)
@@ -93,9 +99,7 @@ def _rs_phase_line(xi: float, lam_i: float) -> ChebyshevTable:
     panels sized by its strip of analyticity, |Im lambda| < min(3 xi,
     xi + 2 pi)/2."""
     return ChebyshevTable(
-        lambda lam_r: np.array(
-            [_rs_phase_direct(complex(x, lam_i), xi) for x in lam_r]
-        ),
+        lambda lam_r: _rs_phase_direct(lam_r + 1j * lam_i, xi),
         strip_panel_width(0.5 * _rs_phase_decay(lam_i, xi)),
     )
 
@@ -123,11 +127,18 @@ def _rs_phase_asymptotic(lam_r, xi: float):
     return 2.0 * _rs_phase_pole(xi) * np.abs(lam_r) > _ASYMPTOTE_EXPONENT
 
 
-def _rs_phase_direct(lam: complex, xi: float) -> complex:
-    decay = _rs_phase_decay(lam.imag, xi)
-    if _rs_phase_asymptotic(lam.real, xi):
-        return complex(_rs_phase_limit(lam.real, xi))
-    return _rs_phase_integral(lam, xi, decay)
+def _rs_phase_direct(lam, xi: float):
+    """The phase without the table, at a complex lambda or at each of an
+    array of lambda on one line Im lambda = const: its limit past the
+    asymptote switch, and short of it the integral (one family)."""
+    lam = np.asarray(lam, dtype=complex)
+    flat = lam.reshape(-1)
+    decay = _rs_phase_decay(float(flat[0].imag), xi)
+    out = np.array(_rs_phase_limit(flat.real, xi), dtype=complex)
+    near = ~_rs_phase_asymptotic(flat.real, xi)
+    if near.any():
+        out[near] = _rs_phase_integral(flat[near], xi, decay)
+    return complex(out[0]) if lam.ndim == 0 else out.reshape(lam.shape)
 
 
 def _rs_phase_limit(lam_r, xi: float):
@@ -151,10 +162,11 @@ def _rs_phase_kernel(x: np.ndarray, xi: float) -> np.ndarray:
     )
 
 
-def _rs_phase_integral(lam: complex, xi: float, decay: float) -> complex:
+def _rs_phase_integral(lam, xi: float, decay: float):
     """The phase integral int_0^inf sin(2 lambda x) kernel(x) dx on the
-    fixed panel rule, to 1e-11 absolute; `decay` bounds the integrand's
-    exponential decay."""
+    fixed panel rule, to 1e-11 absolute, at a complex lambda or, as one
+    family, at an array of lambda on one line; `decay` bounds the
+    integrand's exponential decay."""
     return integrate_semi_infinite(
         _rs_phase_kernel, (xi,), 2.0 * lam, 1, decay, _rs_phase_pole(xi), tol=1e-11
     ).value
@@ -164,8 +176,14 @@ def r_s(lam, spec: ModelSpec):
     """Scalar factor of the boundary sine-Gordon soliton reflection
     amplitudes, elementwise."""
     lam = np.asarray(lam, dtype=complex)
-    pm1 = spec.p - 1.0
-    den = 2.0 * np.cosh(pm1 * lam / 2.0 - 1j * math.pi / 4.0)
+    half = (spec.p - 1.0) * lam / 2.0
+    overflow = np.abs(half.real) > _MAX_HALF_EXPONENT
+    if overflow.any():
+        raise DomainError(
+            f"R_s overflows at lambda = {offending(lam, overflow)} (z = {spec.z}): "
+            f"e^((p - 1) |Re lambda|/2) is past e^{_MAX_HALF_EXPONENT:.0f}"
+        )
+    den = 2.0 * np.cosh(half - 1j * math.pi / 4.0)
     pole = np.abs(den) < _POLE_TOL
     if pole.any():
         raise DomainError(f"R_s pole at lambda = {offending(lam, pole)}")
@@ -200,7 +218,7 @@ def soliton_amplitudes(lam, spec: ModelSpec) -> Tuple:
             f"|Im lambda| > pi unsupported (got {offending(lam.imag, outside)})"
         )
     pm1 = spec.p - 1.0
-    rs = r_s(lam, spec)
+    rs = r_s(lam, spec)  # refuses where e^{+-(p - 1) lambda/2} would overflow
     return 1j * np.exp(pm1 * lam / 2.0) * rs, np.exp(-pm1 * lam / 2.0) * rs
 
 

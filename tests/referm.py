@@ -1,4 +1,5 @@
-"""Free-fermion oracle at z = 1/2.
+"""Free-fermion oracle at z = 1/2, a test oracle for the form-factor
+pipeline.
 
 Both models map to free fermions hybridized with the impurity at the point
 z = 1/2, giving closed-form reflection coefficients, a finite-temperature
@@ -15,9 +16,9 @@ import math
 
 import numpy as np
 
-from .errors import DomainError
-from .model import ModelKind, check_omega
-from .quadrature import adaptive_1d
+from bscat.errors import DomainError
+from bscat.model import ModelKind, check_omega
+from bscat.quadrature import adaptive_1d
 
 
 def _lambda_cut(model: ModelKind) -> float:

@@ -17,11 +17,11 @@ from click.testing import CliRunner
 from bscat.cli import main as cli_main
 from bscat.formfactors import r0_weights
 from bscat.model import make_model
-from bscat.referm import r_half_closed, spectrum_half
 from bscat.spectrum import default_omega_prime_grid, diagram_g1_1, sum_rule_check
 from bscat.twopoint import rates_from_r, reflection_coefficient
 from closed_forms import kondo_half_spectrum
 from power_law import fit_power_law
+from referm import r_half_closed, spectrum_half
 
 
 def _rate_curve(kind, z, omegas):

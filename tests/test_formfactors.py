@@ -135,6 +135,28 @@ class TestBuildingBlocks:
             for n in (1, 5, 10):
                 assert abs(_bigf_cached(lam, 0.0, SPEC3.xi, n) - ref) < 1e-10
 
+    @pytest.mark.parametrize("spec", [SPEC3, SPEC5], ids=["z=1/3", "z=0.2"])
+    def test_bigF_array_equals_its_scalar_entry(self, spec):
+        # an array goes line by line, each line one family tail integral
+        # sized by its largest |Re lambda|; a number through the memo
+        xi = spec.xi
+        re = np.linspace(-7.0, 7.0, 29)
+        lines = (0.0, math.pi, -math.pi, 0.5 * xi, -0.5 * xi)
+        lam = np.add.outer(re, 1j * np.array(lines))
+        value = bigF(lam, spec)
+        scalars = np.array([[_bigf_cached(x.real, x.imag, xi, 10) for x in row] for row in lam])
+        # F(0) = 0: the one zero on these lines is exact both ways
+        assert np.array_equal(value == 0.0, scalars == 0.0)
+        assert np.count_nonzero(scalars == 0.0) == 1
+        nonzero = scalars != 0.0
+        assert np.max(np.abs(value[nonzero] / scalars[nonzero] - 1.0)) <= 1e-13
+
+    def test_bigF_pole_is_refused_on_an_array(self):
+        # F has a pole where a factor of its Gamma product's denominator
+        # vanishes, u^2 = -(k - 1/2 - xi/(2 pi))^2: at k = 1, lambda = -i xi
+        with pytest.raises(DomainError, match="F\\(lambda\\) pole at lambda"):
+            bigF(np.array([0.5, -1j * SPEC3.xi, 0.3]) - 0.0j, SPEC3)
+
     def test_c_const_frozen(self):
         assert c_const(SPEC3) == pytest.approx(2.2511051861189615, rel=1e-10)
 

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bscat.formfactors as formfactors
 import bscat.quadrature as quadrature
+import bscat.reflection as reflection
 from bscat.errors import DomainError, ToleranceNotMet
 from bscat.quadrature import (
     ChebyshevTable,
@@ -14,6 +16,7 @@ from bscat.quadrature import (
     integrate_simplex,
     panel_layout,
 )
+from bscat.model import make_model
 
 
 class TestAdaptive1D:
@@ -388,6 +391,90 @@ class TestSemiInfinite:
             integrate_semi_infinite(_exponential, (1.0,), 0.5, 1, decay, 1.0, tol=tol)
 
 
+def _family_cases():
+    """(kernel, args, kappa, power, decay, pole, tol): a family of kappa on
+    one line per case, as the e^{I}, R_s phase and F tables and lookups
+    integrate them (bsG z = 1/3 and 0.2)."""
+    cases = []
+    for z in (1.0 / 3.0, 0.2):
+        xi = make_model("bsg", z).xi
+        half = 0.5 * (math.pi - xi)
+        for lam_i in (0.0, -math.pi, half, -math.pi - half):
+            lam = np.linspace(0.0, 8.0, 41) + 1j * lam_i
+            decay = formfactors._exp_i_decay(lam_i, xi, 2)
+            pole = min(1.0, 2.0 * math.pi / xi)
+            kappa = (lam + 1j * math.pi) / 2.0
+            args = (formfactors._exp_i_kernel, (xi, 2), kappa, 2, decay, pole, 1e-12)
+            cases.append(pytest.param(*args, id=f"expI-z{z:.3g}-im{lam_i:.3g}"))
+        for lam_i in (0.0, 0.4, -0.7):
+            lam = np.linspace(0.0, 30.0, 41) + 1j * lam_i
+            decay, pole = reflection._rs_phase_decay(lam_i, xi), reflection._rs_phase_pole(xi)
+            args = (reflection._rs_phase_kernel, (xi,), 2.0 * lam, 1, decay, pole, 1e-11)
+            cases.append(pytest.param(*args, id=f"rs-z{z:.3g}-im{lam_i:.3g}"))
+        for lam_i in (0.0, math.pi, -math.pi, 0.5 * xi, -0.5 * xi):
+            w = np.linspace(-6.0, 6.0, 23) + 1j * (lam_i + math.pi)
+            decay = 2.0 * math.pi - 2.0 * xi + 40.0 * math.pi - 2.0 * abs(w[0].imag)
+            args = (formfactors._bigf_tail_kernel, (xi, 10), w, 2, decay, 0.5, 1e-12)
+            cases.append(pytest.param(*args, id=f"F-z{z:.3g}-im{lam_i:.3g}"))
+    return cases
+
+
+class TestSemiInfiniteFamily:
+    # an array of kappa on one line is one integral call: the members share
+    # the panels of the largest |Re kappa|, each held to tol
+    @pytest.mark.parametrize("kernel, args, kappa, power, decay, pole, tol", _family_cases())
+    def test_members_equal_their_own_calls(self, kernel, args, kappa, power, decay, pole, tol):
+        family = integrate_semi_infinite(kernel, args, kappa, power, decay, pole, tol)
+        assert family.value.shape == kappa.shape
+        assert np.all(family.abs_error_estimate <= tol)
+        alone = [integrate_semi_infinite(kernel, args, k, power, decay, pole, tol) for k in kappa]
+        assert np.max(np.abs(family.value - [r.value for r in alone])) <= 1e-14
+        # the family's panels are those of its largest |Re kappa|
+        assert family.evaluations == max(r.evaluations for r in alone)
+        # a family keeps its members' shape
+        rule = (power, decay, pole, tol)
+        flat = integrate_semi_infinite(kernel, args, kappa[:20], *rule)
+        grid = integrate_semi_infinite(kernel, args, kappa[:20].reshape(4, 5), *rule)
+        assert np.array_equal(grid.value, flat.value.reshape(4, 5))
+
+    @pytest.mark.parametrize("lam_i", [-math.pi, 0.0, -2.0])
+    def test_power_two_matches_the_direct_sine_sum(self, lam_i):
+        # panel 0, where the e^{I} kernel grows as 1/x^2, is summed
+        # directly: (1 - cos(2 kappa x))/2 there loses ~1e-13 to
+        # cancellation at small kappa; the other panels' angle addition
+        # meets the direct complex sines to rounding
+        xi = make_model("bsg", 1.0 / 3.0).xi
+        kernel, args = formfactors._exp_i_kernel, (xi, 2)
+        w = (np.linspace(0.0, 2.0, 41) + 1j * (lam_i + math.pi)) / 2.0
+        decay, pole = formfactors._exp_i_decay(lam_i, xi, 2), min(1.0, 2.0 * math.pi / xi)
+        family = integrate_semi_infinite(kernel, args, w, 2, decay, pole, 1e-12)
+        rate, growth = 2.0 * np.max(np.abs(w.real)), 4.0 * abs(w[0].imag)
+        width, n, size = panel_layout(decay, pole, rate, growth)
+        nodes, table, weights = quadrature._tabulated(kernel, args, width, size)
+        direct = [((table[:n] * np.sin(k * nodes[:n]) ** 2) @ weights[:, 0]).sum() for k in w]
+        assert np.max(np.abs(family.value - direct)) <= 1e-15
+
+    def test_refusal_names_the_worst_member(self, monkeypatch):
+        # panels of width 4 under sin^2(kappa x): every member misses 1e-12,
+        # the fastest oscillation most
+        monkeypatch.setattr(quadrature, "_PHASE_PER_PANEL", 100.0)
+        pole = 4.0 / quadrature._POLE_FRACTION
+        kappa = np.array([3.0, 10.0, 1.0])
+        with pytest.raises(ToleranceNotMet, match="panel rule") as exc:
+            integrate_semi_infinite(_exponential, (1.0,), kappa, 2, 1.0, pole, tol=1e-12)
+        err = exc.value.abs_error_estimate
+        assert err.shape == (3,) and exc.value.value.shape == (3,)
+        worst = int(np.argmax(err))
+        assert f"member {worst} of 3, kappa = {kappa[worst] + 0j}: " in str(exc.value)
+        assert f"error estimate {err[worst]:.3e} exceeds" in str(exc.value)
+
+    def test_a_family_on_two_lines_is_refused(self):
+        with pytest.raises(DomainError, match="spans the lines Im kappa = 0.1 and 0.2"):
+            integrate_semi_infinite(
+                _exponential, (1.0,), np.array([1.0 + 0.1j, 2.0 + 0.2j]), 2, 1.0, 1.0, tol=1e-12
+            )
+
+
 class TestChebyshevTable:
     # builders take the array of a panel's 41 x and return their values
     def test_interpolates_an_analytic_function(self):
@@ -395,10 +482,23 @@ class TestChebyshevTable:
             return np.cos(x) + 1j * np.sin(3.0 * x)
 
         table = ChebyshevTable(f, 1.0)
-        for x in (-7.3, -1e-9, 0.0, 0.3, 0.999999, 20.0):
+        for x in (0.0, 1e-9, 0.3, 0.999999, 7.3, 20.0):
             assert abs(table(x) - f(x)) <= 1e-13
-        assert table.panels == 4  # [-8, -7], [-1, 0], [0, 1] and [20, 21]
+        assert table.panels == 3  # [0, 1], [7, 8] and [20, 21]
         assert 0.0 <= table.worst_error <= 1e-13
+        # one array lookup, in any order, reads the same interpolant
+        points = np.array([20.0, 0.3, 7.3, 0.0])
+        assert np.array_equal(table(points), [table(x) for x in points])
+        # the table holds x >= 0 only: its callers fold Re lambda < 0 by symmetry
+        for x in (-1e-9, math.nan, math.inf, 1e300):
+            with pytest.raises(DomainError, match="not in"):
+                table(np.array([0.5, x]))
+        assert table.panels == 3
+        # the panels it stores are one dense array, of at most 65,536 panels
+        decaying = ChebyshevTable(lambda x: np.exp(-x) + 0j, 1.0)
+        with pytest.raises(DomainError, match="past the table's 65536 panels"):
+            decaying(65536.5)
+        assert decaying.panels == 0
 
     def test_one_lookup_builds_one_panel(self):
         calls = []

@@ -7,13 +7,13 @@ import pytest
 from bscat.errors import DomainError
 from bscat.model import ModelKind
 from bscat.quadrature import adaptive_1d
-from bscat.referm import (
+from bscat.spectrum import default_omega_prime_grid
+from closed_forms import kondo_half_spectrum
+from referm import (
     conductance_finite_T,
     r_half_closed,
     spectrum_half,
 )
-from bscat.spectrum import default_omega_prime_grid
-from closed_forms import kondo_half_spectrum
 
 BSG = ModelKind.BoundarySineGordon
 KONDO = ModelKind.Kondo

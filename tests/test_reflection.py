@@ -1,6 +1,8 @@
 import cmath
 import math
+import warnings
 
+import numpy as np
 import pytest
 
 import bscat.reflection as reflection_mod
@@ -171,6 +173,34 @@ class TestStripEdge:
             assert cmath.isfinite(phase)
             mirror = reflection_mod._rs_phase_direct(lam.conjugate(), xi)
             assert abs(mirror - phase.conjugate()) <= 1e-12
+
+
+class TestOverflow:
+    # at z = 0.03, (p - 1)/2 = 16.2: e^{(p - 1) |lambda|/2} overflows past
+    # |lambda| ~ 44, and a quotient of overflowing factors would be NaN
+    spec = make_model("bsg", 0.03)
+
+    def test_r_s_overflow_is_a_domain_error(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for lam in (60.0, -60.0):
+                named = rf"R_s overflows at lambda = \({lam:g}\+0j\)"
+                with pytest.raises(DomainError, match=named):
+                    reflection_mod.r_s(np.array([0.5, lam]), self.spec)
+
+    def test_soliton_amplitude_overflow_is_a_domain_error(self):
+        # the amplitudes e^{+-(p - 1) lambda/2} R_s are refused with R_s,
+        # before their factors leave the normal doubles
+        edge = 2.0 * reflection_mod._MAX_HALF_EXPONENT / (self.spec.p - 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for lam in (1.001 * edge, -1.001 * edge):
+                with pytest.raises(DomainError, match="R_s overflows at lambda"):
+                    soliton_amplitudes(np.array([0.5, lam]), self.spec)
+            flip, diag = soliton_amplitudes(np.array([0.999 * edge, -0.999 * edge]), self.spec)
+        assert np.all(np.isfinite(flip)) and np.all(np.isfinite(diag))
+        # |flip| = |diag| e^{(p - 1) lambda} stays unimodular on the real line
+        assert np.allclose(np.abs(flip) ** 2 + np.abs(diag) ** 2, 1.0, rtol=1e-12)
 
 
 class TestAmplitudeDispatch:

@@ -18,7 +18,6 @@ from bscat.formfactors import (
 from bscat.model import make_model
 from bscat.quadrature import QuadResult
 from bscat.reflection import _rs_phase_cached, soliton_pair_bracket
-from bscat.referm import spectrum_half
 from bscat.spectrum import (
     SpectrumCurve,
     SpectrumDiagram,
@@ -32,6 +31,7 @@ from bscat.spectrum import (
 )
 from bscat.twopoint import ReflectionBreakdown, reflection_coefficient
 from closed_forms import kondo_half_spectrum
+from referm import spectrum_half
 
 SPEC3_BSG = make_model("bsg", 1.0 / 3.0)
 SPEC3_KONDO = make_model("kondo", 1.0 / 3.0)

@@ -11,7 +11,6 @@ from bscat.errors import DomainError, InsufficientData
 from bscat.formfactors import r0_weights
 from bscat.model import make_model
 from bscat.quadrature import QuadResult, adaptive_1d
-from bscat.referm import r_half_closed
 from bscat.twopoint import (
     RateCurve,
     ReflectionBreakdown,
@@ -24,6 +23,7 @@ from bscat.twopoint import (
     reflection_coefficients,
 )
 from power_law import fit_power_law
+from referm import r_half_closed
 
 
 class TestReflectionCoefficient:
