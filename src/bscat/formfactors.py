@@ -41,8 +41,10 @@ The breather couplings are the closed-form residues of the soliton-antisoliton
 S-matrix at the breather poles (`_breather_coupling_arg`).
 
 Every special function and form factor takes arrays of rapidities and works
-elementwise, so that a quadrature panel's nodes are one call; a strip,
-pole or overflow refusal names the first offending point.  e^{I} reads an
+elementwise, so that the nodes of a quadrature call are one call, and a
+function's several arguments of one kind can be stacked into one call
+(f_{+-1}'s five zeta are one); a strip, pole or overflow refusal names
+the first offending point.  e^{I} reads an
 array line by line, one vectorised table lookup per distinct Im lambda
 (`_exp_i_on_line`: missing panels built in ascending order, coefficient
 rows gathered by one index, the series summed in one pass), and a number
@@ -589,36 +591,55 @@ def _bigf_cached(lam_r: float, lam_i: float, xi: float, N: int) -> complex:
     return complex(_bigf_on_line(np.array([lam_r]), lam_i, xi, N)[0])
 
 
-def _bigf_on_line(lam_r: np.ndarray, lam_i: float, xi: float, N: int) -> np.ndarray:
-    """F(lam_r + i lam_i) at each element of the array `lam_r`: N factors of
-    its Gamma product times the exponential of the integral of the rest,
-    one family on the line; N-independent for N >= 1.  A point where a
-    factor's numerator vanishes before any denominator does is an exact 0;
-    one where a denominator vanishes first raises DomainError."""
-    lam = lam_r + 1j * lam_i
+def _bigf_head(lam: np.ndarray, xi: float, N: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The log of the first N factors of F's Gamma product at each element
+    of the array `lam`, and where the product is an exact 0.
+
+    The N factors are built at once as (N,) + lam.shape arrays, one row
+    per k, and their logs added in k order.  A point where a numerator
+    vanishes at an earlier k than any denominator is a zero (its log is
+    then not used); one where a denominator vanishes first, or at the same
+    k, raises DomainError, naming the first point of the earliest such k."""
     u = 0.5j + lam / TWO_PI
     u2 = u * u
     xh = xi / TWO_PI
-    prod = np.zeros(lam.shape, dtype=complex)  # log of the k-product
-    zero = np.zeros(lam.shape, dtype=bool)
-    for k in range(1, N + 1):
-        num = (
-            (1.0 + u2 / (k - 0.5) ** 2)
-            * (1.0 + u2 / (k + 0.5 + xh) ** 2)
-            * (1.0 + u2 / (k - xh) ** 2)
-        )
-        den = (
-            (1.0 + u2 / (k + 0.5) ** 2)
-            * (1.0 + u2 / (k - 0.5 - xh) ** 2)
-            * (1.0 + u2 / (k + xh) ** 2)
-        )
-        pole = (np.abs(den) < 1e-280) & ~zero
-        if pole.any():
-            raise DomainError(f"F(lambda) pole at lambda = {offending(lam, pole)}")
-        zero |= np.abs(num) < 1e-280
-        with np.errstate(divide="ignore", invalid="ignore"):
-            prod += k * np.log(num / den)
+    k = np.arange(1.0, N + 1.0).reshape((N,) + (1,) * lam.ndim)
+    num = (
+        (1.0 + u2 / (k - 0.5) ** 2) * (1.0 + u2 / (k + 0.5 + xh) ** 2) * (1.0 + u2 / (k - xh) ** 2)
+    )
+    den = (
+        (1.0 + u2 / (k + 0.5) ** 2) * (1.0 + u2 / (k - 0.5 - xh) ** 2) * (1.0 + u2 / (k + xh) ** 2)
+    )
+    # the row (k - 1) at which a numerator or a denominator first vanishes,
+    # N where none does
+    first_zero = _first_row(np.abs(num) < 1e-280)
+    first_pole = _first_row(np.abs(den) < 1e-280)
+    pole = first_pole < np.minimum(first_zero + 1, N)
+    if pole.any():
+        earliest = pole & (first_pole == first_pole[pole].min())
+        raise DomainError(f"F(lambda) pole at lambda = {offending(lam, earliest)}")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = k * np.log(num / den)
+    prod = np.zeros(lam.shape, dtype=complex)
+    for row in terms:
+        prod += row
+    return prod, first_zero < N
 
+
+def _first_row(mask: np.ndarray) -> np.ndarray:
+    """The index of the first row of `mask` that holds in each column, the
+    number of rows where none does."""
+    return np.where(mask.any(axis=0), np.argmax(mask, axis=0), mask.shape[0])
+
+
+def _bigf_on_line(lam_r: np.ndarray, lam_i: float, xi: float, N: int) -> np.ndarray:
+    """F(lam_r + i lam_i) at each element of the array `lam_r`: N factors of
+    its Gamma product (`_bigf_head`) times the exponential of the integral
+    of the rest, one family on the line; N-independent for N >= 1.  A point
+    where a factor's numerator vanishes before any denominator does is an
+    exact 0; one where a denominator vanishes first raises DomainError."""
+    lam = lam_r + 1j * lam_i
+    prod, zero = _bigf_head(lam, xi, N)
     w = lam + 1j * math.pi
     tail = integrate_semi_infinite(
         _bigf_tail_kernel,
@@ -798,18 +819,18 @@ def f_pm1(l1, l2, l3, spec: ModelSpec):
     # cancel; take the analytic limit at exact coincidence (a midpoint
     # quadrature node can land there)
     d = l1 - l2
+    # the five zeta of f_pm1 in one call: zeta is elementwise, and the
+    # points l_k - l3 +- i theta/2 share their lines where Im l1 = Im l2
+    args = np.broadcast_arrays(
+        d, l1 - l3 - 0.5j * th, l1 - l3 + 0.5j * th, l2 - l3 - 0.5j * th, l2 - l3 + 0.5j * th
+    )
+    z = zeta(np.stack(args), spec)
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio21 = zeta(d, spec) / np.sinh(-pm1 * d)
+        ratio21 = z[0] / np.sinh(-pm1 * d)
     coincide = np.abs(d) < 1e-12
     if coincide.any():
         ratio21 = np.where(coincide, -c * exp_I(0.0, spec) / (2.0 * pm1), ratio21)
-    zetas = (
-        zeta(l1 - l3 - 0.5j * th, spec)
-        * zeta(l1 - l3 + 0.5j * th, spec)
-        * zeta(l2 - l3 - 0.5j * th, spec)
-        * zeta(l2 - l3 + 0.5j * th, spec)
-        * _f_pm1_zeta(spec)
-    )
+    zetas = z[1] * z[2] * z[3] * z[4] * _f_pm1_zeta(spec)
     h = bigH(l1, l2, l3 - 0.5j * th, l3 + 0.5j * th, spec)
     fusion = np.cosh(0.5 * pm1 * (d - 1j * math.pi))
     return (
@@ -840,6 +861,12 @@ _SETS = {"pm": (0, 0), "12": (1, 2), "pm1": (0, 0, 1)}
 _TOL_2D = 1e-9
 _TOL_3D = 1e-6
 _SET_FORM_FACTORS = {"pm": f_pm, "12": f_12, "pm1": f_pm1}
+# a set's integrand holds |f|^2, which grows as omega^2 (the form factors
+# carry spin 1), and the product of its n line energies, up to (omega/n)^n:
+# an omega whose n-th power passes 1e-4 of the largest double is refused
+# before either overflows (bsG and Kondo at z = 0.2 ... 0.75 gave their
+# last finite rows at omega ~ 6e153 on two lines and 8e102 on three)
+_MAX_SET_LOG_POWER = math.log(float(np.finfo(float).max)) - math.log(1e4)
 
 
 def breather_weight(m: int, spec: ModelSpec) -> float:
@@ -886,8 +913,20 @@ def set_integral(
     half of the pair is integrated (integrate_simplex's `symmetric`); a
     `reflection` must then be symmetric in its first two arguments too, as
     soliton_pair_bracket is.  "12" has two different breathers and is
-    integrated whole."""
+    integrated whole.
+
+    An omega whose n-th power, n the number of lines, passes 1e-4 of the
+    largest double (omega > 1.3e152 on two lines, 2.6e101 on three) raises
+    DomainError naming it: there |f|^2 or the product of the line energies
+    would overflow."""
     lines = _SETS[label]
+    too_large = len(lines) * np.log(omega) > _MAX_SET_LOG_POWER
+    if np.any(too_large):
+        raise DomainError(
+            f"set {label}: omega = {offending(omega, too_large)} is past "
+            f"{math.exp(_MAX_SET_LOG_POWER / len(lines)):.3g}, where |f|^2 or the "
+            f"product of its {len(lines)} line energies overflows a double"
+        )
     if len(lines) == 3 and np.ndim(omega):
         return np.array([set_integral(label, w, spec, tol, reflection) for w in omega])
     if tol is None:

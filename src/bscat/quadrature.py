@@ -11,10 +11,11 @@ All engines are pure functions of their inputs: identical calls produce
 bit-identical results (fixed subdivision order, heap keyed with
 deterministic tie-breaks).
 
-Integrands take arrays.  `adaptive_1d` calls its integrand once per GK15
-panel, on the panel's 15 nodes, and the integrand returns their 15 values,
-or a (15, m) array for a family of m integrals that share the nodes: the
-family is integrated on one shared bisection until every member meets the
+Integrands take arrays.  `adaptive_1d` calls its integrand on a 1-D array
+of nodes, 15 per GK15 panel: the first panel's 15, then, at each split,
+both halves' 30 in one call.  The integrand returns their values, or an
+(n, m) array for a family of m integrals that share the nodes: the family
+is integrated on one shared bisection until every member meets the
 tolerance (vector-valued adaptive quadrature, as in QUADPACK, Piessens et
 al. 1983, and scipy.integrate.quad_vec).  The trade: each member is
 evaluated on the nodes of the member that needs most -- a 39-row spectrum
@@ -23,8 +24,9 @@ evaluations against 585 to 2,415 for 39 separate integrals -- but a member
 evaluation is an array element, not a Python call.  A family's members
 may form an array of any shape; the panel sums contract the node axis.
 `integrate_simplex` hands its integrand arrays of energies, the inner pairs
-of a 3-part simplex as one family per outer panel, and integrates a 2-part
-simplex at an array of totals as one family (a grid of r(omega));
+of a 3-part simplex as one family per outer call (15 or 30 members), and
+integrates a 2-part simplex at an array of totals as one family (a grid of
+r(omega));
 `integrate_semi_infinite` integrates an array of kappa on one line as one
 family, its panel sums matrix products; `ChebyshevTable` looks up arrays
 of points in one vectorised pass (missing panels built, rows gathered by
@@ -103,21 +105,23 @@ class QuadResult:
     evaluations: int
 
 
-def _gk15(f, a: float, b: float):
-    """One Gauss-Kronrod 7-15 panel on [a, b]: f is called once, on the 15
-    nodes in ascending order, and returns their (15,) values or (15,) +
-    members values for a family whose members form an array of any shape.
-    Returns (K15, |K15 - G7|, 15 nodes), the first two of the members'
-    shape (() for one integral)."""
+def _panel(a: float, b: float):
+    """The half-width of [a, b] and its 15 GK15 nodes in ascending order."""
     h = 0.5 * (b - a)
-    c = 0.5 * (a + b)
-    values = np.asarray(f(c + h * _T15))
+    return h, 0.5 * (a + b) + h * _T15
+
+
+def _gk15(values, h: float):
+    """One Gauss-Kronrod 7-15 panel of half-width h from its integrand
+    values at the 15 nodes of `_panel`, a (15,) array or (15,) + members
+    for a family whose members form an array of any shape.  Returns (K15,
+    |K15 - G7|), each of the members' shape (() for one integral)."""
     # contract the node axis whatever the members' shape, one column per member
     columns = values.reshape(15, -1)
     members = values.shape[1:]
     resk = h * (_WK15 @ columns).reshape(members)
     resg = h * (_WG15 @ columns).reshape(members)
-    return resk, np.abs(resk - resg), 15
+    return resk, np.abs(resk - resg)
 
 
 def adaptive_1d(
@@ -129,17 +133,21 @@ def adaptive_1d(
     """Adaptive G7/K15 bisection of one integral, or of a family of m
     integrals on one shared bisection, each to the absolute tolerance `tol`.
 
-    The integrand takes the array of a panel's 15 nodes and returns their
-    values, (15,) for one integral or (15, m) for a family of m, or (15, a,
-    b) for a family whose members form an (a, b) array (vector-valued
-    adaptive quadrature, as in QUADPACK, Piessens et al. 1983, and
-    scipy.integrate.quad_vec).  The rule stops once every member's summed
-    estimate meets `tol`, and splits next the interval with the largest
-    sum of its members' estimates, ties broken by left endpoint; the
-    final sum is accumulated in interval order, so identical calls are
-    bit-identical.  A family costs every member the nodes of the one that
-    needs most, but one integrand call per panel for all m: the trade pays
-    where an evaluation is an array element instead of a Python call.
+    The integrand takes a 1-D array of nodes, 15 per GK15 panel, and
+    returns their values, (n,) for one integral or (n, m) for a family of
+    m, or (n, a, b) for a family whose members form an (a, b) array
+    (vector-valued adaptive quadrature, as in QUADPACK, Piessens et al.
+    1983, and scipy.integrate.quad_vec); n is 15 on the first call and 30
+    on each split, the two halves' nodes in one call, the left half's 15
+    first.  Each panel's K15 and G7 sums are taken from its own 15 rows
+    (`_gk15`), so a panel's sums do not depend on which call evaluated it.
+    The rule stops once every member's summed estimate meets `tol`, and
+    splits next the interval with the largest sum of its members'
+    estimates, ties broken by left endpoint; the final sum is accumulated
+    in interval order, so identical calls are bit-identical.  A family
+    costs every member the nodes of the one that needs most, but one
+    integrand call per split for all m: the trade pays where an evaluation
+    is an array element instead of a Python call.
 
     An interval too narrow to split (QUADPACK's roundoff test: about 200 ulp
     of its endpoints wide) holds a singularity the rule cannot resolve: the
@@ -150,12 +158,13 @@ def adaptive_1d(
     """
     if not (a < b):
         raise DomainError(f"need a < b, got [{a}, {b}]")
-    val, err, n = _gk15(integrand, a, b)
+    h, nodes = _panel(a, b)
+    val, err = _gk15(np.asarray(integrand(nodes)), h)
     # heap entries: (-key, a, b, value, err); tuple comparison falls through
     # to `a` for ties, which is deterministic.
     heap = [(-float(np.sum(err)), a, b, val, err)]
     total_err = err
-    nevals = n
+    nevals = 15
     while np.any(total_err > tol) and len(heap) < _MAX_INTERVALS:
         _, ia, ib, ival, ierr = heapq.heappop(heap)
         mid = 0.5 * (ia + ib)
@@ -168,9 +177,12 @@ def adaptive_1d(
                 abs_error_estimate=_result(np.full(np.shape(total_err), math.inf)),
             )
         total_err = total_err - ierr
-        v1, e1, n1 = _gk15(integrand, ia, mid)
-        v2, e2, n2 = _gk15(integrand, mid, ib)
-        nevals += n1 + n2
+        h1, left = _panel(ia, mid)
+        h2, right = _panel(mid, ib)
+        values = np.asarray(integrand(np.concatenate([left, right])))
+        v1, e1 = _gk15(values[:15], h1)
+        v2, e2 = _gk15(values[15:], h2)
+        nevals += 30
         heapq.heappush(heap, (-float(np.sum(e1)), ia, mid, v1, e1))
         heapq.heappush(heap, (-float(np.sum(e2)), mid, ib, v2, e2))
         total_err = total_err + e1 + e2
@@ -247,8 +259,8 @@ def _corner_pair(
     corner with e = width * u^2, u in (0, 1/sqrt(2)]; each half is integrated
     to `tol` (adaptive_1d, a family for an array of widths), and the result
     is the two halves' sum (value, error estimate and evaluations).  point
-    receives arrays of the shape of the nodes times the widths, member k's
-    values in column k; a node where e1 or e2 rounds to 0 counts 0, point
+    receives arrays of the shape of the nodes (15 or 30 per call) times the
+    widths, member k's values in column k; a node where e1 or e2 rounds to 0 counts 0, point
     being called at the segment's midpoint in its place.  With `symmetric`,
     point(e1, e2) must equal point(e2, e1): only the left corner half is
     integrated, and it stands for the right one as its mirror image, so the
@@ -303,8 +315,9 @@ def integrate_simplex(
     The integrand receives the energies E_1, ..., E_n as positional
     arguments, arrays of one shape, and returns the physical integrand
     WITHOUT the 1/E jacobian (applied internally), elementwise.  For an
-    array of totals they are (15, m) arrays, member k's energies in column
-    k, so that a per-member factor of shape (m,) broadcasts against them.
+    array of totals they are (n, m) arrays, n = 15 or 30 nodes per call
+    (`adaptive_1d`), member k's energies in column k, so that a
+    per-member factor of shape (m,) broadcasts against them.
     `tol` is absolute and bounds the integral BEFORE the normalisation
     1/((2 pi)^n n!): the returned value and `abs_error_estimate` are after
     it, so the estimate is held to about tol/((2 pi)^n n!) (6.7e-4 tol at
@@ -312,11 +325,11 @@ def integrate_simplex(
     Endpoint corners are mapped with the substitution E = total * u^2, which
     renders integrands whose values vanish linearly (or as E^(1/2) per
     soliton leg) smooth at the corners.  At n = 3 the outer integral runs
-    over E3, and the inner (E1, E2) integrals of an outer panel's 15 E3
-    nodes are one adaptive_1d family in u, each member to the inner
+    over E3, and the inner (E1, E2) integrals of an outer call's 15 or 30
+    E3 nodes are one adaptive_1d family in u, each member to the inner
     tolerance.  `evaluations` counts the nodes at which the integrand is
     evaluated, inner integrals included, a family's node once (each of its
-    calls covers 15 nodes).  `abs_error_estimate` is the outer integral's estimate; for
+    calls covers 15 or 30 nodes).  `abs_error_estimate` is the outer integral's estimate; for
     n = 3 it adds the largest inner (E1) estimate times the outer measure
     `total`, which bounds the inner errors' sum.
     `symmetric` declares the integrand symmetric under E_1 <-> E_2 (the

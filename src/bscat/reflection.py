@@ -10,8 +10,8 @@ conj(R(lambda)), on those brackets and on the breather amplitudes.
 
 `soliton_amplitudes` returns a soliton's flip and keep-charge amplitudes
 together, from one R_s in the boundary sine-Gordon model (the Kondo
-keep-charge entry is an exact zero); the soliton-pair brackets read that
-pair once per rapidity.
+keep-charge entry is an exact zero); the soliton-pair brackets read the
+pairs of both their rapidities from one call on the stacked rapidities.
 
 All rapidities are measured from the boundary rapidity (boundary scale
 T_B = 1 throughout).
@@ -262,6 +262,16 @@ def r_breather(lam, m: int, spec: ModelSpec):
     return r_kondo_breather(lam, m, spec)
 
 
+def _amplitude_pair(lam1, lam2, spec: ModelSpec) -> Tuple:
+    """soliton_amplitudes at lam1 and at lam2 from one call on the stacked
+    rapidities (one R_s, one phase lookup for both): (flip1, diag1, flip2,
+    diag2), each of the broadcast shape of lam1 and lam2.  A refusal names
+    the first offending point of lam1, then of lam2."""
+    lams = np.stack(np.broadcast_arrays(np.asarray(lam1, complex), np.asarray(lam2, complex)))
+    flip, diag = soliton_amplitudes(lams, spec)
+    return flip[0], diag[0], flip[1], diag[1]
+
+
 def soliton_pair_bracket(lam1, lam2, spec: ModelSpec, sign: int = -1):
     """Reflection combination of an outgoing soliton-antisoliton pair:
     exp(-i pi/2z) R_+^-(l1) R_-^+(l2) + sign * exp(+i pi/2z) R_+^+(l1) R_+^+(l2).
@@ -269,11 +279,11 @@ def soliton_pair_bracket(lam1, lam2, spec: ModelSpec, sign: int = -1):
     sign = -1 for a pair that reflects as a whole; sign = +1 for pair lines
     that straddle the photon vertices.  The Kondo diagonal entry vanishes, so
     the sign only matters for the boundary sine-Gordon model.  Elementwise
-    on arrays, as is `soliton_split_bracket`.
+    on arrays, as is `soliton_split_bracket`; both read the amplitudes of
+    their two rapidities from one `soliton_amplitudes` call.
     """
     phase = cmath.exp(-1j * math.pi / (2.0 * spec.z))
-    flip1, diag1 = soliton_amplitudes(lam1, spec)
-    flip2, diag2 = soliton_amplitudes(lam2, spec)
+    flip1, diag1, flip2, diag2 = _amplitude_pair(lam1, lam2, spec)
     if spec.is_kondo:
         return phase * flip1 * flip2
     flip = phase * (flip1 * flip2)
@@ -289,6 +299,5 @@ def soliton_split_bracket(lam_in, lam_out, spec: ModelSpec):
     No channel phases survive: the direct line's own factors cancel by
     boundary unitarity.
     """
-    flip_in, diag_in = soliton_amplitudes(lam_in, spec)
-    flip_out, diag_out = soliton_amplitudes(lam_out, spec)
+    flip_in, diag_in, flip_out, diag_out = _amplitude_pair(lam_in, lam_out, spec)
     return flip_in.conjugate() * flip_out - diag_in.conjugate() * diag_out

@@ -47,11 +47,14 @@ def s0(theta, spec: ModelSpec):
     outside = np.abs(theta.imag) > math.pi + 1e-12
     if outside.any():
         raise DomainError(f"|Im theta| > pi unsupported (got {offending(theta.imag, outside)})")
-    num = exp_I(-theta, spec)
-    den = exp_I(theta, spec)
+    # one lookup for both: for real theta, -theta and theta lie on one line
+    num, den = exp_I(np.stack([-theta, theta]), spec)
     pole = np.abs(den) <= _POLE_TOL * np.abs(num)
     if pole.any():
         raise DomainError(f"S0 pole at theta = {offending(theta, pole)}")
+    if theta.ndim == 0:
+        # a number divides as Python complex numbers, as its memoised lookup did
+        return -complex(num) / complex(den)
     return -num / den
 
 

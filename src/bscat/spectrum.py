@@ -22,13 +22,20 @@ is integrated on t in (0, 1/2) only and doubled.
 
 The t-nodes do not depend on omega', so a diagram at many omega' is one
 family integral (`quadrature.adaptive_1d`) on shared nodes: the integrand
-is evaluated once per GK15 panel on a (15, m) array of (t, omega') points,
-every reflection factor and form factor elementwise, and the bisection goes
-on until every omega' meets the tolerance.  `spectrum_curve` makes one
+is evaluated once per call of the rule, on an (n, m) array of (t, omega')
+points (n = 15 for the first panel, 30 for both halves of a split), every
+reflection factor and form factor elementwise, and the bisection goes on
+until every omega' meets the tolerance.  `spectrum_curve` makes one
 family per active diagram over its whole grid, `sum_rule_check` one per
-diagram for each panel of its omega' rule (15 omega'), and `spectrum_point`
-at a single omega' a family of one.  Each member pays for the nodes of the
-one that needs most (see `quadrature`), and gains a call shared with all.
+diagram for each call of its omega' rule (15 or 30 omega'), and
+`spectrum_point` at a single omega' a family of one.  Each member pays for
+the nodes of the one that needs most (see `quadrature`), and gains a call
+shared with all.  Where a diagram reads one kernel several times, the
+arguments are stacked into one call (`_stacked`): G1_1 and G1_3 make one
+f_pm call for their two crossed form factors, one for the two uncrossed
+and one bracket call for both brackets, G1_3 one s0 call for its four S0,
+G2_1 and G5A one f_pm call for their two, and G3A one f_pm1 call for its
+two; the kernels are elementwise, so stacking changes no value.
 """
 
 from __future__ import annotations
@@ -192,15 +199,20 @@ def _diagram(
     return float(out) if out.ndim == 0 else out
 
 
+def _stacked(*lams) -> np.ndarray:
+    """The rapidity arrays `lams`, broadcast to one shape and stacked on a
+    new first axis: one elementwise call on the stack stands for a call on
+    each."""
+    return np.stack(np.broadcast_arrays(*lams))
+
+
 def _two_pair_reflection(spec: ModelSpec) -> Callable[..., complex]:
-    """conj(R(l1, l2)) R(l3, l4) for two soliton-pair brackets: the
-    reflection factor of G1_1 and G1_3."""
+    """conj(R(l1, l2)) R(l3, l4) for two soliton-pair brackets, both from
+    one bracket call: the reflection factor of G1_1 and G1_3."""
 
     def reflection(l1, l2, l3, l4):
-        return (
-            soliton_pair_bracket(l1, l2, spec).conjugate()
-            * soliton_pair_bracket(l3, l4, spec)
-        )
+        first, second = soliton_pair_bracket(_stacked(l1, l3), _stacked(l2, l4), spec)
+        return first.conjugate() * second
 
     return reflection
 
@@ -214,12 +226,10 @@ def diagram_g1_1(
         return (omega - big, big, omega - wp - big, wp + big)
 
     def formfactors(l1, l2, l3, l4):
-        return (
-            f_pm(l3, l1 + _CROSS, spec)
-            * f_pm(l4, l2 + _CROSS, spec)
-            * f_pm(l1, l2, spec)
-            * f_pm(l4, l3, spec)
-        )
+        # the two crossed f_pm in one call, the two uncrossed in another
+        crossed = f_pm(_stacked(l3, l4), _stacked(l1, l2) + _CROSS, spec)
+        direct = f_pm(_stacked(l1, l4), _stacked(l2, l3), spec)
+        return crossed[0] * crossed[1] * direct[0] * direct[1]
 
     return _diagram(
         omega_p, omega, spec, energies, _two_pair_reflection(spec), formfactors,
@@ -239,12 +249,8 @@ def diagram_g2_1(
         return r_breather(l1, 1, spec).conjugate() * soliton_pair_bracket(l3, l4, spec)
 
     def formfactors(l1, l2, l3, l4):
-        return (
-            f_breather1(1, l1, spec)
-            * f_pm1(l3, l2, l1 + _CROSS, spec)
-            * f_pm(l4, l2 + _CROSS, spec)
-            * f_pm(l4, l3, spec)
-        )
+        pairs = f_pm(_stacked(l4, l4), _stacked(l2 + _CROSS, l3), spec)
+        return f_breather1(1, l1, spec) * f_pm1(l3, l2, l1 + _CROSS, spec) * pairs[0] * pairs[1]
 
     return _diagram(
         omega_p, omega, spec, energies, reflection, formfactors,
@@ -261,16 +267,11 @@ def diagram_g1_3(
         return (big, omega - big, wp + big, omega - wp - big)
 
     def formfactors(l1, l2, l3, l4):
-        sfac = (s0(l4 - l1, spec) - s0(l2 - l1, spec)) * (
-            s0(l1 - l4, spec) - s0(l3 - l4, spec)
-        )
-        return (
-            f_pm(l1, l3 + _CROSS, spec)
-            * f_pm(l4, l2 + _CROSS, spec)
-            * f_pm(l2, l1, spec)
-            * f_pm(l3, l4, spec)
-            * sfac
-        )
+        s = s0(_stacked(l4 - l1, l2 - l1, l1 - l4, l3 - l4), spec)
+        sfac = (s[0] - s[1]) * (s[2] - s[3])
+        crossed = f_pm(_stacked(l1, l4), _stacked(l3, l2) + _CROSS, spec)
+        direct = f_pm(_stacked(l2, l3), _stacked(l1, l4), spec)
+        return crossed[0] * crossed[1] * direct[0] * direct[1] * sfac
 
     return _diagram(
         omega_p, omega, spec, energies, _two_pair_reflection(spec), formfactors,
@@ -294,12 +295,11 @@ def diagram_g3a(
         )
 
     def formfactors(lg, l1, l2, lp):
-        return (
-            f_pm1(l1, l2, lg, spec)
-            * f_breather1(1, lg + _CROSS, spec)
-            * f_pm1(l2 + _CROSS, l1 + _CROSS, lp, spec)
-            * f_breather1(1, lp, spec)
+        # the absorbed and the emitted pair's f_pm1 in one call
+        pm1 = f_pm1(
+            _stacked(l1, l2 + _CROSS), _stacked(l2, l1 + _CROSS), _stacked(lg, lp), spec
         )
+        return pm1[0] * f_breather1(1, lg + _CROSS, spec) * pm1[1] * f_breather1(1, lp, spec)
 
     return _diagram(
         omega_p, omega, spec, energies, reflection, formfactors,
@@ -357,11 +357,9 @@ def diagram_g5a(
         )
 
     def formfactors(lg, l_blue, l_red, l_purple):
+        pairs = f_pm(_stacked(l_purple, l_purple), _stacked(l_blue + _CROSS, l_red), spec)
         return (
-            f_pm1(l_red, l_blue, lg, spec)
-            * f_breather1(1, lg + _CROSS, spec)
-            * f_pm(l_purple, l_blue + _CROSS, spec)
-            * f_pm(l_purple, l_red, spec)
+            f_pm1(l_red, l_blue, lg, spec) * f_breather1(1, lg + _CROSS, spec) * pairs[0] * pairs[1]
         )
 
     return _diagram(
@@ -423,10 +421,10 @@ def sum_rule_check(
     The absolute tolerance tol omega is split as QUADPACK splits an outer
     tolerance with its inner integrals (Piessens et al. 1983): 3/4 to the
     outer rule, and each diagram gets tol_d = (tol omega / 4) / sum_d
-    |coeff_d|, so the integral is held to tol omega in total.  An outer
-    panel's 15 omega' are one `spectrum_point` call: one family integral per
-    diagram.  `breakdown` is r(omega) if the caller has it already; it is
-    normalized (or refused) before the integral.
+    |coeff_d|, so the integral is held to tol omega in total.  The 15 or 30
+    omega' of a call of the outer rule are one `spectrum_point` call: one
+    family integral per diagram.  `breakdown` is r(omega) if the caller has
+    it already; it is normalized (or refused) before the integral.
     """
     check_omega(omega)
     if breakdown is None:

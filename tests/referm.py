@@ -6,7 +6,9 @@ z = 1/2, giving closed-form reflection coefficients, a finite-temperature
 conductance integral, and a one-dimensional integral for the energy-resolved
 spectrum.  These are computed here independently of the form-factor pipeline
 and serve as cross-checks for it.  Frequencies in units of T_B = 1.
-Every integrand here takes the array of an adaptive_1d panel's nodes.
+Every integrand here takes the 1-D array of nodes an adaptive_1d call
+passes, 15 per GK15 panel.  The boundary sine-Gordon spectrum's integrand
+is written so that it does not cancel as omega -> 0 (`spectrum_half`).
 """
 
 from __future__ import annotations
@@ -93,11 +95,20 @@ def spectrum_half(omega_p: float, omega: float, model: ModelKind) -> float:
         )
 
     if model is ModelKind.BoundarySineGordon:
+        # K = 1 - T~(nu1) - T~(nu2) = (nu1 nu2 + 4 L^2)/((nu1 + 2iL)(nu2 +
+        # 2iL)), L = Lambda, at (nu1, nu2) = (x, omega - x) and, for K',
+        # (x + omega_p - omega, -x - omega_p).  Over the common denominator
+        # the numerator of K K' - 1 expands to -4 L^2 (y^2 + omega_p^2) -
+        # 2i L omega omega_p y, y = omega - omega_p - 2x: a sum of squares
+        # and a product, where K K' - 1 formed directly cancels to 0 as
+        # omega -> 0 (it read -0.0 at omega = 1e-8, omega_p = 1e-3 omega)
+        g = 2j * _lambda_cut(model)
 
         def f(x: np.ndarray) -> np.ndarray:
-            a = _kernel(omega, x, model)
-            b = _kernel(-omega, x + omega_p - omega, model)
-            return a * b - 1.0
+            y = omega - omega_p - 2.0 * x
+            num = g * g * (y * y + omega_p * omega_p) - g * omega * omega_p * y
+            den = (x + g) * (omega - x + g) * (x + omega_p - omega + g) * (g - x - omega_p)
+            return num / den
 
     else:
         # Kondo: the two kernels are unimodular phases, and Re(K K') - 1 =
@@ -111,5 +122,8 @@ def spectrum_half(omega_p: float, omega: float, model: ModelKind) -> float:
             s /= p * q + (a * omega_p) ** 2
             return -2.0 * s * s / (1.0 + s * s)
 
-    val = adaptive_1d(f, 0.0, omega - omega_p, tol=1e-13).value
+    # below omega = 1 the bsG integral falls as omega^3 (about omega^3/3 at
+    # omega_p = 1e-3 omega), and the tolerance with it
+    tol = 1e-13 * min(1.0, omega) ** 3
+    val = adaptive_1d(f, 0.0, omega - omega_p, tol=tol).value
     return float((-2.0 / (omega * omega_p)) * val.real)

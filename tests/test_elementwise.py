@@ -2,7 +2,7 @@
 against elementwise scalar evaluation.
 
 A diagram or excitation-set integrand calls each function once on the
-array of a panel's nodes; a number takes the same code, e^{I} and the R_s
+array of an adaptive_1d call's nodes; a number takes the same code, e^{I} and the R_s
 phase through their memos.  Each array result must equal the scalar calls
 element by element, including the branches a node can land on: the zeros
 and poles of e^{I} at Re lambda = 0 and its mirrored Re lambda < 0, both

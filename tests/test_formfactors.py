@@ -1,13 +1,16 @@
 import cmath
 import math
+import re
 
 import mpmath
 import numpy as np
 import pytest
 
+import bscat.formfactors as formfactors_mod
 from bscat.errors import DomainError, ToleranceNotMet
 from bscat.formfactors import (
     _bigf_cached,
+    _bigf_head,
     _breather_coupling_arg,
     _exp_i_direct,
     _exp_i_line,
@@ -28,6 +31,7 @@ from bscat.formfactors import (
 from bscat.model import make_model
 from bscat.smatrix import s0, s_breather_breather, s_breather_soliton
 from pair_pair import f_pmpm
+from stacking import row_by_row
 
 SPEC3 = make_model("bsg", 1.0 / 3.0)
 SPEC4 = make_model("bsg", 0.25)
@@ -488,3 +492,98 @@ class TestTruncationWeights:
         with pytest.raises(DomainError):
             # coinciding soliton rapidities at the breather bound-state pole
             f_pm(0.0, -1j * (math.pi - SPEC3.xi), SPEC3)
+
+
+class TestStackedZeta:
+    @pytest.mark.parametrize("spec", [SPEC3, SPEC4], ids=["1/3", "1/4"])
+    def test_f_pm1_equals_its_unstacked_product(self, monkeypatch, spec):
+        # f_pm1's five zeta come from one zeta call on the stacked
+        # arguments: on arrays the form factor is bit for bit the one of
+        # five calls, also with its soliton lines crossed onto Im = pi as
+        # in the spectrum's G3A
+        rng = np.random.default_rng(2)
+        l1, l2, l3 = rng.uniform(-3.0, 3.0, (3, 4, 5))
+        cases = [(l1, l2, l3), (l2 + 1j * math.pi, l1 + 1j * math.pi, l3), (l1, l2[0], l3)]
+        stacked = [f_pm1(*args, spec) for args in cases]
+        monkeypatch.setattr(formfactors_mod, "zeta", row_by_row(zeta, 1))
+        for args, value in zip(cases, stacked):
+            assert value.shape == (4, 5)
+            assert np.array_equal(value, f_pm1(*args, spec))
+
+
+def _bigf_head_by_k(lam, xi, N):
+    """F's Gamma-product head one k at a time: the log of the product and
+    where it is an exact 0, or DomainError at a pole."""
+    u = 0.5j + lam / (2.0 * math.pi)
+    u2 = u * u
+    xh = xi / (2.0 * math.pi)
+    prod = np.zeros(lam.shape, dtype=complex)
+    zero = np.zeros(lam.shape, dtype=bool)
+    for k in range(1, N + 1):
+        num = (
+            (1.0 + u2 / (k - 0.5) ** 2)
+            * (1.0 + u2 / (k + 0.5 + xh) ** 2)
+            * (1.0 + u2 / (k - xh) ** 2)
+        )
+        den = (
+            (1.0 + u2 / (k + 0.5) ** 2)
+            * (1.0 + u2 / (k - 0.5 - xh) ** 2)
+            * (1.0 + u2 / (k + xh) ** 2)
+        )
+        pole = (np.abs(den) < 1e-280) & ~zero
+        if pole.any():
+            raise DomainError(f"F(lambda) pole at lambda = {lam[pole][0]}")
+        zero |= np.abs(num) < 1e-280
+        with np.errstate(divide="ignore", invalid="ignore"):
+            prod += k * np.log(num / den)
+    return prod, zero
+
+
+class TestBigFHead:
+    @pytest.mark.parametrize("spec", [SPEC3, SPEC4, SPEC10], ids=["1/3", "1/4", "0.1"])
+    def test_all_k_at_once_equals_one_k_at_a_time(self, spec):
+        rng = np.random.default_rng(9)
+        lam = rng.uniform(-8.0, 8.0, (6, 7)) + 1j * rng.uniform(-2.0, 2.0, (6, 7))
+        prod, zero = _bigf_head(lam, spec.xi, 10)
+        expected, expected_zero = _bigf_head_by_k(lam, spec.xi, 10)
+        assert np.array_equal(prod, expected)
+        assert np.array_equal(zero, expected_zero) and not zero.any()
+
+    # with u = i/2 + lambda/(2 pi) = i a exact, a factor 1 + u^2/c^2
+    # vanishes where |c| = a.  At xi/(2 pi) = 3/4, a = 1/4 zeroes the k = 1
+    # numerator factor (k - xi/2pi) and denominator factor (k - 1/2 -
+    # xi/2pi) alike; at 5/4 it zeroes the numerator at k = 1 and the
+    # denominator only at k = 2; and a = 3/2 zeroes the denominator at k = 1
+    # (k + 1/2) before the numerator at k = 2 (k - 1/2)
+    @pytest.mark.parametrize(
+        "xh, lam, outcome",
+        [
+            (0.75, -0.5j * math.pi, "pole"),
+            (1.25, -0.5j * math.pi, "zero"),
+            (0.75, 2j * math.pi, "pole"),
+            (1.25, 2j * math.pi, "pole"),
+        ],
+        ids=["same-k", "numerator-first", "denominator-first", "denominator-first-2"],
+    )
+    def test_zero_and_pole_precedence(self, xh, lam, outcome):
+        xi = xh * 2.0 * math.pi
+        points = np.array([0.3 + 0.1j, lam, 1.1 - 0.2j])
+        if outcome == "pole":
+            for head in (_bigf_head, _bigf_head_by_k):
+                with pytest.raises(DomainError, match=re.escape(f"pole at lambda = {lam!r}")):
+                    head(points, xi, 10)
+        else:
+            prod, zero = _bigf_head(points, xi, 10)
+            assert zero.tolist() == [False, True, False]
+            assert _bigf_head_by_k(points, xi, 10)[1].tolist() == zero.tolist()
+            assert np.array_equal(prod[~zero], _bigf_head_by_k(points, xi, 10)[0][[0, 2]])
+
+    def test_the_earliest_pole_is_named(self):
+        # a denominator at k = 2 (a = 5/2 at xi/2pi = 1/3, from k + 1/2)
+        # and one at k = 1 (a = 3/2): the k = 1 pole is named, though its
+        # point comes second, as the loop over k names it
+        xi = 2.0 * math.pi / 3.0
+        points = np.array([4j * math.pi, 2j * math.pi])
+        for head in (_bigf_head, _bigf_head_by_k):
+            with pytest.raises(DomainError, match=re.escape(f"pole at lambda = {2j * math.pi!r}")):
+                head(points, xi, 10)

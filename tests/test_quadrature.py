@@ -1,3 +1,4 @@
+import heapq
 import math
 
 import numpy as np
@@ -20,7 +21,7 @@ from bscat.model import make_model
 
 
 class TestAdaptive1D:
-    # integrands take the array of a panel's 15 nodes
+    # integrands take a 1-D array of nodes, 15 per GK15 panel
     def test_polynomial_exact(self):
         res = adaptive_1d(lambda x: x * x, 0.0, 1.0, tol=1e-12)
         assert res.value.real == pytest.approx(1.0 / 3.0, abs=1e-13)
@@ -88,6 +89,82 @@ class TestAdaptive1D:
         res = adaptive_1d(lambda x: c0 + c1 * x, a, b, tol=1e-10)
         exact = c0 * (b - a) + 0.5 * c1 * (b * b - a * a)
         assert res.value.real == pytest.approx(exact, abs=1e-9)
+
+
+def _one_panel_per_call(f, a, b, tol):
+    """The bisection of adaptive_1d with the integrand called once per
+    panel, on that panel's 15 nodes: (value, estimate, evaluations, the
+    number of splits)."""
+    t, wk, wg = quadrature._T15, quadrature._WK15, quadrature._WG15
+
+    def panel(lo, hi):
+        h = 0.5 * (hi - lo)
+        values = np.asarray(f(0.5 * (lo + hi) + h * t))
+        columns = values.reshape(15, -1)
+        resk = h * (wk @ columns).reshape(values.shape[1:])
+        return resk, np.abs(resk - h * (wg @ columns).reshape(values.shape[1:]))
+
+    val, err = panel(a, b)
+    heap = [(-float(np.sum(err)), a, b, val, err)]
+    total_err, splits = err, 0
+    while np.any(total_err > tol):
+        _, lo, hi, _, ierr = heapq.heappop(heap)
+        mid = 0.5 * (lo + hi)
+        total_err = total_err - ierr
+        (v1, e1), (v2, e2) = panel(lo, mid), panel(mid, hi)
+        heapq.heappush(heap, (-float(np.sum(e1)), lo, mid, v1, e1))
+        heapq.heappush(heap, (-float(np.sum(e2)), mid, hi, v2, e2))
+        total_err = total_err + e1 + e2
+        splits += 1
+    value, total_err = 0.0 + 0.0j, 0.0
+    for _, _, _, ival, ierr in sorted(heap, key=lambda entry: entry[1]):
+        value, total_err = value + ival, total_err + ierr
+    return value, total_err, 15 + 30 * splits, splits
+
+
+class TestBothHalvesInOneCall:
+    """A split evaluates both halves' 30 nodes in one integrand call, and
+    each half's sums are taken from its own 15 rows."""
+
+    @pytest.mark.parametrize(
+        "f, a, b, tol",
+        [
+            (lambda x: np.sin(7.0 * x) / (1.0 + x * x), 0.0, 5.0, 1e-11),
+            (lambda x: np.sqrt(x), 0.0, 1.0, 1e-12),
+            (lambda x: np.exp(1j * 40.0 * x) / (1e-2 + x * x), -1.0, 2.0, 1e-10),
+            (lambda x: np.cos(np.multiply.outer(x, [1.0, 9.0, 30.0])), 0.0, 3.0, 1e-12),
+            (lambda x: np.abs(x - 0.3)[:, None, None] * np.ones((2, 3)), 0.0, 1.0, 1e-9),
+        ],
+        ids=["smooth", "sqrt-endpoint", "complex-peak", "family", "member-array"],
+    )
+    def test_bit_identical_to_one_panel_per_call(self, f, a, b, tol):
+        calls = []
+
+        def counted(x):
+            calls.append(x.shape)
+            return f(x)
+
+        res = adaptive_1d(counted, a, b, tol)
+        value, estimate, evaluations, splits = _one_panel_per_call(f, a, b, tol)
+        assert splits > 0
+        # 1 + (number of splits) calls: the first panel's 15 nodes, then 30
+        # per split, the two halves' nodes in ascending order
+        assert calls == [(15,)] + [(30,)] * splits
+        assert res.evaluations == evaluations
+        assert np.array_equal(res.value, value)
+        assert np.array_equal(res.abs_error_estimate, estimate)
+
+    def test_a_split_passes_the_left_half_first(self):
+        nodes = []
+
+        def f(x):
+            nodes.append(x.copy())
+            return np.sqrt(x)
+
+        adaptive_1d(f, 0.0, 1.0, 1e-8)
+        first_split = nodes[1]
+        assert np.all(np.diff(first_split) > 0.0)
+        assert first_split[14] < 0.5 < first_split[15]
 
 
 def _spike(x, c):
@@ -181,7 +258,7 @@ class TestFamily:
         c = 1.0 / math.pi
 
         def f(x):
-            out = np.stack([np.cos(x)] * 6, axis=-1).reshape(15, 2, 3)
+            out = np.stack([np.cos(x)] * 6, axis=-1).reshape(x.size, 2, 3)
             out[:, 1, 2] = _spike(x, c)
             return out
 
@@ -243,8 +320,9 @@ class TestEnergySimplex:
             return math.prod(energies)
 
         res = integrate_simplex(n_parts, 1.5, f, tol=1e-9)
-        # a call evaluates one panel's 15 nodes (an inner family's at n = 3)
-        assert res.evaluations == 15 * len(calls) > 0
+        # a call evaluates 15 nodes, or 30 for both halves of a split (an
+        # inner family's at n = 3)
+        assert res.evaluations == sum(len(energies[0]) for energies in calls) > 0
 
     def test_three_parts_error_covers_inner_estimates(self, monkeypatch):
         inner_tol = 1e-7 / 4.0
@@ -327,7 +405,7 @@ class TestEnergySimplex:
         tol = 1e-11
         res = integrate_simplex(2, totals, f, tol=tol)
         assert res.value.shape == res.abs_error_estimate.shape == (3,)
-        assert set(shapes) == {(15, 3)}
+        assert set(shapes) == {(15, 3), (30, 3)}
         norm = 1.0 / (2.0 * (2.0 * math.pi) ** 2)
         for k, w in enumerate(totals):
             alone = integrate_simplex(2, w, lambda e1, e2: (e1 * e2) ** 1.5, tol=tol)

@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -101,6 +102,32 @@ class TestSpectrum:
             assert spectrum_half(omega_p, 0.1, KONDO) == pytest.approx(
                 exact, rel=1e-12, abs=0.0
             )
+
+    @pytest.mark.parametrize("omega", [1e-8, 1e-6, 1e-4, 1e-2, 1.0, 1e2, 1e4])
+    def test_bsg_against_30_digit_arithmetic(self, omega):
+        # K K' - 1 formed directly at 30 digits, integrated by mpmath: the
+        # oracle's cancellation-free form holds to 1e-12 from omega = 1e-8
+        # to 1e4 (the direct double form read 6.648e-4 for 6.6467e-4 at
+        # omega = 1e-6, -0.0 at 1e-8, and missed its tolerance at 1e4)
+        omega_p = 1e-3 * omega
+        with mpmath.workdps(30):
+            lam = mpmath.mpf(1) / 2
+
+            def kernel(w, big):
+                return 1 - 2j * lam / (big + 2j * lam) - 2j * lam / (w - big + 2j * lam)
+
+            w, wp = mpmath.mpf(omega), mpmath.mpf(omega_p)
+
+            def f(x):
+                return mpmath.re(kernel(w, x) * kernel(-w, x + wp - w) - 1)
+
+            # break points toward both ends, where f varies on the scale lam
+            width = w - wp
+            ends = [lam * mpmath.mpf(10) ** k for k in range(-3, 30)]
+            ends = [d for d in ends if d < width / 2]
+            points = sorted([0, width / 2, width] + ends + [width - d for d in ends])
+            exact = float(-2 / (w * wp) * mpmath.quad(f, points))
+        assert spectrum_half(omega_p, omega, BSG) == pytest.approx(exact, rel=1e-12, abs=0.0)
 
     def test_positive(self):
         for model in (BSG, KONDO):

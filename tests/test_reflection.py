@@ -16,6 +16,7 @@ from bscat.reflection import (
     soliton_pair_bracket,
     soliton_split_bracket,
 )
+from stacking import row_by_row
 
 
 class TestFreeFermionClosedForms:
@@ -256,9 +257,9 @@ class TestProductsAndBracket:
 
     @pytest.mark.parametrize("kind", ["bsg", "kondo"])
     def test_brackets_evaluate_r_s_once_per_rapidity(self, monkeypatch, kind):
-        # a bracket reads both channels of a rapidity from one
-        # soliton_amplitudes call: two R_s for its two rapidities in the
-        # boundary sine-Gordon model, none for Kondo
+        # a bracket reads both channels of both its rapidities from one
+        # soliton_amplitudes call: one R_s holding its two rapidities in
+        # the boundary sine-Gordon model, none for Kondo
         spec = make_model(kind, 1.0 / 3.0)
         real = reflection_mod.r_s
         calls = []
@@ -276,7 +277,9 @@ class TestProductsAndBracket:
         for bracket in brackets:
             calls.clear()
             bracket()
-            assert calls == ([0.6, -0.2] if kind == "bsg" else [])
+            assert [np.asarray(lam).tolist() for lam in calls] == (
+                [[0.6, -0.2]] if kind == "bsg" else []
+            )
 
     @pytest.mark.parametrize("kind", ["bsg", "kondo"])
     def test_breather_dispatch_matches_product(self, kind):
@@ -318,3 +321,33 @@ class TestConjugationIdentity:
             spec = make_model(kind, 1.0 / 3.0)
             crossed = r_breather(0.3 + 1j * math.pi, 1, spec)
             assert abs(crossed - r_breather(0.3, 1, spec).conjugate()) < 1e-9
+
+
+class TestStackedAmplitudes:
+    """The brackets read both rapidities' amplitudes from one call on the
+    stacked rapidities; stacking changes no value."""
+
+    @pytest.mark.parametrize("kind", ["bsg", "kondo"])
+    @pytest.mark.parametrize("z", [1.0 / 3.0, 0.4], ids=["1/3", "0.4"])
+    def test_brackets_equal_their_unstacked_products(self, monkeypatch, kind, z):
+        spec = make_model(kind, z)
+        rng = np.random.default_rng(5)
+        lam = rng.uniform(-3.0, 3.0, (3, 4, 5))
+        pairs = [
+            (lam[0], lam[1]),  # both lines on Im = 0
+            (lam[0], lam[1] + 0.4j),  # two lines
+            (lam[2, 0], lam[1]),  # broadcast against each other
+        ]
+        brackets = [
+            lambda l1, l2: soliton_pair_bracket(l1, l2, spec),
+            lambda l1, l2: soliton_pair_bracket(l1, l2, spec, sign=+1),
+            lambda l1, l2: soliton_split_bracket(l1, l2, spec),
+        ]
+        stacked = [bracket(*pair) for bracket in brackets for pair in pairs]
+        monkeypatch.setattr(
+            reflection_mod, "soliton_amplitudes", row_by_row(soliton_amplitudes, 1)
+        )
+        alone = [bracket(*pair) for bracket in brackets for pair in pairs]
+        for a, b in zip(stacked, alone):
+            assert a.shape == b.shape == (4, 5)
+            assert np.array_equal(a, b)

@@ -11,6 +11,7 @@ from bscat.formfactors import exp_I
 from bscat.model import make_model
 from bscat.reflection import soliton_amplitudes, soliton_pair_bracket
 from bscat.smatrix import s0, s_breather_breather, s_breather_soliton, soliton_s_matrix
+from stacking import row_by_row
 
 
 class TestScalarFactor:
@@ -94,6 +95,22 @@ class TestScalarFactor:
     def test_rejects_outside_strip(self):
         with pytest.raises(DomainError):
             s0(complex(0.0, 3.5), make_model("bsg", 0.4))
+
+
+class TestStackedLookup:
+    @pytest.mark.parametrize("z", [1.0 / 3.0, 0.4, 0.6])
+    def test_s0_equals_its_unstacked_ratio(self, monkeypatch, z):
+        # e^{I}(-theta) and e^{I}(theta) come from one exp_I call on the
+        # stacked arguments: on arrays the ratio is bit for bit the one of
+        # two calls
+        spec = make_model("bsg", z)
+        rng = np.random.default_rng(11)
+        theta = rng.uniform(-3.0, 3.0, (3, 4, 5))
+        arrays = [theta[0], theta[1] + 0.3j, 1j * math.pi - theta[2]]
+        stacked = [s0(t, spec) for t in arrays]
+        monkeypatch.setattr(smatrix_mod, "exp_I", row_by_row(exp_I, 1))
+        for t, value in zip(arrays, stacked):
+            assert np.array_equal(value, s0(t, spec))
 
 
 class TestSolitonSector:

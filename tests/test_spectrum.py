@@ -32,6 +32,7 @@ from bscat.spectrum import (
 from bscat.twopoint import ReflectionBreakdown, reflection_coefficient
 from closed_forms import kondo_half_spectrum
 from referm import spectrum_half
+from stacking import row_by_row
 
 SPEC3_BSG = make_model("bsg", 1.0 / 3.0)
 SPEC3_KONDO = make_model("kondo", 1.0 / 3.0)
@@ -205,6 +206,28 @@ _GL_REFERENCE = {
         -0.0033770300960116076, 0.004262196575865131,
     ),
 }
+
+
+class TestStackedKernelCalls:
+    @pytest.mark.parametrize("kind", ["bsg", "kondo"])
+    def test_diagrams_equal_their_unstacked_products(self, monkeypatch, kind):
+        # a diagram that reads one kernel several times reads it in one
+        # call on the stacked arguments: G1_1 and G1_3 their two crossed
+        # f_pm, their two uncrossed f_pm and their two brackets, G1_3 its
+        # four S0, G2_1 and G5A their two f_pm, G3A its two f_pm1.  Each
+        # diagram, a family over omega', is bit for bit the one of
+        # separate calls
+        spec = make_model(kind, 1.0 / 3.0)
+        omega_p = np.array([0.2, 0.55, 0.9])
+        diagrams = [spectrum_mod._DIAGRAM_FUNCS[d] for d in active_diagrams(spec)]
+        assert len(diagrams) == 6
+        stacked = [diagram(omega_p, 1.0, spec) for diagram in diagrams]
+        kernels = {"f_pm": 2, "f_pm1": 3, "s0": 1, "soliton_pair_bracket": 2}
+        for name, n_arrays in kernels.items():
+            real = getattr(spectrum_mod, name)
+            monkeypatch.setattr(spectrum_mod, name, row_by_row(real, n_arrays))
+        for diagram, value in zip(diagrams, stacked):
+            assert np.array_equal(value, diagram(omega_p, 1.0, spec)), diagram.__name__
 
 
 class TestMappedDiagramIntegrals:
