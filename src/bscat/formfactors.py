@@ -50,7 +50,7 @@ array line by line, one vectorised table lookup per distinct Im lambda
 rows gathered by one index, the series summed in one pass), and a number
 through the memo `_exp_i_cached`, the scalar entry of the same lookup.  F
 reads an array line by line too (`_bigf_on_line`: its Gamma-product head
-vectorised, its tail one family integral; no table yet), and a number
+vectorised, its tail one family integral), and a number
 through its memo `_bigf_cached`.  zeta(-i theta^(1)), f_{+-1}'s
 one spec-dependent zeta factor, is computed once per spec (`_f_pm1_zeta`).
 """
@@ -226,8 +226,7 @@ def _exp_i_direct(lam: complex, xi: float, N: int) -> complex:
     """e^{I(lambda)} from the N-term Gamma product and the residual
     integral, without the table: the reference the table is checked
     against, N-independent for N >= 1."""
-    log_product = complex(_exp_i_log_product(lam, xi, N))
-    return cmath.exp(_exp_i_residual(lam, xi, N) + log_product)
+    return cmath.exp(_exp_i_residual(lam, xi, N) + _exp_i_log_product(lam, xi, N))
 
 
 # factors of the fold whose constant part is this close to 0 vanish at
@@ -453,17 +452,13 @@ def exp_I(lam, spec: ModelSpec):
 
 
 @lru_cache(maxsize=64)
-def _c_const_cached(xi: float, p: float) -> float:
+def c_const(spec: ModelSpec) -> float:
+    """Normalization constant c (positive real branch)."""
     # log c = log|4 - 4p|/4 + 1/4 int sinh(pi x/2) sinh((pi - xi) x/2) / (x
     # sinh(xi x/2) cosh(pi x/2)^2) dx, a kernel -2 sin(i pi x/2)^2 times I's at
     # N = 0: the integral is -2 I(0) (w = i pi/2), and c^4 e^{2 I(0)} = |4 - 4p|
-    residual = _exp_i_residual(0j, xi, 0).real
-    return abs(4.0 - 4.0 * p) ** 0.25 * math.exp(-0.5 * residual)
-
-
-def c_const(spec: ModelSpec) -> float:
-    """Normalization constant c (positive real branch)."""
-    return _c_const_cached(spec.xi, spec.p)
+    residual = _exp_i_residual(0j, spec.xi, 0).real
+    return abs(4.0 - 4.0 * spec.p) ** 0.25 * math.exp(-0.5 * residual)
 
 
 def zeta(lam, spec: ModelSpec):

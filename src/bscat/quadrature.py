@@ -95,10 +95,10 @@ _ROUNDOFF_WIDTH = 200.0 * np.finfo(float).eps
 @dataclass(frozen=True)
 class QuadResult:
     """An integral's value, its absolute error estimate and the number of
-    nodes at which its integrand was evaluated.  For a family of m integrals
-    (`adaptive_1d`) value and estimate are (m,) arrays, and a node counts
-    once: its evaluation yields m member values, so the member evaluations
-    are `evaluations` times m."""
+    nodes at which its integrand was evaluated: the engine's sums as they
+    come, scalars for one integral.  For a family of m integrals value and
+    estimate are (m,) arrays, and a node counts once: its evaluation yields
+    m member values, so the member evaluations are `evaluations` times m."""
 
     value: complex
     abs_error_estimate: float
@@ -154,7 +154,7 @@ def adaptive_1d(
     call raises ToleranceNotMet at once, naming the interval and the worst
     member, with the sum of all intervals as its value and an infinite error
     estimate.  A family's value and estimate are arrays of its members'
-    shape; one integral's value is a complex and its estimate a float.
+    shape, one integral's are scalars.
     """
     if not (a < b):
         raise DomainError(f"need a < b, got [{a}, {b}]")
@@ -173,8 +173,8 @@ def adaptive_1d(
             member, _ = _worst_member(total_err)
             raise ToleranceNotMet(
                 f"adaptive_1d: {member}cannot split [{ia!r}, {ib!r}] to meet tol {tol:.3e}",
-                value=_result(sum(t[3] for t in intervals)),
-                abs_error_estimate=_result(np.full(np.shape(total_err), math.inf)),
+                value=sum(t[3] for t in intervals),
+                abs_error_estimate=np.full(np.shape(total_err), math.inf)[()],
             )
         total_err = total_err - ierr
         h1, left = _panel(ia, mid)
@@ -193,7 +193,6 @@ def adaptive_1d(
     for _, _, _, ival, ierr in intervals:
         value = value + ival
         total_err = total_err + ierr
-    value, total_err = _result(value), _result(total_err)
     # slack for a few ulp of re-summation; a NaN estimate fails too
     if not np.all(total_err <= tol * (1.0 + 1e-6)):
         member, worst_err = _worst_member(total_err)
@@ -203,15 +202,6 @@ def adaptive_1d(
             abs_error_estimate=total_err,
         )
     return QuadResult(value=value, abs_error_estimate=total_err, evaluations=nevals)
-
-
-def _result(x):
-    """A family's (m,) array as is; one integral's value as a complex, its
-    estimate as a float."""
-    x = np.asarray(x)
-    if x.ndim:
-        return x
-    return complex(x) if np.iscomplexobj(x) else float(x)
 
 
 def _worst_member(err) -> Tuple[str, float]:
@@ -585,18 +575,18 @@ def integrate_semi_infinite(
         sums = rule(kappas[block])
         value[block] = sums[..., 0].sum(axis=1)
         err[block] = np.abs(sums[..., 1]).sum(axis=1)
+    value, err = value.reshape(np.shape(kappa))[()], err.reshape(np.shape(kappa))[()]
     if not np.all(err <= tol):
         k = int(np.argmax(np.where(np.isnan(err), math.inf, err)))
-        member, worst = _worst_member(err.reshape(np.shape(kappa)))
+        member, worst = _worst_member(err)
         if member:
             member = f"{member[:-2]}, kappa = {kappas[k]}: "
         raise ToleranceNotMet(
             f"{label}: {member}panel rule: error estimate "
             f"{worst:.3e} exceeds tol {tol:.3e} ({n} panels of width {width:.3e})",
-            value=_result(value.reshape(np.shape(kappa))),
-            abs_error_estimate=_result(err.reshape(np.shape(kappa))),
+            value=value,
+            abs_error_estimate=err,
         )
-    value, err = _result(value.reshape(np.shape(kappa))), _result(err.reshape(np.shape(kappa)))
     return QuadResult(value=value, abs_error_estimate=err, evaluations=15 * n)
 
 
@@ -634,9 +624,8 @@ def _chebyshev_sum(coeffs: np.ndarray, t) -> np.ndarray:
     shape t.shape + (_TABLE_POINTS,) (the series of each t) or
     (_TABLE_POINTS,) (one series for every t).  T_k(t) = cos(k arccos t)
     for all k in one call, then one batched matrix product per point on
-    the real and imaginary parts: a few array operations in place of
-    Clenshaw's recurrence, one per degree, and a point's value does not
-    depend on the other points looked up with it."""
+    the real and imaginary parts, so that a point's value does not depend
+    on the other points looked up with it."""
     basis = np.cos(np.multiply.outer(np.arccos(t), _DEGREES))
     parts = coeffs.view(np.float64).reshape(coeffs.shape + (2,))
     out = (basis[..., None, :] @ parts)[..., 0, :]
@@ -651,6 +640,8 @@ def lookup_by_line(
     at a number, and at an array one `on_line(Re array, Im, *args)` per
     distinct Im lambda, whose results are scattered back elementwise."""
     if np.ndim(lam) == 0:
+        # a number keeps its memo: the benchmark's tracer (perfbench/tracer.py)
+        # reports the memos' cache_info()
         lam = complex(lam)
         return cached(lam.real, lam.imag, *args)
     lam = np.asarray(lam, dtype=complex)
@@ -741,8 +732,7 @@ class ChebyshevTable:
         if not known.all():
             for j in np.unique(index[~known]).tolist():
                 self._build(j)
-        value = _chebyshev_sum(self._coeffs[index], 2.0 * (x / self._width - k) - 1.0)
-        return complex(value) if value.ndim == 0 else value
+        return _chebyshev_sum(self._coeffs[index], 2.0 * (x / self._width - k) - 1.0)
 
     def _build(self, k: int) -> None:
         half = 0.5 * self._width

@@ -138,7 +138,7 @@ def _rs_phase_direct(lam, xi: float):
     near = ~_rs_phase_asymptotic(flat.real, xi)
     if near.any():
         out[near] = _rs_phase_integral(flat[near], xi, decay)
-    return complex(out[0]) if lam.ndim == 0 else out.reshape(lam.shape)
+    return out.reshape(lam.shape)[()]
 
 
 def _rs_phase_limit(lam_r, xi: float):

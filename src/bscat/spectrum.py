@@ -125,8 +125,8 @@ def _diagram(
 
         Re(reflection - 1) Re(formfactors) / ((2 pi)^4 e1 e2 e3 e4),
 
-    at one omega' (a float) or, as one family integral, at each omega' of
-    an array (an array).
+    at one omega' (a NumPy scalar) or, as one family integral, at each
+    omega' of an array (an array).
 
     `energies(E, omega')` gives the four line energies e1..e4; `lines`, from
     the diagram's row, the breather whose mass ratio shifts each line's
@@ -195,8 +195,7 @@ def _diagram(
         val = 2.0 * adaptive_1d(mapped, 0.0, 0.5, tol=tol / 2.0).value.real
     else:
         val = adaptive_1d(mapped, 0.0, 1.0, tol=tol).value.real
-    out = coeff / (wp * omega) * val
-    return float(out) if out.ndim == 0 else out
+    return coeff / (wp * omega) * val
 
 
 def _stacked(*lams) -> np.ndarray:

@@ -64,8 +64,8 @@ def r_term_breather(omega, m: int, spec: ModelSpec):
     """Single-breather term: |f_m(0)|^2/(2 pi mu_m^2) R_m^m(ln(omega/mu_m)),
     at a frequency or elementwise at an array of them."""
     check_omega(omega)
-    if m % 2 == 0 or not (1 <= m <= spec.n_breathers):
-        raise DomainError(f"breather term needs odd m <= {spec.n_breathers}, got {m}")
+    if m % 2 == 0:
+        raise DomainError(f"breather term needs odd m, got {m}")
     mu = breather_mass(m, spec)
     return breather_weight(m, spec) * r_breather(np.log(np.divide(omega, mu)), m, spec)
 
@@ -84,10 +84,9 @@ def r_term_soliton_pair(omega, spec: ModelSpec):
 
 def r_term_12(omega, spec: ModelSpec):
     """Breather-1 + breather-2 term with mass-ratio-shifted arguments, at a
-    frequency or, as one family, at an array of them."""
+    frequency or, as one family, at an array of them; refused where
+    breather 2 does not exist (`model.check_breather`)."""
     check_omega(omega)
-    if spec.n_breathers < 2:
-        return np.zeros(np.shape(omega), dtype=complex)[()]
 
     def reflection(l1, l2):
         return r_breather(l1, 1, spec) * r_breather(l2, 2, spec)
@@ -96,13 +95,10 @@ def r_term_12(omega, spec: ModelSpec):
 
 
 def r_term_pm1(omega, spec: ModelSpec):
-    """Soliton pair + breather-1 term (integer p only), at a frequency or
-    elementwise at an array of them, each on its own outer rule."""
+    """Soliton pair + breather-1 term, at a frequency or elementwise at an
+    array of them, each on its own outer rule; refused where breather 1
+    does not exist (`model.check_breather`) and at non-integer p (`f_pm1`)."""
     check_omega(omega)
-    if spec.p_int is None:
-        raise DomainError("the pair+breather term requires integer p")
-    if spec.n_breathers < 1:
-        return np.zeros(np.shape(omega), dtype=complex)[()]
 
     def reflection(l1, l2, l3):
         return soliton_pair_bracket(l1, l2, spec, sign=+1) * r_breather(l3, 1, spec)

@@ -153,7 +153,8 @@ def _suite_formfactors() -> List[Check]:
         target = (1.0 - s_breather_soliton(l1 - l3, 1, spec)) * f_breather1(
             1, l3, spec
         )
-        consts.append(res / target)
+        with np.errstate(invalid="ignore"):  # a NaN sample fails the row below
+            consts.append(res / target)
     kinematic = [abs(c - consts[0]) for c in consts[1:]]
     kinematic.append(abs(abs(consts[0]) - 1.0))
     # the per-line tables of e^{I} (relative) and of the R_s phase

@@ -192,13 +192,26 @@ def test_flag_over_config_over_default(
 )
 def test_config_file_prints_the_bytes_of_its_flags(runner, tmp_path, argv):
     cfg = tmp_path / "run.cfg"
+    # comment lines, blank lines and trailing comments are skipped
     cfg.write_text(
-        "".join(f"{k[2:]} = {v}\n" for k, v in zip(argv[1::2], argv[2::2]))
+        "# the flags of argv\n\n"
+        + "".join(f"{k[2:]} = {v}  # a flag\n   \n" for k, v in zip(argv[1::2], argv[2::2]))
     )
     from_flags = runner.invoke(main, argv)
     from_file = runner.invoke(main, [argv[0], "--config", str(cfg)])
     assert from_flags.exit_code == from_file.exit_code == 0
     assert from_file.stdout == from_flags.stdout
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_output_path_holds_the_bytes_of_stdout(runner, tmp_path, fmt):
+    argv = ["r0", "--model", "bsg", "--z", "0.3333333333333333", "--format", fmt]
+    out = tmp_path / f"r0.{fmt}"
+    to_stdout = runner.invoke(main, argv + ["--output", "-"])
+    to_file = runner.invoke(main, argv + ["--output", str(out)])
+    assert to_stdout.exit_code == to_file.exit_code == 0
+    assert to_file.stdout == ""
+    assert out.read_bytes() == to_stdout.stdout_bytes
 
 
 class TestRates:
@@ -394,8 +407,11 @@ class TestRates:
         assert columns["error"][0].startswith("DomainError: f_pm overflows")
 
     def test_bad_range_rejected(self, runner):
-        res = runner.invoke(main, ["rates", "--omega", "5..1:10"])
-        assert res.exit_code != 0
+        for omega, why in (("5..1:10", "need 0 < min < max < inf"), ("1..2:1", "need points >= 2")):
+            res = runner.invoke(main, ["rates", "--omega", omega])
+            assert res.exit_code == 1
+            assert f"bad omega range {omega!r}" in res.output
+            assert why in res.output
 
     def test_config_file_with_flag_override(self, runner, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -581,7 +597,10 @@ class TestValidate:
             return math.nan if len(calls) == nan_call else real(*args)
 
         monkeypatch.setattr(validate_mod, kernel, nan_once)
-        res = runner.invoke(main, ["validate", "--suite", suite])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            res = runner.invoke(main, ["validate", "--suite", suite])
+        assert [str(w.message) for w in caught] == []
         assert res.exit_code == 2
         _, rows = _rows(res.output)
         status = {r[0]: (r[1], r[3]) for r in rows}

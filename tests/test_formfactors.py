@@ -587,3 +587,33 @@ class TestBigFHead:
         for head in (_bigf_head, _bigf_head_by_k):
             with pytest.raises(DomainError, match=re.escape(f"pole at lambda = {2j * math.pi!r}")):
                 head(points, xi, 10)
+
+
+_P_FIVE_HALVES = make_model("bsg", 0.4)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        # f_pm's rapidity difference past the strip |Im| <= 2 pi (_check_strip)
+        (lambda: f_pm(0.0, 7j, SPEC3), "rapidity difference -7j outside the analyticity strip"),
+        (lambda: f_111(0.0, 0.1, 0.2, SPEC_HALF), "no breathers at z = 0.5"),
+        (
+            lambda: f_111(0.3, 0.3 + 1j * math.pi, -0.2, SPEC3),
+            "f_111 kinematic pole at e^l1 + e^l2 = 0 (l1 = (0.3+0j))",
+        ),
+        (lambda: f_12(0.0, 0.1, SPEC3), f"f_12 requires two breathers (z = {1.0 / 3.0})"),
+        (lambda: bigH(0.0, 0.1, 0.2, 0.3, _P_FIVE_HALVES), "H is defined for integer p only"),
+        (lambda: f_pm1(0.0, 0.1, 0.2, _P_FIVE_HALVES), "f_pm1 is implemented for integer p only"),
+        # sinh((p - 1)(l3 - l1 + i theta/2)) = 0 at l3 - l1 = -i theta/2 = -i pi/4
+        (
+            lambda: f_pm1(0.0, 0.3, -0.25j * math.pi, SPEC3),
+            f"f_pm1 exchange pole (coinciding rapidities) at l3 - l1 = {-0.25j * math.pi}",
+        ),
+    ],
+    ids=["strip", "f_111-no-breather", "f_111-pole", "f_12-one-breather", "bigH-p",
+         "f_pm1-p", "f_pm1-pole"],
+)
+def test_refusals_name_the_offending_point(call, message):
+    with pytest.raises(DomainError, match=re.escape(message)):
+        call()

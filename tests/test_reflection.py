@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 import warnings
 
 import numpy as np
@@ -351,3 +352,32 @@ class TestStackedAmplitudes:
         for a, b in zip(stacked, alone):
             assert a.shape == b.shape == (4, 5)
             assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        # 2 cosh((p - 1) lambda/2 - i pi/4) = 2 cosh(-i pi/2) = 0 at z = 1/3
+        (
+            lambda: reflection_mod.r_s(-0.25j * math.pi, make_model("bsg", 1.0 / 3.0)),
+            f"R_s pole at lambda = {-0.25j * math.pi}",
+        ),
+        (
+            lambda: soliton_amplitudes(-0.5j * math.pi, make_model("kondo", 1.0 / 3.0)),
+            f"Kondo soliton reflection pole at lambda = {-0.5j * math.pi}",
+        ),
+        (
+            lambda: soliton_amplitudes(np.array([0.2, 0.1 + 4j]), make_model("bsg", 0.4)),
+            "|Im lambda| > pi unsupported (got 4.0)",
+        ),
+        # tanh(lambda/2 + i xi m/4) = 0 at lambda = -i xi m/2 = -i pi/4 (m = 1, z = 1/3)
+        (
+            lambda: r_kondo_breather(-0.25j * math.pi, 1, make_model("kondo", 1.0 / 3.0)),
+            f"Kondo breather reflection pole at lambda = {-0.25j * math.pi}",
+        ),
+    ],
+    ids=["r_s-pole", "kondo-soliton-pole", "bsg-strip", "kondo-breather-pole"],
+)
+def test_refusals_name_the_offending_point(call, message):
+    with pytest.raises(DomainError, match=re.escape(message)):
+        call()

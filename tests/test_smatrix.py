@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -212,3 +213,29 @@ class TestRightLeftLimit:
         assert soliton_pair_bracket(0.4, -0.1, spec) / (flip1 * flip2) == pytest.approx(
             -1.0, abs=1e-14
         )
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        # sin((pi/xi)(pi + i theta)) = sin(3 pi/2 * 2/3) = 0 at z = 0.4
+        (
+            lambda: soliton_s_matrix(1j * math.pi / 3.0, make_model("bsg", 0.4)),
+            f"soliton S-matrix pole at theta = {1j * math.pi / 3.0}",
+        ),
+        # i cos(xi/2) = sinh(theta) at theta = i (pi - xi)/2 = i pi/4 (z = 1/3)
+        (
+            lambda: s_breather_soliton(0.25j * math.pi, 1, make_model("bsg", 1.0 / 3.0)),
+            f"breather-soliton S-matrix pole at theta = {0.25j * math.pi} (factor j=1)",
+        ),
+        # tanh((theta - i xi)/2) = 0 at theta = i xi = i pi/2 (z = 1/3)
+        (
+            lambda: s_breather_breather(0.5j * math.pi, 1, 1, make_model("bsg", 1.0 / 3.0)),
+            f"breather-breather S-matrix pole at theta = {0.5j * math.pi}",
+        ),
+    ],
+    ids=["soliton", "breather-soliton", "breather-breather"],
+)
+def test_refusals_name_the_offending_point(call, message):
+    with pytest.raises(DomainError, match=re.escape(message)):
+        call()
