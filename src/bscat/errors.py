@@ -24,7 +24,8 @@ class ToleranceNotMet(BscatError):
 
 
 class InsufficientData(BscatError):
-    """Not enough grid points inside the requested fit window."""
+    """Not enough data to derive a result from: `twopoint.rates_from_r` with no
+    reflection data."""
 
 
 def offending(values, mask):

@@ -828,16 +828,15 @@ def f_pm1(l1, l2, l3, spec: ModelSpec):
     zetas = z[1] * z[2] * z[3] * z[4] * _f_pm1_zeta(spec)
     h = bigH(l1, l2, l3 - 0.5j * th, l3 + 0.5j * th, spec)
     fusion = np.cosh(0.5 * pm1 * (d - 1j * math.pi))
-    return (
-        pref
-        * fusion
-        * np.exp((l1 + l2) / 2.0)
-        * np.exp(l3)
-        * ratio21
-        * zetas
-        * h
-        / (s31 * s23)
-    )
+    num = pref * fusion * np.exp((l1 + l2) / 2.0) * np.exp(l3) * ratio21 * zetas * h
+    with np.errstate(over="ignore", invalid="ignore"):
+        den = s31 * s23
+    finite = np.isfinite(den)
+    if finite.all():
+        return num / den
+    # at small z each sinh is finite where their product overflows: divide
+    # there by one, then by the other
+    return np.where(finite, num / np.where(finite, den, 1.0), num / s31 / s23)[()]
 
 
 # ---------------------------------------------------------------------------

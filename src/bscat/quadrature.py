@@ -23,10 +23,13 @@ family at z = 1/2 takes 15 to 105 shared nodes, up to 4,095 member
 evaluations against 585 to 2,415 for 39 separate integrals -- but a member
 evaluation is an array element, not a Python call.  A family's members
 may form an array of any shape; the panel sums contract the node axis.
-`integrate_simplex` hands its integrand arrays of energies, the inner pairs
-of a 3-part simplex as one family per outer call (15 or 30 members), and
-integrates a 2-part simplex at an array of totals as one family (a grid of
-r(omega));
+`integrate_segment` is the one rule for a segment e1 + e2 = width with
+sqrt ends (each half mapped from its corner, e = width u^2), for one width
+or a family of them; the simplex and the spectrum diagrams both integrate
+on it.  `integrate_simplex` hands its integrand arrays of energies, the
+inner pairs of a 3-part simplex as one family per outer call (15 or 30
+members), and integrates a 2-part simplex at an array of totals as one
+family (a grid of r(omega));
 `integrate_semi_infinite` integrates an array of kappa on one line as one
 family, its panel sums matrix products; `ChebyshevTable` looks up arrays
 of points in one vectorised pass (missing panels built, rows gathered by
@@ -234,8 +237,8 @@ def evaluate_masked(mask: np.ndarray, fn: Callable[..., np.ndarray], *arrays) ->
 _U_HALF = 1.0 / math.sqrt(2.0)  # u at the midpoint of a corner map E = w u^2
 
 
-def _corner_pair(
-    point: Callable[[np.ndarray, np.ndarray], np.ndarray],
+def integrate_segment(
+    point: Callable[..., np.ndarray],
     width,
     tol: float,
     symmetric: bool = False,
@@ -243,15 +246,18 @@ def _corner_pair(
 ) -> QuadResult:
     """Integral of point(e1, e2, *extra) over the segment e1 + e2 = width,
     for one width or, as one family, for each of an (m,) array of widths,
-    each `extra` array holding one value per member.
+    each `extra` array holding one value per member: the package's one
+    rule for a segment with sqrt(e) ends, serving the simplex of
+    `integrate_simplex` and the internal energy of the spectrum diagrams.
 
     The segment is split at its midpoint and each half is mapped from its
-    corner with e = width * u^2, u in (0, 1/sqrt(2)]; each half is integrated
-    to `tol` (adaptive_1d, a family for an array of widths), and the result
-    is the two halves' sum (value, error estimate and evaluations).  point
-    receives arrays of the shape of the nodes (15 or 30 per call) times the
-    widths, member k's values in column k; a node where e1 or e2 rounds to 0 counts 0, point
-    being called at the segment's midpoint in its place.  With `symmetric`,
+    corner with e = width * u^2, u in (0, 1/sqrt(2)]: a sqrt(e) end becomes
+    a smooth u^2.  Each half is integrated to `tol` (adaptive_1d, a family
+    for an array of widths), and the result is the two halves' sum (value,
+    error estimate and evaluations).  point receives arrays of the shape of
+    the nodes (15 or 30 per call) times the widths, member k's values in
+    column k; a node where e1 or e2 rounds to 0 counts 0, point being
+    called at the segment's midpoint in its place.  With `symmetric`,
     point(e1, e2) must equal point(e2, e1): only the left corner half is
     integrated, and it stands for the right one as its mirror image, so the
     value and the error estimate are twice the half's and `evaluations`
@@ -299,8 +305,8 @@ def integrate_simplex(
     """Integrate over {E_i > 0, sum E_i = total} with measure
     prod(dE_i / E_i) / (2 pi)^n / n!  (one dE eliminated by the delta),
     for n = 2 or 3 parts.  At n = 2, `total` may be an (m,) array: the m
-    integrals are one family on one shared bisection (`_corner_pair`), each
-    held to `tol`, and the value and estimate are (m,) arrays.
+    integrals are one family on one shared bisection (`integrate_segment`),
+    each held to `tol`, and the value and estimate are (m,) arrays.
 
     The integrand receives the energies E_1, ..., E_n as positional
     arguments, arrays of one shape, and returns the physical integrand
@@ -326,7 +332,7 @@ def integrate_simplex(
     caller's contract; it is not checked): the (E1, E2) segment, the whole
     integral at n = 2 and the inner one at n = 3, is then integrated on its
     left corner half only, at the same per-half tolerance, and doubled
-    (`_corner_pair`), which halves the evaluations and keeps the bound.
+    (`integrate_segment`), which halves the evaluations and keeps the bound.
     """
     if n_parts not in (2, 3):
         raise DomainError(f"n_parts must be 2 or 3, got {n_parts}")
@@ -342,7 +348,7 @@ def integrate_simplex(
         def pair(e1, e2):
             return integrand(e1, e2) * (1.0 / (e1 * e2))
 
-        res = _corner_pair(pair, w, tol / 2.0, symmetric)
+        res = integrate_segment(pair, w, tol / 2.0, symmetric)
         evaluations = res.evaluations
         inner_error = 0.0
     else:
@@ -354,7 +360,7 @@ def integrate_simplex(
             return integrand(e1, e2, e3) * (1.0 / (e1 * e2 * e3))
 
         def inner_family(e3, rem):
-            i = _corner_pair(pair, rem, tol / 4.0, symmetric, (e3,))
+            i = integrate_segment(pair, rem, tol / 4.0, symmetric, (e3,))
             inner_evaluations[0] += i.evaluations
             largest_inner_error[0] = max(
                 largest_inner_error[0], float(np.max(i.abs_error_estimate))
@@ -365,7 +371,7 @@ def integrate_simplex(
             rem = w - e3
             return evaluate_masked(rem > 0.0, inner_family, e3, rem)
 
-        res = _corner_pair(inner, w, tol / 2.0)
+        res = integrate_segment(inner, w, tol / 2.0)
         evaluations = inner_evaluations[0]
         inner_error = largest_inner_error[0] * w
     return QuadResult(

@@ -11,31 +11,29 @@ no regulator is needed.  Frequencies in units of T_B = 1.
 
 Each diagram is one integral over the internal energy E in (0, omega -
 omega'), whose integrand behaves like sqrt(E) and sqrt(omega - omega' - E) at
-the ends.  It is integrated in t in (0, 1) with the smoothstep map
-E = (omega - omega') t^2 (3 - 2t) (a sigmoidal substitution: Sidi, "A new
-variable transformation for numerical integration", 1993), whose jacobian
-vanishes at both ends and leaves the integrand smooth there, so adaptive
-Gauss-Kronrod needs no bisection toward the endpoints.  The map is symmetric
-about t = 1/2, so a diagram whose integrand is invariant under E -> omega -
-omega' - E (G1_1, G1_3, G3A, G4A: their lines exchange in identical pairs)
-is integrated on t in (0, 1/2) only and doubled.
+the ends: the segment E + (omega - omega' - E) = omega - omega' of
+`quadrature.integrate_segment`, the package's one segment rule.  A diagram
+whose integrand is invariant under E -> omega - omega' - E (G1_1, G1_3,
+G3A, G4A: their lines exchange in identical pairs) is integrated on one
+corner half only and doubled.
 
-The t-nodes do not depend on omega', so a diagram at many omega' is one
-family integral (`quadrature.adaptive_1d`) on shared nodes: the integrand
-is evaluated once per call of the rule, on an (n, m) array of (t, omega')
-points (n = 15 for the first panel, 30 for both halves of a split), every
-reflection factor and form factor elementwise, and the bisection goes on
-until every omega' meets the tolerance.  `spectrum_curve` makes one
-family per active diagram over its whole grid, `sum_rule_check` one per
-diagram for each call of its omega' rule (15 or 30 omega'), and
-`spectrum_point` at a single omega' a family of one.  Each member pays for
-the nodes of the one that needs most (see `quadrature`), and gains a call
-shared with all.  Where a diagram reads one kernel several times, the
-arguments are stacked into one call (`_stacked`): G1_1 and G1_3 make one
-f_pm call for their two crossed form factors, one for the two uncrossed
-and one bracket call for both brackets, G1_3 one s0 call for its four S0,
-G2_1 and G5A one f_pm call for their two, and G3A one f_pm1 call for its
-two; the kernels are elementwise, so stacking changes no value.
+The segment rule's u-nodes do not depend on omega', so a diagram at many
+omega' is one family integral on shared nodes: the integrand is evaluated
+once per call of the rule, on an (n, m) array of (u, omega') points (n =
+15 for the first panel, 30 for both halves of a split), every reflection
+factor and form factor elementwise, and the bisection goes on until every
+omega' meets the tolerance.  `spectrum_curve` makes one family per active
+diagram over its whole grid, `sum_rule_check` one per diagram for each
+call of its omega' rule (15 or 30 omega'), and `spectrum_point` at a single
+omega' a family of one.  Each member pays for the nodes of the one that
+needs most (see `quadrature`), and gains a call shared with all.
+
+Where a diagram reads one kernel several times, the arguments are stacked
+into one call (`_stacked`): G1_1 and G1_3 make one f_pm call for their two
+crossed form factors, one for the two uncrossed and one bracket call for
+both brackets, G1_3 one s0 call for its four S0, G2_1 and G5A one f_pm
+call for their two, and G3A one f_pm1 call for its two; the kernels are
+elementwise, so stacking changes no value.
 """
 
 from __future__ import annotations
@@ -50,7 +48,7 @@ import numpy as np
 from .errors import DomainError, offending
 from .formfactors import f_111, f_breather1, f_pm, f_pm1
 from .model import ModelSpec, check_omega, line_shifts
-from .quadrature import adaptive_1d, evaluate_masked
+from .quadrature import adaptive_1d, evaluate_masked, integrate_segment
 from .reflection import r_breather, soliton_pair_bracket, soliton_split_bracket
 from .smatrix import s0
 from .twopoint import ReflectionBreakdown, reflection_coefficient
@@ -114,7 +112,7 @@ def _diagram(
     omega_p,
     omega: float,
     spec: ModelSpec,
-    energies: Callable[[np.ndarray, np.ndarray], Tuple[np.ndarray, ...]],
+    energies: Callable[[np.ndarray, np.ndarray, np.ndarray], Tuple[np.ndarray, ...]],
     reflection: Callable[..., np.ndarray],
     formfactors: Callable[..., np.ndarray],
     diagram: SpectrumDiagram,
@@ -128,36 +126,30 @@ def _diagram(
     at one omega' (a NumPy scalar) or, as one family integral, at each
     omega' of an array (an array).
 
-    `energies(E, omega')` gives the four line energies e1..e4; `lines`, from
-    the diagram's row, the breather whose mass ratio shifts each line's
-    rapidity (0 for a soliton line), decoded by `model.line_shifts`: line k
-    enters `reflection(l1..l4)` and `formfactors(l1..l4)` as log(e_k) -
-    log(m_b/m_s).  All three take arrays and work elementwise.  A breather
-    line raises DomainError at z >= 1/2, `integer_p` at non-integer p.
+    `energies(E, w - E, omega')`, w = omega - omega', gives the four line
+    energies e1..e4; `lines`, from the diagram's row, the breather whose
+    mass ratio shifts each line's rapidity (0 for a soliton line), decoded
+    by `model.line_shifts`: line k enters `reflection(l1..l4)` and
+    `formfactors(l1..l4)` as log(e_k) - log(m_b/m_s).  All three take
+    arrays and work elementwise.  A breather line raises DomainError at
+    z >= 1/2, `integer_p` at non-integer p.
 
-    The integral is one adaptive GK15 call over t in (0, 1), with
-    E = w t^2 (3 - 2t) and dE = 6 w t (1 - t) dt, w = omega - omega': a
-    sqrt(E) or sqrt(w - E) endpoint becomes a smooth t^2 or (1 - t)^2.  The
-    t-nodes are shared by every omega' of an array: adaptive_1d integrates
-    them as one family, each member to the absolute tolerance `tol`, which
-    applies to the E-integral itself, which the map leaves unchanged, so
-    the diagram is held to |coeff| tol/(omega' omega).  By default it is
-    _TOL_DIAGRAM max(1, omega), the tolerance of a printed spectrum row;
-    sum_rule_check gives each diagram a share of its own.
-
-    A diagram declares `mirror` when its integrand is symmetric under
-    E -> w - E, which exchanges its lines in identical pairs; the map is
-    symmetric too, E(1 - t) = w - E(t), so only t in (0, 1/2) is
-    integrated, to half the tolerance, and doubled.  Tests check each
-    declared symmetry.
+    The integral is one `integrate_segment` call over E + (w - E) = w, a
+    family for an array of omega', each corner half of each member to the
+    absolute tolerance tol/2, so the diagram is held to |coeff| tol/(omega'
+    omega).  By default tol is _TOL_DIAGRAM max(1, omega), the tolerance
+    of a printed spectrum row; sum_rule_check gives each diagram a share
+    of its own.  A diagram declares `mirror` when its integrand is
+    symmetric under E -> w - E, which exchanges its lines in identical
+    pairs: the segment rule then integrates one corner half, to tol/2, and
+    doubles it.  Tests check each declared symmetry.
 
     Re(reflection - 1) is formed as -|reflection - 1|^2 / 2 for the Kondo
     model, whose reflection factors all have unit modulus at real rapidity:
     the two are equal there, and the second does not lose to cancellation
     where the product is close to 1.  The boundary sine-Gordon brackets are
     not unimodular and keep the direct form.  The form factors are not
-    evaluated where that part is exactly 0, nor the integrand where E rounds
-    onto an end of (0, w).
+    evaluated where that part is exactly 0.
     """
     check_omega(omega)
     wp = np.asarray(omega_p, dtype=float)
@@ -170,32 +162,20 @@ def _diagram(
     if integer_p and spec.p_int is None:
         raise DomainError(f"diagram {diagram.value} requires integer p = 1/z")
     shifts = line_shifts(lines, spec)
-    width = omega - wp
     unimodular = spec.is_kondo
 
-    def integrand(big: np.ndarray, wp: np.ndarray) -> np.ndarray:
-        es = np.broadcast_arrays(*energies(big, wp))
+    def point(big: np.ndarray, rest: np.ndarray, wp: np.ndarray) -> np.ndarray:
+        es = np.broadcast_arrays(*energies(big, rest, wp))
         ls = [np.log(e) - shift for e, shift in zip(es, shifts)]
         delta = reflection(*ls) - 1.0
         rpart = -0.5 * np.abs(delta) ** 2 if unimodular else delta.real
         fval = evaluate_masked(rpart != 0.0, formfactors, *ls).real
         return rpart * fval / (_MEASURE * (es[0] * es[1] * es[2] * es[3]))
 
-    def mapped(t: np.ndarray) -> np.ndarray:
-        if width.ndim:
-            t = t[:, None]  # rows: the nodes; columns: the members
-        big = width * t * t * (3.0 - 2.0 * t)
-        inside = (big > 0.0) & (big < width)
-        values = evaluate_masked(inside, integrand, big, np.broadcast_to(wp, big.shape))
-        return values.real * (6.0 * width * t * (1.0 - t))
-
     if tol is None:
         tol = _TOL_DIAGRAM * max(1.0, omega)
-    if mirror:
-        val = 2.0 * adaptive_1d(mapped, 0.0, 0.5, tol=tol / 2.0).value.real
-    else:
-        val = adaptive_1d(mapped, 0.0, 1.0, tol=tol).value.real
-    return coeff / (wp * omega) * val
+    res = integrate_segment(point, omega - wp, tol / 2.0, symmetric=mirror, extra=(wp,))
+    return coeff / (wp * omega) * res.value.real
 
 
 def _stacked(*lams) -> np.ndarray:
@@ -221,8 +201,8 @@ def diagram_g1_1(
 ):
     """Soliton-pair diagram: the only diagram computed at z >= 1/2."""
 
-    def energies(big, wp):
-        return (omega - big, big, omega - wp - big, wp + big)
+    def energies(big, rest, wp):
+        return (wp + rest, big, rest, wp + big)
 
     def formfactors(l1, l2, l3, l4):
         # the two crossed f_pm in one call, the two uncrossed in another
@@ -241,8 +221,8 @@ def diagram_g2_1(
 ):
     """Breather-1 emission interfering with a soliton pair (integer p)."""
 
-    def energies(big, wp):
-        return (omega, omega - wp - big, big, omega - big)
+    def energies(big, rest, wp):
+        return (omega, rest, big, wp + rest)
 
     def reflection(l1, l2, l3, l4):
         return r_breather(l1, 1, spec).conjugate() * soliton_pair_bracket(l3, l4, spec)
@@ -262,8 +242,8 @@ def diagram_g1_3(
 ):
     """Delta-reduced six-soliton diagram (integer p only)."""
 
-    def energies(big, wp):
-        return (big, omega - big, wp + big, omega - wp - big)
+    def energies(big, rest, wp):
+        return (big, wp + rest, wp + big, rest)
 
     def formfactors(l1, l2, l3, l4):
         s = s0(_stacked(l4 - l1, l2 - l1, l1 - l4, l3 - l4), spec)
@@ -283,8 +263,8 @@ def diagram_g3a(
 ):
     """Soliton pair + breather-1 absorbed, breather-1 emitted (integer p)."""
 
-    def energies(big, wp):
-        return (wp, big, omega - wp - big, omega)
+    def energies(big, rest, wp):
+        return (wp, big, rest, omega)
 
     def reflection(lg, l1, l2, lp):
         return (
@@ -311,8 +291,8 @@ def diagram_g4a(
 ):
     """Three breather-1 absorbed, breather-1 emitted; symmetry factor 1/2."""
 
-    def energies(big, wp):
-        return (wp, big, omega - wp - big, omega)
+    def energies(big, rest, wp):
+        return (wp, big, rest, omega)
 
     def reflection(lg, l1, l2, lp):
         return (
@@ -346,8 +326,8 @@ def diagram_g5a(
     (boundary unitarity removes the direct line's own factors).
     """
 
-    def energies(big, wp):
-        return (wp, big, omega - wp - big, wp + big)
+    def energies(big, rest, wp):
+        return (wp, big, rest, wp + big)
 
     def reflection(lg, l_blue, l_red, l_purple):
         return (

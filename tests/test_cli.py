@@ -617,8 +617,8 @@ _PINNED_STDOUT = {
     "rates --model kondo --z 0.5 --omega 1e-2..1e2:12 --format json": "664d483d4a19beba0b640515f700487a56ae29c53f52c7c0050d5a8d38143578",
     "r0 --model bsg --z 0.3333333333333333": "893169c4db5f629a055423e8e9512a9c93bd587f908cb33800b0f9f5a48d78fe",
     "r0 --model bsg --z 0.2": "db58b0c5ffff71af08b9e1d87fe95a518263f6576f859855a7003461e4749358",
-    "spectrum --model kondo --z 0.5 --omega 1 --points 10": "a6a51a98e8ea27fb5c0246efd1fadb8873c5c5a2d4f679ab13d55c6bae78c64f",
-    "spectrum --model bsg --z 0.3333333333333333 --omega 1 --points 8": "361b78316a9e028d48a6d6b441f7040ad5dc2cd3b91e1bc3585ab582b93ff327",
+    "spectrum --model kondo --z 0.5 --omega 1 --points 10": "2c34bcc1fca7b255a5ae43c56c55c460c0f5f33e41dee347449027d51fc413d6",
+    "spectrum --model bsg --z 0.3333333333333333 --omega 1 --points 8": "e65f104d73e68bdb32ad0063003057e0769d6753a5aa24c1628143df608d1f0a",
 }
 
 

@@ -511,6 +511,24 @@ class TestStackedZeta:
             assert np.array_equal(value, f_pm1(*args, spec))
 
 
+class TestSmallCoupling:
+    def test_f_pm1_is_smooth_where_its_sinh_product_overflows(self):
+        # at z = 0.05 (p - 1 = 19) f_pm1's two exchange sinh are finite at
+        # l = (-23.2, -11.6, l3), but their product overflows from l3 = 1.32
+        # on (the pair + breather set's r0 weight reaches l3 = 1.80): the
+        # form factor is divided by each in turn there, and the steps of
+        # log f_pm1 across the threshold change by 7e-10 at most
+        spec = make_model("bsg", 0.05)
+        l3 = np.linspace(1.2, 1.45, 26)
+        th = 0.5j * formfactors_mod.theta_m(1, spec)
+        with np.errstate(over="ignore", invalid="ignore"):
+            product = np.sinh(19.0 * (l3 + 23.2 + th)) * np.sinh(19.0 * (-11.6 - l3 + th))
+        assert 0 < np.count_nonzero(np.isfinite(product)) < l3.size
+        f = f_pm1(-23.2, -11.6, l3, spec)
+        steps = np.log(f[1:] / f[:-1])
+        assert np.max(np.abs(np.diff(steps))) <= 1e-8
+
+
 def _bigf_head_by_k(lam, xi, N):
     """F's Gamma-product head one k at a time: the log of the product and
     where it is an exact 0, or DomainError at a pole."""

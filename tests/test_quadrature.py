@@ -424,7 +424,7 @@ class TestEnergySimplex:
             assert np.all(e1 > 0.0) and np.all(e2 > 0.0)
             return np.ones(e1.shape, dtype=complex)
 
-        res = quadrature._corner_pair(point, np.array([1e-320, 1.0]), 1e-12)
+        res = quadrature.integrate_segment(point, np.array([1e-320, 1.0]), 1e-12)
         assert set(shapes) == {(15, 2)}
         assert any(midpoints)
         assert abs(res.value[1] - 1.0) <= 1e-12

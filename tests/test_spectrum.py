@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import bscat.quadrature as quadrature_mod
 import bscat.spectrum as spectrum_mod
 from bscat.errors import DomainError
 from bscat.formfactors import (
@@ -80,7 +81,7 @@ class TestActiveDiagrams:
         # the mass ratio of breather 1 is refused before any integration
         calls = []
         monkeypatch.setattr(
-            spectrum_mod, "adaptive_1d", lambda *a, **k: calls.append(a)
+            spectrum_mod, "integrate_segment", lambda *a, **k: calls.append(a)
         )
         with pytest.raises(DomainError, match="breather m=1 does not exist"):
             spectrum_mod._DIAGRAM_FUNCS[diagram](0.3, 1.0, make_model("bsg", z))
@@ -242,26 +243,43 @@ class TestMappedDiagramIntegrals:
         worst = max(errors, key=errors.get)
         assert errors[worst] <= 1e-9, worst
 
+    @pytest.mark.parametrize("kind", ["bsg", "kondo"])
+    def test_small_omega_prime_meets_its_bound(self, kind):
+        # at z = 1/3, omega = 1, omega' = 9.4e-4 (a row of the CLI's default
+        # grid) the unmirrored G2_1 missed a reference at 1e-4 of its
+        # tolerance by 2.0 (bsG) and 1.2 (Kondo) times its bound |coeff|
+        # tol/(omega' omega) on the smoothstep map; on the corner halves
+        # both read at most 6e-4 of it
+        spec = make_model(kind, 1.0 / 3.0)
+        omega_p = spectrum_mod.default_omega_prime_grid(1.0)[5]
+        tol = spectrum_mod._TOL_DIAGRAM
+        for diagram in (SpectrumDiagram.G2_1, SpectrumDiagram.G3A):
+            func = spectrum_mod._DIAGRAM_FUNCS[diagram]
+            error = abs(func(omega_p, 1.0, spec) - func(omega_p, 1.0, spec, 1e-4 * tol))
+            bound = abs(spectrum_mod._DIAGRAMS[diagram][0]) * tol / omega_p
+            assert error <= bound, diagram.value
+
     def test_evaluation_count_at_the_lowest_node(self, monkeypatch):
         # sqrt endpoints cost adaptive bisection toward both ends without
-        # the smoothstep map: 2220 integrand evaluations, against 780 with it
-        # on the whole interval (510 with the mirror halves, below)
+        # a corner map: 2220 integrand evaluations, against 690 with both
+        # corner halves of every diagram (480 with the mirror halves, below)
         evaluations = _count_evaluations(monkeypatch)
         spectrum_point(_GL_NODES[0], 1.0, SPEC3_BSG)
-        assert len(evaluations) == 6
+        assert len(evaluations) == 8
         assert sum(evaluations) <= 1000
 
     def test_mirrored_evaluation_count_at_the_lowest_node(self, monkeypatch):
-        # G1_1, G1_3, G3A and G4A integrate one mirror half: 510
-        # evaluations, against 780 over the whole interval
+        # G1_1, G1_3, G3A and G4A integrate one corner half and G2_1 and
+        # G5A both (two adaptive_1d calls each): 480 evaluations, against
+        # 690 with both halves of every diagram
         evaluations = _count_evaluations(monkeypatch)
         spectrum_point(_GL_NODES[0], 1.0, SPEC3_BSG)
-        assert len(evaluations) == 6
+        assert len(evaluations) == 8
         assert sum(evaluations) <= 560
 
     def test_mirrored_pair_diagram_curve_count(self, monkeypatch):
         # G1_1 on the 39-point default grid at bsG z = 1/2, omega = 1:
-        # 1125 evaluations, against 2355 over the whole interval
+        # 1005 evaluations, against 2010 with both halves
         evaluations = _count_evaluations(monkeypatch)
         spec = make_model("bsg", 0.5)
         grid = spectrum_mod.default_omega_prime_grid(1.0)
@@ -271,17 +289,25 @@ class TestMappedDiagramIntegrals:
         assert sum(evaluations) <= 1200
 
 
-def _count_evaluations(monkeypatch):
-    """The evaluations of every diagram integral from now on, in order."""
-    evaluations = []
-    real = spectrum_mod.adaptive_1d
+def _count_adaptive_1d(monkeypatch, record):
+    """Pass the result of every adaptive_1d call from now on to `record`,
+    in order: the diagrams' (through `quadrature.integrate_segment`, one
+    call per corner half) and the sum rule's omega' rule."""
+    real = quadrature_mod.adaptive_1d
 
     def counted(*args, **kwargs):
         res = real(*args, **kwargs)
-        evaluations.append(res.evaluations)
+        record(res)
         return res
 
+    monkeypatch.setattr(quadrature_mod, "adaptive_1d", counted)
     monkeypatch.setattr(spectrum_mod, "adaptive_1d", counted)
+
+
+def _count_evaluations(monkeypatch):
+    """The evaluations of every adaptive_1d call from now on, in order."""
+    evaluations = []
+    _count_adaptive_1d(monkeypatch, lambda res: evaluations.append(res.evaluations))
     return evaluations
 
 
@@ -293,27 +319,29 @@ _MIRRORED = (
 )
 
 
-def _mapped_integrand(monkeypatch, diagram, omega_p, omega, spec):
-    """The integrand in t that `diagram` hands to adaptive_1d, and the
-    interval it integrates, without integrating it."""
+def _segment_point(monkeypatch, diagram, omega_p, omega, spec):
+    """The point function that `diagram` hands to integrate_segment, as
+    a function of (e1, e2) with its extra arrays bound, the segment's width
+    and its `symmetric` flag, without integrating it."""
     seen = []
 
-    def record(f, a, b, tol):
-        seen.append((f, a, b))
+    def record(point, width, tol, symmetric=False, extra=()):
+        seen.append((point, width, symmetric, extra))
         return QuadResult(0.0, 0.0, 0)
 
-    monkeypatch.setattr(spectrum_mod, "adaptive_1d", record)
+    monkeypatch.setattr(spectrum_mod, "integrate_segment", record)
     spectrum_mod._DIAGRAM_FUNCS[diagram](omega_p, omega, spec)
     monkeypatch.undo()
-    (f, a, b), = seen
-    return f, (a, b)
+    (point, width, symmetric, extra), = seen
+    return (lambda e1, e2: point(e1, e2, *extra)), width, symmetric
 
 
-def _asymmetry(f):
-    """max |f(t) - f(1 - t)| on five nodes, relative to the largest |f|;
-    f takes the array of the nodes."""
-    t = np.array([0.01, 0.1, 0.2, 0.33, 0.45])
-    x, y = f(t), f(1.0 - t)
+def _asymmetry(point, width):
+    """max |point(e1, e2) - point(e2, e1)| on five points of the segment
+    e1 + e2 = width, relative to the largest |point|."""
+    e1 = width * np.array([0.01, 0.1, 0.2, 0.33, 0.45])
+    e2 = width - e1
+    x, y = point(e1, e2), point(e2, e1)
     scale = max(np.max(np.abs(x)), np.max(np.abs(y)))
     assert scale > 0.0
     return np.max(np.abs(x - y)) / scale
@@ -326,11 +354,11 @@ class TestMirroredDiagrams:
         zs = [0.25, 1.0 / 3.0] + ([0.5] if diagram is SpectrumDiagram.G1_1 else [])
         for z in zs:
             for omega in (1.0, 10.0):
-                f, interval = _mapped_integrand(
+                point, width, symmetric = _segment_point(
                     monkeypatch, diagram, 0.3 * omega, omega, make_model(kind, z)
                 )
-                assert interval == (0.0, 0.5)
-                assert _asymmetry(f) <= 1e-12, (z, omega)
+                assert symmetric
+                assert _asymmetry(point, width) <= 1e-12, (z, omega)
 
     @pytest.mark.parametrize("kind", ["bsg", "kondo"])
     @pytest.mark.parametrize(
@@ -339,11 +367,11 @@ class TestMirroredDiagrams:
     def test_unmirrored_integrands_are_asymmetric(self, monkeypatch, diagram, kind):
         for z in (0.25, 1.0 / 3.0):
             for omega in (1.0, 10.0):
-                f, interval = _mapped_integrand(
+                point, width, symmetric = _segment_point(
                     monkeypatch, diagram, 0.3 * omega, omega, make_model(kind, z)
                 )
-                assert interval == (0.0, 1.0)
-                assert _asymmetry(f) > 1e-3, (z, omega)
+                assert not symmetric
+                assert _asymmetry(point, width) > 1e-3, (z, omega)
 
 
 class TestFreeFermionShortCircuit:
@@ -434,10 +462,11 @@ class TestSumRule:
     def test_evaluation_count_with_the_diagram_budget(self, monkeypatch):
         # every adaptive_1d node of the sum rule at bsG z = 1/3, omega = 1,
         # tol 1e-5 (the omega' rule and the diagrams, each an outer panel's
-        # 15 omega' as one family): 345 nodes (4965 member evaluations),
-        # against 735 (10815) with every diagram at _TOL_DIAGRAM, which the
-        # bound refuses; one integral per omega' took 2325 nodes of one
-        # point each, 5265 without the budget
+        # 15 omega' as one family): 255 nodes (3615 member evaluations) on
+        # the corner halves of the segment rule, 345 (4965) on the former
+        # smoothstep map, against 735 (10815) there with every diagram at
+        # _TOL_DIAGRAM, which the bound refuses; one integral per omega'
+        # took 2325 nodes of one point each, 5265 without the budget
         spec = make_model("bsg", 1.0 / 3.0)
         bd = reflection_coefficient(1.0, spec)
         evaluations = _count_evaluations(monkeypatch)
@@ -547,20 +576,22 @@ class TestSpectrumCurve:
 
     def test_one_family_integral_per_diagram(self, monkeypatch):
         # bsG z = 1/2, omega = 1: G1_1 on the 39-point grid is one
-        # adaptive_1d call, a family of 39; the sum rule adds its omega'
-        # rule and one G1_1 family of 15 per panel of that rule
+        # adaptive_1d call (one corner half), a family of 39; the sum rule
+        # adds its omega' rule and one G1_1 family of 15 per panel of that
+        # rule.  r(omega) is computed beforehand, so that only the
+        # spectrum's integrals are counted
+        spec = make_model("bsg", 0.5)
+        bd = reflection_coefficient(1.0, spec)
+        monkeypatch.setattr(spectrum_mod, "reflection_coefficient", lambda omega, spec: bd)
         shapes, outer = [], []
-        real = spectrum_mod.adaptive_1d
 
-        def counted(f, a, b, tol):
-            res = real(f, a, b, tol)
+        def record(res):
             shapes.append(np.shape(res.value))
             if np.ndim(res.value) == 0:
                 outer.append(res.evaluations)
-            return res
 
-        monkeypatch.setattr(spectrum_mod, "adaptive_1d", counted)
-        spectrum_curve(1.0, make_model("bsg", 0.5))
+        _count_adaptive_1d(monkeypatch, record)
+        spectrum_curve(1.0, spec)
         assert shapes[0] == (39,)
         (nodes,) = outer
         assert shapes[1:] == [(15,)] * (nodes // 15) + [()]

@@ -52,17 +52,21 @@ class TestReflectionCoefficient:
             assert r <= 1.0 + bd.truncation_bound
 
     @pytest.mark.parametrize(
-        "kind, z", [("bsg", 1.0 / 3.0), ("bsg", 0.4), ("kondo", 1.0 / 3.0)]
+        "kind, z",
+        [("bsg", 1.0 / 3.0), ("bsg", 0.4), ("kondo", 1.0 / 3.0)]
+        + [(kind, z) for z in (0.05, 0.1, 0.9) for kind in ("bsg", "kondo")],
     )
     def test_r_is_bounded_by_unitarity_on_a_log_grid(self, kind, z):
         # the same bound from omega = 1e-2 to 1e2, at integer p with the
         # pair + breather set (z = 1/3) and at non-integer p (z = 0.4); |r|
-        # tends to 1 at both ends and reads 0.93-0.99 at omega = 1 and 10
+        # tends to 1 at both ends and reads 0.93-0.99 at omega = 1 and 10.
+        # The ends of the coupling range, z = 0.05, 0.1 and 0.9, are
+        # answered without a refusal or a numpy warning (at z = 0.05 f_pm1's
+        # sinh product overflowed in the "pm1" r0 weight)
         spec = make_model(kind, z)
-        for omega in np.geomspace(1e-2, 1e2, 5):
-            bd = reflection_coefficient(float(omega), spec)
+        for bd in reflection_coefficients(np.geomspace(1e-2, 1e2, 5), spec):
             r = abs(bd.total) / (1.0 - bd.truncation_bound)
-            assert r <= 1.0 + bd.truncation_bound, omega
+            assert r <= 1.0 + bd.truncation_bound, bd.omega
 
     @pytest.mark.parametrize("kind, z", [("bsg", 0.4), ("kondo", 0.6)])
     def test_kramers_kronig(self, kind, z):
@@ -70,13 +74,17 @@ class TestReflectionCoefficient:
         # Im chi(w0) = -(2 w0/pi) int_0^inf [Re chi(w) - Re chi(w0)]/(w^2 - w0^2) dw,
         # a subtracted form with no principal value.  The integral runs in
         # x = log w on [-14, 14], split at log w0; the tails hold Re chi at
-        # its end values and are integrated in closed form.  Measured: errors
-        # up to 3.6e-12 (bsG z = 0.4) and 1.6e-10 (Kondo z = 0.6)
+        # its end values and are integrated in closed form.  r(omega) is read
+        # from the grid entry, one call per call of the rule.  Measured:
+        # errors up to 1.4e-12 (bsG z = 0.4) and 1.6e-10 (Kondo z = 0.6)
         spec = make_model(kind, z)
 
+        def chis(omegas):
+            bds = reflection_coefficients(omegas, spec)
+            return np.array([bd.total / (1.0 - bd.truncation_bound) - 1.0 for bd in bds])
+
         def chi(omega):
-            bd = reflection_coefficient(omega, spec)
-            return bd.total / (1.0 - bd.truncation_bound) - 1.0
+            return chis([omega])[0]
 
         lo, hi = math.exp(-14.0), math.exp(14.0)
         for w0 in (0.1, 1.0, 10.0):
@@ -84,8 +92,7 @@ class TestReflectionCoefficient:
 
             def f(x):
                 w = np.exp(x)
-                re = np.array([chi(v).real for v in w])
-                return (re - c0.real) / (w * w - w0 * w0) * w
+                return (chis(w).real - c0.real) / (w * w - w0 * w0) * w
 
             body = sum(
                 adaptive_1d(f, a, b, tol=5e-9).value.real
