@@ -832,10 +832,10 @@ def f_pm1(l1, l2, l3, spec: ModelSpec):
     with np.errstate(over="ignore", invalid="ignore"):
         den = s31 * s23
     finite = np.isfinite(den)
-    if finite.all():
-        return num / den
     # at small z each sinh is finite where their product overflows: divide
-    # there by one, then by the other
+    # there by one, then by the other.  Keep the product wherever it is
+    # finite: dividing in turn everywhere moves the last bits of the pinned
+    # `validate --suite all` kinematic-pole row
     return np.where(finite, num / np.where(finite, den, 1.0), num / s31 / s23)[()]
 
 
