@@ -886,8 +886,8 @@ def set_integral(
     integrate_simplex's absolute scale (the integral before its
     1/((2 pi)^n n!) normalisation), so that the returned value is held to
     about tol max(1, omega)/((2 pi)^n omega), n the number of lines;
-    integrate_simplex spends half of it on the outer rule and a quarter on
-    each inner pair.  `tol` defaults to the set's own, _TOL_2D or _TOL_3D:
+    integrate_simplex holds its outer rule to it and each inner pair to
+    half of it.  `tol` defaults to the set's own, _TOL_2D or _TOL_3D:
     the r(omega) term and, at omega = 1 without `reflection`, the r0 weight
     that normalises it are held to the same tolerance.
 

@@ -224,8 +224,8 @@ def _worst_member(err) -> Tuple[str, float]:
 def evaluate_masked(mask: np.ndarray, fn: Callable[..., np.ndarray], *arrays) -> np.ndarray:
     """fn(*arrays) where `mask` holds and 0 elsewhere, fn called only on the
     masked elements (every array of mask's shape): an integrand's points
-    outside its domain, such as a corner node that rounds onto an endpoint,
-    are never evaluated."""
+    outside its domain, such as a mapped node that rounds onto an end of
+    its interval (the sum rule's omega' = omega u^2), are never evaluated."""
     if mask.all():
         return fn(*arrays)
     out = np.zeros(mask.shape, dtype=complex)
@@ -238,30 +238,30 @@ _U_HALF = 1.0 / math.sqrt(2.0)  # u at the midpoint of a corner map E = w u^2
 
 
 def integrate_segment(
-    point: Callable[..., np.ndarray],
+    point: Callable[[np.ndarray, np.ndarray], np.ndarray],
     width,
     tol: float,
     symmetric: bool = False,
-    extra: Tuple[np.ndarray, ...] = (),
 ) -> QuadResult:
-    """Integral of point(e1, e2, *extra) over the segment e1 + e2 = width,
-    for one width or, as one family, for each of an (m,) array of widths,
-    each `extra` array holding one value per member: the package's one
-    rule for a segment with sqrt(e) ends, serving the simplex of
-    `integrate_simplex` and the internal energy of the spectrum diagrams.
+    """Integral of point(e1, e2) over the segment e1 + e2 = width, for one
+    width or, as one family, for each of an (m,) array of widths, each
+    held to `tol`: the package's one rule for a segment with sqrt(e) ends,
+    serving the simplex of `integrate_simplex` and the internal energy of
+    the spectrum diagrams.
 
     The segment is split at its midpoint and each half is mapped from its
     corner with e = width * u^2, u in (0, 1/sqrt(2)]: a sqrt(e) end becomes
-    a smooth u^2.  Each half is integrated to `tol` (adaptive_1d, a family
+    a smooth u^2.  Each half is integrated to tol/2 (adaptive_1d, a family
     for an array of widths), and the result is the two halves' sum (value,
-    error estimate and evaluations).  point receives arrays of the shape of
-    the nodes (15 or 30 per call) times the widths, member k's values in
-    column k; a node where e1 or e2 rounds to 0 counts 0, point being
-    called at the segment's midpoint in its place.  With `symmetric`,
-    point(e1, e2) must equal point(e2, e1): only the left corner half is
-    integrated, and it stands for the right one as its mirror image, so the
-    value and the error estimate are twice the half's and `evaluations`
-    counts its evaluations once.
+    error estimate and evaluations).  point receives the two energies as
+    arrays of the shape of the nodes (15 or 30 per call) times the widths,
+    member k's values in column k, so that a per-member array of shape (m,)
+    that point closes over broadcasts against them; a node where e1 or e2
+    rounds to 0 counts 0, point being called at the segment's midpoint in
+    its place.  With `symmetric`, point(e1, e2) must equal point(e2, e1):
+    only the left corner half is integrated, to tol/2, and it stands for
+    the right one as its mirror image, so the value and the error estimate
+    are twice the half's and `evaluations` counts its evaluations once.
     """
     shape = (-1,) + (1,) * np.ndim(width)
 
@@ -275,14 +275,12 @@ def integrate_segment(
             if not kept:
                 mid = np.broadcast_to(0.5 * width, near.shape)
                 near, far = np.where(inside, near, mid), np.where(inside, far, mid)
-            e1, e2 = (near, far) if left else (far, near)
-            args = (e1, e2) + tuple(np.broadcast_to(x, near.shape) for x in extra)
-            values = point(*args)
+            values = point(near, far) if left else point(far, near)
             if not kept:
                 values = np.where(inside, values, 0.0)
             return values * (2.0 * width * u)
 
-        return adaptive_1d(g, 0.0, _U_HALF, tol)
+        return adaptive_1d(g, 0.0, _U_HALF, tol / 2.0)
 
     r1 = half(True)
     if symmetric:
@@ -309,25 +307,31 @@ def integrate_simplex(
     each held to `tol`, and the value and estimate are (m,) arrays.
 
     The integrand receives the energies E_1, ..., E_n as positional
-    arguments, arrays of one shape, and returns the physical integrand
-    WITHOUT the 1/E jacobian (applied internally), elementwise.  For an
-    array of totals they are (n, m) arrays, n = 15 or 30 nodes per call
-    (`adaptive_1d`), member k's energies in column k, so that a
-    per-member factor of shape (m,) broadcasts against them.
+    arguments, arrays that broadcast to one shape, and returns the physical
+    integrand WITHOUT the 1/E jacobian (applied internally), elementwise.
+    A call covers 15 or 30 nodes (`adaptive_1d`).  At n = 2, E_1 and E_2
+    are (nodes,) arrays, or (nodes, m) arrays for an array of totals,
+    member k's energies in column k, so that a per-member factor of shape
+    (m,) broadcasts against them.  At n = 3 the E_3 nodes of one call of
+    the outer rule are the k members of one inner family: E_1 and E_2 are
+    (nodes, k) arrays and E_3 is the (k,) array of the members' E_3.
     `tol` is absolute and bounds the integral BEFORE the normalisation
     1/((2 pi)^n n!): the returned value and `abs_error_estimate` are after
     it, so the estimate is held to about tol/((2 pi)^n n!) (6.7e-4 tol at
     n = 3).
     Endpoint corners are mapped with the substitution E = total * u^2, which
     renders integrands whose values vanish linearly (or as E^(1/2) per
-    soliton leg) smooth at the corners.  At n = 3 the outer integral runs
-    over E3, and the inner (E1, E2) integrals of an outer call's 15 or 30
-    E3 nodes are one adaptive_1d family in u, each member to the inner
-    tolerance.  `evaluations` counts the nodes at which the integrand is
-    evaluated, inner integrals included, a family's node once (each of its
-    calls covers 15 or 30 nodes).  `abs_error_estimate` is the outer integral's estimate; for
-    n = 3 it adds the largest inner (E1) estimate times the outer measure
-    `total`, which bounds the inner errors' sum.
+    soliton leg) smooth at the corners.  At n = 2 the segment rule runs at
+    `tol`.  At n = 3 the outer rule over E_3 runs at `tol`, and the inner
+    (E_1, E_2) integrals at its k nodes are one family, each member to
+    tol/2, on the segment E_1 + E_2 = rem, rem the remainder that the
+    outer rule formed at that node (not total - E_3 formed again, which
+    cancels where E_3 is close to total).  `evaluations` counts the nodes
+    at which the integrand is evaluated, inner integrals included, a
+    family's node once (each of its calls covers 15 or 30 nodes).
+    `abs_error_estimate` is the outer integral's estimate; for n = 3 it
+    adds the largest inner (E1) estimate times the outer measure `total`,
+    which bounds the inner errors' sum.
     `symmetric` declares the integrand symmetric under E_1 <-> E_2 (the
     caller's contract; it is not checked): the (E1, E2) segment, the whole
     integral at n = 2 and the inner one at n = 3, is then integrated on its
@@ -341,39 +345,34 @@ def integrate_simplex(
     if n_parts == 3 and np.ndim(total):
         raise DomainError("an array of totals needs n_parts = 2")
     norm = 1.0 / (TWO_PI**n_parts * math.factorial(n_parts))
-    w = total
 
     if n_parts == 2:
 
         def pair(e1, e2):
             return integrand(e1, e2) * (1.0 / (e1 * e2))
 
-        res = integrate_segment(pair, w, tol / 2.0, symmetric)
+        res = integrate_segment(pair, total, tol, symmetric)
         evaluations = res.evaluations
         inner_error = 0.0
     else:
-        # outer integral over E3, inner over E1 with E2 = total - E3 - E1
+        # outer integral over E3, inner over E1 with E2 = rem - E1
         inner_evaluations = [0]
         largest_inner_error = [0.0]
 
-        def pair(e1, e2, e3):
-            return integrand(e1, e2, e3) * (1.0 / (e1 * e2 * e3))
-
         def inner_family(e3, rem):
-            i = integrate_segment(pair, rem, tol / 4.0, symmetric, (e3,))
+            def pair(e1, e2):
+                return integrand(e1, e2, e3) * (1.0 / (e1 * e2 * e3))
+
+            i = integrate_segment(pair, rem, tol / 2.0, symmetric)
             inner_evaluations[0] += i.evaluations
             largest_inner_error[0] = max(
                 largest_inner_error[0], float(np.max(i.abs_error_estimate))
             )
             return i.value
 
-        def inner(e3, _):
-            rem = w - e3
-            return evaluate_masked(rem > 0.0, inner_family, e3, rem)
-
-        res = integrate_segment(inner, w, tol / 2.0)
+        res = integrate_segment(inner_family, total, tol)
         evaluations = inner_evaluations[0]
-        inner_error = largest_inner_error[0] * w
+        inner_error = largest_inner_error[0] * total
     return QuadResult(
         value=res.value * norm,
         abs_error_estimate=(res.abs_error_estimate + inner_error) * abs(norm),
@@ -644,19 +643,17 @@ def lookup_by_line(
     """A function of complex lambda that is evaluated per line Im lambda =
     const (a table or a family integral per line): `cached(Re, Im, *args)`
     at a number, and at an array one `on_line(Re array, Im, *args)` per
-    distinct Im lambda, whose results are scattered back elementwise."""
+    distinct Im lambda, on the 1-d array of that line's real parts, whose
+    results are scattered back elementwise (an empty array gives an empty
+    array, on_line not called)."""
     if np.ndim(lam) == 0:
         # a number keeps its memo: the benchmark's tracer (perfbench/tracer.py)
         # reports the memos' cache_info()
         lam = complex(lam)
         return cached(lam.real, lam.imag, *args)
     lam = np.asarray(lam, dtype=complex)
-    im = lam.imag
-    if lam.size and np.all(im == im.flat[0]):
-        return on_line(lam.real, float(im.flat[0]), *args)
-    lines = np.unique(im)
     out = np.full(lam.shape, complex(math.nan, math.nan))
-    for lam_i in lines:
+    for lam_i in np.unique(lam.imag):
         on = lam.imag == lam_i
         out[on] = on_line(lam.real[on], float(lam_i), *args)
     return out

@@ -135,14 +135,14 @@ def _diagram(
     z >= 1/2, `integer_p` at non-integer p.
 
     The integral is one `integrate_segment` call over E + (w - E) = w, a
-    family for an array of omega', each corner half of each member to the
-    absolute tolerance tol/2, so the diagram is held to |coeff| tol/(omega'
-    omega).  By default tol is _TOL_DIAGRAM max(1, omega), the tolerance
-    of a printed spectrum row; sum_rule_check gives each diagram a share
-    of its own.  A diagram declares `mirror` when its integrand is
-    symmetric under E -> w - E, which exchanges its lines in identical
-    pairs: the segment rule then integrates one corner half, to tol/2, and
-    doubles it.  Tests check each declared symmetry.
+    family for an array of omega', each member to the absolute tolerance
+    tol, so the diagram is held to |coeff| tol/(omega' omega).  By default
+    tol is _TOL_DIAGRAM max(1, omega), the tolerance of a printed spectrum
+    row; sum_rule_check gives each diagram a share of its own.  A diagram
+    declares `mirror` when its integrand is symmetric under E -> w - E,
+    which exchanges its lines in identical pairs: the segment rule then
+    integrates one corner half and doubles it.  Tests check each declared
+    symmetry.
 
     Re(reflection - 1) is formed as -|reflection - 1|^2 / 2 for the Kondo
     model, whose reflection factors all have unit modulus at real rapidity:
@@ -164,7 +164,7 @@ def _diagram(
     shifts = line_shifts(lines, spec)
     unimodular = spec.is_kondo
 
-    def point(big: np.ndarray, rest: np.ndarray, wp: np.ndarray) -> np.ndarray:
+    def point(big: np.ndarray, rest: np.ndarray) -> np.ndarray:
         es = np.broadcast_arrays(*energies(big, rest, wp))
         ls = [np.log(e) - shift for e, shift in zip(es, shifts)]
         delta = reflection(*ls) - 1.0
@@ -174,7 +174,7 @@ def _diagram(
 
     if tol is None:
         tol = _TOL_DIAGRAM * max(1.0, omega)
-    res = integrate_segment(point, omega - wp, tol / 2.0, symmetric=mirror, extra=(wp,))
+    res = integrate_segment(point, omega - wp, tol, symmetric=mirror)
     return coeff / (wp * omega) * res.value.real
 
 

@@ -615,8 +615,8 @@ _PINNED_STDOUT = {
     "rates --model bsg --z 0.3333333333333333 --omega 0.7": "6b50ea87c98b7a46730eb268ea804707c11a342a0c31765c9a6255f9ba2c54d1",
     "rates --model kondo --z 0.3333333333333333 --omega 0.7": "89449f97a1e8e21baeb3b55643ad3b07d66bdb91040ae1e0be07c12a4c1ee41f",
     "rates --model kondo --z 0.5 --omega 1e-2..1e2:12 --format json": "664d483d4a19beba0b640515f700487a56ae29c53f52c7c0050d5a8d38143578",
-    "r0 --model bsg --z 0.3333333333333333": "893169c4db5f629a055423e8e9512a9c93bd587f908cb33800b0f9f5a48d78fe",
-    "r0 --model bsg --z 0.2": "db58b0c5ffff71af08b9e1d87fe95a518263f6576f859855a7003461e4749358",
+    "r0 --model bsg --z 0.3333333333333333": "0d45f84da5b20725e8ff99110bb346411262b80d46b4a04ae93cb0e96ce6b615",
+    "r0 --model bsg --z 0.2": "81eb200298727642802a419f5b4840e2420232c19ea5ebd1326b8e013da6cff1",
     "spectrum --model kondo --z 0.5 --omega 1 --points 10": "2c34bcc1fca7b255a5ae43c56c55c460c0f5f33e41dee347449027d51fc413d6",
     "spectrum --model bsg --z 0.3333333333333333 --omega 1 --points 8": "e65f104d73e68bdb32ad0063003057e0769d6753a5aa24c1628143df608d1f0a",
 }

@@ -430,6 +430,47 @@ class TestEnergySimplex:
         assert abs(res.value[1] - 1.0) <= 1e-12
         assert 0.0 < res.value[0].real <= 1e-320
 
+    @pytest.mark.parametrize("symmetric", [False, True], ids=["both-halves", "mirror"])
+    def test_segment_estimate_bounds_what_it_returns(self, symmetric):
+        # log(e1) log(e2) over e1 + e2 = 1 is 2 - pi^2/6: tol bounds the
+        # returned integral, not each corner half (their sum read 1.42e-12
+        # at tol 1e-12 when each half was held to tol)
+        tol = 1e-12
+        res = quadrature.integrate_segment(
+            lambda e1, e2: np.log(e1) * np.log(e2), 1.0, tol, symmetric
+        )
+        assert res.abs_error_estimate <= tol
+        assert abs(res.value - (2.0 - math.pi**2 / 6.0)) <= tol
+
+    def test_three_part_inner_width_is_the_outer_remainder(self, monkeypatch):
+        # each inner segment E1 + E2 = rem takes as rem, bit for bit, the
+        # second energy that the outer rule formed at its E3 node: on the
+        # right corner half rem = w - E3 would be w - fl(w - near), not near
+        real = quadrature.integrate_segment
+        outer_seconds, inner_widths = [], []
+        inside = [False]
+
+        def spy(point, width, *args):
+            if inside[0]:
+                inner_widths.append(width)
+                return real(point, width, *args)
+
+            def outer_point(e3, rem):
+                outer_seconds.append(rem)
+                inside[0] = True
+                try:
+                    return point(e3, rem)
+                finally:
+                    inside[0] = False
+
+            return real(outer_point, width, *args)
+
+        monkeypatch.setattr(quadrature, "integrate_segment", spy)
+        integrate_simplex(3, 1.0, lambda e1, e2, e3: e1 * e2 * e3, tol=1e-9)
+        assert len(inner_widths) == len(outer_seconds) > 0
+        for width, rem in zip(inner_widths, outer_seconds):
+            assert np.array_equal(width, rem)
+
 
 def _exponential(x, rate):
     return np.exp(-rate * x)

@@ -12,6 +12,7 @@ from bscat.spectrum import default_omega_prime_grid
 from closed_forms import kondo_half_spectrum
 from referm import (
     conductance_finite_T,
+    loss_half,
     r_half_closed,
     spectrum_half,
 )
@@ -49,6 +50,37 @@ class TestClosedForm:
     def test_rejects_nonfinite_frequency(self, omega):
         with pytest.raises(DomainError):
             r_half_closed(omega, BSG)
+
+
+class TestLoss:
+    @pytest.mark.parametrize("model", [BSG, KONDO], ids=["bsg", "kondo"])
+    @pytest.mark.parametrize("omega", [10.0**k for k in range(-10, 5, 2)])
+    def test_against_80_digit_arithmetic(self, model, omega):
+        # 1 - |r|^2 from the closed form of r at 80 digits: at omega =
+        # 1e-10 the Kondo loss is 2e-62, so the direct form keeps 18 digits
+        # there, while in doubles it read 0 from omega = 1e-4
+        with mpmath.workdps(80):
+            w = mpmath.mpf(omega)
+            if model is BSG:
+                lam = mpmath.mpf(1) / 2
+                r = 1 - (4j * lam / w) * mpmath.log(1 - 1j * w / (2 * lam))
+            else:
+                lam = mpmath.mpf(2)
+                r = 1 - (2j * lam / (w + 1j * lam)) * mpmath.log(1 - 1j * w / (lam / 2))
+            exact = float(1 - abs(r) ** 2)
+        assert loss_half(omega, model) == pytest.approx(exact, rel=1e-12, abs=0.0)
+
+    def test_small_frequency_limits(self):
+        # bsG tends to omega^2/3 and Kondo to omega^6/45
+        omega = 1e-10
+        assert loss_half(omega, BSG) == pytest.approx(omega**2 / 3.0, rel=1e-14)
+        assert loss_half(omega, KONDO) == pytest.approx(omega**6 / 45.0, rel=1e-14)
+
+    def test_equals_the_closed_form_where_it_does_not_cancel(self):
+        for model in (BSG, KONDO):
+            for omega in (1.0, 3.0, 40.0):
+                direct = 1.0 - abs(r_half_closed(omega, model)) ** 2
+                assert loss_half(omega, model) == pytest.approx(direct, rel=1e-13)
 
 
 class TestFiniteTemperature:
@@ -158,5 +190,5 @@ class TestSpectrum:
             return omega_p * gamma * 2.0 * omega * u
 
         lhs = adaptive_1d(f, 0.0, 1.0, tol=1e-9 * omega).value.real
-        rhs = omega * (1.0 - abs(r_half_closed(omega, model)) ** 2)
+        rhs = omega * loss_half(omega, model)
         assert lhs == pytest.approx(rhs, rel=1e-6)

@@ -243,20 +243,43 @@ class TestMappedDiagramIntegrals:
         worst = max(errors, key=errors.get)
         assert errors[worst] <= 1e-9, worst
 
-    @pytest.mark.parametrize("kind", ["bsg", "kondo"])
-    def test_small_omega_prime_meets_its_bound(self, kind):
-        # at z = 1/3, omega = 1, omega' = 9.4e-4 (a row of the CLI's default
-        # grid) the unmirrored G2_1 missed a reference at 1e-4 of its
-        # tolerance by 2.0 (bsG) and 1.2 (Kondo) times its bound |coeff|
-        # tol/(omega' omega) on the smoothstep map; on the corner halves
-        # both read at most 6e-4 of it
-        spec = make_model(kind, 1.0 / 3.0)
-        omega_p = spectrum_mod.default_omega_prime_grid(1.0)[5]
-        tol = spectrum_mod._TOL_DIAGRAM
+    @pytest.mark.parametrize(
+        "kind, z, omega",
+        [
+            ("bsg", 1.0 / 3.0, 1.0),
+            ("kondo", 1.0 / 3.0, 1.0),
+            ("bsg", 0.25, 1.0),
+            ("kondo", 1.0 / 3.0, 10.0),
+            ("bsg", 0.2, 1.0),
+        ],
+        ids=["bsg", "kondo", "bsg-z0.25", "kondo-omega10", "bsg-z0.2"],
+    )
+    def test_small_omega_prime_meets_its_bound(self, kind, z, omega):
+        # every active diagram, a family over the 39 rows of the CLI's
+        # default grid, is within its bound |coeff| tol/(omega' omega) of a
+        # run at 1e-4 of its tolerance: at most 9.6e-4 of it at bsG z =
+        # 1/3, 5.8e-4 at Kondo 1/3, 6.6e-5 at bsG 1/4, 1.9e-4 at Kondo
+        # omega = 10 and 6.7e-4 at bsG 0.2.  Kondo z = 1/3 at omega = 0.1
+        # is left out: there every diagram stops after its first panel at
+        # both tolerances, which read the same values, so the check would
+        # show nothing.
+        spec = make_model(kind, z)
+        grid = np.array(spectrum_mod.default_omega_prime_grid(omega))
+        assert len(grid) == 39
+        tol = spectrum_mod._TOL_DIAGRAM * max(1.0, omega)
+        for diagram in active_diagrams(spec):
+            func = spectrum_mod._DIAGRAM_FUNCS[diagram]
+            error = np.abs(func(grid, omega, spec) - func(grid, omega, spec, 1e-4 * tol))
+            bound = abs(spectrum_mod._DIAGRAMS[diagram][0]) * tol / (grid * omega)
+            assert np.all(error <= bound), diagram.value
+        # one omega' per call, at omega' = 9.4e-4 omega (row 5), the
+        # unmirrored G2_1 missed its bound by 2.0 (bsG) and 1.2 (Kondo)
+        # times at z = 1/3, omega = 1 on the smoothstep map; on the corner
+        # halves both read at most 6e-4 of it
         for diagram in (SpectrumDiagram.G2_1, SpectrumDiagram.G3A):
             func = spectrum_mod._DIAGRAM_FUNCS[diagram]
-            error = abs(func(omega_p, 1.0, spec) - func(omega_p, 1.0, spec, 1e-4 * tol))
-            bound = abs(spectrum_mod._DIAGRAMS[diagram][0]) * tol / omega_p
+            error = abs(func(grid[5], omega, spec) - func(grid[5], omega, spec, 1e-4 * tol))
+            bound = abs(spectrum_mod._DIAGRAMS[diagram][0]) * tol / (grid[5] * omega)
             assert error <= bound, diagram.value
 
     def test_evaluation_count_at_the_lowest_node(self, monkeypatch):
@@ -320,20 +343,20 @@ _MIRRORED = (
 
 
 def _segment_point(monkeypatch, diagram, omega_p, omega, spec):
-    """The point function that `diagram` hands to integrate_segment, as
-    a function of (e1, e2) with its extra arrays bound, the segment's width
-    and its `symmetric` flag, without integrating it."""
+    """The point function of (e1, e2) that `diagram` hands to
+    integrate_segment, the segment's width and its `symmetric` flag,
+    without integrating it."""
     seen = []
 
-    def record(point, width, tol, symmetric=False, extra=()):
-        seen.append((point, width, symmetric, extra))
+    def record(point, width, tol, symmetric=False):
+        seen.append((point, width, symmetric))
         return QuadResult(0.0, 0.0, 0)
 
     monkeypatch.setattr(spectrum_mod, "integrate_segment", record)
     spectrum_mod._DIAGRAM_FUNCS[diagram](omega_p, omega, spec)
     monkeypatch.undo()
-    (point, width, symmetric, extra), = seen
-    return (lambda e1, e2: point(e1, e2, *extra)), width, symmetric
+    (call,) = seen
+    return call
 
 
 def _asymmetry(point, width):
