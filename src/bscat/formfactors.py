@@ -664,7 +664,7 @@ def _cube_bracket(xi: float) -> float:
     """[sqrt(2 sin(xi/2)) exp(-int_0^xi x dx / (2 pi sin x))]^3; the GK15
     nodes are interior, so x = 0 is never sampled."""
     integral = adaptive_1d(
-        lambda x: x / (TWO_PI * np.sin(x)), 0.0, xi, 1e-12
+        lambda x, _: x / (TWO_PI * np.sin(x)), 0.0, xi, 1e-12
     ).value.real
     return (math.sqrt(2.0 * math.sin(xi / 2.0)) * math.exp(-integral)) ** 3
 
@@ -886,21 +886,22 @@ def set_integral(
     integrate_simplex's absolute scale (the integral before its
     1/((2 pi)^n n!) normalisation), so that the returned value is held to
     about tol max(1, omega)/((2 pi)^n omega), n the number of lines;
-    integrate_simplex holds its outer rule to it and each inner pair to
-    half of it.  `tol` defaults to the set's own, _TOL_2D or _TOL_3D:
-    the r(omega) term and, at omega = 1 without `reflection`, the r0 weight
-    that normalises it are held to the same tolerance.
+    integrate_simplex holds its outer rule to it and the inner pairs of a
+    three-line set so that their errors, integrated over the outer measure
+    omega, add at most half of it.  `tol` defaults to the set's own,
+    _TOL_2D or _TOL_3D: the r(omega) term and, at omega = 1 without
+    `reflection`, the r0 weight that normalises it are held to the same
+    tolerance.
 
     A two-line set integrates an array of omega as one family on one shared
     bisection (integrate_simplex with an array of totals).  The rule runs
     at the largest member tolerance, and member k's integrand is scaled by
     the ratio of that tolerance to its own, so that the family's one
     tolerance is each member's own and the rule's split key weighs the
-    members alike; a single omega is integrated unscaled.  A three-line set
-    ("pm1") integrates each omega on its own outer rule: as one family of
-    3-part simplices it made 3.2 to 3.6 times the member evaluations and
-    was no faster (bsG z = 1/3, 5 and 12 frequencies from 0.1 to 100),
-    every member being evaluated on the nodes its hardest member needs.
+    members alike (`members`, the index of the frequencies a call of the
+    rule evaluates, picks their ratios); a single omega is integrated
+    unscaled.  A three-line set ("pm1") integrates each omega on its own
+    outer rule, whose inner pairs are one family per call of it.
 
     When the first two lines carry the same excitation (the soliton pair of
     "pm" and "pm1"), |f|^2 is symmetric under l1 <-> l2 and only one mirror
@@ -931,9 +932,9 @@ def set_integral(
     largest = np.max(scale)
     unit = scale / largest
 
-    def integrand(*energies):
+    def integrand(*energies, members):
         ls = [np.log(e) - s for e, s in zip(energies, shifts)]
-        weight = np.abs(form_factor(*ls, spec)) ** 2 / unit
+        weight = np.abs(form_factor(*ls, spec)) ** 2 / unit[members]
         return weight if reflection is None else reflection(*ls) * weight
 
     res = integrate_simplex(

@@ -17,12 +17,15 @@ both halves' 30 in one call.  The integrand returns their values, or an
 (n, m) array for a family of m integrals that share the nodes: the family
 is integrated on one shared bisection until every member meets the
 tolerance (vector-valued adaptive quadrature, as in QUADPACK, Piessens et
-al. 1983, and scipy.integrate.quad_vec).  The trade: each member is
-evaluated on the nodes of the member that needs most -- a 39-row spectrum
-family at z = 1/2 takes 15 to 105 shared nodes, up to 4,095 member
-evaluations against 585 to 2,415 for 39 separate integrals -- but a member
-evaluation is an array element, not a Python call.  A family's members
-may form an array of any shape; the panel sums contract the node axis.
+al. 1983, and scipy.integrate.quad_vec).  A member whose estimate is at
+most half the tolerance freezes, and later splits evaluate only the
+members still refined, whose indices the integrand receives: a member
+costs about its own nodes (a 39-row G1_1 family at bsG z = 1/2 makes
+1,035 member evaluations against 1,005 for 39 separate integrals, and
+1,755 when every member was evaluated on the nodes of the one that needs
+most), and a member evaluation is an array element, not a Python call.
+A family's members may form an array of any shape; the panel sums
+contract the node axis.
 `integrate_segment` is the one rule for a segment e1 + e2 = width with
 sqrt ends (each half mapped from its corner, e = width u^2), for one width
 or a family of them; the simplex and the spectrum diagrams both integrate
@@ -98,10 +101,11 @@ _ROUNDOFF_WIDTH = 200.0 * np.finfo(float).eps
 @dataclass(frozen=True)
 class QuadResult:
     """An integral's value, its absolute error estimate and the number of
-    nodes at which its integrand was evaluated: the engine's sums as they
-    come, scalars for one integral.  For a family of m integrals value and
-    estimate are (m,) arrays, and a node counts once: its evaluation yields
-    m member values, so the member evaluations are `evaluations` times m."""
+    integrand evaluations it took: the engine's sums as they come, scalars
+    for one integral.  For a family of m integrals value and estimate are
+    (m,) arrays; `adaptive_1d` and the rules built on it count one
+    evaluation per member and node, `integrate_semi_infinite`, whose
+    members share one tabulated kernel, one per node."""
 
     value: complex
     abs_error_estimate: float
@@ -114,43 +118,60 @@ def _panel(a: float, b: float):
     return h, 0.5 * (a + b) + h * _T15
 
 
-def _gk15(values, h: float):
+def _gk15(columns, h: float):
     """One Gauss-Kronrod 7-15 panel of half-width h from its integrand
-    values at the 15 nodes of `_panel`, a (15,) array or (15,) + members
-    for a family whose members form an array of any shape.  Returns (K15,
-    |K15 - G7|), each of the members' shape (() for one integral)."""
-    # contract the node axis whatever the members' shape, one column per member
-    columns = values.reshape(15, -1)
-    members = values.shape[1:]
-    resk = h * (_WK15 @ columns).reshape(members)
-    resg = h * (_WG15 @ columns).reshape(members)
+    values at the 15 nodes of `_panel`, a (15, k) array with one column
+    per member.  Returns (K15, |K15 - G7|), each a (k,) array."""
+    resk = h * (_WK15 @ columns)
+    resg = h * (_WG15 @ columns)
     return resk, np.abs(resk - resg)
 
 
+def _merged(kept: np.ndarray, members, refined: np.ndarray) -> np.ndarray:
+    """A copy of the member array `kept` with its `members` set to
+    `refined`, in the dtype that holds both."""
+    out = kept.astype(np.result_type(kept, refined))
+    out[members] = refined
+    return out
+
+
 def adaptive_1d(
-    integrand: Callable[[np.ndarray], np.ndarray],
+    integrand: Callable[[np.ndarray, object], np.ndarray],
     a: float,
     b: float,
     tol: float,
 ) -> QuadResult:
     """Adaptive G7/K15 bisection of one integral, or of a family of m
-    integrals on one shared bisection, each to the absolute tolerance `tol`.
-
-    The integrand takes a 1-D array of nodes, 15 per GK15 panel, and
-    returns their values, (n,) for one integral or (n, m) for a family of
-    m, or (n, a, b) for a family whose members form an (a, b) array
+    integrals on one shared bisection, each to the absolute tolerance `tol`
     (vector-valued adaptive quadrature, as in QUADPACK, Piessens et al.
-    1983, and scipy.integrate.quad_vec); n is 15 on the first call and 30
-    on each split, the two halves' nodes in one call, the left half's 15
-    first.  Each panel's K15 and G7 sums are taken from its own 15 rows
-    (`_gk15`), so a panel's sums do not depend on which call evaluated it.
-    The rule stops once every member's summed estimate meets `tol`, and
-    splits next the interval with the largest sum of its members'
-    estimates, ties broken by left endpoint; the final sum is accumulated
-    in interval order, so identical calls are bit-identical.  A family
-    costs every member the nodes of the one that needs most, but one
-    integrand call per split for all m: the trade pays where an evaluation
-    is an array element instead of a Python call.
+    1983, and scipy.integrate.quad_vec, minus the evaluations that no
+    member needs).
+
+    integrand(x, members) takes a 1-D array of nodes, 15 per GK15 panel
+    (15 on the first call and 30 on each split, the two halves' nodes in
+    one call, the left half's 15 first), and the members it is asked for:
+    `...` while every member is refined, always so for one integral, and
+    otherwise the ascending int array of the (flat) indices of the members
+    still refined.  It returns their values: (n,) for one integral, (n, m)
+    for a family of m, or (n, a, b) for a family whose members form an
+    (a, b) array, refined over its flattened members; (n, k) for an array
+    of k members.  Each panel's K15 and G7 sums are taken from its own 15
+    rows (`_gk15`), so a panel's sums do not depend on which call
+    evaluated it.
+
+    A member freezes once its summed estimate is at most tol/2: a split
+    then evaluates only the members still refined, and a frozen member
+    keeps the panel it had, its value and estimate passing to the left
+    half and 0 to the right one.  The rule stops once every member's
+    summed estimate meets `tol`, and splits next the interval with the
+    largest sum of its refined members' estimates, ties broken by left
+    endpoint (an interval whose key a freeze lowered is re-keyed when it is
+    popped); the final sum is accumulated in interval order, so identical
+    calls are bit-identical.  A member thus costs about its own nodes, and
+    a split one integrand call for all the members it refines.  The margin
+    of tol/2 keeps a frozen member's estimate a bound where its own rule,
+    stopped at tol, would miss it (a 39-row spectrum family at bsG
+    z = 1/4).  `evaluations` counts nodes times members evaluated there.
 
     An interval too narrow to split (QUADPACK's roundoff test: about 200 ulp
     of its endpoints wide) holds a singularity the rule cannot resolve: the
@@ -162,33 +183,51 @@ def adaptive_1d(
     if not (a < b):
         raise DomainError(f"need a < b, got [{a}, {b}]")
     h, nodes = _panel(a, b)
-    val, err = _gk15(np.asarray(integrand(nodes)), h)
-    # heap entries: (-key, a, b, value, err); tuple comparison falls through
-    # to `a` for ties, which is deterministic.
+    first = np.asarray(integrand(nodes, ...))
+    shape = first.shape[1:]
+    val, err = _gk15(first.reshape(15, -1), h)
+    members, refined = ..., val.size
+    # heap entries: (-key, a, b, value, err), value and err over all
+    # members; tuple comparison falls through to `a` for ties, which is
+    # deterministic.
     heap = [(-float(np.sum(err)), a, b, val, err)]
-    total_err = err
-    nevals = 15
+    total_err = err.copy()
+    nevals = 15 * refined
     while np.any(total_err > tol) and len(heap) < _MAX_INTERVALS:
-        _, ia, ib, ival, ierr = heapq.heappop(heap)
+        # a NaN estimate never freezes
+        frozen = total_err <= 0.5 * tol
+        if frozen.any():
+            members = np.flatnonzero(~frozen)
+            refined = members.size
+        key, ia, ib, ival, ierr = heapq.heappop(heap)
+        live = -float(np.sum(ierr[members]))
+        if live > key:
+            # a member of this interval froze since it was pushed
+            heapq.heappush(heap, (live, ia, ib, ival, ierr))
+            continue
         mid = 0.5 * (ia + ib)
         if mid <= ia or mid >= ib or ib - ia <= _ROUNDOFF_WIDTH * max(abs(ia), abs(ib)):
             intervals = sorted(heap + [(0.0, ia, ib, ival, ierr)], key=lambda t: t[1])
-            member, _ = _worst_member(total_err)
+            member, _ = _worst_member(total_err.reshape(shape))
             raise ToleranceNotMet(
                 f"adaptive_1d: {member}cannot split [{ia!r}, {ib!r}] to meet tol {tol:.3e}",
-                value=sum(t[3] for t in intervals),
-                abs_error_estimate=np.full(np.shape(total_err), math.inf)[()],
+                value=sum(t[3] for t in intervals).reshape(shape)[()],
+                abs_error_estimate=np.full(shape, math.inf)[()],
             )
-        total_err = total_err - ierr
         h1, left = _panel(ia, mid)
         h2, right = _panel(mid, ib)
-        values = np.asarray(integrand(np.concatenate([left, right])))
+        values = np.asarray(integrand(np.concatenate([left, right]), members))
+        values = values.reshape(30, -1)
         v1, e1 = _gk15(values[:15], h1)
         v2, e2 = _gk15(values[15:], h2)
-        nevals += 30
-        heapq.heappush(heap, (-float(np.sum(e1)), ia, mid, v1, e1))
-        heapq.heappush(heap, (-float(np.sum(e2)), mid, ib, v2, e2))
-        total_err = total_err + e1 + e2
+        nevals += 30 * refined
+        total_err[members] = total_err[members] - ierr[members] + e1 + e2
+        if members is not ...:
+            v1, e1 = _merged(ival, members, v1), _merged(ierr, members, e1)
+            v2 = _merged(np.zeros_like(ival), members, v2)
+            e2 = _merged(np.zeros_like(ierr), members, e2)
+        heapq.heappush(heap, (-float(np.sum(e1[members])), ia, mid, v1, e1))
+        heapq.heappush(heap, (-float(np.sum(e2[members])), mid, ib, v2, e2))
     # deterministic accumulation: sort by left endpoint
     intervals = sorted(heap, key=lambda t: t[1])
     value = 0.0 + 0.0j
@@ -196,6 +235,7 @@ def adaptive_1d(
     for _, _, _, ival, ierr in intervals:
         value = value + ival
         total_err = total_err + ierr
+    value, total_err = value.reshape(shape)[()], total_err.reshape(shape)[()]
     # slack for a few ulp of re-summation; a NaN estimate fails too
     if not np.all(total_err <= tol * (1.0 + 1e-6)):
         member, worst_err = _worst_member(total_err)
@@ -238,47 +278,52 @@ _U_HALF = 1.0 / math.sqrt(2.0)  # u at the midpoint of a corner map E = w u^2
 
 
 def integrate_segment(
-    point: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    point: Callable[[np.ndarray, np.ndarray, object], np.ndarray],
     width,
     tol: float,
     symmetric: bool = False,
 ) -> QuadResult:
-    """Integral of point(e1, e2) over the segment e1 + e2 = width, for one
-    width or, as one family, for each of an (m,) array of widths, each
-    held to `tol`: the package's one rule for a segment with sqrt(e) ends,
-    serving the simplex of `integrate_simplex` and the internal energy of
-    the spectrum diagrams.
+    """Integral of point(e1, e2, members) over the segment e1 + e2 = width,
+    for one width or, as one family, for each of an (m,) array of widths,
+    each held to `tol`: the package's one rule for a segment with sqrt(e)
+    ends, serving the simplex of `integrate_simplex` and the internal
+    energy of the spectrum diagrams.
 
     The segment is split at its midpoint and each half is mapped from its
     corner with e = width * u^2, u in (0, 1/sqrt(2)]: a sqrt(e) end becomes
     a smooth u^2.  Each half is integrated to tol/2 (adaptive_1d, a family
     for an array of widths), and the result is the two halves' sum (value,
     error estimate and evaluations).  point receives the two energies as
-    arrays of the shape of the nodes (15 or 30 per call) times the widths,
-    member k's values in column k, so that a per-member array of shape (m,)
-    that point closes over broadcasts against them; a node where e1 or e2
-    rounds to 0 counts 0, point being called at the segment's midpoint in
-    its place.  With `symmetric`, point(e1, e2) must equal point(e2, e1):
-    only the left corner half is integrated, to tol/2, and it stands for
-    the right one as its mirror image, so the value and the error estimate
-    are twice the half's and `evaluations` counts its evaluations once.
+    arrays of the shape of the nodes (15 or 30 per call) times the widths
+    it is asked for, and `members`, adaptive_1d's index of those widths
+    (`...` for all of them): member k's values in column k, so that a
+    per-member array of shape (m,) that point closes over, indexed by
+    `members`, broadcasts against them.  A node where e1 or e2 rounds to 0
+    counts 0, point being called at the segment's midpoint in its place.
+    With `symmetric`, point(e1, e2, members) must equal point(e2, e1,
+    members): only the left corner half is integrated, to tol/2, and it
+    stands for the right one as its mirror image, so the value and the
+    error estimate are twice the half's and `evaluations` counts its
+    evaluations once.
     """
-    shape = (-1,) + (1,) * np.ndim(width)
+    width = np.asarray(width, dtype=float)
+    shape = (-1,) + (1,) * width.ndim
 
     def half(left: bool) -> QuadResult:
-        def g(u):
+        def g(u, members):
+            w = width[members]
             u = u.reshape(shape)
-            near = width * u * u
-            far = width - near
+            near = w * u * u
+            far = w - near
             inside = (near > 0.0) & (far > 0.0)
             kept = inside.all()
             if not kept:
-                mid = np.broadcast_to(0.5 * width, near.shape)
+                mid = np.broadcast_to(0.5 * w, near.shape)
                 near, far = np.where(inside, near, mid), np.where(inside, far, mid)
-            values = point(near, far) if left else point(far, near)
+            values = point(near, far, members) if left else point(far, near, members)
             if not kept:
                 values = np.where(inside, values, 0.0)
-            return values * (2.0 * width * u)
+            return values * (2.0 * w * u)
 
         return adaptive_1d(g, 0.0, _U_HALF, tol / 2.0)
 
@@ -307,14 +352,17 @@ def integrate_simplex(
     each held to `tol`, and the value and estimate are (m,) arrays.
 
     The integrand receives the energies E_1, ..., E_n as positional
-    arguments, arrays that broadcast to one shape, and returns the physical
-    integrand WITHOUT the 1/E jacobian (applied internally), elementwise.
-    A call covers 15 or 30 nodes (`adaptive_1d`).  At n = 2, E_1 and E_2
-    are (nodes,) arrays, or (nodes, m) arrays for an array of totals,
-    member k's energies in column k, so that a per-member factor of shape
-    (m,) broadcasts against them.  At n = 3 the E_3 nodes of one call of
-    the outer rule are the k members of one inner family: E_1 and E_2 are
-    (nodes, k) arrays and E_3 is the (k,) array of the members' E_3.
+    arguments, arrays that broadcast to one shape, and the keyword
+    `members`, the index of the totals they belong to (`...` for all of
+    them, always so for one total), and returns the physical integrand
+    WITHOUT the 1/E jacobian (applied internally), elementwise.  A call
+    covers 15 or 30 nodes (`adaptive_1d`).  At n = 2, E_1 and E_2 are
+    (nodes,) arrays, or (nodes, k) arrays for an array of totals, the k
+    totals that `members` indexes, one per column, so that a per-total
+    factor of shape (m,), indexed by `members`, broadcasts against them.
+    At n = 3 the E_3 nodes of one call of the outer rule are the members
+    of one inner family: E_1 and E_2 are (nodes, k) arrays and E_3 is the
+    (k,) array of the E_3 of the inner members still refined.
     `tol` is absolute and bounds the integral BEFORE the normalisation
     1/((2 pi)^n n!): the returned value and `abs_error_estimate` are after
     it, so the estimate is held to about tol/((2 pi)^n n!) (6.7e-4 tol at
@@ -324,11 +372,12 @@ def integrate_simplex(
     soliton leg) smooth at the corners.  At n = 2 the segment rule runs at
     `tol`.  At n = 3 the outer rule over E_3 runs at `tol`, and the inner
     (E_1, E_2) integrals at its k nodes are one family, each member to
-    tol/2, on the segment E_1 + E_2 = rem, rem the remainder that the
-    outer rule formed at that node (not total - E_3 formed again, which
-    cancels where E_3 is close to total).  `evaluations` counts the nodes
-    at which the integrand is evaluated, inner integrals included, a
-    family's node once (each of its calls covers 15 or 30 nodes).
+    tol/(2 max(1, total)), so that their errors, integrated over the outer
+    measure `total`, add at most tol/2; each is on the segment E_1 + E_2 =
+    rem, rem the remainder that the outer rule formed at that node (not
+    total - E_3 formed again, which cancels where E_3 is close to total).
+    `evaluations` counts the points at which the integrand is evaluated,
+    inner integrals included, one per node and member (`adaptive_1d`).
     `abs_error_estimate` is the outer integral's estimate; for n = 3 it
     adds the largest inner (E1) estimate times the outer measure `total`,
     which bounds the inner errors' sum.
@@ -348,8 +397,8 @@ def integrate_simplex(
 
     if n_parts == 2:
 
-        def pair(e1, e2):
-            return integrand(e1, e2) * (1.0 / (e1 * e2))
+        def pair(e1, e2, members):
+            return integrand(e1, e2, members=members) * (1.0 / (e1 * e2))
 
         res = integrate_segment(pair, total, tol, symmetric)
         evaluations = res.evaluations
@@ -359,11 +408,12 @@ def integrate_simplex(
         inner_evaluations = [0]
         largest_inner_error = [0.0]
 
-        def inner_family(e3, rem):
-            def pair(e1, e2):
-                return integrand(e1, e2, e3) * (1.0 / (e1 * e2 * e3))
+        def inner_family(e3, rem, _):
+            def pair(e1, e2, inner):
+                e = e3[inner]
+                return integrand(e1, e2, e, members=...) * (1.0 / (e1 * e2 * e))
 
-            i = integrate_segment(pair, rem, tol / 2.0, symmetric)
+            i = integrate_segment(pair, rem, tol / (2.0 * max(1.0, total)), symmetric)
             inner_evaluations[0] += i.evaluations
             largest_inner_error[0] = max(
                 largest_inner_error[0], float(np.max(i.abs_error_estimate))

@@ -25,8 +25,9 @@ factor and form factor elementwise, and the bisection goes on until every
 omega' meets the tolerance.  `spectrum_curve` makes one family per active
 diagram over its whole grid, `sum_rule_check` one per diagram for each
 call of its omega' rule (15 or 30 omega'), and `spectrum_point` at a single
-omega' a family of one.  Each member pays for the nodes of the one that
-needs most (see `quadrature`), and gains a call shared with all.
+omega' a family of one.  An omega' that has met its tolerance leaves the
+family's array (see `quadrature`), so a member costs about its own nodes
+and shares each call of the rule with the members still refined.
 
 Where a diagram reads one kernel several times, the arguments are stacked
 into one call (`_stacked`): G1_1 and G1_3 make one f_pm call for their two
@@ -164,8 +165,8 @@ def _diagram(
     shifts = line_shifts(lines, spec)
     unimodular = spec.is_kondo
 
-    def point(big: np.ndarray, rest: np.ndarray) -> np.ndarray:
-        es = np.broadcast_arrays(*energies(big, rest, wp))
+    def point(big: np.ndarray, rest: np.ndarray, members) -> np.ndarray:
+        es = np.broadcast_arrays(*energies(big, rest, wp[members]))
         ls = [np.log(e) - shift for e, shift in zip(es, shifts)]
         delta = reflection(*ls) - 1.0
         rpart = -0.5 * np.abs(delta) ** 2 if unimodular else delta.real
@@ -416,7 +417,7 @@ def sum_rule_check(
         g = spectrum_point(omega_p, omega, spec, diagram_tol)
         return omega_p * g * 2.0 * omega * u
 
-    def f(u: np.ndarray) -> np.ndarray:
+    def f(u: np.ndarray, _) -> np.ndarray:
         omega_p = omega * u * u
         return evaluate_masked((omega_p > 0.0) & (omega_p < omega), energy, omega_p, u)
 

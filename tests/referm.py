@@ -7,7 +7,8 @@ conductance integral, and a one-dimensional integral for the energy-resolved
 spectrum.  These are computed here independently of the form-factor pipeline
 and serve as cross-checks for it.  Frequencies in units of T_B = 1.
 Every integrand here takes the 1-D array of nodes an adaptive_1d call
-passes, 15 per GK15 panel.  The boundary sine-Gordon spectrum's integrand
+passes, 15 per GK15 panel, and the member index it passes, which one
+integral ignores.  The boundary sine-Gordon spectrum's integrand
 is written so that it does not cancel as omega -> 0 (`spectrum_half`).
 """
 
@@ -141,13 +142,13 @@ def conductance_finite_T(
 
     if temperature == 0.0:
         # tanh weights become step functions selecting 0 < Omega < omega
-        def f0(x: np.ndarray) -> np.ndarray:
+        def f0(x: np.ndarray, _) -> np.ndarray:
             return _kernel(omega, x, model) - 1.0
 
         val = adaptive_1d(f0, 0.0, omega, tol=1e-13).value
         return 1.0 + val / omega
 
-    def f(x: np.ndarray) -> np.ndarray:
+    def f(x: np.ndarray, _) -> np.ndarray:
         w = np.tanh(x / (2.0 * temperature)) + np.tanh(
             (omega - x) / (2.0 * temperature)
         )
@@ -176,7 +177,7 @@ def spectrum_half(omega_p: float, omega: float, model: ModelKind) -> float:
         # omega -> 0 (it read -0.0 at omega = 1e-8, omega_p = 1e-3 omega)
         g = 2j * _lambda_cut(model)
 
-        def f(x: np.ndarray) -> np.ndarray:
+        def f(x: np.ndarray, _) -> np.ndarray:
             y = omega - omega_p - 2.0 * x
             num = g * g * (y * y + omega_p * omega_p) - g * omega * omega_p * y
             den = (x + g) * (omega - x + g) * (x + omega_p - omega + g) * (g - x - omega_p)
@@ -187,7 +188,7 @@ def spectrum_half(omega_p: float, omega: float, model: ModelKind) -> float:
         # cos(Phi) - 1 cancels; -2 s^2/(1 + s^2) with s = tan(Phi/2) does not
         a = _lambda_cut(model) / 2.0
 
-        def f(x: np.ndarray) -> np.ndarray:
+        def f(x: np.ndarray, _) -> np.ndarray:
             p = x * (x + omega_p) + a * a
             q = (omega - x) * (omega - x - omega_p) + a * a
             s = a * omega_p * omega * (omega - omega_p - 2.0 * x)

@@ -612,13 +612,13 @@ class TestValidate:
 # and records the moved output
 _PINNED_STDOUT = {
     "validate --suite all": "2533ac0bce8a9dda94dd3af20bc0d116dddebaef9e8184d859c7d63d1e8fc411",
-    "rates --model bsg --z 0.3333333333333333 --omega 0.7": "6b50ea87c98b7a46730eb268ea804707c11a342a0c31765c9a6255f9ba2c54d1",
-    "rates --model kondo --z 0.3333333333333333 --omega 0.7": "89449f97a1e8e21baeb3b55643ad3b07d66bdb91040ae1e0be07c12a4c1ee41f",
-    "rates --model kondo --z 0.5 --omega 1e-2..1e2:12 --format json": "664d483d4a19beba0b640515f700487a56ae29c53f52c7c0050d5a8d38143578",
-    "r0 --model bsg --z 0.3333333333333333": "0d45f84da5b20725e8ff99110bb346411262b80d46b4a04ae93cb0e96ce6b615",
-    "r0 --model bsg --z 0.2": "81eb200298727642802a419f5b4840e2420232c19ea5ebd1326b8e013da6cff1",
+    "rates --model bsg --z 0.3333333333333333 --omega 0.7": "42728c9fd104542bec67ad2442c687e3e63fe6c51c8e8e5a28b88a7b3fec25bc",
+    "rates --model kondo --z 0.3333333333333333 --omega 0.7": "ca896d8bd125fa302cb42f1fd52d925e4f9339b75279ece002d796a6d006abde",
+    "rates --model kondo --z 0.5 --omega 1e-2..1e2:12 --format json": "a453cdddb20f33e935b7560b9d05571536eb2041d0d819335edded1f0141e294",
+    "r0 --model bsg --z 0.3333333333333333": "a751a3fa954b750cda9eb094735797d18f17a3c986e069b8abcf86b2e3cea500",
+    "r0 --model bsg --z 0.2": "58b012c8c7e5bd9b5ccf416b0132c0665b69bd48286b9812512ae522c658f470",
     "spectrum --model kondo --z 0.5 --omega 1 --points 10": "2c34bcc1fca7b255a5ae43c56c55c460c0f5f33e41dee347449027d51fc413d6",
-    "spectrum --model bsg --z 0.3333333333333333 --omega 1 --points 8": "e65f104d73e68bdb32ad0063003057e0769d6753a5aa24c1628143df608d1f0a",
+    "spectrum --model bsg --z 0.3333333333333333 --omega 1 --points 8": "3da84f81242031349c0398109fee08d9528fbb7a1784e54d9debdf2596f47ee5",
 }
 
 

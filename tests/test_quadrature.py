@@ -23,28 +23,28 @@ from bscat.model import make_model
 class TestAdaptive1D:
     # integrands take a 1-D array of nodes, 15 per GK15 panel
     def test_polynomial_exact(self):
-        res = adaptive_1d(lambda x: x * x, 0.0, 1.0, tol=1e-12)
+        res = adaptive_1d(lambda x, _: x * x, 0.0, 1.0, tol=1e-12)
         assert res.value.real == pytest.approx(1.0 / 3.0, abs=1e-13)
         assert res.abs_error_estimate <= 1e-12
 
     def test_oscillatory(self):
-        res = adaptive_1d(lambda x: np.cos(101.0 * x), 0.0, 10.0, tol=1e-10)
+        res = adaptive_1d(lambda x, _: np.cos(101.0 * x), 0.0, 10.0, tol=1e-10)
         assert res.value.real == pytest.approx(math.sin(1010.0) / 101.0, abs=1e-10)
 
     def test_complex_integrand(self):
-        res = adaptive_1d(lambda x: x - 1j * x, 0.0, 2.0, tol=1e-12)
+        res = adaptive_1d(lambda x, _: x - 1j * x, 0.0, 2.0, tol=1e-12)
         assert res.value == pytest.approx(complex(2.0, -2.0), abs=1e-12)
 
     def test_invalid_interval(self):
         with pytest.raises(DomainError):
-            adaptive_1d(lambda x: x, 1.0, 1.0, tol=1e-8)
+            adaptive_1d(lambda x, _: x, 1.0, 1.0, tol=1e-8)
 
     def test_tolerance_not_met_carries_best_value(self, monkeypatch):
         # |x|^(-1/2)-type endpoint spikes defeat the interval budget
         monkeypatch.setattr(quadrature, "_MAX_INTERVALS", 8)
         with pytest.raises(ToleranceNotMet) as exc:
             adaptive_1d(
-                lambda x: np.where(x > 0, 1.0 / np.sqrt(x), 0.0), 0.0, 1.0, tol=1e-15
+                lambda x, _: np.where(x > 0, 1.0 / np.sqrt(x), 0.0), 0.0, 1.0, tol=1e-15
             )
         assert exc.value.value is not None
         assert exc.value.abs_error_estimate > 1e-15
@@ -58,18 +58,18 @@ class TestAdaptive1D:
         c = 1.0 / math.pi
         exact = 10.0 * (c**0.1 + (1.0 - c) ** 0.1)
         with pytest.raises(ToleranceNotMet) as exc:
-            adaptive_1d(lambda x: _spike(x, c), 0.0, 1.0, tol=1e-6)
+            adaptive_1d(lambda x, _: _spike(x, c), 0.0, 1.0, tol=1e-6)
         assert exc.value.abs_error_estimate > 1e-6
         assert abs(exc.value.value - exact) > 1e-6
         assert exc.value.abs_error_estimate >= abs(exc.value.value - exact)
 
     def test_nan_integrand_is_an_error(self):
         with pytest.raises(ToleranceNotMet) as exc:
-            adaptive_1d(lambda x: np.full_like(x, math.nan), 0.0, 1.0, tol=1e-10)
+            adaptive_1d(lambda x, _: np.full_like(x, math.nan), 0.0, 1.0, tol=1e-10)
         assert math.isnan(exc.value.abs_error_estimate)
 
     def test_deterministic(self):
-        def f(x):
+        def f(x, _):
             return np.sin(7.0 * x) / (1.0 + x * x)
 
         r1 = adaptive_1d(f, 0.0, 5.0, tol=1e-11)
@@ -86,40 +86,65 @@ class TestAdaptive1D:
     )
     @settings(max_examples=30, deadline=None)
     def test_linearity_on_polynomials(self, a, b, c0, c1):
-        res = adaptive_1d(lambda x: c0 + c1 * x, a, b, tol=1e-10)
+        res = adaptive_1d(lambda x, _: c0 + c1 * x, a, b, tol=1e-10)
         exact = c0 * (b - a) + 0.5 * c1 * (b * b - a * a)
         assert res.value.real == pytest.approx(exact, abs=1e-9)
 
 
+def _asked(f):
+    """f(x), a function of the nodes that returns every member's values, as
+    an adaptive_1d integrand: the columns of the members it is asked for."""
+
+    def integrand(x, members):
+        values = np.asarray(f(x))
+        if members is ...:
+            return values
+        return np.ascontiguousarray(values.reshape(len(x), -1)[:, members])
+
+    return integrand
+
+
 def _one_panel_per_call(f, a, b, tol):
     """The bisection of adaptive_1d with the integrand called once per
-    panel, on that panel's 15 nodes: (value, estimate, evaluations, the
-    number of splits)."""
+    panel, on that panel's 15 nodes and every member, the next split found
+    by scanning every interval: (value, estimate, evaluations, the number
+    of splits).  A member freezes once its summed estimate is at most
+    tol/2; it then keeps its panel on the left half and 0 on the right,
+    and the keys count only the members still refined."""
     t, wk, wg = quadrature._T15, quadrature._WK15, quadrature._WG15
 
-    def panel(lo, hi):
+    def panel(lo, hi, live=slice(None)):
+        # the sums of the members refined only, C-ordered as _asked
+        # returns them: a matrix product's column can differ in its last
+        # bit with the number of columns and with their layout
         h = 0.5 * (hi - lo)
-        values = np.asarray(f(0.5 * (lo + hi) + h * t))
-        columns = values.reshape(15, -1)
-        resk = h * (wk @ columns).reshape(values.shape[1:])
-        return resk, np.abs(resk - h * (wg @ columns).reshape(values.shape[1:]))
+        columns = np.asarray(f(0.5 * (lo + hi) + h * t)).reshape(15, -1)
+        columns = np.ascontiguousarray(columns[:, live])
+        resk = h * (wk @ columns)
+        return resk, np.abs(resk - h * (wg @ columns))
 
     val, err = panel(a, b)
-    heap = [(-float(np.sum(err)), a, b, val, err)]
-    total_err, splits = err, 0
+    shape = np.shape(f(np.zeros(15)))[1:]
+    intervals = [(a, b, val, err)]
+    total_err, splits, evaluations = err, 0, 15 * err.size
     while np.any(total_err > tol):
-        _, lo, hi, _, ierr = heapq.heappop(heap)
+        live = ~(total_err <= 0.5 * tol)
+        k = max(range(len(intervals)), key=lambda j: (np.sum(intervals[j][3][live]), -intervals[j][0]))
+        lo, hi, ival, ierr = intervals.pop(k)
         mid = 0.5 * (lo + hi)
-        total_err = total_err - ierr
-        (v1, e1), (v2, e2) = panel(lo, mid), panel(mid, hi)
-        heapq.heappush(heap, (-float(np.sum(e1)), lo, mid, v1, e1))
-        heapq.heappush(heap, (-float(np.sum(e2)), mid, hi, v2, e2))
-        total_err = total_err + e1 + e2
+        left, right = panel(lo, mid, live), panel(mid, hi, live)
+        total_err = total_err.copy()
+        total_err[live] = total_err[live] - ierr[live] + left[1] + right[1]
+        v1, e1 = ival.astype(complex), ierr.copy()
+        v2, e2 = np.zeros_like(v1), np.zeros_like(e1)
+        (v1[live], e1[live]), (v2[live], e2[live]) = left, right
+        intervals += [(lo, mid, v1, e1), (mid, hi, v2, e2)]
         splits += 1
+        evaluations += 30 * int(np.count_nonzero(live))
     value, total_err = 0.0 + 0.0j, 0.0
-    for _, _, _, ival, ierr in sorted(heap, key=lambda entry: entry[1]):
+    for _, _, ival, ierr in sorted(intervals, key=lambda entry: entry[0]):
         value, total_err = value + ival, total_err + ierr
-    return value, total_err, 15 + 30 * splits, splits
+    return value.reshape(shape)[()], total_err.reshape(shape)[()], evaluations, splits
 
 
 class TestBothHalvesInOneCall:
@@ -140,9 +165,9 @@ class TestBothHalvesInOneCall:
     def test_bit_identical_to_one_panel_per_call(self, f, a, b, tol):
         calls = []
 
-        def counted(x):
+        def counted(x, members):
             calls.append(x.shape)
-            return f(x)
+            return _asked(f)(x, members)
 
         res = adaptive_1d(counted, a, b, tol)
         value, estimate, evaluations, splits = _one_panel_per_call(f, a, b, tol)
@@ -157,7 +182,7 @@ class TestBothHalvesInOneCall:
     def test_a_split_passes_the_left_half_first(self):
         nodes = []
 
-        def f(x):
+        def f(x, _):
             nodes.append(x.copy())
             return np.sqrt(x)
 
@@ -174,24 +199,29 @@ def _spike(x, c):
 
 
 class TestFamily:
-    """m integrals on one shared bisection: the integrand returns (15, m)."""
+    """m integrals on one shared bisection: the integrand returns (15, m),
+    or (n, k) for the k members it is asked for once some have frozen."""
 
     ks = np.array([1.0, 5.0, 101.0])
 
-    def family(self, x):
-        return np.cos(np.multiply.outer(x, self.ks))
+    def family(self, x, members):
+        return _asked(lambda y: np.cos(np.multiply.outer(y, self.ks)))(x, members)
 
     def test_members_equal_separate_calls(self):
         tol = 1e-10
         res = adaptive_1d(self.family, 0.0, 10.0, tol=tol)
         assert res.value.shape == res.abs_error_estimate.shape == (3,)
+        own = 0
         for k, rate in enumerate(self.ks):
-            alone = adaptive_1d(lambda x: np.cos(rate * x), 0.0, 10.0, tol=tol)
+            alone = adaptive_1d(lambda x, _: np.cos(rate * x), 0.0, 10.0, tol=tol)
+            own += alone.evaluations
             assert abs(res.value[k] - alone.value) <= tol
             assert abs(res.value[k] - math.sin(10.0 * rate) / rate) <= tol
             assert res.abs_error_estimate[k] <= tol
-        # the shared nodes are those of the member that needs most
-        assert res.evaluations == alone.evaluations
+        # a member costs its own nodes: 8,235 member evaluations, the sum of
+        # the members' own 105, 465 and 7,665; every member evaluated on
+        # the hardest one's nodes took 3 x 7,665 = 22,995
+        assert res.evaluations <= 1.5 * own
 
     # the scalar rule's counts at the parent commit, before families
     @pytest.mark.parametrize(
@@ -204,8 +234,8 @@ class TestFamily:
         ids=["cos-101", "damped-sine", "sqrt"],
     )
     def test_one_member_repeats_the_scalar_rule(self, f, b, tol, evaluations):
-        scalar = adaptive_1d(f, 0.0, b, tol=tol)
-        column = adaptive_1d(lambda x: f(x)[:, None], 0.0, b, tol=tol)
+        scalar = adaptive_1d(lambda x, _: f(x), 0.0, b, tol=tol)
+        column = adaptive_1d(lambda x, _: f(x)[:, None], 0.0, b, tol=tol)
         assert scalar.evaluations == column.evaluations == evaluations
         assert column.value[0] == scalar.value
         assert column.abs_error_estimate[0] == scalar.abs_error_estimate
@@ -216,10 +246,40 @@ class TestFamily:
         assert np.array_equal(r1.value, r2.value)
         assert np.array_equal(r1.abs_error_estimate, r2.abs_error_estimate)
         assert r1.evaluations == r2.evaluations
+        # the two slow members froze, so the runs repeated the frozen rule
+        hardest = adaptive_1d(lambda x, _: np.cos(101.0 * x), 0.0, 10.0, tol=1e-11)
+        assert r1.evaluations < 3 * hardest.evaluations
+
+    def test_members_of_very_different_depths(self):
+        # sqrt(x) scaled by 1, 1e-3 and 1e-6: the smaller a member, the
+        # sooner its estimate is at most tol/2, and a frozen member leaves
+        # the integrand's array for good
+        scales = np.array([1.0, 1e-3, 1e-6])
+        tol = 1e-12
+        asked = []
+
+        def f(x, members):
+            asked.append(set(range(3)) if members is ... else set(members.tolist()))
+            return np.sqrt(x)[:, None] * scales[members]
+
+        res = adaptive_1d(f, 0.0, 1.0, tol)
+        assert np.all(res.abs_error_estimate <= tol)
+        # the frozen members keep the margin they froze with
+        assert np.all(res.abs_error_estimate[1:] <= 0.5 * tol * (1.0 + 1e-12))
+        for k, c in enumerate(scales):
+            assert abs(res.value[k] - 2.0 * c / 3.0) <= tol
+        assert all(later <= earlier for earlier, later in zip(asked, asked[1:]))
+        # member 2 freezes first, then member 1: 1,185 member evaluations
+        # against their own 585, 375 and 195
+        assert {0, 1} in asked and asked[-1] == {0}
+        assert res.evaluations == 15 * 3 + 30 * sum(len(members) for members in asked[1:])
+        own = [adaptive_1d(lambda x, _: np.sqrt(x) * c, 0.0, 1.0, tol) for c in scales]
+        assert res.evaluations <= 1.5 * sum(r.evaluations for r in own)
 
     def test_an_unresolvable_member_is_named(self):
         c = 1.0 / math.pi
 
+        @_asked
         def f(x):
             return np.stack([np.cos(x), np.sin(x), _spike(x, c)], axis=-1)
 
@@ -232,6 +292,7 @@ class TestFamily:
     def test_a_member_past_its_tolerance_is_named(self, monkeypatch):
         monkeypatch.setattr(quadrature, "_MAX_INTERVALS", 8)
 
+        @_asked
         def f(x):
             return np.stack([np.cos(x), 1.0 / np.sqrt(x)], axis=-1)
 
@@ -247,16 +308,17 @@ class TestFamily:
         # sin(1) c = 0.8415 was due, and other shapes raised ValueError
         tol = 1e-12
         c = np.arange(1.0, 1.0 + math.prod(shape)).reshape(shape) / math.prod(shape)
-        res = adaptive_1d(lambda x: np.cos(x)[:, None, None] * c, 0.0, 1.0, tol=tol)
+        res = adaptive_1d(_asked(lambda x: np.cos(x)[:, None, None] * c), 0.0, 1.0, tol=tol)
         assert res.value.shape == res.abs_error_estimate.shape == shape
         for k in np.ndindex(shape):
-            alone = adaptive_1d(lambda x: np.cos(x) * c[k], 0.0, 1.0, tol=tol)
+            alone = adaptive_1d(lambda x, _: np.cos(x) * c[k], 0.0, 1.0, tol=tol)
             assert abs(res.value[k] - alone.value) <= tol
             assert abs(res.value[k] - math.sin(1.0) * c[k]) <= tol
 
     def test_a_member_of_a_member_array_is_named(self):
         c = 1.0 / math.pi
 
+        @_asked
         def f(x):
             out = np.stack([np.cos(x)] * 6, axis=-1).reshape(x.size, 2, 3)
             out[:, 1, 2] = _spike(x, c)
@@ -269,11 +331,11 @@ class TestFamily:
         # one member is one integral: its refusal reads as the scalar rule's
         monkeypatch.setattr(quadrature, "_MAX_INTERVALS", 8)
 
-        def f(x):
+        def f(x, _):
             return 1.0 / np.sqrt(x)
 
         messages = []
-        for g in (f, lambda x: f(x)[:, None]):
+        for g in (f, lambda x, members: f(x, members)[:, None]):
             with pytest.raises(ToleranceNotMet) as exc:
                 adaptive_1d(g, 0.0, 1.0, tol=1e-15)
             messages.append(str(exc.value))
@@ -284,27 +346,27 @@ class TestFamily:
 class TestEnergySimplex:
     def test_two_parts_flat(self):
         w = 3.0
-        res = integrate_simplex(2, w, lambda e1, e2: e1 * e2, tol=1e-11)
+        res = integrate_simplex(2, w, lambda e1, e2, members: e1 * e2, tol=1e-11)
         exact = w / (2.0 * (2.0 * math.pi) ** 2)
         assert res.value.real == pytest.approx(exact, rel=1e-9)
 
     def test_two_parts_beta_moment(self):
         # E1^(3/2) E2^(3/2) over the simplex gives w^2 B(3/2, 3/2) = w^2 pi/8
         w = 1.7
-        res = integrate_simplex(2, w, lambda e1, e2: e1**1.5 * e2**1.5, tol=1e-11)
+        res = integrate_simplex(2, w, lambda e1, e2, members: e1**1.5 * e2**1.5, tol=1e-11)
         exact = w * w * (math.pi / 8.0) / (2.0 * (2.0 * math.pi) ** 2)
         assert res.value.real == pytest.approx(exact, rel=1e-8)
 
     def test_three_parts_flat(self):
         w = 2.0
-        res = integrate_simplex(3, w, lambda e1, e2, e3: e1 * e2 * e3, tol=1e-9)
+        res = integrate_simplex(3, w, lambda e1, e2, e3, members: e1 * e2 * e3, tol=1e-9)
         exact = (w * w / 2.0) / (6.0 * (2.0 * math.pi) ** 3)
         assert res.value.real == pytest.approx(exact, rel=1e-7)
 
     def test_parts_sum_to_total(self):
         seen = []
 
-        def f(e1, e2):
+        def f(e1, e2, members):
             seen.append(e1 + e2)
             return e1 * e2
 
@@ -315,17 +377,20 @@ class TestEnergySimplex:
     def test_evaluations_count_integrand_calls(self, n_parts):
         calls = []
 
-        def f(*energies):
+        def f(*energies, members):
             calls.append(energies)
             return math.prod(energies)
 
         res = integrate_simplex(n_parts, 1.5, f, tol=1e-9)
-        # a call evaluates 15 nodes, or 30 for both halves of a split (an
-        # inner family's at n = 3)
-        assert res.evaluations == sum(len(energies[0]) for energies in calls) > 0
+        # a call evaluates 15 nodes, or 30 for both halves of a split, of
+        # each member it is asked for (of an inner family's at n = 3)
+        assert res.evaluations == sum(np.broadcast(*energies).size for energies in calls) > 0
 
     def test_three_parts_error_covers_inner_estimates(self, monkeypatch):
-        inner_tol = 1e-7 / 4.0
+        # each inner pair is held to tol/(2 max(1, total)), each of its
+        # corner halves to half of that
+        total = 2.0
+        inner_tol = 1e-7 / (4.0 * total)
         inner_estimates = []
         real = quadrature.adaptive_1d
 
@@ -336,11 +401,10 @@ class TestEnergySimplex:
             return res
 
         monkeypatch.setattr(quadrature, "adaptive_1d", recorded)
-        total = 2.0
         res = integrate_simplex(
             3,
             total,
-            lambda e1, e2, e3: e1 * e2 * e3 * np.sqrt(np.abs(e1 - 0.5)),
+            lambda e1, e2, e3, members: e1 * e2 * e3 * np.sqrt(np.abs(e1 - 0.5)),
             tol=1e-7,
         )
         norm = 1.0 / ((2.0 * math.pi) ** 3 * 6.0)
@@ -354,7 +418,7 @@ class TestEnergySimplex:
     def test_symmetric_pair_integrates_one_half(self, monkeypatch, n_parts):
         # exactly symmetric under e1 <-> e2, so both corner halves of the
         # pair segment subdivide alike
-        def f(e1, e2, e3=1.0):
+        def f(e1, e2, e3=1.0, *, members):
             return (e1 * e2) ** 1.5 * e3 * np.cos(3.0 * (e1 + e2) + e1 * e2 + e3)
 
         estimates = []
@@ -382,13 +446,13 @@ class TestEnergySimplex:
     def test_invalid_arguments(self):
         for n_parts in (1, 4):
             with pytest.raises(DomainError):
-                integrate_simplex(n_parts, 1.0, lambda *energies: 1.0)
+                integrate_simplex(n_parts, 1.0, lambda *energies, members: 1.0)
         with pytest.raises(DomainError):
-            integrate_simplex(2, 0.0, lambda e1, e2: 1.0)
+            integrate_simplex(2, 0.0, lambda e1, e2, members: 1.0)
         with pytest.raises(DomainError, match="total must be positive"):
-            integrate_simplex(2, np.array([1.0, 0.0]), lambda e1, e2: 1.0)
+            integrate_simplex(2, np.array([1.0, 0.0]), lambda e1, e2, members: 1.0)
         with pytest.raises(DomainError, match="needs n_parts = 2"):
-            integrate_simplex(3, np.array([1.0, 2.0]), lambda *energies: 1.0)
+            integrate_simplex(3, np.array([1.0, 2.0]), lambda *energies, members: 1.0)
 
     def test_an_array_of_totals_is_one_family(self):
         # the beta moment of test_two_parts_beta_moment at three totals:
@@ -397,18 +461,22 @@ class TestEnergySimplex:
         totals = np.array([0.3, 1.7, 4.0])
         shapes = []
 
-        def f(e1, e2):
+        def f(e1, e2, members):
             shapes.append(e1.shape)
-            assert np.allclose(e1 + e2, totals)
+            assert np.allclose(e1 + e2, totals[members])
             return (e1 * e2) ** 1.5
 
         tol = 1e-11
         res = integrate_simplex(2, totals, f, tol=tol)
         assert res.value.shape == res.abs_error_estimate.shape == (3,)
-        assert set(shapes) == {(15, 3), (30, 3)}
+        # each corner half starts on all three members, and a split
+        # evaluates the members not yet frozen, in their columns
+        assert shapes[0] == (15, 3)
+        assert {shape[0] for shape in shapes} == {15, 30}
+        assert {shape[1] for shape in shapes} > {3}
         norm = 1.0 / (2.0 * (2.0 * math.pi) ** 2)
         for k, w in enumerate(totals):
-            alone = integrate_simplex(2, w, lambda e1, e2: (e1 * e2) ** 1.5, tol=tol)
+            alone = integrate_simplex(2, w, lambda e1, e2, members: (e1 * e2) ** 1.5, tol=tol)
             assert abs(res.value[k] - alone.value) <= 2.0 * tol * norm
             assert abs(res.value[k] - w * w * (math.pi / 8.0) * norm) <= tol * norm
 
@@ -418,7 +486,7 @@ class TestEnergySimplex:
         # so that it still receives the (15, m) shape, and never at 0
         shapes, midpoints = [], []
 
-        def point(e1, e2):
+        def point(e1, e2, members):
             shapes.append(e1.shape)
             midpoints.append(np.any(e1[:, 0] == e2[:, 0]))
             assert np.all(e1 > 0.0) and np.all(e2 > 0.0)
@@ -437,7 +505,7 @@ class TestEnergySimplex:
         # at tol 1e-12 when each half was held to tol)
         tol = 1e-12
         res = quadrature.integrate_segment(
-            lambda e1, e2: np.log(e1) * np.log(e2), 1.0, tol, symmetric
+            lambda e1, e2, members: np.log(e1) * np.log(e2), 1.0, tol, symmetric
         )
         assert res.abs_error_estimate <= tol
         assert abs(res.value - (2.0 - math.pi**2 / 6.0)) <= tol
@@ -455,18 +523,18 @@ class TestEnergySimplex:
                 inner_widths.append(width)
                 return real(point, width, *args)
 
-            def outer_point(e3, rem):
+            def outer_point(e3, rem, members):
                 outer_seconds.append(rem)
                 inside[0] = True
                 try:
-                    return point(e3, rem)
+                    return point(e3, rem, members)
                 finally:
                     inside[0] = False
 
             return real(outer_point, width, *args)
 
         monkeypatch.setattr(quadrature, "integrate_segment", spy)
-        integrate_simplex(3, 1.0, lambda e1, e2, e3: e1 * e2 * e3, tol=1e-9)
+        integrate_simplex(3, 1.0, lambda e1, e2, e3, members: e1 * e2 * e3, tol=1e-9)
         assert len(inner_widths) == len(outer_seconds) > 0
         for width, rem in zip(inner_widths, outer_seconds):
             assert np.array_equal(width, rem)

@@ -182,7 +182,7 @@ class TestSpectrum:
         """The energy carried by the spectrum equals the inelastic loss
         omega (1 - |r|^2), both in closed form."""
 
-        def f(u):
+        def f(u, _):
             omega_p = omega * u * u
             gamma = np.array(
                 [spectrum_half(wp, omega, model) if 0.0 < wp < omega else 0.0 for wp in omega_p]

@@ -11,6 +11,7 @@ from bscat.errors import DomainError, InsufficientData
 from bscat.formfactors import r0_weights
 from bscat.model import make_model
 from bscat.quadrature import QuadResult, adaptive_1d
+from bscat.reflection import r_breather, soliton_pair_bracket
 from bscat.twopoint import (
     RateCurve,
     ReflectionBreakdown,
@@ -90,7 +91,7 @@ class TestReflectionCoefficient:
         for w0 in (0.1, 1.0, 10.0):
             c0 = chi(w0)
 
-            def f(x):
+            def f(x, _):
                 w = np.exp(x)
                 return (chis(w).real - c0.real) / (w * w - w0 * w0) * w
 
@@ -218,26 +219,27 @@ class TestExchangeSymmetricSets:
                 assert symmetric, name
                 for _ in range(20):
                     e1, e2, *rest = np.exp(rng.uniform(-4.0, 2.5, n_lines))
-                    a = integrand(e1, e2, *rest)
-                    b = integrand(e2, e1, *rest)
+                    a = integrand(e1, e2, *rest, members=...)
+                    b = integrand(e2, e1, *rest, members=...)
                     assert abs(a - b) <= 1e-12 * abs(a), (name, z, e1, e2)
 
     def test_r0_pair_breather_count(self, monkeypatch):
         # the pm1 weight at bsG z = 1/3, at its r(omega) term's tolerance
-        # _TOL_3D = 1e-6: 270 integrand nodes in 10 calls of 15 or 30
-        # nodes (both halves of a split in one call), each node one point
-        # of each member of an inner family of 15 or 30, and 540 with both
-        # mirror halves of every inner pair, which the bound refuses
-        # (before the inner pairs became families: 1440 nodes of one point
-        # each; 4530 at 1e-7, 9060 at 1e-7 with both halves)
+        # _TOL_3D = 1e-6: 1500 integrand points, a call's 15 or 30 nodes
+        # (both halves of a split in one call) times the members of an
+        # inner family it asks for.  Every member evaluated on the nodes of
+        # the one that needs most took 4050 points (270 nodes of families
+        # of 15 or 30), and 8100 with both mirror halves of every inner
+        # pair; before the inner pairs became families, 1440 points (4530
+        # at 1e-7, 9060 at 1e-7 with both halves)
         calls = []
         results = []
         real = formfactors_mod.integrate_simplex
 
         def counted(n_parts, total, integrand, **kwargs):
-            def f(*energies):
+            def f(*energies, members):
                 calls.append(energies)
-                return integrand(*energies)
+                return integrand(*energies, members=members)
 
             results.append(real(n_parts, total, f, **kwargs))
             return results[-1]
@@ -247,7 +249,7 @@ class TestExchangeSymmetricSets:
             "pm1", 1.0, make_model("bsg", 1.0 / 3.0), formfactors_mod._TOL_3D
         )
         (res,) = results
-        assert res.evaluations == sum(len(energies[0]) for energies in calls) <= 280
+        assert res.evaluations == sum(np.broadcast(*energies).size for energies in calls) <= 1600
 
     @pytest.mark.parametrize("z", [1.0 / 3.0, 0.25, 0.2], ids=["1/3", "1/4", "0.2"])
     def test_r0_pair_breather_weight_at_its_term_tolerance(self, z):
@@ -257,6 +259,22 @@ class TestExchangeSymmetricSets:
         spec = make_model("bsg", z)
         reference = formfactors_mod.set_integral("pm1", 1.0, spec, 1e-9).real
         assert abs(r0_weights(spec)["pm1"] - reference) <= 2e-12
+
+    @pytest.mark.parametrize("omega", [1941.4919457438816, 4406.236427773573], ids=["1941", "4406"])
+    def test_pm1_term_at_high_omega_meets_its_tolerance(self, omega):
+        # two points of `bscat rates --omega 1e-3..1e4:60` at bsG z = 1/3:
+        # the pm1 term is held to _TOL_3D/(2 pi)^3 (about 4.0e-9) only if
+        # the inner pairs' errors, integrated over E3 in (0, omega), are;
+        # with each inner pair at _TOL_3D omega/2 the term missed a tol-1e-9
+        # run by 7.3e-9 and 1.8e-8 (1.8 and 4.4 times its tolerance)
+        spec = make_model("bsg", 1.0 / 3.0)
+
+        def reflection(l1, l2, l3):
+            return soliton_pair_bracket(l1, l2, spec, sign=+1) * r_breather(l3, 1, spec)
+
+        reference = formfactors_mod.set_integral("pm1", omega, spec, 1e-9, reflection)
+        bound = formfactors_mod._TOL_3D / (2.0 * math.pi) ** 3
+        assert abs(r_term_pm1(omega, spec) - reference) <= bound
 
     def test_breather_pair_is_integrated_whole(self, monkeypatch):
         spec = make_model("bsg", 0.25)
@@ -327,24 +345,53 @@ class TestRateGrid:
             (family, family_tol), *alone = seen
             assert family_tol == formfactors_mod._TOL_2D * 40.0
             u = np.linspace(0.05, 0.95, 15)[:, None]
-            values = family(grid * u, grid * (1.0 - u))
+            values = family(grid * u, grid * (1.0 - u), members=...)
             for k, (integrand, tol) in enumerate(alone):
                 assert tol == formfactors_mod._TOL_2D * max(1.0, grid[k])
-                own = integrand(grid[k] * u[:, 0], grid[k] * (1.0 - u[:, 0]))
+                own = integrand(grid[k] * u[:, 0], grid[k] * (1.0 - u[:, 0]), members=...)
+                # a member asked for alone reads the same
+                assert np.array_equal(
+                    family(grid[k] * u, grid[k] * (1.0 - u), members=np.array([k]))[:, 0],
+                    values[:, k],
+                )
                 assert np.allclose(family_tol * own, tol * values[:, k], rtol=1e-13, atol=0.0)
 
+    def test_a_two_line_family_costs_about_its_members_alone(self, monkeypatch):
+        # the pair term over 60 omega from 1e-3 to 1e3 at Kondo z = 1/2: a
+        # converged member leaves the integrand's array, so the family makes
+        # 6930 member evaluations against 4830 with one integral per omega;
+        # every member on the nodes of the one that needs most took 15300
+        spec = make_model("kondo", 0.5)
+        grid = np.geomspace(1e-3, 1e3, 60)
+        r0_weights(spec)
+        # counted where the panel sums are taken, one per node and member
+        evaluations = []
+        real = quadrature_mod._gk15
+
+        def counted(values, h):
+            evaluations.append(np.size(values))
+            return real(values, h)
+
+        monkeypatch.setattr(quadrature_mod, "_gk15", counted)
+        r_term_soliton_pair(grid, spec)
+        family = sum(evaluations)
+        evaluations.clear()
+        for w in grid:
+            r_term_soliton_pair(float(w), spec)
+        assert family <= 1.5 * sum(evaluations)
+
     def test_pm1_costs_no_more_than_per_omega(self, monkeypatch):
-        # a family of 3-part simplices would evaluate every member on the
-        # nodes of its hardest one; the grid keeps one outer rule per omega
+        # the grid keeps one outer rule per omega (integrate_simplex takes
+        # one total at 3 parts), so it costs no more than a call per omega
         spec = make_model("bsg", 1.0 / 3.0)
         grid = np.geomspace(0.1, 100.0, 5)
         evaluations = []
         real = formfactors_mod.integrate_simplex
 
         def counted(n_parts, total, integrand, **kwargs):
-            def f(*energies):
+            def f(*energies, members):
                 evaluations.append(np.broadcast(*energies).size)
-                return integrand(*energies)
+                return integrand(*energies, members=members)
 
             return real(n_parts, total, f, **kwargs)
 
